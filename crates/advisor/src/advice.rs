@@ -9,9 +9,10 @@ use std::time::Duration;
 
 use serde::json::Value;
 
-use crate::diagnose::{hot_phase, render_diagnosis, Diagnosis};
+use crate::diagnose::{hot_phase, render_diagnosis, straggler, Diagnosis};
 use crate::divergence::{render_divergence, PhaseDivergence};
 use crate::search::{render_recommendation, Candidate, Recommendation};
+use autocfd_runtime::export::{exposed_pct, imbalance};
 
 /// Version of the `advice.json` document layout.
 pub const ADVICE_SCHEMA_VERSION: i64 = 1;
@@ -60,29 +61,32 @@ impl Advice {
             .iter()
             .enumerate()
             .map(|(i, p)| {
+                let (work, t) = (p.work_per_rank(), p.total());
                 Value::obj(vec![
                     ("phase", Value::Str(p.phase.clone())),
                     (
                         "compute_ms_per_rank",
-                        Value::Arr(p.compute.iter().map(|&c| ms(c)).collect()),
+                        Value::Arr(work.iter().map(|&c| ms(c)).collect()),
                     ),
-                    ("wait_ms", ms(p.total_wait())),
-                    ("overlap_ms", ms(p.total_overlap())),
-                    ("bytes", Value::Int(p.total_bytes() as i128)),
-                    ("msgs", Value::Int(p.total_msgs() as i128)),
+                    ("wait_ms", ms(t.wait)),
+                    ("overlap_ms", ms(t.overlap)),
+                    ("bytes", Value::Int(t.bytes as i128)),
+                    ("msgs", Value::Int(t.msgs as i128)),
                     (
                         "imbalance",
-                        p.imbalance().map(Value::Float).unwrap_or(Value::Null),
+                        imbalance(&work).map(Value::Float).unwrap_or(Value::Null),
                     ),
                     (
                         "straggler",
-                        p.straggler()
+                        straggler(&work)
                             .map(|r| Value::Int(r as i128))
                             .unwrap_or(Value::Null),
                     ),
                     (
                         "exposed_pct",
-                        p.exposed_pct().map(Value::Float).unwrap_or(Value::Null),
+                        exposed_pct(t.wait, t.overlap)
+                            .map(Value::Float)
+                            .unwrap_or(Value::Null),
                     ),
                     ("critical_share_pct", Value::Float(d.critical_share(i))),
                 ])

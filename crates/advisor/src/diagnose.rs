@@ -1,6 +1,6 @@
 //! Load-imbalance and exposed-communication diagnosis.
 //!
-//! Aggregates a [`MergedTrace`] into per-phase, per-rank load figures
+//! Reads the folded metrics table ([`autocfd_runtime::export::fold`])
 //! and derives the three observations the advisor reasons about:
 //! compute-span skew (who is the straggler and by how much), critical-
 //! path attribution (which phase the slowest rank actually spends the
@@ -10,128 +10,21 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use autocfd_runtime::export::{exposed_pct, fold, imbalance, percentiles, Cell, PhaseRow};
 use autocfd_runtime::journal::MergedTrace;
 use autocfd_runtime::trace::EventKind;
 
-/// Per-rank load figures for one phase, in rank order.
-///
-/// Span accounting matches [`autocfd_runtime::export::phase_metrics`]:
-/// `Compute` spans count as compute, `Overlap` spans count as compute
-/// *and* overlap (interior work done while comm was in flight),
-/// `Send`/`Reduce` as comm, `Recv`/`Barrier` as wait.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseLoad {
-    /// Phase name (cross-rank first-appearance order).
-    pub phase: String,
-    /// Compute span total per rank.
-    pub compute: Vec<Duration>,
-    /// Comm (send/reduce) span total per rank.
-    pub comm: Vec<Duration>,
-    /// Wait (recv/barrier) span total per rank.
-    pub wait: Vec<Duration>,
-    /// Overlap span total per rank (compute hidden under comm).
-    pub overlap: Vec<Duration>,
-    /// Wire bytes per rank (both directions).
-    pub bytes: Vec<u64>,
-    /// Message events per rank (sends + receives + reduces).
-    pub msgs: Vec<u64>,
+/// The rank with the largest entry of a per-rank work series, or `None`
+/// when the series is all zero.
+pub(crate) fn straggler(work: &[Duration]) -> Option<usize> {
+    let (rank, max) = work.iter().enumerate().max_by_key(|(_, c)| **c)?;
+    (!max.is_zero()).then_some(rank)
 }
 
-impl PhaseLoad {
-    /// Total compute across all ranks.
-    pub fn total_compute(&self) -> Duration {
-        self.compute.iter().sum()
-    }
-
-    /// Total wait across all ranks.
-    pub fn total_wait(&self) -> Duration {
-        self.wait.iter().sum()
-    }
-
-    /// Total overlap across all ranks.
-    pub fn total_overlap(&self) -> Duration {
-        self.overlap.iter().sum()
-    }
-
-    /// Total wire bytes across all ranks (both directions).
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
-    /// Total message events across all ranks.
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.iter().sum()
-    }
-
-    /// Compute skew: max over mean of the per-rank compute totals.
-    /// `None` when the phase has no compute at all.
-    pub fn imbalance(&self) -> Option<f64> {
-        let total = self.total_compute().as_secs_f64();
-        if total == 0.0 || self.compute.is_empty() {
-            return None;
-        }
-        let mean = total / self.compute.len() as f64;
-        let max = self
-            .compute
-            .iter()
-            .map(Duration::as_secs_f64)
-            .fold(0.0, f64::max);
-        Some(max / mean)
-    }
-
-    /// The rank with the largest compute total, or `None` when the
-    /// phase has no compute.
-    pub fn straggler(&self) -> Option<usize> {
-        if self.total_compute().is_zero() {
-            return None;
-        }
-        self.compute
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .map(|(r, _)| r)
-    }
-
-    /// Share of this phase's comm latency that stayed *exposed*:
-    /// `wait / (wait + overlap)`. `None` when the phase has neither
-    /// wait nor overlap (a pure-compute phase).
-    pub fn exposed_pct(&self) -> Option<f64> {
-        let wait = self.total_wait().as_secs_f64();
-        let hidden = self.total_overlap().as_secs_f64();
-        if wait + hidden == 0.0 {
-            return None;
-        }
-        Some(100.0 * wait / (wait + hidden))
-    }
-
-    /// One rank's busy time in this phase: compute + comm + wait
-    /// (overlap is already inside compute).
-    pub fn busy(&self, rank: usize) -> Duration {
-        self.compute[rank] + self.comm[rank] + self.wait[rank]
-    }
-
-    /// The slowest rank's busy time — this phase's contribution to the
-    /// run's critical path.
-    pub fn critical_busy(&self) -> Duration {
-        (0..self.compute.len())
-            .map(|r| self.busy(r))
-            .max()
-            .unwrap_or_default()
-    }
-
-    /// p50 and p95 of the per-rank busy times (nearest-rank, same
-    /// convention as [`autocfd_runtime::export::percentiles`]).
-    pub fn busy_percentiles(&self) -> (Duration, Duration) {
-        let mut samples: Vec<Duration> = (0..self.compute.len()).map(|r| self.busy(r)).collect();
-        let pct = autocfd_runtime::export::percentiles(&mut samples);
-        (pct.p50, pct.p95)
-    }
-
-    /// Whether this phase moved any messages (a sync / reduce phase
-    /// rather than a pure compute phase).
-    pub fn is_comm(&self) -> bool {
-        self.total_msgs() > 0 || !self.total_wait().is_zero()
-    }
+/// The slowest rank's busy time in a phase — the phase's contribution
+/// to the run's critical path.
+fn critical_busy(row: &PhaseRow) -> Duration {
+    row.cells.iter().map(Cell::busy).max().unwrap_or_default()
 }
 
 /// The full diagnosis of one merged trace.
@@ -145,9 +38,10 @@ pub struct Diagnosis {
     pub complete: bool,
     /// Merged makespan: latest event end minus earliest event start.
     pub wall: Duration,
-    /// Per-phase load figures, in cross-rank first-appearance order.
-    pub phases: Vec<PhaseLoad>,
-    /// Whole-run compute total per rank.
+    /// The folded table's rows: a cell per rank for every phase, in
+    /// cross-rank first-appearance order.
+    pub phases: Vec<PhaseRow>,
+    /// Whole-run work (compute + overlap) total per rank.
     pub compute_per_rank: Vec<Duration>,
     /// Whole-run compute skew (max over mean); `1.0` for a run with no
     /// compute at all.
@@ -182,7 +76,7 @@ impl Diagnosis {
     /// Sum of every phase's slowest-rank busy time — the critical path
     /// as the phase-ordered trace saw it.
     pub fn critical_path(&self) -> Duration {
-        self.phases.iter().map(PhaseLoad::critical_busy).sum()
+        self.phases.iter().map(critical_busy).sum()
     }
 
     /// One phase's share of the critical path, in percent.
@@ -191,7 +85,7 @@ impl Diagnosis {
         if total == 0.0 {
             return 0.0;
         }
-        100.0 * self.phases[phase].critical_busy().as_secs_f64() / total
+        100.0 * critical_busy(&self.phases[phase]).as_secs_f64() / total
     }
 }
 
@@ -264,125 +158,25 @@ fn measured_critical_path(merged: &MergedTrace) -> (Option<Duration>, usize, usi
     (path, matched, unmatched)
 }
 
-/// Diagnose a merged trace: fold every event into per-phase per-rank
-/// load figures and derive skew, straggler, and exposure.
+/// Diagnose a merged trace: fold it into the metrics table and derive
+/// skew, straggler, and exposure from the cells.
 pub fn diagnose(merged: &MergedTrace) -> Diagnosis {
-    let ranks = merged.traces.len();
-    // Cross-rank first-appearance phase order, rank 0 first — the same
-    // order `export::phase_metrics` renders.
-    let mut order: Vec<String> = Vec::new();
-    for names in &merged.phase_names {
-        for name in names {
-            if !order.contains(name) {
-                order.push(name.clone());
-            }
-        }
-    }
-    let mut phases: Vec<PhaseLoad> = order
-        .into_iter()
-        .map(|phase| PhaseLoad {
-            phase,
-            compute: vec![Duration::ZERO; ranks],
-            comm: vec![Duration::ZERO; ranks],
-            wait: vec![Duration::ZERO; ranks],
-            overlap: vec![Duration::ZERO; ranks],
-            bytes: vec![0; ranks],
-            msgs: vec![0; ranks],
-        })
+    let table = fold(merged);
+    let compute_per_rank: Vec<Duration> = (0..table.ranks())
+        .map(|r| table.rank_total(r).work())
         .collect();
-
-    let mut start = Duration::MAX;
-    let mut end = Duration::ZERO;
-    for (rank, trace) in merged.traces.iter().enumerate() {
-        let names = &merged.phase_names[rank];
-        for ev in trace {
-            start = start.min(ev.start);
-            end = end.max(ev.end);
-            let Some(name) = names.get(ev.phase as usize) else {
-                continue;
-            };
-            let Some(load) = phases.iter_mut().find(|p| &p.phase == name) else {
-                continue;
-            };
-            let span = ev.span();
-            match ev.kind {
-                EventKind::Compute => load.compute[rank] += span,
-                EventKind::Overlap => {
-                    load.compute[rank] += span;
-                    load.overlap[rank] += span;
-                }
-                EventKind::Send | EventKind::Reduce => {
-                    load.comm[rank] += span;
-                    load.msgs[rank] += 1;
-                    load.bytes[rank] += ev.bytes as u64;
-                }
-                EventKind::Recv => {
-                    load.wait[rank] += span;
-                    load.msgs[rank] += 1;
-                    load.bytes[rank] += ev.bytes as u64;
-                }
-                EventKind::Barrier => load.wait[rank] += span,
-            }
-        }
-    }
-    let wall = end.saturating_sub(if start == Duration::MAX {
-        Duration::ZERO
-    } else {
-        start
-    });
-
-    let mut compute_per_rank = vec![Duration::ZERO; ranks];
-    let mut wait_total = Duration::ZERO;
-    let mut overlap_total = Duration::ZERO;
-    for load in &phases {
-        for (acc, c) in compute_per_rank.iter_mut().zip(&load.compute) {
-            *acc += *c;
-        }
-        wait_total += load.total_wait();
-        overlap_total += load.total_overlap();
-    }
-    let total_compute: Duration = compute_per_rank.iter().sum();
-    let imbalance = if total_compute.is_zero() || ranks == 0 {
-        1.0
-    } else {
-        let mean = total_compute.as_secs_f64() / ranks as f64;
-        let max = compute_per_rank
-            .iter()
-            .map(Duration::as_secs_f64)
-            .fold(0.0, f64::max);
-        max / mean
-    };
-    let straggler = if total_compute.is_zero() {
-        None
-    } else {
-        compute_per_rank
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .map(|(r, _)| r)
-    };
-    let exposed_pct = {
-        let w = wait_total.as_secs_f64();
-        let h = overlap_total.as_secs_f64();
-        if w + h == 0.0 {
-            None
-        } else {
-            Some(100.0 * w / (w + h))
-        }
-    };
-
+    let total = table.total();
     let (critical_path_measured, edges_matched, edges_unmatched) = measured_critical_path(merged);
-
     Diagnosis {
-        ranks,
+        ranks: table.ranks(),
         transport: merged.transport.clone(),
         complete: merged.complete,
-        wall,
-        phases,
+        wall: table.makespan(),
+        imbalance: imbalance(&compute_per_rank).unwrap_or(1.0),
+        straggler: straggler(&compute_per_rank),
+        exposed_pct: exposed_pct(total.wait, total.overlap),
         compute_per_rank,
-        imbalance,
-        straggler,
-        exposed_pct,
+        phases: table.rows,
         critical_path_measured,
         edges_matched,
         edges_unmatched,
@@ -394,19 +188,13 @@ pub fn diagnose(merged: &MergedTrace) -> Diagnosis {
 /// its share of the critical path in percent. `None` for an empty
 /// trace.
 pub fn hot_phase(diag: &Diagnosis) -> Option<(&str, Duration, f64)> {
-    let (idx, load) = diag
+    let (idx, row) = diag
         .phases
         .iter()
         .enumerate()
-        .max_by_key(|(_, p)| p.critical_busy())?;
-    if load.critical_busy().is_zero() {
-        return None;
-    }
-    Some((
-        load.phase.as_str(),
-        load.critical_busy(),
-        diag.critical_share(idx),
-    ))
+        .max_by_key(|(_, p)| critical_busy(p))?;
+    let busy = critical_busy(row);
+    (!busy.is_zero()).then(|| (row.phase.as_str(), busy, diag.critical_share(idx)))
 }
 
 fn fmt_dur(d: Duration) -> String {
@@ -434,26 +222,28 @@ pub fn render_diagnosis(diag: &Diagnosis) -> String {
         "{:<16} {:>10} {:>10} {:>6} {:>9} {:>20} {:>6}\n",
         "phase", "cpu-max", "cpu-mean", "imb", "straggler", "busy p50/p95", "crit%"
     ));
-    for (i, load) in diag.phases.iter().enumerate() {
+    for (i, row) in diag.phases.iter().enumerate() {
+        let work = row.work_per_rank();
         let mean = if diag.ranks == 0 {
             Duration::ZERO
         } else {
-            load.total_compute() / diag.ranks as u32
+            work.iter().sum::<Duration>() / diag.ranks as u32
         };
-        let max = load.compute.iter().copied().max().unwrap_or_default();
-        let (p50, p95) = load.busy_percentiles();
+        let max = work.iter().copied().max().unwrap_or_default();
+        let mut busy: Vec<Duration> = row.cells.iter().map(Cell::busy).collect();
+        let busy = percentiles(&mut busy);
         out.push_str(&format!(
             "{:<16} {:>10} {:>10} {:>6} {:>9} {:>20} {:>6}\n",
-            load.phase,
+            row.phase,
             fmt_dur(max),
             fmt_dur(mean),
-            load.imbalance()
+            imbalance(&work)
                 .map(|x| format!("{x:.2}"))
                 .unwrap_or_else(|| "-".into()),
-            load.straggler()
+            straggler(&work)
                 .map(|r| format!("r{r}"))
                 .unwrap_or_else(|| "-".into()),
-            format!("{}/{}", fmt_dur(p50), fmt_dur(p95)),
+            format!("{}/{}", fmt_dur(busy.p50), fmt_dur(busy.p95)),
             format!("{:.1}", diag.critical_share(i)),
         ));
     }
@@ -482,24 +272,29 @@ pub fn render_diagnosis(diag: &Diagnosis) -> String {
         ));
     }
 
-    let comm: Vec<&PhaseLoad> = diag.phases.iter().filter(|p| p.is_comm()).collect();
+    let comm: Vec<(&PhaseRow, Cell)> = diag
+        .phases
+        .iter()
+        .map(|p| (p, p.total()))
+        .filter(|(_, t)| t.is_comm())
+        .collect();
     if !comm.is_empty() {
         out.push_str("\nexposed communication (wait attributed to the causing sync)\n");
         out.push_str(&format!(
             "{:<16} {:>10} {:>10} {:>8} {:>10} {:>8}\n",
             "sync", "wait", "overlap", "exposed", "bytes", "msgs"
         ));
-        for load in comm {
+        for (row, t) in comm {
             out.push_str(&format!(
                 "{:<16} {:>10} {:>10} {:>8} {:>10} {:>8}\n",
-                load.phase,
-                fmt_dur(load.total_wait()),
-                fmt_dur(load.total_overlap()),
-                load.exposed_pct()
+                row.phase,
+                fmt_dur(t.wait),
+                fmt_dur(t.overlap),
+                exposed_pct(t.wait, t.overlap)
                     .map(|p| format!("{p:.1}%"))
                     .unwrap_or_else(|| "-".into()),
-                load.total_bytes(),
-                load.total_msgs(),
+                t.bytes,
+                t.msgs,
             ));
         }
     }
@@ -562,9 +357,10 @@ mod tests {
         // All wait, no overlap: fully exposed.
         assert_eq!(d.exposed_pct, Some(100.0));
         let sync = d.phases.iter().find(|p| p.phase == "sync_0").unwrap();
-        assert_eq!(sync.exposed_pct(), Some(100.0));
-        assert_eq!(sync.total_bytes(), 160);
-        assert_eq!(sync.total_msgs(), 2);
+        let t = sync.total();
+        assert_eq!(exposed_pct(t.wait, t.overlap), Some(100.0));
+        assert_eq!(t.bytes, 160);
+        assert_eq!(t.msgs, 2);
         assert_eq!(d.wall, Duration::from_micros(410));
     }
 
@@ -574,8 +370,13 @@ mod tests {
         // Rank 0 hides 300µs of the wait behind interior compute.
         m.traces[0].push(ev(EventKind::Overlap, 100, 400, 1, 0));
         let d = diagnose(&m);
-        let sync = d.phases.iter().find(|p| p.phase == "sync_0").unwrap();
-        let exposed = sync.exposed_pct().unwrap();
+        let sync = d
+            .phases
+            .iter()
+            .find(|p| p.phase == "sync_0")
+            .unwrap()
+            .total();
+        let exposed = exposed_pct(sync.wait, sync.overlap).unwrap();
         assert!((exposed - 50.0).abs() < 1e-9, "exposed {exposed}");
     }
 

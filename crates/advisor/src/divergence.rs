@@ -3,7 +3,7 @@
 //! [`autocfd_interp::forecast()`] predicts each communication phase's
 //! per-visit message and payload counts statically from the SPMD plan.
 //! This module compares that prediction against a measured trace's
-//! [`PhaseMetrics`] and reports, phase by phase, where the cost model
+//! per-phase rows ([`PhaseRow`]) and reports, phase by phase, where the cost model
 //! stopped predicting reality. The inference mirrors the `acfc stats
 //! --check` gate: visit counts are recovered from the measured message
 //! count (`msgs / events-per-visit`), and on TCP each frame carries a
@@ -11,7 +11,7 @@
 
 use autocfd_cluster_sim::relative_error;
 use autocfd_interp::forecast::PhaseForecast;
-use autocfd_runtime::export::PhaseMetrics;
+use autocfd_runtime::export::PhaseRow;
 
 /// One phase's predicted-vs-measured traffic comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +58,7 @@ impl PhaseDivergence {
 /// the transport; this crate deliberately does not).
 pub fn divergence(
     forecasts: &[PhaseForecast],
-    metrics: &[PhaseMetrics],
+    metrics: &[PhaseRow],
     frame_header_bytes: u64,
 ) -> Vec<PhaseDivergence> {
     let mut out = Vec::new();
@@ -66,8 +66,8 @@ pub fn divergence(
         let (msgs, bytes) = metrics
             .iter()
             .find(|m| m.phase == f.phase)
-            .map(|m| (m.msgs, m.bytes))
-            .unwrap_or((0, 0));
+            .map(|m| m.total())
+            .map_or((0, 0), |t| (t.msgs, t.bytes));
         let per_visit = f.events();
         let (visits, structure_ok) = match msgs.checked_div(per_visit) {
             None => (0, msgs == 0),
@@ -84,17 +84,17 @@ pub fn divergence(
             bytes_measured: bytes,
         });
     }
-    for m in metrics {
-        if m.msgs > 0 && !forecasts.iter().any(|f| f.phase == m.phase) {
+    for (m, t) in metrics.iter().map(|m| (m, m.total())) {
+        if t.msgs > 0 && !forecasts.iter().any(|f| f.phase == m.phase) {
             out.push(PhaseDivergence {
                 phase: m.phase.clone(),
                 forecast: false,
                 visits: 0,
                 structure_ok: false,
                 msgs_predicted: 0,
-                msgs_measured: m.msgs,
+                msgs_measured: t.msgs,
                 bytes_predicted: 0,
-                bytes_measured: m.bytes,
+                bytes_measured: t.bytes,
             });
         }
     }
@@ -138,26 +138,19 @@ pub fn render_divergence(divs: &[PhaseDivergence], tolerance: f64) -> String {
 mod tests {
     use super::*;
     use autocfd_interp::forecast::RankTraffic;
-    use autocfd_runtime::export::{percentiles, Percentiles};
-    use std::time::Duration;
+    use autocfd_runtime::export::Cell;
 
-    fn zero_pct() -> Percentiles {
-        percentiles(&mut [])
-    }
-
-    fn metric(phase: &str, msgs: u64, bytes: u64) -> PhaseMetrics {
-        PhaseMetrics {
+    fn metric(phase: &str, msgs: u64, bytes: u64) -> PhaseRow {
+        PhaseRow {
             phase: phase.into(),
-            events: msgs as usize,
-            msgs,
-            bytes,
-            compute: Duration::ZERO,
-            comm: Duration::ZERO,
-            wait: Duration::ZERO,
-            overlap: Duration::ZERO,
-            compute_hist: zero_pct(),
-            wait_hist: zero_pct(),
-            compute_per_rank: Vec::new(),
+            cells: vec![Cell {
+                msgs,
+                bytes,
+                events: msgs as usize,
+                ..Cell::default()
+            }],
+            work_spans: Vec::new(),
+            wait_spans: Vec::new(),
         }
     }
 

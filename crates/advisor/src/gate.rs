@@ -8,7 +8,7 @@
 //! machines, so its default tolerance is generous; message and byte
 //! counts are deterministic, so theirs is tight.
 
-use serde::json::{parse, Value};
+use serde::json::{parse, Fields};
 
 /// Tolerances for the gate, as allowed relative growth over baseline
 /// (`0.5` = up to +50% accepted).
@@ -40,11 +40,9 @@ pub struct TrajectoryRow {
     /// `"2x2"`-style partition label.
     pub partition: String,
     /// Execution engine the row was measured with (`"tree"` or
-    /// `"kernel"`). Schema-1 documents predate the field and read back
-    /// as `"tree"`.
+    /// `"kernel"`).
     pub engine: String,
-    /// Worker threads per rank the row was measured with (schema-1
-    /// documents read back as 1).
+    /// Worker threads per rank the row was measured with.
     pub threads: u64,
     /// Measured wall time, milliseconds.
     pub wall_ms: f64,
@@ -54,57 +52,38 @@ pub struct TrajectoryRow {
     pub comm_bytes: u64,
 }
 
+/// The trajectory document schema this build reads.
+const TRAJECTORY_SCHEMA: i128 = 2;
+
 /// Parse a `BENCH_perf_trajectory.json` document into its case rows.
-/// Accepts schema 1 (rows default to the tree engine, one thread) and
-/// schema 2 (rows carry `engine` and `threads`); rejects unknown schema
-/// versions and malformed rows.
+/// Any schema version but the current one, and any malformed row, is
+/// refused.
 pub fn parse_trajectory(text: &str) -> Result<Vec<TrajectoryRow>, String> {
     let doc = parse(text).map_err(|e| format!("trajectory is not valid JSON: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_int)
-        .ok_or("trajectory has no `schema` field")?;
-    if !(1..=2).contains(&schema) {
+    let top = Fields::new(&doc, "trajectory");
+    let schema: i128 = top.int("schema")?;
+    if schema != TRAJECTORY_SCHEMA {
         return Err(format!(
-            "unsupported trajectory schema {schema} (expected 1..=2)"
+            "unsupported trajectory schema {schema} (this build reads {TRAJECTORY_SCHEMA})"
         ));
     }
-    let cases = doc
-        .get("cases")
-        .and_then(Value::as_arr)
-        .ok_or("trajectory has no `cases` array")?;
-    let mut rows = Vec::with_capacity(cases.len());
-    for (i, c) in cases.iter().enumerate() {
-        let field = |k: &str| c.get(k).ok_or(format!("cases[{i}] missing `{k}`"));
-        rows.push(TrajectoryRow {
-            case_name: field("case")?
-                .as_str()
-                .ok_or(format!("cases[{i}].case is not a string"))?
-                .to_string(),
-            partition: field("partition")?
-                .as_str()
-                .ok_or(format!("cases[{i}].partition is not a string"))?
-                .to_string(),
-            engine: c
-                .get("engine")
-                .and_then(Value::as_str)
-                .unwrap_or("tree")
-                .to_string(),
-            threads: c.get("threads").and_then(Value::as_int).unwrap_or(1).max(1) as u64,
-            wall_ms: field("wall_ms")?
-                .as_f64()
-                .ok_or(format!("cases[{i}].wall_ms is not a number"))?,
-            comm_msgs: field("comm_msgs")?
-                .as_int()
-                .ok_or(format!("cases[{i}].comm_msgs is not an integer"))?
-                as u64,
-            comm_bytes: field("comm_bytes")?
-                .as_int()
-                .ok_or(format!("cases[{i}].comm_bytes is not an integer"))?
-                as u64,
-        });
-    }
-    Ok(rows)
+    top.arr("cases")?
+        .iter()
+        .enumerate()
+        .map(|(i, case)| {
+            let ctx = format!("cases[{i}]");
+            let c = Fields::new(case, &ctx);
+            Ok(TrajectoryRow {
+                case_name: c.str("case")?,
+                partition: c.str("partition")?,
+                engine: c.str("engine")?,
+                threads: c.int::<u64>("threads")?.max(1),
+                wall_ms: c.float("wall_ms")?,
+                comm_msgs: c.int("comm_msgs")?,
+                comm_bytes: c.int("comm_bytes")?,
+            })
+        })
+        .collect()
 }
 
 /// One detected regression.
@@ -236,8 +215,9 @@ mod tests {
 
     fn doc(wall: f64, bytes: u64) -> String {
         format!(
-            r#"{{"schema": 1, "cases": [
+            r#"{{"schema": 2, "cases": [
                 {{"case": "sprayer-small", "partition": "2x2", "ranks": 4,
+                  "engine": "tree", "threads": 1,
                   "compile_ms": 1.0, "wall_ms": {wall}, "comm_msgs": 100,
                   "comm_elems": 1000, "comm_bytes": {bytes},
                   "barriers": 2, "reduces": 8,
@@ -295,10 +275,16 @@ mod tests {
     }
 
     #[test]
-    fn schema1_rows_default_to_tree_engine() {
-        let rows = parse_trajectory(&doc(20.0, 8000)).unwrap();
-        assert_eq!(rows[0].engine, "tree");
-        assert_eq!(rows[0].threads, 1);
+    fn older_schema_is_refused_never_panics() {
+        let old = doc(20.0, 8000)
+            .replace("\"schema\": 2", "\"schema\": 1")
+            .replace("\"engine\": \"tree\", \"threads\": 1,", "");
+        let err = parse_trajectory(&old).unwrap_err();
+        assert!(err.contains("schema 1") && err.contains("reads 2"), "{err}");
+        // a current-schema row with a negative count is an error, not a wrap
+        let negative = doc(20.0, 8000).replace("\"comm_msgs\": 100", "\"comm_msgs\": -100");
+        let err = parse_trajectory(&negative).unwrap_err();
+        assert!(err.contains("cases[0]: `comm_msgs` out of range"), "{err}");
     }
 
     fn doc2(engine: &str, threads: u64, wall: f64) -> String {

@@ -33,7 +33,7 @@ pub mod gate;
 pub mod search;
 
 pub use advice::{Advice, ADVICE_SCHEMA_VERSION};
-pub use diagnose::{diagnose, hot_phase, render_diagnosis, Diagnosis, PhaseLoad};
+pub use diagnose::{diagnose, hot_phase, render_diagnosis, Diagnosis};
 pub use divergence::{divergence, render_divergence, PhaseDivergence};
 pub use gate::{gate, parse_trajectory, render_gate, GateConfig, Regression, TrajectoryRow};
 pub use search::{render_recommendation, search, Candidate, Recommendation, SearchConfig};

@@ -215,14 +215,15 @@ pub fn search(
     let syncs: Vec<SyncMeasure> = diag
         .phases
         .iter()
-        .filter(|p| p.total_msgs() > 0)
-        .map(|p| {
-            let reduce = p.phase.starts_with("reduce_");
+        .map(|p| (p, p.total()))
+        .filter(|(_, t)| t.msgs > 0)
+        .map(|(p, t)| {
+            let msgs_max = p.cells.iter().map(|c| c.msgs).max().unwrap_or(0);
             SyncMeasure {
-                bytes: p.total_bytes(),
-                sends_max: p.msgs.iter().map(|&m| m.div_ceil(2)).max().unwrap_or(0),
-                reduce_visits: if reduce {
-                    p.msgs.iter().copied().max().unwrap_or(0)
+                bytes: t.bytes,
+                sends_max: msgs_max.div_ceil(2),
+                reduce_visits: if p.phase.starts_with("reduce_") {
+                    msgs_max
                 } else {
                     0
                 },

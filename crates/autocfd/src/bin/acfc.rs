@@ -83,10 +83,10 @@
 //!
 //! `acfc top DIR` is the live monitor: it polls the telemetry spool
 //! files a `--telemetry` run writes next to its journals and redraws a
-//! per-rank table in place — current phase, busy time and imbalance
-//! against the mesh mean, exposed-communication percentage, checkpoint
-//! epoch and lag, queue depth, dropped frames, and liveness (age of the
-//! rank's last frame). It works against a live TCP run, an elastic run
+//! per-rank table in place — current phase, busy time, work over the
+//! mesh mean (its maximum is the imbalance `stats` and `advise` print),
+//! exposed-communication percentage, checkpoint epoch and lag, dropped
+//! frames, and liveness (age of the rank's last frame). It works against a live TCP run, an elastic run
 //! mid-shrink (vanished ranks go idle, survivors keep updating), and —
 //! via `--attach ADDR` — a resident compile service. `--once --check`
 //! exits nonzero when telemetry is unhealthy (no frames, drop rate over
@@ -1401,9 +1401,7 @@ fn run_advise(args: &Args) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let dir = Path::new(&args.input);
-    // Skew math must not trust wall-clock epochs: align ranks at their
-    // first shared sync instead.
-    let merged = match obs::load_merged_aligned(dir) {
+    let merged = match obs::load_merged(dir) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("acfc: cannot load trace dir `{}`: {e}", dir.display());
@@ -1578,7 +1576,14 @@ fn render_top_dir(dir: &Path) -> (String, Vec<String>) {
         );
         return (msg, vec!["no telemetry spool files found".into()]);
     }
-    let mean_busy = rows.iter().map(|r| r.latest.busy_us()).sum::<u64>() as f64 / rows.len() as f64;
+    // the frames' cumulative micros, read through the same two ratio
+    // definitions `stats` and `advise` use
+    let us = Duration::from_micros;
+    let work: Vec<Duration> = rows
+        .iter()
+        .map(|r| us(r.latest.compute_us + r.latest.overlap_us))
+        .collect();
+    let over_mean = autocfd::runtime::over_mean(&work);
     let max_epoch = rows
         .iter()
         .map(|r| r.latest.checkpoint_epoch)
@@ -1593,36 +1598,29 @@ fn render_top_dir(dir: &Path) -> (String, Vec<String>) {
         dropped
     );
     out.push_str(&format!(
-        "{:>4}  {:<12}  {:>9}  {:>7}  {:>7}  {:>5}  {:>4}  {:>3}  {:>5}  {}\n",
-        "rank", "phase", "busy", "imbal", "expos", "ckpt", "lag", "q", "drop", "last frame"
+        "{:>4}  {:<12}  {:>9}  {:>7}  {:>7}  {:>5}  {:>4}  {:>5}  {}\n",
+        "rank", "phase", "busy", "imbal", "expos", "ckpt", "lag", "drop", "last frame"
     ));
-    for r in &rows {
-        let busy = r.latest.busy_us();
-        let imbal = if mean_busy > 0.0 {
-            format!("{:+.1}%", (busy as f64 - mean_busy) / mean_busy * 100.0)
-        } else {
-            "-".into()
-        };
-        let exposed = r
-            .latest
-            .exposed_pct()
-            .map(|p| format!("{:.1}%", p * 100.0))
-            .unwrap_or_else(|| "-".into());
+    for (i, r) in rows.iter().enumerate() {
+        let imbal = over_mean
+            .as_ref()
+            .map_or("-".into(), |ratios| format!("{:.2}", ratios[i]));
+        let exposed = autocfd::runtime::exposed_pct(us(r.latest.wait_us), us(r.latest.overlap_us))
+            .map_or("-".into(), |p| format!("{p:.1}%"));
         let liveness = match r.age {
             Some(age) if age < TOP_LIVE_WINDOW => format!("live ({:.1}s)", age.as_secs_f64()),
             Some(age) => format!("idle ({:.0}s)", age.as_secs_f64()),
             None => "?".into(),
         };
         out.push_str(&format!(
-            "{:>4}  {:<12}  {:>7}ms  {:>7}  {:>7}  {:>5}  {:>4}  {:>3}  {:>5}  {}\n",
+            "{:>4}  {:<12}  {:>7}ms  {:>7}  {:>7}  {:>5}  {:>4}  {:>5}  {}\n",
             r.rank,
             r.latest.phase,
-            busy / 1_000,
+            r.latest.busy_us() / 1_000,
             imbal,
             exposed,
             r.latest.checkpoint_epoch,
             max_epoch - r.latest.checkpoint_epoch,
-            r.latest.queue_depth,
             r.latest.dropped,
             liveness,
         ));
@@ -1979,7 +1977,7 @@ fn main() -> ExitCode {
         // still renders, instead of vanishing with the error
         let mut cfg = compiled.run_config().overlap(args.common.overlap);
         if let Some(interval) = args.common.telemetry_interval() {
-            // spool into --trace-dir when given, else bus/wire only
+            // spool into --trace-dir when given, else wire only
             cfg = cfg.telemetry(autocfd::runtime::TelemetryConfig {
                 interval,
                 spool_dir: args.common.trace_dir.clone().map(PathBuf::from),
@@ -1996,10 +1994,16 @@ fn main() -> ExitCode {
             let traces: Vec<_> = runs.iter().map(|r| r.trace.clone()).collect();
             eprint!("{}", autocfd::runtime::render_timeline(&traces, 72));
             let phases: Vec<_> = runs.iter().map(|r| r.phases.clone()).collect();
-            eprint!("{}", autocfd::runtime::render_wire_table(&traces, &phases));
+            let table = autocfd::runtime::fold_traces(&traces, &phases);
+            eprint!("{}", autocfd::runtime::render_wire_table(&table));
             for (r, run) in runs.iter().enumerate() {
-                let (n, wait, elems) = autocfd::runtime::summarize(&run.trace);
-                eprintln!("rank {r}: {n} comm events, {wait:?} blocked, {elems} f64s moved");
+                let total = table.rank_total(r);
+                let elems: usize = run.trace.iter().map(|e| e.elems).sum();
+                eprintln!(
+                    "rank {r}: {} comm events, {:?} blocked, {elems} f64s moved",
+                    total.events,
+                    total.comm + total.wait
+                );
             }
         }
         let mut failed = None;

@@ -45,7 +45,7 @@
 
 use autocfd::cli::CommonOpts;
 use autocfd::interp::{verify_rank_owned_region, CheckpointOpts, RankResult};
-use autocfd::runtime::{wire_by_phase, Comm, Transport};
+use autocfd::runtime::{fold_traces, Comm, Transport};
 use autocfd::runtime_net::{MeshConfig, TcpTransport};
 use autocfd::{compile, obs, Error};
 use std::net::SocketAddr;
@@ -242,8 +242,17 @@ fn main() -> ExitCode {
             "acfd-worker[rank {rank}]: wire {} msg / {} B sent, {} msg / {} B recvd",
             ws.msgs_sent, ws.bytes_sent, ws.msgs_recvd, ws.bytes_recvd
         );
-        for (phase, msgs, bytes) in wire_by_phase(&run.trace, &run.phases) {
-            eprintln!("acfd-worker[rank {rank}]:   {phase}: {msgs} msg / {bytes} B");
+        let table = fold_traces(
+            std::slice::from_ref(&run.trace),
+            std::slice::from_ref(&run.phases),
+        );
+        for (row, t) in table.rows.iter().map(|r| (r, r.total())) {
+            if t.is_comm() {
+                eprintln!(
+                    "acfd-worker[rank {rank}]:   {}: {} msg / {} B",
+                    row.phase, t.msgs, t.bytes
+                );
+            }
         }
     }
 

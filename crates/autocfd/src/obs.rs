@@ -18,8 +18,8 @@ use autocfd_interp::RankRun;
 use autocfd_runtime::journal::{self, JournalHeader, MergedTrace, SCHEMA_VERSION};
 use autocfd_runtime::telemetry::{read_spool, StatFrame};
 use autocfd_runtime::{
-    phase_metrics, rank_breakdown, render_phase_metrics, render_rank_breakdown, render_timeline,
-    render_wire_table, PhaseMetrics,
+    exposed_pct, fold, phase_metrics, render_phase_metrics, render_rank_breakdown, render_timeline,
+    render_wire_table, Cell,
 };
 use autocfd_runtime_net::frame::HEADER_LEN;
 use std::path::{Path, PathBuf};
@@ -83,61 +83,50 @@ pub fn write_rank_run(
         .map_err(|e| e.to_string())
 }
 
-/// Reload a trace directory and merge the rank journals onto one clock.
+/// Reload a trace directory and merge the rank journals onto one
+/// timeline ([`journal::merge`]: aligned at the first shared sync).
 pub fn load_merged(dir: &Path) -> Result<MergedTrace, String> {
     let journals = journal::load_trace_dir(dir).map_err(|e| e.to_string())?;
     Ok(journal::merge(&journals))
 }
 
-/// Like [`load_merged`] but aligned at the first shared sync marker
-/// instead of the wall-clock epochs
-/// ([`journal::merge_marker_aligned`]) — the merge cross-rank skew
-/// math should run on, since rank processes on different hosts journal
-/// against clocks whose offset is meaningless.
-pub fn load_merged_aligned(dir: &Path) -> Result<MergedTrace, String> {
-    let journals = journal::load_trace_dir(dir).map_err(|e| e.to_string())?;
-    Ok(journal::merge_marker_aligned(&journals))
-}
-
 /// Render the full trace report: timeline, wire table, per-phase
 /// metrics, per-rank wall-time breakdown, and — when the run used
 /// compute/communication overlap — the fraction of communication
-/// latency hidden behind interior computation.
+/// latency hidden behind interior computation. Every section after the
+/// timeline is a projection of one [`fold`].
 pub fn render_report(merged: &MergedTrace) -> String {
-    let metrics = phase_metrics(merged);
+    let table = fold(merged);
     let mut out = String::new();
     out.push_str(&render_timeline(&merged.traces, 72));
-    out.push_str(&render_wire_table(&merged.traces, &merged.phase_names));
-    out.push_str(&render_phase_metrics(&metrics));
-    out.push_str(&render_rank_breakdown(&rank_breakdown(&merged.traces)));
-    if let Some(line) = render_comm_hidden(&metrics) {
+    out.push_str(&render_wire_table(&table));
+    out.push_str(&render_phase_metrics(&table.rows));
+    out.push_str(&render_rank_breakdown(&table.rank_breakdown()));
+    if let Some(line) = render_comm_hidden(&table.total()) {
         out.push_str(&line);
     }
     out
 }
 
-/// The fraction of communication latency hidden by overlap, over all
-/// phases: `overlap / (overlap + wait)`. `None` when the trace has no
-/// overlap spans (blocking run — nothing was hidden).
-pub fn comm_hidden(metrics: &[PhaseMetrics]) -> Option<f64> {
-    let overlap: Duration = metrics.iter().map(|m| m.overlap).sum();
-    if overlap.is_zero() {
+/// The fraction of communication latency hidden by overlap over a whole
+/// run (`total` is the folded table's grand total): the complement of
+/// [`exposed_pct`]. `None` when the trace has no overlap spans (blocking
+/// run — nothing was hidden).
+pub fn comm_hidden(total: &Cell) -> Option<f64> {
+    if total.overlap.is_zero() {
         return None;
     }
-    let wait: Duration = metrics.iter().map(|m| m.wait).sum();
-    Some(overlap.as_secs_f64() / (overlap + wait).as_secs_f64())
+    Some(1.0 - exposed_pct(total.wait, total.overlap)? / 100.0)
 }
 
 /// Render the "% of comm hidden" summary line, when overlap spans exist.
-pub fn render_comm_hidden(metrics: &[PhaseMetrics]) -> Option<String> {
-    let hidden = comm_hidden(metrics)?;
-    let overlap: Duration = metrics.iter().map(|m| m.overlap).sum();
-    let wait: Duration = metrics.iter().map(|m| m.wait).sum();
+fn render_comm_hidden(total: &Cell) -> Option<String> {
+    let hidden = comm_hidden(total)?;
     Some(format!(
         "comm hidden by overlap: {:.1}% ({:.2}ms interior compute during exchange vs {:.2}ms blocked)\n",
         hidden * 100.0,
-        overlap.as_secs_f64() * 1e3,
-        wait.as_secs_f64() * 1e3,
+        total.overlap.as_secs_f64() * 1e3,
+        total.wait.as_secs_f64() * 1e3,
     ))
 }
 
@@ -239,7 +228,8 @@ pub fn cross_validate(
                 measured_seconds: metrics
                     .iter()
                     .find(|m| m.phase == d.phase)
-                    .map(|m| (m.comm + m.wait).as_secs_f64())
+                    .map(|m| m.total())
+                    .map(|t| (t.comm + t.wait).as_secs_f64())
                     .unwrap_or(0.0),
                 phase: d.phase,
             }
@@ -304,9 +294,7 @@ pub struct RankTelemetry {
 }
 
 impl RankTelemetry {
-    /// Fraction of published frames the wire refused. Bus drop-oldest
-    /// evictions don't count — counters are cumulative, so an evicted
-    /// frame is subsumed by the newest retained one.
+    /// Fraction of published frames the wire refused.
     pub fn drop_fraction(&self) -> f64 {
         let published = self.latest.seq + 1;
         self.latest.dropped as f64 / published as f64
@@ -416,18 +404,17 @@ pub fn telemetry_failures(rows: &[RankTelemetry], max_drop_fraction: f64) -> Vec
 /// the dropped-frame and coverage warn column.
 pub fn render_telemetry_health(rows: &[RankTelemetry], max_drop_fraction: f64) -> String {
     let mut out = format!(
-        "{:>4}  {:>6}  {:>7}  {:>9}  {:>6}  {:>4}  {:>6}\n",
-        "rank", "frames", "dropped", "gap ms", "ckpt", "q", "warn"
+        "{:>4}  {:>6}  {:>7}  {:>9}  {:>6}  {:>6}\n",
+        "rank", "frames", "dropped", "gap ms", "ckpt", "warn"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:>4}  {:>6}  {:>7}  {:>9}  {:>6}  {:>4}  {:>6}\n",
+            "{:>4}  {:>6}  {:>7}  {:>9}  {:>6}  {:>6}\n",
             r.rank,
             r.frames,
             r.latest.dropped,
             r.max_gap_ms,
             r.latest.checkpoint_epoch,
-            r.latest.queue_depth,
             r.warn(max_drop_fraction),
         ));
     }
@@ -536,10 +523,10 @@ mod tests {
             write_rank_run(&dir, "inproc", rank, runs.len(), run).unwrap();
         }
         let merged = load_merged(&dir).unwrap();
-        let metrics = phase_metrics(&merged);
+        let total = fold(&merged).total();
         assert!(
-            comm_hidden(&metrics).is_some(),
-            "overlap spans must be recorded: {metrics:?}"
+            comm_hidden(&total).is_some(),
+            "overlap spans must be recorded: {total:?}"
         );
         for ch in cross_validate(&c, &merged, 0.0).unwrap() {
             assert!(ch.ok(), "{}: {ch:?}", ch.phase);
@@ -568,7 +555,7 @@ mod tests {
             peers: vec![],
             checkpoint_epoch: 3,
             engine: "tree".into(),
-            queue_depth: 1,
+            queue_depth: 0,
             dropped,
         };
         // rank 0: healthy; rank 1: a coverage hole plus heavy drops

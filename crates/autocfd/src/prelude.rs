@@ -27,8 +27,8 @@
 //! ```
 
 pub use crate::obs::{
-    clean_trace_dir, comm_hidden, cross_validate, load_merged, render_comm_hidden,
-    render_cross_validation, render_report, write_rank_run, PhaseCheck,
+    clean_trace_dir, comm_hidden, cross_validate, load_merged, render_cross_validation,
+    render_report, write_rank_run, PhaseCheck,
 };
 pub use crate::{compile, CompileError, CompileOptions, Compiled, Error};
 pub use autocfd_codegen::{EnginePref, SpmdPlan};
@@ -40,4 +40,4 @@ pub use autocfd_interp::{
 pub use autocfd_runtime::checkpoint::{
     latest_consistent_epoch, load_epoch, load_manifest, write_manifest, RunManifest, Snapshot,
 };
-pub use autocfd_runtime::{CommError, MergedTrace, PhaseMetrics};
+pub use autocfd_runtime::{CommError, MergedTrace};

@@ -395,7 +395,7 @@ use autocfd_cluster_sim::{run_des, Action, DesResult};
 
 /// Build per-rank DES programs for the case-2 workload: each frame is
 /// compute + aggregated neighbor exchanges + a barrier (the reduction).
-pub fn case2_des_programs(m: &Case2Model, part: &Partition, frames: u64) -> Vec<Vec<Action>> {
+fn case2_des_programs(m: &Case2Model, part: &Partition, frames: u64) -> Vec<Vec<Action>> {
     let machine = MachineModel::pentium_2003();
     let ranks = part.spec.tasks();
     (0..ranks)
@@ -432,7 +432,7 @@ pub fn case2_des_programs(m: &Case2Model, part: &Partition, frames: u64) -> Vec<
 /// Build per-rank DES programs for one case-1 frame set, including the
 /// pipelined line sweeps of the mirror-image decomposition (old-value
 /// sends, pipeline receive from upstream, downstream forward).
-pub fn case1_des_programs(m: &Case1Model, part: &Partition, frames: u64) -> Vec<Vec<Action>> {
+fn case1_des_programs(m: &Case1Model, part: &Partition, frames: u64) -> Vec<Vec<Action>> {
     let machine = MachineModel::pentium_2003();
     let ranks = part.spec.tasks();
     (0..ranks)

@@ -111,15 +111,6 @@ impl NetworkModel {
         }
     }
 
-    /// A switched 100 Mbit alternative (for ablations).
-    pub fn ethernet_100mbit_switched() -> Self {
-        Self {
-            latency: 0.5e-3,
-            bandwidth: 100.0e6 / 8.0,
-            shared: false,
-        }
-    }
-
     /// Wall time of one exchange phase. `msgs_max` = most messages any
     /// rank sends; `total_bytes` = sum over all ranks; `max_bytes` = most
     /// bytes any single rank sends.

@@ -18,7 +18,7 @@ use crate::plan::{
 };
 use autocfd_fortran::ast::StmtId;
 use autocfd_grid::{partition, GridShape, PartitionSpec};
-use serde::json::{self, Value};
+use serde::json::{self, Fields, Value};
 use std::collections::BTreeMap;
 
 /// Version of the plan JSON schema. Bump on any incompatible change;
@@ -223,61 +223,15 @@ pub fn to_json(plan: &SpmdPlan) -> String {
     .to_string()
 }
 
-fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("plan JSON: missing `{key}`"))
-}
+const CTX: &str = "plan JSON";
 
-fn int(v: &Value, key: &str) -> Result<i128, String> {
-    get(v, key)?
-        .as_int()
-        .ok_or_else(|| format!("plan JSON: `{key}` is not an integer"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    u64::try_from(int(v, key)?).map_err(|_| format!("plan JSON: `{key}` out of range"))
-}
-
-fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
-    u32::try_from(int(v, key)?).map_err(|_| format!("plan JSON: `{key}` out of range"))
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
-    usize::try_from(int(v, key)?).map_err(|_| format!("plan JSON: `{key}` out of range"))
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    Ok(get(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("plan JSON: `{key}` is not a string"))?
-        .to_string())
-}
-
-fn arr<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    get(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("plan JSON: `{key}` is not an array"))
-}
-
-fn int_vec<T: TryFrom<i128>>(v: &Value, key: &str) -> Result<Vec<T>, String> {
-    arr(v, key)?
-        .iter()
-        .map(|x| {
-            x.as_int()
-                .and_then(|i| T::try_from(i).ok())
-                .ok_or_else(|| format!("plan JSON: bad element in `{key}`"))
-        })
-        .collect()
-}
-
-fn parse_pipe_steps(v: &Value, key: &str) -> Result<Vec<PipeStep>, String> {
-    arr(v, key)?
-        .iter()
+fn parse_pipe_steps(a: Fields<'_>, key: &str) -> Result<Vec<PipeStep>, String> {
+    a.objs(key)?
         .map(|s| {
             Ok(PipeStep {
-                axis: usize_field(s, "axis")?,
-                dir: int(s, "dir")? as i32,
-                width: u64_field(s, "width")?,
+                axis: s.int("axis")?,
+                dir: s.int("dir")?,
+                width: s.int("width")?,
             })
         })
         .collect()
@@ -288,20 +242,21 @@ fn parse_pipe_steps(v: &Value, key: &str) -> Result<Vec<PipeStep>, String> {
 /// shape + spec, so subgrid bounds and neighbor maps are exactly the
 /// ones the compiler would have produced.
 pub fn from_json(text: &str) -> Result<SpmdPlan, String> {
-    let v = json::parse(text).map_err(|e| format!("plan JSON: {e}"))?;
-    let version = int(&v, "version")?;
+    let doc = json::parse(text).map_err(|e| format!("{CTX}: {e}"))?;
+    let v = Fields::new(&doc, CTX);
+    let version: i128 = v.int("version")?;
     if version != i128::from(PLAN_SCHEMA_VERSION) {
         return Err(format!(
-            "plan JSON: schema version {version} (this build reads {PLAN_SCHEMA_VERSION})"
+            "{CTX}: schema version {version} (this build reads {PLAN_SCHEMA_VERSION})"
         ));
     }
 
-    let part = get(&v, "partition")?;
-    let extents: Vec<u64> = int_vec(part, "extents")?;
-    let parts: Vec<u32> = int_vec(part, "parts")?;
+    let part = v.obj("partition")?;
+    let extents: Vec<u64> = part.ints("extents")?;
+    let parts: Vec<u32> = part.ints("parts")?;
     if extents.is_empty() || extents.len() != parts.len() {
         return Err(format!(
-            "plan JSON: partition has {} parts for {} grid axes",
+            "{CTX}: partition has {} parts for {} grid axes",
             parts.len(),
             extents.len()
         ));
@@ -309,15 +264,16 @@ pub fn from_json(text: &str) -> Result<SpmdPlan, String> {
     for (a, (&n, &p)) in extents.iter().zip(&parts).enumerate() {
         if p == 0 || u64::from(p) > n {
             return Err(format!(
-                "plan JSON: axis {a} of extent {n} cannot be split into {p} parts"
+                "{CTX}: axis {a} of extent {n} cannot be split into {p} parts"
             ));
         }
     }
     let partition = partition(&GridShape { extents }, &PartitionSpec::new(&parts));
 
     let mut dim_axis = BTreeMap::new();
-    for d in arr(&v, "dim_axis")? {
-        let axes = arr(d, "axes")?
+    for d in v.objs("dim_axis")? {
+        let axes = d
+            .arr("axes")?
             .iter()
             .map(|a| match a {
                 Value::Null => Ok(None),
@@ -325,37 +281,28 @@ pub fn from_json(text: &str) -> Result<SpmdPlan, String> {
                     .as_int()
                     .and_then(|i| usize::try_from(i).ok())
                     .map(Some)
-                    .ok_or_else(|| "plan JSON: bad axis entry".to_string()),
+                    .ok_or_else(|| format!("{CTX}: bad axis entry")),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        dim_axis.insert(str_field(d, "array")?, axes);
+        dim_axis.insert(d.str("array")?, axes);
     }
 
     let mut syncs = BTreeMap::new();
-    for s in arr(&v, "syncs")? {
-        let id = u32_field(s, "id")?;
-        let arrays = arr(s, "arrays")?
-            .iter()
+    for s in v.objs("syncs")? {
+        let id = s.int("id")?;
+        let arrays = s
+            .objs("arrays")?
             .map(|a| {
-                let ghost = arr(a, "ghost")?
+                let ghost = a
+                    .arr("ghost")?
                     .iter()
                     .map(|g| {
-                        let pair: Vec<u64> = g
-                            .as_arr()
-                            .filter(|p| p.len() == 2)
-                            .ok_or("plan JSON: ghost entry is not a pair")?
-                            .iter()
-                            .map(|x| {
-                                x.as_int()
-                                    .and_then(|i| u64::try_from(i).ok())
-                                    .ok_or("plan JSON: bad ghost width")
-                            })
-                            .collect::<Result<_, _>>()?;
-                        Ok::<[u64; 2], String>([pair[0], pair[1]])
+                        g.as_int_pair()
+                            .ok_or_else(|| format!("{CTX}: bad ghost width pair"))
                     })
-                    .collect::<Result<Vec<_>, String>>()?;
+                    .collect::<Result<Vec<[u64; 2]>, String>>()?;
                 Ok(SyncArray {
-                    array: str_field(a, "array")?,
+                    array: a.str("array")?,
                     ghost,
                 })
             })
@@ -365,33 +312,33 @@ pub fn from_json(text: &str) -> Result<SpmdPlan, String> {
             SyncSpec {
                 id,
                 arrays,
-                merged: usize_field(s, "merged")?,
+                merged: s.int("merged")?,
             },
         );
     }
 
     let mut overlaps = BTreeMap::new();
-    for o in arr(&v, "overlaps")? {
+    for o in v.objs("overlaps")? {
         overlaps.insert(
-            u32_field(o, "sync")?,
+            o.int("sync")?,
             OverlapSpec {
-                stmt: StmtId(u32_field(o, "stmt")?),
-                var: str_field(o, "var")?,
-                axis: usize_field(o, "axis")?,
-                low_width: u64_field(o, "low_width")?,
-                high_width: u64_field(o, "high_width")?,
+                stmt: StmtId(o.int("stmt")?),
+                var: o.str("var")?,
+                axis: o.int("axis")?,
+                low_width: o.int("low_width")?,
+                high_width: o.int("high_width")?,
             },
         );
     }
 
     let mut self_loops = BTreeMap::new();
-    for sl in arr(&v, "self_loops")? {
-        let id = u32_field(sl, "id")?;
-        let arrays = arr(sl, "arrays")?
-            .iter()
+    for sl in v.objs("self_loops")? {
+        let id = sl.int("id")?;
+        let arrays = sl
+            .objs("arrays")?
             .map(|a| {
                 Ok::<SelfArraySpec, String>(SelfArraySpec {
-                    array: str_field(a, "array")?,
+                    array: a.str("array")?,
                     forward: parse_pipe_steps(a, "forward")?,
                     mirror: parse_pipe_steps(a, "mirror")?,
                 })
@@ -400,49 +347,46 @@ pub fn from_json(text: &str) -> Result<SpmdPlan, String> {
         self_loops.insert(id, SelfLoopSpec { id, arrays });
     }
 
-    let reduces = arr(&v, "reduces")?
-        .iter()
+    let reduces = v
+        .objs("reduces")?
         .map(|r| {
             Ok::<ReduceSpec, String>(ReduceSpec {
-                var: str_field(r, "var")?,
-                op: str_field(r, "op")?,
+                var: r.str("var")?,
+                op: r.str("op")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
 
     let mut fills = BTreeMap::new();
-    for f in arr(&v, "fills")? {
-        let arrays = arr(f, "arrays")?
+    for f in v.objs("fills")? {
+        let arrays = f
+            .arr("arrays")?
             .iter()
             .map(|a| {
                 a.as_str()
                     .map(str::to_string)
-                    .ok_or_else(|| "plan JSON: bad fill array".to_string())
+                    .ok_or_else(|| format!("{CTX}: bad fill array"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        fills.insert(u32_field(f, "id")?, arrays);
+        fills.insert(f.int("id")?, arrays);
     }
 
     let mut checkpoint_syncs = BTreeMap::new();
-    for c in arr(&v, "checkpoint_syncs")? {
-        checkpoint_syncs.insert(u32_field(c, "sync")?, StmtId(u32_field(c, "stmt")?));
+    for c in v.objs("checkpoint_syncs")? {
+        checkpoint_syncs.insert(c.int("sync")?, StmtId(c.int("stmt")?));
     }
 
-    // absent on pre-elastic artifacts: the plan still runs, but a cut
-    // taken under it cannot be mapped onto a different partition
     let mut checkpoint_sites = BTreeMap::new();
-    if v.get("checkpoint_sites").is_some() {
-        for c in arr(&v, "checkpoint_sites")? {
-            checkpoint_sites.insert(
-                u32_field(c, "sync")?,
-                CutSite {
-                    list_kind: u32_field(c, "kind")? as u8,
-                    list_stmt: u32_field(c, "stmt")?,
-                    arm: u32_field(c, "arm")?,
-                    gap: u64_field(c, "gap")?,
-                },
-            );
-        }
+    for c in v.objs("checkpoint_sites")? {
+        checkpoint_sites.insert(
+            c.int("sync")?,
+            CutSite {
+                list_kind: c.int("kind")?,
+                list_stmt: c.int("stmt")?,
+                arm: c.int("arm")?,
+                gap: c.int("gap")?,
+            },
+        );
     }
 
     Ok(SpmdPlan {
@@ -455,14 +399,15 @@ pub fn from_json(text: &str) -> Result<SpmdPlan, String> {
         fills,
         checkpoint_syncs,
         checkpoint_sites,
-        sync_before: u64_field(&v, "sync_before")?,
-        sync_after: u64_field(&v, "sync_after")?,
+        sync_before: v.int("sync_before")?,
+        sync_after: v.int("sync_after")?,
         engine: {
-            let name = str_field(&v, "engine")?;
-            EnginePref::parse(&name).ok_or_else(|| format!("plan JSON: unknown engine `{name}`"))?
+            let name = v.str("engine")?;
+            EnginePref::parse(&name).ok_or_else(|| format!("{CTX}: unknown engine `{name}`"))?
         },
-        threads: u32_field(&v, "threads")?.max(1),
-        kernel_nests: int_vec::<u32>(&v, "kernel_nests")?
+        threads: v.int::<u32>("threads")?.max(1),
+        kernel_nests: v
+            .ints::<u32>("kernel_nests")?
             .into_iter()
             .map(StmtId)
             .collect(),

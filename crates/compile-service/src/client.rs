@@ -5,7 +5,6 @@ use autocfd_runtime_net::frame::{encode, read_frame, Frame, FrameKind};
 use serde::json::Value;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 /// One connection to an `acfd-compile` server. Requests are
 /// synchronous: send, consume the stream, return the final response.
@@ -23,13 +22,6 @@ impl Client {
         let stream = TcpStream::connect(addr).map_err(transport_err)?;
         stream.set_nodelay(true).ok();
         Ok(Client { stream })
-    }
-
-    /// Guard against a wedged server: error out reads after `timeout`.
-    pub fn set_timeout(&mut self, timeout: Duration) -> Result<(), ServiceError> {
-        self.stream
-            .set_read_timeout(Some(timeout))
-            .map_err(transport_err)
     }
 
     /// Send `req` and block until the terminating response, feeding

@@ -53,12 +53,14 @@ pub struct MirrorDecomposition {
 impl MirrorDecomposition {
     /// True if the forward set is empty — the loop needs no pipelining at
     /// all (only old-value halo exchange).
-    pub fn is_fully_parallel(&self) -> bool {
+    #[cfg(test)]
+    fn is_fully_parallel(&self) -> bool {
         self.forward.is_empty()
     }
 
     /// Axes that carry pipeline (serializing) dependences.
-    pub fn pipeline_axes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn pipeline_axes(&self) -> Vec<usize> {
         let mut axes: Vec<usize> = self.forward.iter().map(|s| s.axis).collect();
         axes.sort_unstable();
         axes.dedup();

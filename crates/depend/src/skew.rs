@@ -107,7 +107,8 @@ impl WavefrontSchedule {
     }
 
     /// Maximum parallelism (widest wave).
-    pub fn max_width(&self) -> usize {
+    #[cfg(test)]
+    fn max_width(&self) -> usize {
         self.waves().iter().map(Vec::len).max().unwrap_or(0)
     }
 }

@@ -56,7 +56,8 @@ impl Stencil {
     }
 
     /// Maximum dependency distance over all axes.
-    pub fn max_distance(&self) -> u64 {
+    #[cfg(test)]
+    fn max_distance(&self) -> u64 {
         (0..self.offsets.len())
             .map(|a| self.distance(a))
             .max()

@@ -50,33 +50,6 @@ impl SourceFile {
     pub fn unit(&self, name: &str) -> Option<&Unit> {
         self.units.iter().find(|u| u.name == name)
     }
-
-    /// Total number of statements across all units (recursively).
-    pub fn stmt_count(&self) -> usize {
-        fn count(stmts: &[Stmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| {
-                    1 + match &s.kind {
-                        StmtKind::Do { body, .. } | StmtKind::DoWhile { body, .. } => count(body),
-                        StmtKind::If {
-                            then,
-                            else_ifs,
-                            els,
-                            ..
-                        } => {
-                            count(then)
-                                + else_ifs.iter().map(|(_, b)| count(b)).sum::<usize>()
-                                + els.as_deref().map_or(0, count)
-                        }
-                        StmtKind::LogicalIf { stmt, .. } => count(std::slice::from_ref(stmt)),
-                        _ => 0,
-                    }
-                })
-                .sum()
-        }
-        self.units.iter().map(|u| count(&u.body)).sum()
-    }
 }
 
 /// Kind of program unit.

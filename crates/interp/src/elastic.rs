@@ -62,9 +62,11 @@ use crate::spmd::owned_region;
 fn source_partition(snaps: &[Snapshot], plan: &SpmdPlan) -> Result<Partition, String> {
     let parts = &snaps[0].parts;
     if parts.is_empty() {
-        return Err("snapshots predate geometry recording (schema 1): \
+        return Err(
+            "snapshots record no partition geometry (`parts` is empty): \
              they can resume on their original rank count but not repartition"
-            .to_string());
+                .to_string(),
+        );
     }
     let shape = &plan.partition.shape;
     if parts.len() != shape.extents.len() {
@@ -177,7 +179,7 @@ fn translate_cursor(
     file: &SourceFile,
 ) -> Result<(u32, u32), String> {
     let cut = first.cut.ok_or_else(|| {
-        "snapshots predate cut-site recording (schema 1): \
+        "snapshots record no cut site: \
          they can resume on their original rank count but not repartition"
             .to_string()
     })?;

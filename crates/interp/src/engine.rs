@@ -28,7 +28,7 @@
 use std::path::PathBuf;
 
 use crate::elastic::repartition;
-use crate::exec::{run_program_capture_with, Hooks, NoHooks};
+use crate::exec::{run_program_capture_with, NoHooks};
 use crate::kernel::{eligible_nests, KernelSet};
 use crate::machine::{Frame, Machine, RunError};
 use crate::spmd::{run_rank_traced_impl, CheckpointOpts, RankResult, RankRun};
@@ -308,19 +308,6 @@ impl<'a> RunConfig<'a> {
             self.file,
             self.input.clone(),
             &mut hooks,
-            self.stmt_limit,
-            engine.kernels(),
-        )
-    }
-
-    /// Run the program sequentially with caller-supplied hooks (the
-    /// escape hatch for custom instrumentation).
-    pub fn run_with_hooks<H: Hooks>(&self, hooks: &mut H) -> Result<(Machine, Frame), RunError> {
-        let engine = self.build_engine();
-        run_program_capture_with(
-            self.file,
-            self.input.clone(),
-            hooks,
             self.stmt_limit,
             engine.kernels(),
         )

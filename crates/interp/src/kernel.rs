@@ -315,11 +315,6 @@ impl KernelSet {
         v.sort_by_key(|s| s.0);
         v
     }
-
-    /// How many compiled nests may run threaded.
-    pub fn threadable_count(&self) -> usize {
-        self.kernels.values().filter(|k| k.threadable).count()
-    }
 }
 
 /// Ids of every kernel-eligible outermost `do` nest in `file`, in

@@ -575,11 +575,7 @@ impl SpmdHooks<'_> {
                 }
                 if !payload.is_empty() {
                     let tag = tag_for(0, spec.id, 0, axis, -dir);
-                    if in_flight {
-                        self.gap_isend(&mut gap, nb as usize, tag, &payload)?;
-                    } else {
-                        self.gap_send(&mut gap, nb as usize, tag, &payload)?;
-                    }
+                    self.gap_send(&mut gap, nb as usize, tag, &payload)?;
                 }
             }
             // ---- receives: split the aggregated message back apart
@@ -838,29 +834,6 @@ impl SpmdHooks<'_> {
         let r = self
             .comm
             .send(to, tag, payload)
-            .map_err(|e| RunError::new(e.to_string()));
-        *gap = Instant::now();
-        r
-    }
-
-    /// Like [`SpmdHooks::gap_send`] but through the nonblocking pair:
-    /// post, then complete the (buffered, immediately done) send. Used
-    /// on the in-flight axis so its sends go through the same code path
-    /// as its receives.
-    fn gap_isend(
-        &self,
-        gap: &mut Instant,
-        to: usize,
-        tag: u64,
-        payload: &[f64],
-    ) -> Result<(), RunError> {
-        self.comm
-            .record_span(EventKind::Compute, *gap, Instant::now());
-        let r = self
-            .comm
-            .isend(to, tag, payload)
-            .and_then(|req| self.comm.wait_send(req))
-            .map(|_| ())
             .map_err(|e| RunError::new(e.to_string()));
         *gap = Instant::now();
         r

@@ -65,12 +65,14 @@ pub fn classify(unit: &UnitIr, id: LoopId, array: &str) -> LoopClass {
 }
 
 /// All status arrays for which loop `id` is A- or C-type (it writes them).
-pub fn written_arrays(unit: &UnitIr, id: LoopId) -> Vec<String> {
+#[cfg(test)]
+fn written_arrays(unit: &UnitIr, id: LoopId) -> Vec<String> {
     unit.loop_info(id).assigned.iter().cloned().collect()
 }
 
 /// All status arrays for which loop `id` is R- or C-type (it reads them).
-pub fn read_arrays(unit: &UnitIr, id: LoopId) -> Vec<String> {
+#[cfg(test)]
+fn read_arrays(unit: &UnitIr, id: LoopId) -> Vec<String> {
     unit.loop_info(id).referenced.iter().cloned().collect()
 }
 

@@ -15,9 +15,9 @@
 //!   each field loop is **A-type** (assignment-only), **R-type**
 //!   (reference-only), **C-type** (combined) or **O-type** (unrelated)
 //!   — Figure 1 of the paper;
-//! * [`relations`] — the loop relations of §5.1 Definitions 6.1–6.4:
-//!   inner/outer loops, *direct* inner/outer loops, adjacent loops, and
-//!   simple loops.
+//! * `relations` — the loop relations of §5.1 Definitions 6.1–6.4
+//!   (inner/outer, *direct* inner/outer, adjacent, and simple loops),
+//!   kept as tested definitions: nothing outside its tests calls them.
 //!
 //! The IR deliberately keeps the original AST around (`ProgramIr::file`):
 //! the restructurer edits the AST, guided by analysis results keyed by
@@ -26,7 +26,8 @@
 pub mod build;
 pub mod classify;
 pub mod model;
-pub mod relations;
+#[cfg(test)]
+mod relations;
 pub mod report;
 
 pub use build::build_ir;

@@ -187,19 +187,6 @@ impl UnitIr {
         self.loops.iter().filter(|l| l.is_field_root)
     }
 
-    /// The field-root loop enclosing (or equal to) `id`.
-    pub fn field_root_of(&self, id: LoopId) -> Option<LoopId> {
-        let mut cur = Some(id);
-        let mut found = None;
-        while let Some(c) = cur {
-            if self.loop_info(c).is_field_root {
-                found = Some(c);
-            }
-            cur = self.loop_info(c).parent;
-        }
-        found
-    }
-
     /// Accesses to `array` within loop `id`'s nest (inclusive).
     pub fn accesses_in_loop<'a>(
         &'a self,
@@ -251,11 +238,6 @@ impl ProgramIr {
     /// Find a unit's IR by name.
     pub fn unit(&self, name: &str) -> Option<&UnitIr> {
         self.units.iter().find(|u| u.name == name)
-    }
-
-    /// True if `name` is a declared status array.
-    pub fn is_status_array(&self, name: &str) -> bool {
-        self.status_arrays.contains_key(name)
     }
 }
 

@@ -14,30 +14,30 @@
 use crate::model::{LoopId, UnitIr};
 
 /// Def 6.1 — `inner ⊂ outer`: strictly nested (any depth).
-pub fn is_inner(unit: &UnitIr, inner: LoopId, outer: LoopId) -> bool {
+fn is_inner(unit: &UnitIr, inner: LoopId, outer: LoopId) -> bool {
     inner != outer && unit.is_in_loop(inner, outer)
 }
 
 /// Def 6.2 — `outer ⊢ inner`: directly nested.
-pub fn is_direct_inner(unit: &UnitIr, inner: LoopId, outer: LoopId) -> bool {
+fn is_direct_inner(unit: &UnitIr, inner: LoopId, outer: LoopId) -> bool {
     unit.loop_info(inner).parent == Some(outer)
 }
 
 /// Def 6.2 — the direct outer loop of `id`, if any.
-pub fn direct_outer(unit: &UnitIr, id: LoopId) -> Option<LoopId> {
+fn direct_outer(unit: &UnitIr, id: LoopId) -> Option<LoopId> {
     unit.loop_info(id).parent
 }
 
 /// Def 6.3 — `a ∥ b`: adjacent loops (same direct outer loop, or both
 /// top-level). A loop is not adjacent to itself.
-pub fn is_adjacent(unit: &UnitIr, a: LoopId, b: LoopId) -> bool {
+fn is_adjacent(unit: &UnitIr, a: LoopId, b: LoopId) -> bool {
     a != b && unit.loop_info(a).parent == unit.loop_info(b).parent
 }
 
 /// Def 6.4 — `L` is a simple loop: no pair of adjacent loops inside it.
 /// Equivalently, every loop in `L`'s nest (including `L`) has at most one
 /// direct inner loop.
-pub fn is_simple(unit: &UnitIr, id: LoopId) -> bool {
+fn is_simple(unit: &UnitIr, id: LoopId) -> bool {
     fn chain(unit: &UnitIr, id: LoopId) -> bool {
         let ch = &unit.loop_info(id).children;
         match ch.len() {
@@ -51,7 +51,7 @@ pub fn is_simple(unit: &UnitIr, id: LoopId) -> bool {
 
 /// The chain of loops from `id` outward to its outermost enclosing loop
 /// (starting with `id` itself).
-pub fn outward_chain(unit: &UnitIr, id: LoopId) -> Vec<LoopId> {
+fn outward_chain(unit: &UnitIr, id: LoopId) -> Vec<LoopId> {
     let mut out = vec![id];
     let mut cur = unit.loop_info(id).parent;
     while let Some(p) = cur {

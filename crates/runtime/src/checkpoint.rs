@@ -32,7 +32,7 @@
 //! (`f64::to_bits`) in JSON integers, so restore is bit-exact including
 //! negative zero, infinities and NaN payloads.
 
-use serde::json::{self, Value};
+use serde::json::{self, Fields, Value};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -43,8 +43,7 @@ use std::path::{Path, PathBuf};
 /// the `parts` its owned regions were cut for, and the manifest records
 /// the global grid extents — together they make a checkpoint directory
 /// self-describing enough to re-decompose onto a different rank count.
-/// Version 1 files read back with both left empty (geometry unknown:
-/// same-rank-count resume still works, elastic resume refuses).
+/// Any other version is refused with an error naming both.
 pub const CHECKPOINT_SCHEMA_VERSION: i64 = 2;
 
 /// Progress of one active `do` loop on the path from the top of the
@@ -142,8 +141,7 @@ pub struct Snapshot {
     pub rank: usize,
     /// Mesh size the run was partitioned for.
     pub ranks: usize,
-    /// Partition parts per grid axis the owned regions were cut for
-    /// (empty when loaded from a pre-geometry snapshot).
+    /// Partition parts per grid axis the owned regions were cut for.
     pub parts: Vec<u32>,
     /// Checkpoint epoch: the count of checkpoint-safe sync visits made
     /// when this snapshot was cut. All ranks of one epoch agree.
@@ -152,8 +150,8 @@ pub struct Snapshot {
     pub sync_id: u32,
     /// Resume position in the main unit.
     pub cursor: Cursor,
-    /// Source coordinates of the cut gap (`None` on pre-geometry
-    /// snapshots, which elastic resume refuses).
+    /// Source coordinates of the cut gap (`None` when the plan lists
+    /// no site for the sync; elastic resume refuses such a snapshot).
     pub cut: Option<CutSite>,
     /// Main-frame local arrays (excluding common-block members).
     pub arrays: Vec<ArraySnap>,
@@ -350,155 +348,88 @@ pub fn snapshot_to_json(s: &Snapshot) -> String {
     Value::obj(fields).to_string()
 }
 
-/// Accept any schema version this build knows how to read (1 through
-/// the current); `what` names the file kind in the error.
-fn check_version(v: &Value, what: &str) -> Result<(), String> {
-    let version = int_field(v, "version").map_err(|e| e.replace("snapshot", what))?;
-    if !(1..=i128::from(CHECKPOINT_SCHEMA_VERSION)).contains(&version) {
+/// Parse `text` and refuse any schema version but the current one;
+/// `what` names the file kind in every error.
+fn parse_current(text: &str, what: &str) -> Result<Value, String> {
+    let doc = json::parse(text).map_err(|e| format!("{what}: {e}"))?;
+    let version: i128 = Fields::new(&doc, what).int("version")?;
+    if version != i128::from(CHECKPOINT_SCHEMA_VERSION) {
         return Err(format!(
-            "{what}: schema version {version} (this build reads 1..={CHECKPOINT_SCHEMA_VERSION})"
+            "{what}: schema version {version} (this build reads {CHECKPOINT_SCHEMA_VERSION})"
         ));
     }
-    Ok(())
+    Ok(doc)
 }
 
-/// Parse an optional `u32` array field; absent (schema 1) reads back
-/// empty.
-fn parts_field(v: &Value, key: &str, what: &str) -> Result<Vec<u32>, String> {
-    let Some(raw) = v.get(key).and_then(Value::as_arr) else {
-        return Ok(Vec::new());
-    };
-    raw.iter()
-        .map(|p| {
-            p.as_int()
-                .and_then(|i| u32::try_from(i).ok())
-                .ok_or_else(|| format!("{what}: bad `{key}` entry"))
-        })
-        .collect()
-}
-
-fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("snapshot: missing `{key}`"))
-}
-
-fn int_field(v: &Value, key: &str) -> Result<i128, String> {
-    get(v, key)?
-        .as_int()
-        .ok_or_else(|| format!("snapshot: `{key}` is not an integer"))
-}
-
-fn num<T: TryFrom<i128>>(v: &Value, key: &str) -> Result<T, String> {
-    T::try_from(int_field(v, key)?).map_err(|_| format!("snapshot: `{key}` out of range"))
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    Ok(get(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("snapshot: `{key}` is not a string"))?
-        .to_string())
-}
-
-fn arr<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    get(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("snapshot: `{key}` is not an array"))
-}
-
-fn bits_field(v: &Value, key: &str) -> Result<Vec<u64>, String> {
-    arr(v, key)?
-        .iter()
-        .map(|x| {
-            x.as_int()
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| format!("snapshot: bad bit pattern in `{key}`"))
-        })
-        .collect()
-}
-
-fn parse_array_snap(v: &Value) -> Result<ArraySnap, String> {
-    let bounds = arr(v, "bounds")?
+fn parse_array_snap(v: Fields<'_>) -> Result<ArraySnap, String> {
+    let bounds = v
+        .arr("bounds")?
         .iter()
         .map(|b| {
-            let pair = b
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or("snapshot: bound is not a pair")?;
-            let lo = pair[0]
-                .as_int()
-                .and_then(|i| i64::try_from(i).ok())
-                .ok_or("snapshot: bad bound")?;
-            let hi = pair[1]
-                .as_int()
-                .and_then(|i| i64::try_from(i).ok())
-                .ok_or("snapshot: bad bound")?;
-            Ok::<(i64, i64), String>((lo, hi))
+            b.as_int_pair()
+                .map(|[lo, hi]| (lo, hi))
+                .ok_or_else(|| "snapshot: bad bound pair".to_string())
         })
-        .collect::<Result<Vec<_>, _>>()?;
+        .collect::<Result<Vec<(i64, i64)>, _>>()?;
     Ok(ArraySnap {
-        name: str_field(v, "name")?,
+        name: v.str("name")?,
         bounds,
-        is_int: matches!(get(v, "is_int")?, Value::Bool(true)),
-        data: bits_field(v, "data")?,
+        is_int: v.bool("is_int")?,
+        data: v.ints("data")?,
     })
 }
 
-fn parse_scalar(v: &Value) -> Result<ScalarSnap, String> {
-    match str_field(v, "t")?.as_str() {
-        "int" => Ok(ScalarSnap::Int(num(v, "v")?)),
-        "real" => Ok(ScalarSnap::Real(num(v, "bits")?)),
-        "log" => Ok(ScalarSnap::Logical(matches!(
-            get(v, "v")?,
-            Value::Bool(true)
-        ))),
-        "str" => Ok(ScalarSnap::Str(str_field(v, "v")?)),
+fn parse_scalar(v: Fields<'_>) -> Result<ScalarSnap, String> {
+    match v.str("t")?.as_str() {
+        "int" => Ok(ScalarSnap::Int(v.int("v")?)),
+        "real" => Ok(ScalarSnap::Real(v.int("bits")?)),
+        "log" => Ok(ScalarSnap::Logical(v.bool("v")?)),
+        "str" => Ok(ScalarSnap::Str(v.str("v")?)),
         other => Err(format!("snapshot: unknown scalar tag `{other}`")),
     }
 }
 
 /// Parse a snapshot back from its JSON rendering.
 pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
-    let v = json::parse(text).map_err(|e| format!("snapshot: {e}"))?;
-    check_version(&v, "snapshot")?;
-    let cv = get(&v, "cursor")?;
+    let doc = parse_current(text, "snapshot")?;
+    let v = Fields::new(&doc, "snapshot");
+    let cv = v.obj("cursor")?;
     let cursor = Cursor {
-        stmt: num(cv, "stmt")?,
-        dos: arr(cv, "dos")?
-            .iter()
+        stmt: cv.int("stmt")?,
+        dos: cv
+            .objs("dos")?
             .map(|d| {
                 Ok::<DoProgress, String>(DoProgress {
-                    var: str_field(d, "var")?,
-                    iv: num(d, "iv")?,
-                    step: num(d, "step")?,
-                    remaining: num(d, "remaining")?,
+                    var: d.str("var")?,
+                    iv: d.int("iv")?,
+                    step: d.int("step")?,
+                    remaining: d.int("remaining")?,
                 })
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
-    let arrays = arr(&v, "arrays")?
-        .iter()
+    let arrays = v
+        .objs("arrays")?
         .map(parse_array_snap)
         .collect::<Result<Vec<_>, _>>()?;
-    let commons = arr(&v, "commons")?
-        .iter()
+    let commons = v
+        .objs("commons")?
         .map(|c| {
             Ok::<(String, String, ArraySnap), String>((
-                str_field(c, "block")?,
-                str_field(c, "member")?,
-                parse_array_snap(get(c, "array")?)?,
+                c.str("block")?,
+                c.str("member")?,
+                parse_array_snap(c.obj("array")?)?,
             ))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let scalars = arr(&v, "scalars")?
-        .iter()
+    let scalars = v
+        .objs("scalars")?
         .map(|s| {
-            Ok::<(String, ScalarSnap), String>((
-                str_field(s, "name")?,
-                parse_scalar(get(s, "value")?)?,
-            ))
+            Ok::<(String, ScalarSnap), String>((s.str("name")?, parse_scalar(s.obj("value")?)?))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let output = arr(&v, "output")?
+    let output = v
+        .arr("output")?
         .iter()
         .map(|l| {
             l.as_str()
@@ -506,35 +437,35 @@ pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
                 .ok_or_else(|| "snapshot: bad output line".to_string())
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let ov = get(&v, "ops")?;
-    // absent on schema-1 snapshots: geometry unknown, elastic refuses
-    let cut = match v.get("cut") {
-        None => None,
-        Some(cv) => Some(CutSite {
-            list_kind: num(cv, "kind")?,
-            list_stmt: num(cv, "stmt")?,
-            arm: num(cv, "arm")?,
-            gap: num(cv, "gap")?,
+    let ov = v.obj("ops")?;
+    // absent when the cut was taken at a sync the plan lists no site for
+    let cut = match v.obj("cut") {
+        Err(_) => None,
+        Ok(cv) => Some(CutSite {
+            list_kind: cv.int("kind")?,
+            list_stmt: cv.int("stmt")?,
+            arm: cv.int("arm")?,
+            gap: cv.int("gap")?,
         }),
     };
     Ok(Snapshot {
-        rank: num(&v, "rank")?,
-        ranks: num(&v, "ranks")?,
-        parts: parts_field(&v, "parts", "snapshot")?,
-        epoch: num(&v, "epoch")?,
-        sync_id: num(&v, "sync_id")?,
+        rank: v.int("rank")?,
+        ranks: v.int("ranks")?,
+        parts: v.ints("parts")?,
+        epoch: v.int("epoch")?,
+        sync_id: v.int("sync_id")?,
         cursor,
         cut,
         arrays,
         commons,
         scalars,
-        input: bits_field(&v, "input")?,
+        input: v.ints("input")?,
         output,
         ops: OpsSnap {
-            flops: num(ov, "flops")?,
-            loads: num(ov, "loads")?,
-            stores: num(ov, "stores")?,
-            stmts: num(ov, "stmts")?,
+            flops: ov.int("flops")?,
+            loads: ov.int("loads")?,
+            stores: ov.int("stores")?,
+            stmts: ov.int("stmts")?,
         },
     })
 }
@@ -569,53 +500,22 @@ pub fn manifest_to_json(m: &RunManifest) -> String {
 
 /// Parse a run manifest back from its JSON rendering.
 pub fn manifest_from_json(text: &str) -> Result<RunManifest, String> {
-    let v = json::parse(text).map_err(|e| format!("run manifest: {e}"))?;
-    check_version(&v, "run manifest")?;
-    let parts = arr(&v, "parts")?
-        .iter()
-        .map(|p| {
-            p.as_int()
-                .and_then(|i| u32::try_from(i).ok())
-                .ok_or_else(|| "run manifest: bad part".to_string())
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let grid = v
-        .get("grid")
-        .and_then(Value::as_arr)
-        .map(|raw| {
-            raw.iter()
-                .map(|e| {
-                    e.as_int()
-                        .and_then(|i| u64::try_from(i).ok())
-                        .ok_or_else(|| "run manifest: bad grid extent".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .transpose()?
-        .unwrap_or_default();
+    let doc = parse_current(text, "run manifest")?;
+    let v = Fields::new(&doc, "run manifest");
     Ok(RunManifest {
-        source: str_field(&v, "source")?,
-        parts,
-        grid,
-        ranks: num(&v, "ranks")?,
-        distance: num(&v, "distance")?,
-        optimize: matches!(get(&v, "optimize")?, Value::Bool(true)),
-        overlap: matches!(get(&v, "overlap")?, Value::Bool(true)),
-        checkpoint_every: num(&v, "checkpoint_every")?,
-        timeout_ms: num(&v, "timeout_ms")?,
+        source: v.str("source")?,
+        parts: v.ints("parts")?,
+        grid: v.ints("grid")?,
+        ranks: v.int("ranks")?,
+        distance: v.int("distance")?,
+        optimize: v.bool("optimize")?,
+        overlap: v.bool("overlap")?,
+        checkpoint_every: v.int("checkpoint_every")?,
+        timeout_ms: v.int("timeout_ms")?,
         // lenient: manifests written before engine selection existed
         // omit these — they ran the tree engine, single-threaded
-        engine: v
-            .get("engine")
-            .and_then(Value::as_str)
-            .unwrap_or("tree")
-            .to_string(),
-        threads: v
-            .get("threads")
-            .and_then(Value::as_int)
-            .and_then(|n| u64::try_from(n).ok())
-            .unwrap_or(1)
-            .max(1),
+        engine: v.str("engine").unwrap_or_else(|_| "tree".into()),
+        threads: v.int::<u64>("threads").unwrap_or(1).max(1),
     })
 }
 
@@ -634,7 +534,7 @@ pub fn rank_snapshot_path(dir: &Path, epoch: u64, rank: usize) -> PathBuf {
 }
 
 /// Path of the run manifest within `dir`.
-pub fn manifest_path(dir: &Path) -> PathBuf {
+fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("run.json")
 }
 
@@ -973,15 +873,24 @@ mod tests {
     }
 
     #[test]
-    fn schema_one_snapshot_reads_back_without_geometry() {
-        // a v1 snapshot has no `parts`; it must still load (geometry
-        // unknown → empty), so same-rank-count resume keeps working
-        let text = snapshot_to_json(&sample_snapshot(1, 3))
+    fn older_schema_is_refused_never_panics() {
+        let snap = snapshot_to_json(&sample_snapshot(1, 3))
             .replace("\"version\":2", "\"version\":1")
             .replace(",\"parts\":[2,1]", "");
-        let back = snapshot_from_json(&text).unwrap();
-        assert!(back.parts.is_empty());
-        assert_eq!(back.rank, 1);
+        let err = snapshot_from_json(&snap).unwrap_err();
+        assert!(
+            err.contains("version 1") && err.contains("reads 2"),
+            "{err}"
+        );
+        let manifest =
+            manifest_to_json(&sample_manifest(2)).replace("\"version\":2", "\"version\":1");
+        let err = manifest_from_json(&manifest).unwrap_err();
+        assert!(err.starts_with("run manifest: schema version 1"), "{err}");
+        // a current-version snapshot that lost its geometry is an error too
+        let no_parts = snapshot_to_json(&sample_snapshot(1, 3)).replace(",\"parts\":[2,1]", "");
+        assert!(snapshot_from_json(&no_parts)
+            .unwrap_err()
+            .contains("missing `parts`"));
     }
 
     fn sample_manifest(ranks: usize) -> RunManifest {

@@ -100,18 +100,14 @@ impl Comm {
     }
 
     /// Turn the live telemetry plane on: from now on this rank
-    /// aggregates its spans into periodic stat frames, spools them (if
-    /// `config.spool_dir` is set), and offers them to the transport's
-    /// side channel. Returns the sink so callers can read the bus or the
-    /// dropped-frame counter.
-    pub fn enable_telemetry(&self, config: TelemetryConfig) -> Arc<TelemetrySink> {
-        let sink = Arc::new(TelemetrySink::new(config));
-        *self.telemetry.lock() = Some(Arc::clone(&sink));
-        sink
+    /// accumulates its events into periodic stat frames, spools them
+    /// (if `config.spool_dir` is set), and offers them to the
+    /// transport's side channel.
+    pub fn enable_telemetry(&self, config: TelemetryConfig) {
+        *self.telemetry.lock() = Some(Arc::new(TelemetrySink::new(config)));
     }
 
-    /// The telemetry sink, if [`Comm::enable_telemetry`] has been called.
-    pub fn telemetry(&self) -> Option<Arc<TelemetrySink>> {
+    fn telemetry(&self) -> Option<Arc<TelemetrySink>> {
         self.telemetry.lock().clone()
     }
 
@@ -120,25 +116,6 @@ impl Comm {
     pub fn note_checkpoint_epoch(&self, epoch: u64) {
         if let Some(sink) = self.telemetry() {
             sink.note_checkpoint(epoch);
-        }
-    }
-
-    /// Cut and publish a stat frame if the telemetry interval elapsed.
-    /// Called from the record paths; cheap no-op when telemetry is off
-    /// or the interval has not passed.
-    fn maybe_publish_telemetry(&self) {
-        let Some(sink) = self.telemetry() else { return };
-        if !sink.due() {
-            return;
-        }
-        let frame = sink.publish(
-            self.rank(),
-            &self.current_phase_name(),
-            self.epoch.elapsed(),
-        );
-        let taken = self.transport.publish_telemetry(&encode_stat_frame(&frame));
-        if !taken && self.size() > 1 {
-            sink.note_wire_drop();
         }
     }
 
@@ -211,10 +188,9 @@ impl Comm {
         seq: Option<u64>,
     ) {
         let end = self.epoch.elapsed();
-        let start = start.duration_since(self.epoch);
-        self.trace.lock().push(TraceEvent {
+        self.push(TraceEvent {
             kind,
-            start,
+            start: start.duration_since(self.epoch),
             end,
             peer,
             elems,
@@ -222,22 +198,26 @@ impl Comm {
             phase: self.current_phase(),
             seq,
         });
-        if let Some(sink) = self.telemetry() {
-            let span = end.saturating_sub(start);
-            match kind {
-                EventKind::Send => {
-                    sink.add_comm(span);
-                    if let Some(p) = peer {
-                        sink.add_send(p, bytes);
-                    }
-                }
-                EventKind::Reduce => sink.add_comm(span),
-                EventKind::Recv | EventKind::Barrier => sink.add_wait(span),
-                EventKind::Compute => sink.add_compute(span),
-                EventKind::Overlap => sink.add_overlap(span),
-            }
+    }
+
+    /// Append an event to the trace and, with telemetry on, to the live
+    /// cell — cutting and publishing a stat frame when one is due.
+    fn push(&self, event: TraceEvent) {
+        self.trace.lock().push(event);
+        let Some(sink) = self.telemetry() else { return };
+        sink.add(&event);
+        if !sink.due() {
+            return;
         }
-        self.maybe_publish_telemetry();
+        let frame = sink.publish(
+            self.rank(),
+            &self.current_phase_name(),
+            self.epoch.elapsed(),
+        );
+        let taken = self.transport.publish_telemetry(&encode_stat_frame(&frame));
+        if !taken && self.size() > 1 {
+            sink.note_wire_drop();
+        }
     }
 
     /// The instant trace timestamps are measured from.
@@ -250,80 +230,56 @@ impl Comm {
         std::mem::take(&mut self.trace.lock())
     }
 
-    /// Send `payload` to rank `to` with `tag`. Buffered; never blocks.
+    /// Send `payload` to rank `to` with `tag`: [`Comm::isend`] completed
+    /// at once. Buffered; never blocks.
     ///
     /// # Panics
     /// Panics if `to` is out of range or is this rank itself.
     pub fn send(&self, to: usize, tag: u64, payload: &[f64]) -> Result<(), CommError> {
-        let t0 = Instant::now();
-        let (bytes, seq) = self.send_raw(to, tag, payload)?;
-        self.record(
-            EventKind::Send,
-            t0,
-            Some(to),
-            payload.len(),
-            bytes,
-            Some(seq),
-        );
-        Ok(())
+        let req = self.isend(to, tag, payload)?;
+        self.wait_send(req).map(|_| ())
     }
 
-    fn send_raw(&self, to: usize, tag: u64, payload: &[f64]) -> Result<(usize, u64), CommError> {
+    /// Hand `payload` to the transport, counting it in the statistics.
+    /// Records no trace event: [`Comm::isend`] adds one per message,
+    /// the collectives one per collective.
+    fn post(&self, to: usize, tag: u64, payload: &[f64]) -> Result<SendRequest, CommError> {
         assert!(to < self.size(), "send to rank {to} of {}", self.size());
         assert_ne!(to, self.rank(), "self-send is a schedule bug");
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.stats
             .elems_sent
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        let req = self
-            .transport
+        self.transport
             .isend(to, tag, payload)
-            .map_err(|e| self.ctx(e))?;
-        let seq = req.seq;
-        let bytes = self
-            .transport
-            .wait_send(req, self.timeout)
-            .map_err(|e| self.ctx(e))?;
-        Ok((bytes, seq))
+            .map_err(|e| self.ctx(e))
+    }
+
+    fn send_raw(&self, to: usize, tag: u64, payload: &[f64]) -> Result<usize, CommError> {
+        let req = self.post(to, tag, payload)?;
+        self.wait_send(req)
     }
 
     /// Receive the next message from `from` with `tag` (FIFO per
     /// `(from, tag)`); messages for other `(from, tag)` pairs arriving
     /// first are parked, preserving their own order.
     pub fn recv(&self, from: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        let t0 = Instant::now();
-        let (payload, bytes, seq) = self.recv_raw(from, tag)?;
-        self.record(
-            EventKind::Recv,
-            t0,
-            Some(from),
-            payload.len(),
-            bytes,
-            Some(seq),
-        );
-        Ok(payload)
+        self.wait_recv(self.irecv(from, tag))
     }
 
     /// Post a nonblocking send of `payload` to rank `to` under `tag`.
     /// Both shipped backends buffer sends, so the returned request is
-    /// already complete; a `Send` trace event is recorded at post time
-    /// (same footprint as the blocking [`Comm::send`], so overlap does
-    /// not change per-phase message/byte accounting).
+    /// already complete; the message's one `Send` trace event is
+    /// recorded at post time.
     ///
     /// # Panics
     /// Panics if `to` is out of range or is this rank itself.
     pub fn isend(&self, to: usize, tag: u64, payload: &[f64]) -> Result<SendRequest, CommError> {
         let t0 = Instant::now();
-        assert!(to < self.size(), "send to rank {to} of {}", self.size());
-        assert_ne!(to, self.rank(), "self-send is a schedule bug");
-        self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .elems_sent
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        let req = self
-            .transport
-            .isend(to, tag, payload)
-            .map_err(|e| self.ctx(e))?;
+        let req = self.post(to, tag, payload)?;
+        if let Some(sink) = self.telemetry() {
+            sink.add_send(to, req.wire_bytes);
+        }
         self.record(
             EventKind::Send,
             t0,
@@ -353,12 +309,14 @@ impl Comm {
     /// `Recv` trace event spanning the wait (so hidden latency shows up
     /// as a short wait instead of a long one).
     pub fn wait_recv(&self, req: RecvRequest) -> Result<Vec<f64>, CommError> {
-        let t0 = Instant::now();
+        self.finish_recv(Instant::now(), req)
+    }
+
+    /// Complete `req` and record the message's one `Recv` event, its
+    /// span running from `t0`.
+    fn finish_recv(&self, t0: Instant, req: RecvRequest) -> Result<Vec<f64>, CommError> {
         let from = req.from;
-        let (payload, bytes, seq) = self
-            .transport
-            .wait_recv(req, self.timeout)
-            .map_err(|e| self.ctx(e))?;
+        let (payload, bytes, seq) = self.recv_raw(req)?;
         self.record(
             EventKind::Recv,
             t0,
@@ -379,55 +337,25 @@ impl Comm {
     /// Complete a receive with a bounded spin before parking: poll
     /// [`Comm::test_recv`] a few dozen times (cheap when the message is
     /// already in flight — the common case right after an overlap
-    /// split), then fall back to the blocking [`Comm::wait_recv`],
-    /// which parks the thread instead of burning a core while a slow
-    /// rank catches up. Records exactly one `Recv` trace event, like
-    /// `wait_recv`.
+    /// split), then fall back to the blocking wait, which parks the
+    /// thread instead of burning a core while a slow rank catches up.
+    /// Records exactly one `Recv` trace event, like `wait_recv`.
     pub fn wait_recv_adaptive(&self, mut req: RecvRequest) -> Result<Vec<f64>, CommError> {
         const SPIN_LIMIT: u32 = 64;
         let t0 = Instant::now();
         for _ in 0..SPIN_LIMIT {
-            if self
-                .transport
-                .test_recv(&mut req)
-                .map_err(|e| self.ctx(e))?
-            {
-                let from = req.from;
-                let (payload, bytes, seq) = self
-                    .transport
-                    .wait_recv(req, self.timeout)
-                    .map_err(|e| self.ctx(e))?;
-                self.record(
-                    EventKind::Recv,
-                    t0,
-                    Some(from),
-                    payload.len(),
-                    bytes,
-                    Some(seq),
-                );
-                return Ok(payload);
+            if self.test_recv(&mut req)? {
+                return self.finish_recv(t0, req);
             }
             std::hint::spin_loop();
         }
         std::thread::yield_now();
-        let from = req.from;
-        let (payload, bytes, seq) = self
-            .transport
-            .wait_recv(req, self.timeout)
-            .map_err(|e| self.ctx(e))?;
-        self.record(
-            EventKind::Recv,
-            t0,
-            Some(from),
-            payload.len(),
-            bytes,
-            Some(seq),
-        );
-        Ok(payload)
+        self.finish_recv(t0, req)
     }
 
-    fn recv_raw(&self, from: usize, tag: u64) -> Result<(Vec<f64>, usize, u64), CommError> {
-        let req = self.transport.irecv(from, tag);
+    /// Complete a receive without recording an event (the collectives
+    /// record one event per collective, not per message).
+    fn recv_raw(&self, req: RecvRequest) -> Result<(Vec<f64>, usize, u64), CommError> {
         self.transport
             .wait_recv(req, self.timeout)
             .map_err(|e| self.ctx(e))
@@ -471,17 +399,17 @@ impl Comm {
         let result = if self.rank() == 0 {
             let mut acc = value;
             for src in 1..self.size() {
-                let (v, b, _) = self.recv_raw(src, REDUCE_TAG)?;
+                let (v, b, _) = self.recv_raw(self.irecv(src, REDUCE_TAG))?;
                 bytes += b;
                 acc = op.apply(acc, v[0]);
             }
             for dst in 1..self.size() {
-                bytes += self.send_raw(dst, BCAST_TAG, &[acc])?.0;
+                bytes += self.send_raw(dst, BCAST_TAG, &[acc])?;
             }
             acc
         } else {
-            bytes += self.send_raw(0, REDUCE_TAG, &[value])?.0;
-            let (v, b, _) = self.recv_raw(0, BCAST_TAG)?;
+            bytes += self.send_raw(0, REDUCE_TAG, &[value])?;
+            let (v, b, _) = self.recv_raw(self.irecv(0, BCAST_TAG))?;
             bytes += b;
             v[0]
         };
@@ -540,7 +468,7 @@ impl Recorder for Comm {
     /// Append a span (typically [`EventKind::Compute`] from the
     /// interpreter) to this rank's trace under the current phase.
     fn record_span(&self, kind: EventKind, start: Instant, end: Instant) {
-        self.trace.lock().push(TraceEvent {
+        self.push(TraceEvent {
             kind,
             start: start.duration_since(self.epoch),
             end: end.duration_since(self.epoch),
@@ -550,14 +478,6 @@ impl Recorder for Comm {
             phase: self.current_phase(),
             seq: None,
         });
-        if let Some(sink) = self.telemetry() {
-            let span = end.saturating_duration_since(start);
-            match kind {
-                EventKind::Overlap => sink.add_overlap(span),
-                _ => sink.add_compute(span),
-            }
-        }
-        self.maybe_publish_telemetry();
     }
 }
 

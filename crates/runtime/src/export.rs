@@ -1,19 +1,27 @@
-//! Trace exporters and aggregate metrics.
+//! Trace exporters and the metrics model.
 //!
-//! Consumes a [`MergedTrace`] (or raw
-//! per-rank traces) and produces:
+//! Every tool that answers "where did the time go" reads one table: a
+//! [`Cell`] per (phase, rank), filled by [`fold`] through the single
+//! classifier [`Cell::add`]. What the tools print are projections:
 //!
-//! * [`chrome_trace`] — Chrome trace-event JSON with one track per rank,
-//!   openable in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`;
-//! * [`phase_metrics`] / [`render_phase_metrics`] — per-phase counters
-//!   and wait/compute histograms (p50 / p95 / max), the
-//!   compute-vs-comm-vs-wait breakdown per synchronization region;
-//! * [`rank_breakdown`] / [`render_rank_breakdown`] — how much of each
-//!   rank's wall time the trace accounts for, the coverage check the CI
-//!   smoke test asserts on.
+//! * [`phase_metrics`] / [`render_phase_metrics`] — the rows, each
+//!   summed over ranks, plus wait/compute histograms (p50 / p95 / max);
+//! * [`rank_breakdown`] / [`render_rank_breakdown`] — a column summed
+//!   over phases against the rank's wall time, the coverage check the
+//!   CI smoke test asserts on;
+//! * [`crate::trace::render_wire_table`] — the `msgs`/`bytes` of every
+//!   cell that communicated;
+//! * the advisor's diagnosis and the live [`crate::StatFrame`] — the
+//!   same cells, per phase and per rank;
+//! * the two derived ratios, each defined once: [`imbalance`] and
+//!   [`exposed_pct`].
+//!
+//! [`chrome_trace`] exports the merged timeline itself: Chrome
+//! trace-event JSON with one track per rank, openable in Perfetto
+//! (`ui.perfetto.dev`) or `chrome://tracing`.
 
 use crate::journal::MergedTrace;
-use crate::trace::{EventKind, TraceEvent};
+use crate::trace::{phase_label, EventKind, TraceEvent};
 use serde::json::Value;
 use std::time::Duration;
 
@@ -50,10 +58,7 @@ pub fn chrome_trace(merged: &MergedTrace) -> String {
         ]));
         let names = &merged.phase_names[rank];
         for e in trace {
-            let phase = names
-                .get(e.phase as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("phase_{}", e.phase));
+            let phase = phase_label(names, e.phase);
             let mut args = vec![("phase", Value::Str(phase.clone()))];
             if let Some(p) = e.peer {
                 args.push(("peer", Value::Int(p as i128)));
@@ -137,124 +142,271 @@ pub fn percentiles(samples: &mut [Duration]) -> Percentiles {
     }
 }
 
-/// Aggregated activity of one program phase across all ranks.
+/// Where [`Cell::add`] put an event's span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bucket {
+    /// Working: a compute or overlapped-compute span.
+    Work,
+    /// Communicating: a send or reduce.
+    Comm,
+    /// Blocked: a receive or barrier wait.
+    Wait,
+}
+
+/// What one rank did in one phase — the unit of the metrics model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Cell {
+    /// Compute-span time outside any exchange.
+    pub compute: Duration,
+    /// Overlapped-compute time: interior work done while halo exchanges
+    /// were in flight (communication latency hidden behind computation).
+    pub overlap: Duration,
+    /// Send/reduce busy time (communication proper).
+    pub comm: Duration,
+    /// Blocked time (receive + barrier waits).
+    pub wait: Duration,
+    /// Point-to-point + reduce messages (a barrier is not a message).
+    pub msgs: u64,
+    /// Wire bytes moved, both directions.
+    pub bytes: u64,
+    /// Traced events of every kind.
+    pub events: usize,
+}
+
+impl Cell {
+    /// Account one event. This is the only place an [`EventKind`] is
+    /// assigned to a time or traffic bucket.
+    pub fn add(&mut self, e: &TraceEvent) -> Bucket {
+        let span = e.span();
+        self.events += 1;
+        self.bytes += e.bytes as u64;
+        match e.kind {
+            EventKind::Compute => {
+                self.compute += span;
+                Bucket::Work
+            }
+            EventKind::Overlap => {
+                self.overlap += span;
+                Bucket::Work
+            }
+            EventKind::Send | EventKind::Reduce => {
+                self.msgs += 1;
+                self.comm += span;
+                Bucket::Comm
+            }
+            EventKind::Recv => {
+                self.msgs += 1;
+                self.wait += span;
+                Bucket::Wait
+            }
+            EventKind::Barrier => {
+                self.wait += span;
+                Bucket::Wait
+            }
+        }
+    }
+
+    /// Time spent working: `compute + overlap`.
+    pub fn work(&self) -> Duration {
+        self.compute + self.overlap
+    }
+
+    /// Time the trace accounts for: `work + comm + wait`.
+    pub fn busy(&self) -> Duration {
+        self.work() + self.comm + self.wait
+    }
+
+    /// Whether anything was communicated or waited for (a sync / reduce
+    /// cell rather than a pure compute one).
+    pub fn is_comm(&self) -> bool {
+        self.msgs > 0 || !self.wait.is_zero()
+    }
+}
+
+impl std::ops::AddAssign for Cell {
+    fn add_assign(&mut self, o: Cell) {
+        self.compute += o.compute;
+        self.overlap += o.overlap;
+        self.comm += o.comm;
+        self.wait += o.wait;
+        self.msgs += o.msgs;
+        self.bytes += o.bytes;
+        self.events += o.events;
+    }
+}
+
+impl std::iter::Sum for Cell {
+    fn sum<I: Iterator<Item = Cell>>(cells: I) -> Cell {
+        cells.fold(Cell::default(), |mut acc, c| {
+            acc += c;
+            acc
+        })
+    }
+}
+
+/// Each entry of a per-rank series over the series' mean; `None` when
+/// the series is empty or sums to zero.
+pub fn over_mean(per_rank: &[Duration]) -> Option<Vec<f64>> {
+    let total: Duration = per_rank.iter().sum();
+    if total.is_zero() {
+        return None;
+    }
+    let mean = total.as_secs_f64() / per_rank.len() as f64;
+    Some(per_rank.iter().map(|d| d.as_secs_f64() / mean).collect())
+}
+
+/// Skew of a per-rank series: its largest entry over its mean (1.0 is
+/// perfectly balanced). `None` when the series sums to zero.
+pub fn imbalance(per_rank: &[Duration]) -> Option<f64> {
+    Some(over_mean(per_rank)?.into_iter().fold(0.0, f64::max))
+}
+
+/// Share of communication latency that stayed exposed, in percent:
+/// `100·wait / (wait + overlap)`. `None` with neither wait nor overlap.
+pub fn exposed_pct(wait: Duration, overlap: Duration) -> Option<f64> {
+    let (w, h) = (wait.as_secs_f64(), overlap.as_secs_f64());
+    if w + h == 0.0 {
+        return None;
+    }
+    Some(100.0 * w / (w + h))
+}
+
+/// One phase of the folded table: a [`Cell`] per rank plus the span
+/// samples the histograms need.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseMetrics {
+pub struct PhaseRow {
     /// Phase name.
     pub phase: String,
-    /// Traced events in this phase (all kinds, all ranks).
-    pub events: usize,
-    /// Point-to-point + reduce messages.
-    pub msgs: u64,
-    /// Wire bytes moved.
-    pub bytes: u64,
-    /// Total compute-span time across ranks.
-    pub compute: Duration,
-    /// Total send/reduce busy time across ranks (communication proper).
-    pub comm: Duration,
-    /// Total blocked time (receive + barrier waits) across ranks.
-    pub wait: Duration,
-    /// Total overlapped-compute time across ranks: interior work done
-    /// while halo exchanges were in flight (communication latency
-    /// hidden behind computation).
-    pub overlap: Duration,
-    /// Distribution of individual compute spans.
-    pub compute_hist: Percentiles,
-    /// Distribution of individual wait spans.
-    pub wait_hist: Percentiles,
-    /// Compute-span time per rank (index = rank), the raw skew the
-    /// advisor reasons about.
-    pub compute_per_rank: Vec<Duration>,
+    /// What each rank did in this phase (index = rank).
+    pub cells: Vec<Cell>,
+    /// Every individual work (compute / overlap) span.
+    pub work_spans: Vec<Duration>,
+    /// Every individual wait (receive / barrier) span.
+    pub wait_spans: Vec<Duration>,
 }
 
-impl PhaseMetrics {
-    /// Per-rank compute skew: max over mean of [`Self::compute_per_rank`].
-    /// `None` when the phase has no compute.
-    pub fn imbalance(&self) -> Option<f64> {
-        let total: Duration = self.compute_per_rank.iter().sum();
-        if total.is_zero() || self.compute_per_rank.is_empty() {
-            return None;
-        }
-        let mean = total.as_secs_f64() / self.compute_per_rank.len() as f64;
-        let max = self
-            .compute_per_rank
-            .iter()
-            .map(Duration::as_secs_f64)
-            .fold(0.0, f64::max);
-        Some(max / mean)
+impl PhaseRow {
+    /// The phase summed over ranks.
+    pub fn total(&self) -> Cell {
+        self.cells.iter().copied().sum()
+    }
+
+    /// Work time per rank — the series [`imbalance`] is taken over.
+    pub fn work_per_rank(&self) -> Vec<Duration> {
+        self.cells.iter().map(Cell::work).collect()
     }
 }
 
-/// Aggregate a merged trace into per-phase metrics, in first-appearance
-/// order across ranks.
-pub fn phase_metrics(merged: &MergedTrace) -> Vec<PhaseMetrics> {
-    let mut order: Vec<String> = Vec::new();
-    for (trace, names) in merged.traces.iter().zip(&merged.phase_names) {
+/// A merged trace folded into the metrics model: `rows[phase].cells[rank]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhaseTable {
+    /// Phases in first-appearance order (rank 0's events first, then
+    /// names only later ranks recorded); phases without events are
+    /// absent.
+    pub rows: Vec<PhaseRow>,
+    /// Per rank: first event start and last event end (`Duration::MAX`
+    /// and zero for an empty trace).
+    bounds: Vec<(Duration, Duration)>,
+}
+
+impl PhaseTable {
+    /// Rank count.
+    pub fn ranks(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// One rank summed over phases.
+    pub fn rank_total(&self, rank: usize) -> Cell {
+        self.rows.iter().map(|r| r.cells[rank]).sum()
+    }
+
+    /// Everything, summed.
+    pub fn total(&self) -> Cell {
+        self.rows.iter().map(PhaseRow::total).sum()
+    }
+
+    /// A rank's traced wall time: first event start to last event end.
+    pub fn wall(&self, rank: usize) -> Duration {
+        let (first, last) = self.bounds[rank];
+        last.saturating_sub(first)
+    }
+
+    /// The run's makespan: earliest start to latest end over all ranks.
+    pub fn makespan(&self) -> Duration {
+        let first = self.bounds.iter().map(|b| b.0).min().unwrap_or_default();
+        let last = self.bounds.iter().map(|b| b.1).max().unwrap_or_default();
+        last.saturating_sub(first)
+    }
+
+    /// The per-rank projection: each column summed over phases against
+    /// the rank's wall time.
+    pub fn rank_breakdown(&self) -> Vec<RankBreakdown> {
+        (0..self.ranks())
+            .map(|rank| {
+                let t = self.rank_total(rank);
+                RankBreakdown {
+                    rank,
+                    wall: self.wall(rank),
+                    compute: t.work(),
+                    comm: t.comm,
+                    wait: t.wait,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Fold per-rank traces into the metrics model. `traces[r]` and
+/// `phase_names[r]` are rank `r`'s trace and phase list; a rank with
+/// no (or a short) list gets `phase_<i>` labels.
+pub fn fold_traces(traces: &[Vec<TraceEvent>], phase_names: &[Vec<String>]) -> PhaseTable {
+    let ranks = traces.len();
+    let mut rows: Vec<PhaseRow> = Vec::new();
+    let mut bounds = vec![(Duration::MAX, Duration::ZERO); ranks];
+    for (rank, trace) in traces.iter().enumerate() {
+        let names = phase_names.get(rank).map_or(&[][..], Vec::as_slice);
+        // this rank's phase index -> table row, resolved on first use
+        let mut row_of: Vec<Option<usize>> = Vec::new();
         for e in trace {
-            if let Some(name) = names.get(e.phase as usize) {
-                if !order.contains(name) {
-                    order.push(name.clone());
-                }
+            bounds[rank] = (bounds[rank].0.min(e.start), bounds[rank].1.max(e.end));
+            let idx = e.phase as usize;
+            if row_of.len() <= idx {
+                row_of.resize(idx + 1, None);
+            }
+            let row = *row_of[idx].get_or_insert_with(|| {
+                let name = phase_label(names, e.phase);
+                rows.iter()
+                    .position(|r| r.phase == name)
+                    .unwrap_or_else(|| {
+                        rows.push(PhaseRow {
+                            phase: name,
+                            cells: vec![Cell::default(); ranks],
+                            work_spans: Vec::new(),
+                            wait_spans: Vec::new(),
+                        });
+                        rows.len() - 1
+                    })
+            });
+            let row = &mut rows[row];
+            match row.cells[rank].add(e) {
+                Bucket::Work => row.work_spans.push(e.span()),
+                Bucket::Wait => row.wait_spans.push(e.span()),
+                Bucket::Comm => {}
             }
         }
     }
-    let mut out = Vec::with_capacity(order.len());
-    for phase in &order {
-        let mut m = PhaseMetrics {
-            phase: phase.clone(),
-            events: 0,
-            msgs: 0,
-            bytes: 0,
-            compute: Duration::ZERO,
-            comm: Duration::ZERO,
-            wait: Duration::ZERO,
-            overlap: Duration::ZERO,
-            compute_hist: Percentiles::default(),
-            wait_hist: Percentiles::default(),
-            compute_per_rank: vec![Duration::ZERO; merged.traces.len()],
-        };
-        let mut compute_samples = Vec::new();
-        let mut wait_samples = Vec::new();
-        for (rank, (trace, names)) in merged.traces.iter().zip(&merged.phase_names).enumerate() {
-            for e in trace {
-                if names.get(e.phase as usize) != Some(phase) {
-                    continue;
-                }
-                m.events += 1;
-                m.bytes += e.bytes as u64;
-                match e.kind {
-                    EventKind::Compute => {
-                        m.compute += e.span();
-                        m.compute_per_rank[rank] += e.span();
-                        compute_samples.push(e.span());
-                    }
-                    EventKind::Overlap => {
-                        m.compute += e.span();
-                        m.overlap += e.span();
-                        m.compute_per_rank[rank] += e.span();
-                        compute_samples.push(e.span());
-                    }
-                    EventKind::Send | EventKind::Reduce => {
-                        m.msgs += 1;
-                        m.comm += e.span();
-                    }
-                    EventKind::Recv => {
-                        m.msgs += 1;
-                        m.wait += e.wait();
-                        wait_samples.push(e.wait());
-                    }
-                    EventKind::Barrier => {
-                        m.wait += e.wait();
-                        wait_samples.push(e.wait());
-                    }
-                }
-            }
-        }
-        m.compute_hist = percentiles(&mut compute_samples);
-        m.wait_hist = percentiles(&mut wait_samples);
-        out.push(m);
-    }
-    out
+    PhaseTable { rows, bounds }
+}
+
+/// Fold a merged trace into the metrics model.
+pub fn fold(merged: &MergedTrace) -> PhaseTable {
+    fold_traces(&merged.traces, &merged.phase_names)
+}
+
+/// The folded table's rows for a merged trace: the per-phase projection
+/// [`render_phase_metrics`] prints and the forecast is checked against.
+pub fn phase_metrics(merged: &MergedTrace) -> Vec<PhaseRow> {
+    fold(merged).rows
 }
 
 fn dur(d: Duration) -> String {
@@ -268,9 +420,10 @@ fn dur(d: Duration) -> String {
     }
 }
 
-/// Render per-phase metrics as a text table (one row per phase).
-pub fn render_phase_metrics(metrics: &[PhaseMetrics]) -> String {
-    let name_w = metrics
+/// Render the table's rows as text: each phase summed over ranks, with
+/// its work imbalance and the p50/p95/max of its wait and work spans.
+pub fn render_phase_metrics(rows: &[PhaseRow]) -> String {
+    let name_w = rows
         .iter()
         .map(|m| m.phase.len())
         .chain(["phase".len()])
@@ -289,31 +442,26 @@ pub fn render_phase_metrics(metrics: &[PhaseMetrics]) -> String {
         "wait p50/p95/max",
         "compute p50/p95/max",
     );
-    for m in metrics {
+    let hist = |spans: &[Duration]| {
+        let p = percentiles(&mut spans.to_vec());
+        format!("{}/{}/{}", dur(p.p50), dur(p.p95), dur(p.max))
+    };
+    for row in rows {
+        let t = row.total();
         out.push_str(&format!(
             "{:name_w$}  {:>6}  {:>6}  {:>10}  {:>9}  {:>9}  {:>9}  {:>5}  {:>20}  {:>20}\n",
-            m.phase,
-            m.events,
-            m.msgs,
-            m.bytes,
-            dur(m.compute),
-            dur(m.comm),
-            dur(m.wait),
-            m.imbalance()
+            row.phase,
+            t.events,
+            t.msgs,
+            t.bytes,
+            dur(t.work()),
+            dur(t.comm),
+            dur(t.wait),
+            imbalance(&row.work_per_rank())
                 .map(|x| format!("{x:.2}"))
                 .unwrap_or_else(|| "-".into()),
-            format!(
-                "{}/{}/{}",
-                dur(m.wait_hist.p50),
-                dur(m.wait_hist.p95),
-                dur(m.wait_hist.max)
-            ),
-            format!(
-                "{}/{}/{}",
-                dur(m.compute_hist.p50),
-                dur(m.compute_hist.p95),
-                dur(m.compute_hist.max)
-            ),
+            hist(&row.wait_spans),
+            hist(&row.work_spans),
         ));
     }
     out
@@ -326,7 +474,7 @@ pub struct RankBreakdown {
     pub rank: usize,
     /// First event start to last event end.
     pub wall: Duration,
-    /// Total compute-span time.
+    /// Total work (compute + overlap) time.
     pub compute: Duration,
     /// Total send/reduce busy time.
     pub comm: Duration,
@@ -345,32 +493,9 @@ impl RankBreakdown {
     }
 }
 
-/// Per-rank compute/comm/wait totals against the rank's traced wall
-/// time (first event start → last event end).
+/// [`PhaseTable::rank_breakdown`] of per-rank traces.
 pub fn rank_breakdown(traces: &[Vec<TraceEvent>]) -> Vec<RankBreakdown> {
-    traces
-        .iter()
-        .enumerate()
-        .map(|(rank, trace)| {
-            let first = trace.iter().map(|e| e.start).min().unwrap_or_default();
-            let last = trace.iter().map(|e| e.end).max().unwrap_or_default();
-            let mut b = RankBreakdown {
-                rank,
-                wall: last.saturating_sub(first),
-                compute: Duration::ZERO,
-                comm: Duration::ZERO,
-                wait: Duration::ZERO,
-            };
-            for e in trace {
-                match e.kind {
-                    EventKind::Compute | EventKind::Overlap => b.compute += e.span(),
-                    EventKind::Send | EventKind::Reduce => b.comm += e.span(),
-                    EventKind::Recv | EventKind::Barrier => b.wait += e.wait(),
-                }
-            }
-            b
-        })
-        .collect()
+    fold_traces(traces, &[]).rank_breakdown()
 }
 
 /// Render the per-rank breakdown as a text table with a coverage column.
@@ -539,8 +664,10 @@ mod tests {
         assert_eq!(f.get("tid").unwrap().as_int(), Some(1), "ends on receiver");
         assert_eq!(f.get("bp").unwrap().as_str(), Some("e"), "binds enclosing");
         assert!(s.get("bp").is_none());
-        // anchored inside their slices: s at send start, f at recv end
-        assert_eq!(s.get("ts").unwrap().as_f64(), Some(10.0));
+        // anchored inside their slices: s at send start (shifted 28 µs
+        // by the merge, which pins both ranks' sync_0 to 40 µs), f at
+        // recv end
+        assert_eq!(s.get("ts").unwrap().as_f64(), Some(38.0));
         assert_eq!(f.get("ts").unwrap().as_f64(), Some(40.0));
         // a second export is byte-identical (stable ordering)
         assert_eq!(chrome_trace(&merged), chrome_trace(&merged));
@@ -559,15 +686,16 @@ mod tests {
         let merged = merged_fixture();
         let ms = phase_metrics(&merged);
         assert_eq!(ms.len(), 2);
-        let main = &ms[0];
-        assert_eq!(main.phase, "main");
+        assert_eq!(ms[0].phase, "main");
+        let main = ms[0].total();
         assert_eq!(main.events, 2);
-        assert_eq!(main.compute, Duration::from_micros(120));
+        assert_eq!(main.work(), Duration::from_micros(120));
         assert_eq!(main.wait, Duration::ZERO);
-        assert_eq!(main.compute_hist.max, Duration::from_micros(80));
-        assert_eq!(main.compute_hist.p50, Duration::from_micros(40));
-        let sync = &ms[1];
-        assert_eq!(sync.phase, "sync_0");
+        let work = percentiles(&mut ms[0].work_spans.clone());
+        assert_eq!(work.max, Duration::from_micros(80));
+        assert_eq!(work.p50, Duration::from_micros(40));
+        assert_eq!(ms[1].phase, "sync_0");
+        let sync = ms[1].total();
         assert_eq!(sync.msgs, 2, "send + recv; barrier is not a message");
         assert_eq!(sync.bytes, 64);
         assert_eq!(sync.wait, Duration::from_micros(70), "recv 50 + barrier 20");
@@ -616,9 +744,10 @@ mod tests {
         let merged = crate::journal::merge(&[journal]);
         let ms = phase_metrics(&merged);
         assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].overlap, Duration::from_micros(30));
-        assert_eq!(ms[0].compute, Duration::from_micros(30), "overlap is work");
-        assert_eq!(ms[0].wait, Duration::from_micros(10));
+        let t = ms[0].total();
+        assert_eq!(t.overlap, Duration::from_micros(30));
+        assert_eq!(t.work(), Duration::from_micros(30), "overlap is work");
+        assert_eq!(t.wait, Duration::from_micros(10));
         let b = rank_breakdown(&merged.traces);
         assert_eq!(b[0].compute, Duration::from_micros(30));
         assert_eq!(b[0].wait, Duration::from_micros(10));

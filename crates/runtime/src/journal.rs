@@ -15,25 +15,25 @@
 //!   [`RankJournal::complete`].
 //!
 //! Ranks timestamp against private epochs (separate processes on the TCP
-//! transport); the [`merge`] step re-anchors every rank to the earliest
-//! epoch in the run so one cross-rank timeline comes out, ready for the
-//! renderers in [`crate::trace`] and the exporters in [`crate::export`].
+//! transport); the [`merge`] step pins every rank's first shared
+//! synchronization to one instant so one cross-rank timeline comes out,
+//! ready for the renderers in [`crate::trace`] and the exporters in
+//! [`crate::export`].
 
-use crate::trace::{EventKind, TraceEvent};
-use serde::json::{self, Value};
+use crate::trace::{phase_label, EventKind, TraceEvent};
+use serde::json::{self, Fields, Value};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Version stamped into every journal header; bump on any change to the
-/// record shapes below. The parser accepts every version from 1 upward —
-/// version 2 added the per-event `engine` tag (defaults to `"tree"` when
-/// reading version-1 journals); version 3 added the optional per-event
-/// `seq` causality stamp and made reads forward-compatible: unknown
-/// record types, unknown event kinds, and extra fields are *skipped and
-/// counted* (see [`RankJournal::skipped`]) instead of erroring, so a
-/// journal written by a newer build still merges on an older one.
+/// record shapes below. A journal older than this is refused with a
+/// [`JournalError`] naming both versions. A *newer* one reads
+/// forward-compatibly: unknown record types, unknown event kinds, and
+/// extra fields are *skipped and counted* (see [`RankJournal::skipped`])
+/// instead of erroring, so a journal written by a newer build still
+/// merges on an older one.
 pub const SCHEMA_VERSION: i64 = 3;
 
 /// Run-level metadata opening each rank's journal.
@@ -71,13 +71,11 @@ pub struct JournalEvent {
     /// Program phase name.
     pub phase: String,
     /// Engine that executed the run this span belongs to: `"tree"` or
-    /// `"kernel"`. Version-1 journals (written before the tag existed)
-    /// read back as `"tree"`.
+    /// `"kernel"`.
     pub engine: String,
     /// Per-endpoint message sequence number — the causality stamp that
     /// pairs a recv with the exact send that produced it (`(peer, seq)`
-    /// is unique per sender). `None` for collectives, compute spans, and
-    /// events from pre-version-3 journals.
+    /// is unique per sender). `None` for collectives and compute spans.
     pub seq: Option<u64>,
 }
 
@@ -214,11 +212,7 @@ impl JournalWriter {
 /// Resolve a rank's raw trace to journal events (phase indices become
 /// names; unknown indices render as `phase_<i>`), tagging every event
 /// with the engine (`"tree"` or `"kernel"`) that executed the run.
-pub fn resolve_events(
-    trace: &[TraceEvent],
-    phase_names: &[String],
-    engine: &str,
-) -> Vec<JournalEvent> {
+fn resolve_events(trace: &[TraceEvent], phase_names: &[String], engine: &str) -> Vec<JournalEvent> {
     trace
         .iter()
         .map(|e| JournalEvent {
@@ -228,10 +222,7 @@ pub fn resolve_events(
             peer: e.peer,
             elems: e.elems,
             bytes: e.bytes,
-            phase: phase_names
-                .get(e.phase as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("phase_{}", e.phase)),
+            phase: phase_label(phase_names, e.phase),
             engine: engine.to_string(),
             seq: e.seq,
         })
@@ -254,24 +245,6 @@ pub fn write_rank_journal(
     }
     w.finish()?;
     Ok(rank_path(dir, header.rank))
-}
-
-fn field<'v>(line: &'v Value, key: &str, ln: usize) -> Result<&'v Value, JournalError> {
-    line.get(key)
-        .ok_or_else(|| JournalError::new(format!("line {ln}: missing `{key}`")))
-}
-
-fn int_field(line: &Value, key: &str, ln: usize) -> Result<i128, JournalError> {
-    field(line, key, ln)?
-        .as_int()
-        .ok_or_else(|| JournalError::new(format!("line {ln}: `{key}` is not an integer")))
-}
-
-fn str_field(line: &Value, key: &str, ln: usize) -> Result<String, JournalError> {
-    Ok(field(line, key, ln)?
-        .as_str()
-        .ok_or_else(|| JournalError::new(format!("line {ln}: `{key}` is not a string")))?
-        .to_string())
 }
 
 /// One parsed journal line.
@@ -304,63 +277,64 @@ pub enum JournalRecord {
 /// Parse one journal line (`ln` is its 1-based line number, used in
 /// error messages).
 pub fn parse_line(raw: &str, ln: usize) -> Result<JournalRecord, JournalError> {
-    let line = json::parse(raw).map_err(|e| JournalError::new(format!("line {ln}: {e}")))?;
-    let ty = str_field(&line, "type", ln)?;
-    match ty.as_str() {
+    let ctx = format!("line {ln}");
+    let doc = json::parse(raw).map_err(|e| JournalError::new(format!("{ctx}: {e}")))?;
+    parse_record(Fields::new(&doc, &ctx), &ctx).map_err(JournalError::new)
+}
+
+fn parse_record(line: Fields<'_>, ctx: &str) -> Result<JournalRecord, String> {
+    let nanos = |key| line.int(key).map(Duration::from_nanos);
+    match line.str("type")?.as_str() {
         "header" => {
-            let version = int_field(&line, "version", ln)? as i64;
-            if version < 1 {
-                return Err(JournalError::new(format!(
-                    "line {ln}: unsupported schema version {version} (expected >= 1)"
-                )));
+            let version: i64 = line.int("version")?;
+            if version < SCHEMA_VERSION {
+                return Err(format!(
+                    "{ctx}: journal schema version {version} is older than this \
+                     build's {SCHEMA_VERSION}; re-run the trace with this build"
+                ));
             }
             // versions above SCHEMA_VERSION read best-effort: known
             // fields parse, unknown records/kinds become Skipped lines
             Ok(JournalRecord::Header(JournalHeader {
                 version,
-                rank: int_field(&line, "rank", ln)? as usize,
-                ranks: int_field(&line, "ranks", ln)? as usize,
-                transport: str_field(&line, "transport", ln)?,
-                epoch_unix_ns: int_field(&line, "epoch_unix_ns", ln)?,
+                rank: line.int("rank")?,
+                ranks: line.int("ranks")?,
+                transport: line.str("transport")?,
+                epoch_unix_ns: line.int("epoch_unix_ns")?,
             }))
         }
         "event" => {
-            let kind_name = str_field(&line, "kind", ln)?;
+            let kind_name = line.str("kind")?;
             let Some(kind) = EventKind::from_name(&kind_name) else {
                 // an event kind from a newer schema: skip, don't die
                 return Ok(JournalRecord::Skipped {
-                    reason: format!("line {ln}: unknown event kind `{kind_name}`"),
+                    reason: format!("{ctx}: unknown event kind `{kind_name}`"),
                 });
-            };
-            let peer = match field(&line, "peer", ln)? {
-                Value::Null => None,
-                v => Some(v.as_int().ok_or_else(|| {
-                    JournalError::new(format!("line {ln}: `peer` is not an integer"))
-                })? as usize),
             };
             Ok(JournalRecord::Event(JournalEvent {
                 kind,
-                start: Duration::from_nanos(int_field(&line, "start_ns", ln)? as u64),
-                end: Duration::from_nanos(int_field(&line, "end_ns", ln)? as u64),
-                peer,
-                elems: int_field(&line, "elems", ln)? as usize,
-                bytes: int_field(&line, "bytes", ln)? as usize,
-                phase: str_field(&line, "phase", ln)?,
-                // absent in version-1 journals: default to the tree walk
-                engine: line
-                    .get("engine")
-                    .and_then(Value::as_str)
-                    .unwrap_or("tree")
-                    .to_string(),
-                // absent before version 3 and on collectives
-                seq: line.get("seq").and_then(Value::as_int).map(|s| s as u64),
+                start: nanos("start_ns")?,
+                end: nanos("end_ns")?,
+                peer: match line.get("peer")? {
+                    Value::Null => None,
+                    _ => Some(line.int("peer")?),
+                },
+                elems: line.int("elems")?,
+                bytes: line.int("bytes")?,
+                phase: line.str("phase")?,
+                engine: line.str("engine")?,
+                // absent on collectives and compute spans
+                seq: match line.get("seq") {
+                    Err(_) => None,
+                    Ok(_) => Some(line.int("seq")?),
+                },
             }))
         }
         "footer" => Ok(JournalRecord::Footer {
-            events: int_field(&line, "events", ln)? as usize,
+            events: line.int("events")?,
         }),
         other => Ok(JournalRecord::Skipped {
-            reason: format!("line {ln}: unknown record type `{other}`"),
+            reason: format!("{ctx}: unknown record type `{other}`"),
         }),
     }
 }
@@ -437,12 +411,11 @@ pub fn load_trace_dir(dir: &Path) -> Result<Vec<RankJournal>, JournalError> {
     Ok(journals)
 }
 
-/// A run's journals merged onto one epoch-aligned timeline, shaped for
-/// the text renderers in [`crate::trace`] and the exporters in
-/// [`crate::export`].
+/// A run's journals merged onto one timeline, shaped for the text
+/// renderers in [`crate::trace`] and the exporters in [`crate::export`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedTrace {
-    /// Per-rank events, times re-anchored to the earliest rank epoch and
+    /// Per-rank events, times re-anchored onto the shared timeline and
     /// sorted by start within each rank. `traces[r]` belongs to the
     /// rank of `journals[r]`.
     pub traces: Vec<Vec<TraceEvent>>,
@@ -458,41 +431,24 @@ pub struct MergedTrace {
     pub skipped: usize,
 }
 
-/// Merge per-rank journals into one timeline. Ranks journal against
-/// private epochs; each rank's events shift forward by the gap between
-/// its epoch and the earliest epoch in the run, so timestamps become
-/// comparable across ranks. Events are (re)sorted by start time within
-/// each rank, making the merge robust to out-of-order lines.
-pub fn merge(journals: &[RankJournal]) -> MergedTrace {
-    let base = journals
-        .iter()
-        .map(|j| j.header.epoch_unix_ns)
-        .min()
-        .unwrap_or(0);
-    let offsets: Vec<Duration> = journals
-        .iter()
-        .map(|j| Duration::from_nanos((j.header.epoch_unix_ns - base).max(0) as u64))
-        .collect();
-    merge_with_offsets(journals, &offsets)
-}
-
-/// Like [`merge`], but aligns ranks at a shared synchronization marker
-/// instead of trusting the wall-clock epochs in the headers. Ranks on
-/// different hosts (or launched seconds apart) journal against
-/// origins whose wall-clock gap says nothing about where the ranks
-/// stood *relative to each other* — epoch alignment then smears that
-/// clock skew into every cross-rank figure. The first communication
-/// event every rank shares is a true rendezvous: no rank can complete
-/// it before the others arrive, so pinning its completion to one
-/// instant across ranks bounds the alignment error by that sync's
-/// duration instead of the clock skew. Skew math (per-phase compute
-/// imbalance, straggler attribution) should run on this merge.
+/// Merge per-rank journals into one timeline, aligning ranks at a
+/// shared synchronization marker instead of trusting the wall-clock
+/// epochs in the headers. Ranks on different hosts (or launched
+/// seconds apart) journal against origins whose wall-clock gap says
+/// nothing about where the ranks stood *relative to each other*. The
+/// first communication event every rank shares is a true rendezvous:
+/// no rank can complete it before the others arrive, so pinning its
+/// completion to one instant across ranks bounds the alignment error
+/// by that sync's duration instead of the clock skew. Span sums are
+/// offset-invariant; only cross-rank timestamps depend on this.
 ///
 /// The marker is the first phase, in rank-0 event order, in which
 /// every rank recorded a non-compute event; each rank aligns at its
-/// first such event's end. Falls back to [`merge`] when no shared
-/// marker phase exists (e.g. a single rank, or disjoint journals).
-pub fn merge_marker_aligned(journals: &[RankJournal]) -> MergedTrace {
+/// first such event's end. With no shared marker phase (a single rank,
+/// or disjoint journals) ranks align by the header epochs instead.
+/// Events are (re)sorted by start time within each rank, making the
+/// merge robust to out-of-order lines.
+pub fn merge(journals: &[RankJournal]) -> MergedTrace {
     let is_marker = |e: &JournalEvent| !matches!(e.kind, EventKind::Compute | EventKind::Overlap);
     let marker_ends = journals.first().and_then(|j0| {
         let mut seen: Vec<&str> = Vec::new();
@@ -517,12 +473,33 @@ pub fn merge_marker_aligned(journals: &[RankJournal]) -> MergedTrace {
         }
         None
     });
-    let Some(ends) = marker_ends else {
-        return merge(journals);
+    let offsets = match marker_ends {
+        Some(ends) => {
+            let rendezvous = ends.iter().copied().max().unwrap_or_default();
+            ends.iter().map(|&e| rendezvous - e).collect()
+        }
+        None => epoch_offsets(journals),
     };
-    let rendezvous = ends.iter().copied().max().unwrap_or_default();
-    let offsets: Vec<Duration> = ends.iter().map(|&e| rendezvous - e).collect();
     merge_with_offsets(journals, &offsets)
+}
+
+/// The no-shared-sync fallback of [`merge`]: each rank shifts forward
+/// by the gap between its header epoch and the earliest in the run.
+fn epoch_offsets(journals: &[RankJournal]) -> Vec<Duration> {
+    let base = journals
+        .iter()
+        .map(|j| j.header.epoch_unix_ns)
+        .min()
+        .unwrap_or(0);
+    journals
+        .iter()
+        .map(|j| Duration::from_nanos((j.header.epoch_unix_ns - base).max(0) as u64))
+        .collect()
+}
+
+#[cfg(test)]
+fn merge_by_epoch(journals: &[RankJournal]) -> MergedTrace {
+    merge_with_offsets(journals, &epoch_offsets(journals))
 }
 
 /// Shared merge body: shift rank `r`'s events forward by `offsets[r]`,
@@ -678,14 +655,47 @@ mod tests {
     }
 
     #[test]
+    fn older_schema_is_refused_never_panics() {
+        for old in 1..SCHEMA_VERSION {
+            let text = format!(
+                r#"{{"type":"header","version":{old},"rank":0,"ranks":1,"transport":"inproc","epoch_unix_ns":0}}
+{{"type":"event","kind":"compute","start_ns":0,"end_ns":10,"peer":null,"elems":0,"bytes":0,"phase":"main"}}
+{{"type":"footer","events":1}}"#
+            );
+            let e = parse_rank_journal(&text).unwrap_err();
+            assert!(
+                e.message.contains(&format!("version {old}"))
+                    && e.message.contains(&SCHEMA_VERSION.to_string()),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_numbers_are_typed_errors_not_wrapped_values() {
+        let header = r#"{"type":"header","version":3,"rank":-1,"ranks":1,"transport":"inproc","epoch_unix_ns":0}"#;
+        let e = parse_rank_journal(header).unwrap_err();
+        assert!(e.message.contains("`rank` out of range"), "{e}");
+        let event = r#"{"type":"event","kind":"recv","start_ns":-5,"end_ns":10,"peer":2,"elems":1,"bytes":8,"phase":"main","engine":"tree","seq":1}"#;
+        let e = parse_line(event, 2).unwrap_err();
+        assert!(e.message.contains("line 2: `start_ns` out of range"), "{e}");
+        for field in ["peer", "elems", "bytes", "seq"] {
+            let bad = event
+                .replace("\"start_ns\":-5", "\"start_ns\":5")
+                .replace(&format!("\"{field}\":"), &format!("\"{field}\":-"));
+            assert!(parse_line(&bad, 2).is_err(), "{field} must not wrap: {bad}");
+        }
+    }
+
+    #[test]
     fn newer_schema_lines_are_skipped_and_counted() {
         // a version-99 journal with one known event, one unknown event
         // kind, and one unknown record type: the known event survives,
         // the other two are counted, and the footer (which counts all
         // three writer-side lines) still marks the journal complete
         let future = r#"{"type":"header","version":99,"rank":0,"ranks":1,"transport":"inproc","epoch_unix_ns":0}
-{"type":"event","kind":"compute","start_ns":0,"end_ns":10,"peer":null,"elems":0,"bytes":0,"phase":"main","novel_field":42}
-{"type":"event","kind":"teleport","start_ns":10,"end_ns":20,"peer":null,"elems":0,"bytes":0,"phase":"main"}
+{"type":"event","kind":"compute","start_ns":0,"end_ns":10,"peer":null,"elems":0,"bytes":0,"phase":"main","engine":"tree","novel_field":42}
+{"type":"event","kind":"teleport","start_ns":10,"end_ns":20,"peer":null,"elems":0,"bytes":0,"phase":"main","engine":"tree"}
 {"type":"gpu_counter","value":7}
 {"type":"footer","events":3}"#;
         let parsed = parse_rank_journal(future).unwrap();
@@ -696,19 +706,6 @@ mod tests {
         assert!(parsed.complete, "skipped lines count toward the footer");
         let merged = merge(&[parsed]);
         assert_eq!(merged.skipped, 2, "merge surfaces the skip count");
-    }
-
-    #[test]
-    fn version1_events_without_engine_default_to_tree() {
-        // a journal written before the engine tag existed still parses,
-        // with every event tagged "tree"
-        let v1 = r#"{"type":"header","version":1,"rank":0,"ranks":1,"transport":"inproc","epoch_unix_ns":0}
-{"type":"event","kind":"compute","start_ns":0,"end_ns":10,"peer":null,"elems":0,"bytes":0,"phase":"main"}
-{"type":"footer","events":1}"#;
-        let parsed = parse_rank_journal(v1).unwrap();
-        assert!(parsed.complete);
-        assert_eq!(parsed.events[0].engine, "tree");
-        assert_eq!(parsed.events[0].seq, None, "pre-v3 events carry no seq");
     }
 
     #[test]
@@ -727,7 +724,7 @@ mod tests {
             complete: true,
             skipped: 0,
         };
-        let merged = merge(&[j0, j1]);
+        let merged = merge_by_epoch(&[j0, j1]);
         assert_eq!(merged.traces[0][0].start, Duration::from_micros(0));
         assert_eq!(merged.traces[1][0].start, Duration::from_micros(100));
         assert_eq!(merged.traces[1][0].end, Duration::from_micros(130));
@@ -760,10 +757,10 @@ mod tests {
             complete: true,
             skipped: 0,
         };
-        let epoch = merge(&[j0.clone(), j1.clone()]);
+        let epoch = merge_by_epoch(&[j0.clone(), j1.clone()]);
         // wall-clock merge pushes rank 1 ~5 s into the future
         assert!(epoch.traces[1][0].start >= Duration::from_secs(5));
-        let aligned = merge_marker_aligned(&[j0, j1]);
+        let aligned = merge(&[j0, j1]);
         assert_eq!(aligned.traces[0], aligned.traces[1]);
         assert_eq!(aligned.traces[0][1].end, Duration::from_micros(130));
         assert!(aligned.complete);
@@ -786,7 +783,7 @@ mod tests {
             complete: true,
             skipped: 0,
         };
-        let aligned = merge_marker_aligned(&[j0, j1]);
+        let aligned = merge(&[j0, j1]);
         assert_eq!(aligned.traces[0][0].end, Duration::from_micros(170));
         assert_eq!(aligned.traces[1][0].end, Duration::from_micros(170));
     }
@@ -807,8 +804,9 @@ mod tests {
             complete: true,
             skipped: 0,
         };
-        let aligned = merge_marker_aligned(&[j0.clone(), j1.clone()]);
-        assert_eq!(aligned, merge(&[j0, j1]));
+        let aligned = merge(&[j0.clone(), j1.clone()]);
+        assert_eq!(aligned, merge_by_epoch(&[j0, j1]));
+        assert_eq!(aligned.traces[1][0].start, Duration::from_micros(1));
     }
 
     #[test]
@@ -886,7 +884,7 @@ mod proptests {
                 })
                 .collect();
             let base = *epochs.iter().min().unwrap() as i128;
-            let merged = merge(&journals);
+            let merged = merge_by_epoch(&journals);
             for (j, trace) in journals.iter().zip(&merged.traces) {
                 prop_assert_eq!(j.events.len(), trace.len());
                 let offset = (j.header.epoch_unix_ns - base) as u64;

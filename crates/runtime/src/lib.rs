@@ -55,23 +55,21 @@ pub use checkpoint::{
 pub use comm::{Comm, CommStats, ReduceOp, DEFAULT_TIMEOUT};
 pub use error::{CommError, CommErrorKind};
 pub use export::{
-    chrome_trace, phase_metrics, rank_breakdown, render_phase_metrics, render_rank_breakdown,
-    PhaseMetrics, RankBreakdown,
+    chrome_trace, exposed_pct, fold, fold_traces, imbalance, over_mean, phase_metrics,
+    rank_breakdown, render_phase_metrics, render_rank_breakdown, Cell, PhaseRow, PhaseTable,
+    RankBreakdown,
 };
 pub use inproc::{run_spmd, run_spmd_with_timeout, InprocTransport};
 pub use journal::{
-    epoch_unix_ns, load_trace_dir, merge, merge_marker_aligned, parse_line, parse_rank_journal,
-    write_rank_journal, JournalError, JournalEvent, JournalHeader, JournalRecord, JournalWriter,
-    MergedTrace, RankJournal, SCHEMA_VERSION,
+    epoch_unix_ns, load_trace_dir, merge, parse_line, parse_rank_journal, write_rank_journal,
+    JournalError, JournalEvent, JournalHeader, JournalRecord, JournalWriter, MergedTrace,
+    RankJournal, SCHEMA_VERSION,
 };
 pub use telemetry::{
     encode_stat_frame, parse_stat_frame, read_spool, spool_path, PeerTraffic, StatFrame,
-    TelemetryBus, TelemetryConfig, TelemetrySink, DEFAULT_TELEMETRY_INTERVAL, TELEMETRY_SCHEMA,
+    TelemetryConfig, TelemetrySink, DEFAULT_TELEMETRY_INTERVAL, TELEMETRY_SCHEMA,
 };
-pub use trace::{
-    render_timeline, render_wire_table, summarize, wire_by_phase, wire_bytes, EventKind, Recorder,
-    TraceEvent,
-};
+pub use trace::{render_timeline, render_wire_table, EventKind, Recorder, TraceEvent};
 pub use transport::{
     InboxMsg, MatchingInbox, RecvRequest, SendRequest, Transport, WireStats, BARRIER_TAG_BASE,
 };

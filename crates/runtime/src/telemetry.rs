@@ -2,10 +2,11 @@
 //!
 //! Journals ([`crate::journal`]) are post-mortem — nothing is visible
 //! until a rank flushes and the merger runs. This module adds the *live*
-//! counterpart: each rank aggregates its trace spans into a periodic,
+//! counterpart: each rank accumulates its trace events into the same
+//! [`Cell`] the post-mortem fold fills, cuts it into a periodic,
 //! schema-versioned [`StatFrame`] (current phase, compute/wait/overlap
-//! micros, per-peer traffic, checkpoint epoch, engine, queue depth) and
-//! publishes it without ever stalling compute:
+//! micros, per-peer traffic, checkpoint epoch, engine) and publishes it
+//! without ever stalling compute:
 //!
 //! * frames are appended to a per-rank spool file
 //!   (`telemetry-rank-<r>.jsonl`) next to the journals, flushed per
@@ -13,17 +14,16 @@
 //! * frames are offered to the transport
 //!   ([`crate::Transport::publish_telemetry`]) — over TCP they
 //!   piggyback on the heartbeat framing with `try_send` drop-on-full
-//!   semantics, in-process they land in a shared per-rank slot;
-//! * the in-memory [`TelemetryBus`] is bounded with **drop-oldest**
-//!   backpressure and a dropped-frame counter, so a slow (or absent)
-//!   consumer costs a counter increment, never a stall.
+//!   semantics, in-process they land in a shared per-rank slot.
 //!
 //! The frame codec is a single JSON line (the journal's format family),
-//! so spool files, wire frames, and the bus all speak the same bytes.
+//! so spool files and wire frames speak the same bytes.
 
+use crate::export::Cell;
+use crate::trace::TraceEvent;
 use parking_lot::Mutex;
-use serde::json::{self, Value};
-use std::collections::VecDeque;
+use serde::json::{self, Fields, Value};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,9 +39,6 @@ pub const TELEMETRY_SCHEMA: i64 = 1;
 /// iteration.
 pub const DEFAULT_TELEMETRY_INTERVAL: Duration = Duration::from_millis(100);
 
-/// Default [`TelemetryBus`] capacity (frames retained for a consumer).
-pub const DEFAULT_BUS_CAPACITY: usize = 64;
-
 /// Traffic this rank has exchanged with one peer, cumulative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PeerTraffic {
@@ -54,8 +51,8 @@ pub struct PeerTraffic {
 }
 
 /// One periodic per-rank telemetry frame. All counters are cumulative
-/// since the rank's epoch, so a consumer that misses frames (drop-oldest
-/// is allowed to discard any prefix) still reads correct totals.
+/// since the rank's epoch, so a consumer that misses frames still reads
+/// correct totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatFrame {
     /// Frame schema version ([`TELEMETRY_SCHEMA`] at write time).
@@ -68,7 +65,8 @@ pub struct StatFrame {
     pub at_ms: u64,
     /// Phase the rank was executing when the frame was cut.
     pub phase: String,
-    /// Cumulative compute-span microseconds.
+    /// Cumulative compute-span microseconds (overlapped compute is in
+    /// `overlap_us`, not here).
     pub compute_us: u64,
     /// Cumulative blocked (receive + barrier) microseconds.
     pub wait_us: u64,
@@ -82,12 +80,9 @@ pub struct StatFrame {
     pub checkpoint_epoch: u64,
     /// Engine executing the run (`"tree"` or `"kernel"`).
     pub engine: String,
-    /// Frames queued in the rank's bus when this one was cut.
+    /// Reserved; written as 0 and ignored by readers.
     pub queue_depth: u64,
-    /// Frames the transport refused so far (wire drop-on-full). Bus
-    /// drop-oldest evictions are *not* counted here: counters are
-    /// cumulative, so the newest retained frame subsumes an evicted one
-    /// — eviction with no consumer is retention policy, not loss.
+    /// Frames the transport refused so far (wire drop-on-full).
     pub dropped: u64,
 }
 
@@ -95,16 +90,6 @@ impl StatFrame {
     /// Total busy microseconds (compute + overlap + comm).
     pub fn busy_us(&self) -> u64 {
         self.compute_us + self.overlap_us + self.comm_us
-    }
-
-    /// Exposed-communication fraction: wait over (busy + wait). `None`
-    /// before the rank has done anything.
-    pub fn exposed_pct(&self) -> Option<f64> {
-        let total = self.busy_us() + self.wait_us;
-        if total == 0 {
-            return None;
-        }
-        Some(self.wait_us as f64 / total as f64)
     }
 }
 
@@ -141,55 +126,42 @@ pub fn encode_stat_frame(f: &StatFrame) -> String {
     .to_string()
 }
 
-fn int_of(v: &Value, key: &str) -> Result<i128, String> {
-    v.get(key)
-        .and_then(Value::as_int)
-        .ok_or_else(|| format!("stat frame: missing or non-integer `{key}`"))
-}
-
-fn str_of(v: &Value, key: &str) -> Result<String, String> {
-    Ok(v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("stat frame: missing or non-string `{key}`"))?
-        .to_string())
-}
-
 /// Decode a frame from one JSON line. Unknown extra fields are ignored
 /// and newer schema versions are accepted (the known fields are read
 /// best-effort), mirroring the journal reader's forward-compat rules.
 pub fn parse_stat_frame(line: &str) -> Result<StatFrame, String> {
-    let v = json::parse(line).map_err(|e| format!("stat frame: {e}"))?;
-    if v.get("type").and_then(Value::as_str) != Some("stat") {
+    let doc = json::parse(line).map_err(|e| format!("stat frame: {e}"))?;
+    let v = Fields::new(&doc, "stat frame");
+    if v.str("type")? != "stat" {
         return Err("stat frame: not a `stat` record".into());
     }
-    let peers = match v.get("peers") {
-        Some(Value::Arr(items)) => items
-            .iter()
+    let peers = match v.objs("peers") {
+        Ok(items) => items
             .map(|p| {
                 Ok(PeerTraffic {
-                    peer: int_of(p, "peer")? as usize,
-                    msgs: int_of(p, "msgs")? as u64,
-                    bytes: int_of(p, "bytes")? as u64,
+                    peer: p.int("peer")?,
+                    msgs: p.int("msgs")?,
+                    bytes: p.int("bytes")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?,
-        _ => Vec::new(),
+        Err(_) => Vec::new(),
     };
     Ok(StatFrame {
-        schema: int_of(&v, "schema")? as i64,
-        rank: int_of(&v, "rank")? as usize,
-        seq: int_of(&v, "seq")? as u64,
-        at_ms: int_of(&v, "at_ms")? as u64,
-        phase: str_of(&v, "phase")?,
-        compute_us: int_of(&v, "compute_us")? as u64,
-        wait_us: int_of(&v, "wait_us")? as u64,
-        overlap_us: int_of(&v, "overlap_us")? as u64,
-        comm_us: int_of(&v, "comm_us")? as u64,
+        schema: v.int("schema")?,
+        rank: v.int("rank")?,
+        seq: v.int("seq")?,
+        at_ms: v.int("at_ms")?,
+        phase: v.str("phase")?,
+        compute_us: v.int("compute_us")?,
+        wait_us: v.int("wait_us")?,
+        overlap_us: v.int("overlap_us")?,
+        comm_us: v.int("comm_us")?,
         peers,
-        checkpoint_epoch: int_of(&v, "checkpoint_epoch")? as u64,
-        engine: str_of(&v, "engine")?,
-        queue_depth: int_of(&v, "queue_depth")? as u64,
-        dropped: int_of(&v, "dropped")? as u64,
+        checkpoint_epoch: v.int("checkpoint_epoch")?,
+        engine: v.str("engine")?,
+        queue_depth: v.int("queue_depth")?,
+        dropped: v.int("dropped")?,
     })
 }
 
@@ -199,72 +171,16 @@ pub fn spool_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("telemetry-rank-{rank}.jsonl"))
 }
 
-/// A bounded, never-blocking frame queue with drop-oldest backpressure.
-///
-/// Producers push from the compute path, so `push` must never wait on a
-/// consumer: when the queue is full the *oldest* frame is discarded
-/// (counters are cumulative, so the newest frame subsumes it) and the
-/// dropped counter increments. Consumers drain at their own pace.
-pub struct TelemetryBus {
-    frames: Mutex<VecDeque<StatFrame>>,
-    capacity: usize,
-    dropped: AtomicU64,
-}
-
-impl TelemetryBus {
-    /// A bus retaining at most `capacity` frames (min 1).
-    pub fn new(capacity: usize) -> TelemetryBus {
-        TelemetryBus {
-            frames: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Queue a frame, discarding the oldest one when full. Never blocks
-    /// beyond the queue mutex (held only for the push itself).
-    pub fn push(&self, frame: StatFrame) {
-        let mut q = self.frames.lock();
-        if q.len() >= self.capacity {
-            q.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        q.push_back(frame);
-    }
-
-    /// Take every queued frame, oldest first.
-    pub fn drain(&self) -> Vec<StatFrame> {
-        self.frames.lock().drain(..).collect()
-    }
-
-    /// The newest queued frame, if any (leaves the queue untouched).
-    pub fn latest(&self) -> Option<StatFrame> {
-        self.frames.lock().back().cloned()
-    }
-
-    /// Frames currently queued.
-    pub fn depth(&self) -> usize {
-        self.frames.lock().len()
-    }
-
-    /// Frames discarded by drop-oldest so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
 /// How a rank publishes telemetry; see [`TelemetrySink::new`].
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Minimum gap between published frames.
     pub interval: Duration,
     /// Spool file directory (`telemetry-rank-<r>.jsonl` is created in
-    /// it); `None` keeps frames in the bus / on the wire only.
+    /// it); `None` keeps frames on the wire only.
     pub spool_dir: Option<PathBuf>,
     /// Engine label stamped into frames (`"tree"` or `"kernel"`).
     pub engine: String,
-    /// Bus capacity.
-    pub capacity: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -273,27 +189,29 @@ impl Default for TelemetryConfig {
             interval: DEFAULT_TELEMETRY_INTERVAL,
             spool_dir: None,
             engine: "tree".into(),
-            capacity: DEFAULT_BUS_CAPACITY,
         }
     }
 }
 
-/// One rank's live aggregation state: running span totals updated from
-/// the communicator's record path, cut into a [`StatFrame`] at most once
-/// per interval. All hot-path updates are relaxed atomics; the spool
-/// file and per-peer map are touched only at publish time or send time
-/// (a `BTreeMap` insert behind a mutex, amortized microseconds).
+/// What a rank has done so far: the whole-run [`Cell`] plus the
+/// per-peer send traffic a frame reports.
+#[derive(Default)]
+struct Live {
+    cell: Cell,
+    /// peer -> (messages sent, wire bytes sent)
+    per_peer: BTreeMap<usize, (u64, u64)>,
+}
+
+/// One rank's live aggregation state: the communicator's record path
+/// feeds every event through [`Cell::add`], and the running cell is cut
+/// into a [`StatFrame`] at most once per interval. The spool file is
+/// touched only at publish time.
 pub struct TelemetrySink {
     config: TelemetryConfig,
-    bus: TelemetryBus,
-    compute_us: AtomicU64,
-    wait_us: AtomicU64,
-    overlap_us: AtomicU64,
-    comm_us: AtomicU64,
-    per_peer: Mutex<std::collections::BTreeMap<usize, (u64, u64)>>,
+    live: Mutex<Live>,
     checkpoint_epoch: AtomicU64,
     frame_seq: AtomicU64,
-    /// Extra drops beyond the bus (wire-side try_send failures).
+    /// Frames the wire refused (try_send failures).
     wire_dropped: AtomicU64,
     last_publish: Mutex<Option<Instant>>,
     spool: Mutex<Option<std::fs::File>>,
@@ -302,15 +220,9 @@ pub struct TelemetrySink {
 impl TelemetrySink {
     /// A sink for one rank with the given publication config.
     pub fn new(config: TelemetryConfig) -> TelemetrySink {
-        let capacity = config.capacity;
         TelemetrySink {
             config,
-            bus: TelemetryBus::new(capacity),
-            compute_us: AtomicU64::new(0),
-            wait_us: AtomicU64::new(0),
-            overlap_us: AtomicU64::new(0),
-            comm_us: AtomicU64::new(0),
-            per_peer: Mutex::new(std::collections::BTreeMap::new()),
+            live: Mutex::new(Live::default()),
             checkpoint_epoch: AtomicU64::new(0),
             frame_seq: AtomicU64::new(0),
             wire_dropped: AtomicU64::new(0),
@@ -319,39 +231,15 @@ impl TelemetrySink {
         }
     }
 
-    /// The sink's bounded frame queue.
-    pub fn bus(&self) -> &TelemetryBus {
-        &self.bus
-    }
-
-    /// Add a compute span.
-    pub fn add_compute(&self, d: Duration) {
-        self.compute_us
-            .fetch_add(d.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Add an overlapped-compute span.
-    pub fn add_overlap(&self, d: Duration) {
-        self.overlap_us
-            .fetch_add(d.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Add a blocked (receive/barrier) span.
-    pub fn add_wait(&self, d: Duration) {
-        self.wait_us
-            .fetch_add(d.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Add a send/reduce busy span.
-    pub fn add_comm(&self, d: Duration) {
-        self.comm_us
-            .fetch_add(d.as_micros() as u64, Ordering::Relaxed);
+    /// Account one traced event.
+    pub fn add(&self, event: &TraceEvent) {
+        self.live.lock().cell.add(event);
     }
 
     /// Account one message of `bytes` sent to `peer`.
     pub fn add_send(&self, peer: usize, bytes: usize) {
-        let mut map = self.per_peer.lock();
-        let e = map.entry(peer).or_insert((0, 0));
+        let mut live = self.live.lock();
+        let e = live.per_peer.entry(peer).or_insert((0, 0));
         e.0 += 1;
         e.1 += bytes as u64;
     }
@@ -367,13 +255,6 @@ impl TelemetrySink {
         self.wire_dropped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Frames the wire refused so far. Bus drop-oldest evictions are
-    /// deliberately excluded (see [`StatFrame::dropped`]); read them
-    /// from [`TelemetrySink::bus`] when tuning consumer pace.
-    pub fn dropped(&self) -> u64 {
-        self.wire_dropped.load(Ordering::Relaxed)
-    }
-
     /// Whether the publish interval has elapsed since the last frame.
     /// Cheap enough for the record hot path (one mutex try-lock; a
     /// contended lock means someone else is publishing — skip).
@@ -387,39 +268,37 @@ impl TelemetrySink {
         }
     }
 
-    /// Cut a frame from the current counters and publish it: queue on
-    /// the bus, append to the spool file (if configured). Returns the
-    /// frame so the caller can also offer it to the transport. `rank`
-    /// and `phase` come from the communicator; `at` is time since its
-    /// epoch.
+    /// Cut a frame from the current cell and append it to the spool
+    /// file (if configured). Returns the frame so the caller can also
+    /// offer it to the transport. `rank` and `phase` come from the
+    /// communicator; `at` is time since its epoch.
     pub fn publish(&self, rank: usize, phase: &str, at: Duration) -> StatFrame {
-        {
-            let mut last = self.last_publish.lock();
-            *last = Some(Instant::now());
-        }
-        let peers = self
-            .per_peer
-            .lock()
-            .iter()
-            .map(|(&peer, &(msgs, bytes))| PeerTraffic { peer, msgs, bytes })
-            .collect();
+        *self.last_publish.lock() = Some(Instant::now());
+        let (cell, peers) = {
+            let live = self.live.lock();
+            let peers = live
+                .per_peer
+                .iter()
+                .map(|(&peer, &(msgs, bytes))| PeerTraffic { peer, msgs, bytes })
+                .collect();
+            (live.cell, peers)
+        };
         let frame = StatFrame {
             schema: TELEMETRY_SCHEMA,
             rank,
             seq: self.frame_seq.fetch_add(1, Ordering::Relaxed),
             at_ms: at.as_millis() as u64,
             phase: phase.to_string(),
-            compute_us: self.compute_us.load(Ordering::Relaxed),
-            wait_us: self.wait_us.load(Ordering::Relaxed),
-            overlap_us: self.overlap_us.load(Ordering::Relaxed),
-            comm_us: self.comm_us.load(Ordering::Relaxed),
+            compute_us: cell.compute.as_micros() as u64,
+            wait_us: cell.wait.as_micros() as u64,
+            overlap_us: cell.overlap.as_micros() as u64,
+            comm_us: cell.comm.as_micros() as u64,
             peers,
             checkpoint_epoch: self.checkpoint_epoch.load(Ordering::Relaxed),
             engine: self.config.engine.clone(),
-            queue_depth: self.bus.depth() as u64,
-            dropped: self.dropped(),
+            queue_depth: 0,
+            dropped: self.wire_dropped.load(Ordering::Relaxed),
         };
-        self.bus.push(frame.clone());
         self.spool_append(&frame);
         frame
     }
@@ -467,6 +346,7 @@ pub fn read_spool(path: &Path) -> std::io::Result<(Vec<StatFrame>, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::EventKind;
 
     fn frame(rank: usize, seq: u64) -> StatFrame {
         StatFrame {
@@ -523,18 +403,13 @@ mod tests {
     }
 
     #[test]
-    fn bus_drops_oldest_and_counts() {
-        let bus = TelemetryBus::new(2);
-        bus.push(frame(0, 0));
-        bus.push(frame(0, 1));
-        assert_eq!(bus.dropped(), 0);
-        bus.push(frame(0, 2));
-        assert_eq!(bus.dropped(), 1);
-        assert_eq!(bus.depth(), 2);
-        assert_eq!(bus.latest().unwrap().seq, 2);
-        let drained: Vec<u64> = bus.drain().iter().map(|f| f.seq).collect();
-        assert_eq!(drained, vec![1, 2], "oldest frame was the one dropped");
-        assert_eq!(bus.depth(), 0);
+    fn negative_counters_are_typed_errors_not_wrapped_values() {
+        let line = encode_stat_frame(&frame(1, 7));
+        for field in ["rank", "seq", "wait_us", "checkpoint_epoch"] {
+            let bad = line.replace(&format!("\"{field}\":"), &format!("\"{field}\":-"));
+            let err = parse_stat_frame(&bad).unwrap_err();
+            assert!(err.contains(&format!("`{field}` out of range")), "{err}");
+        }
     }
 
     #[test]
@@ -545,18 +420,29 @@ mod tests {
             interval: Duration::ZERO,
             spool_dir: Some(dir.clone()),
             engine: "tree".into(),
-            capacity: 8,
         });
-        sink.add_compute(Duration::from_micros(300));
-        sink.add_wait(Duration::from_micros(50));
+        let span = |kind, start_us: u64, end_us: u64| TraceEvent {
+            kind,
+            start: Duration::from_micros(start_us),
+            end: Duration::from_micros(end_us),
+            peer: None,
+            elems: 0,
+            bytes: 0,
+            phase: 0,
+            seq: None,
+        };
+        sink.add(&span(EventKind::Compute, 0, 300));
+        sink.add(&span(EventKind::Barrier, 300, 350));
         sink.add_send(1, 64);
         sink.add_send(1, 64);
         sink.note_checkpoint(4);
         let f1 = sink.publish(0, "main", Duration::from_millis(10));
-        sink.add_compute(Duration::from_micros(200));
+        sink.add(&span(EventKind::Compute, 350, 550));
+        sink.add(&span(EventKind::Overlap, 550, 560));
         let f2 = sink.publish(0, "sync_0", Duration::from_millis(20));
-        assert_eq!(f1.compute_us, 300);
+        assert_eq!((f1.compute_us, f1.wait_us), (300, 50));
         assert_eq!(f2.compute_us, 500, "counters are cumulative");
+        assert_eq!(f2.overlap_us, 10, "overlap is kept out of compute_us");
         assert_eq!(f2.seq, f1.seq + 1);
         assert_eq!(f2.checkpoint_epoch, 4);
         assert_eq!(
@@ -586,18 +472,18 @@ mod tests {
 
     #[test]
     fn exposed_pct_and_busy() {
+        use crate::export::exposed_pct;
         let mut f = frame(0, 0);
         f.compute_us = 600;
         f.overlap_us = 100;
         f.comm_us = 100;
         f.wait_us = 200;
         assert_eq!(f.busy_us(), 800);
-        assert!((f.exposed_pct().unwrap() - 0.2).abs() < 1e-12);
-        f.compute_us = 0;
-        f.overlap_us = 0;
-        f.comm_us = 0;
-        f.wait_us = 0;
-        assert_eq!(f.exposed_pct(), None);
+        // the one exposed-communication definition, fed frame counters
+        let us = Duration::from_micros;
+        let exposed = exposed_pct(us(f.wait_us), us(f.overlap_us)).unwrap();
+        assert!((exposed - 100.0 * 200.0 / 300.0).abs() < 1e-9, "{exposed}");
+        assert_eq!(exposed_pct(Duration::ZERO, Duration::ZERO), None);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! computation, barrier waits. The communicator records every
 //! communication event with wall-clock timestamps, wire footprint, and
 //! the program phase it ran in; [`render_timeline`] turns the per-rank
-//! traces into a text Gantt chart, and [`render_wire_table`] breaks the
-//! wire traffic down per rank per phase — identically for the in-process
-//! and TCP transports, since both feed the same trace.
+//! traces into a text Gantt chart, and [`render_wire_table`] prints the
+//! wire traffic of the folded table ([`crate::export::fold`]) per rank
+//! per phase — identically for the in-process and TCP transports, since
+//! both feed the same trace.
 
+use crate::export::PhaseTable;
 use std::time::{Duration, Instant};
 
 /// What happened.
@@ -89,19 +91,19 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Time spent blocked in this event (zero for compute and overlap
-    /// spans, which are working, not waiting).
-    pub fn wait(&self) -> Duration {
-        if matches!(self.kind, EventKind::Compute | EventKind::Overlap) {
-            return Duration::ZERO;
-        }
-        self.end.saturating_sub(self.start)
-    }
-
     /// Span duration, regardless of kind.
     pub fn span(&self) -> Duration {
         self.end.saturating_sub(self.start)
     }
+}
+
+/// The name of phase `index` in a rank's phase list (`phase_<index>`
+/// when the list is too short to say).
+pub(crate) fn phase_label(phase_names: &[String], index: u32) -> String {
+    phase_names
+        .get(index as usize)
+        .cloned()
+        .unwrap_or_else(|| format!("phase_{index}"))
 }
 
 /// A sink for timed execution spans. The interpreter records compute
@@ -114,82 +116,12 @@ pub trait Recorder {
     fn record_span(&self, kind: EventKind, start: Instant, end: Instant);
 }
 
-/// Summarize a rank's trace: `(events, total wait, elems sent+received)`.
-/// Compute spans count as events but contribute no wait and no elements.
-pub fn summarize(trace: &[TraceEvent]) -> (usize, Duration, usize) {
-    let wait = trace.iter().map(TraceEvent::wait).sum();
-    let elems = trace.iter().map(|e| e.elems).sum();
-    (trace.len(), wait, elems)
-}
-
-/// Total wire bytes a rank moved (sent + received), from its trace.
-pub fn wire_bytes(trace: &[TraceEvent]) -> u64 {
-    trace.iter().map(|e| e.bytes as u64).sum()
-}
-
-/// Aggregate one rank's trace into per-phase wire traffic:
-/// `(phase name, messages, bytes)` in phase-index order, skipping phases
-/// with no traced *communication* events (compute spans are ignored —
-/// this is a wire table). `phase_names` is the rank's phase list
-/// ([`crate::Comm::phase_names`]).
-pub fn wire_by_phase(trace: &[TraceEvent], phase_names: &[String]) -> Vec<(String, u64, u64)> {
-    let slots = phase_names.len().max(
-        trace
-            .iter()
-            .map(|e| e.phase as usize + 1)
-            .max()
-            .unwrap_or(0),
-    );
-    let mut msgs = vec![0u64; slots];
-    let mut bytes = vec![0u64; slots];
-    let mut touched = vec![false; slots];
-    for e in trace {
-        if matches!(e.kind, EventKind::Compute | EventKind::Overlap) {
-            continue;
-        }
-        let p = e.phase as usize;
-        touched[p] = true;
-        bytes[p] += e.bytes as u64;
-        if matches!(
-            e.kind,
-            EventKind::Send | EventKind::Recv | EventKind::Reduce
-        ) {
-            msgs[p] += 1;
-        }
-    }
-    (0..slots)
-        .filter(|&p| touched[p])
-        .map(|p| {
-            let name = phase_names
-                .get(p)
-                .cloned()
-                .unwrap_or_else(|| format!("phase_{p}"));
-            (name, msgs[p], bytes[p])
-        })
-        .collect()
-}
-
-/// Render per-rank per-phase wire traffic as a text table.
-///
-/// `traces[r]` and `phase_names[r]` are rank `r`'s trace and phase list.
-/// Rows are phases in first-appearance order across ranks; cells are
-/// `msgs/bytes`; a final column and row total per phase and per rank.
-pub fn render_wire_table(traces: &[Vec<TraceEvent>], phase_names: &[Vec<String>]) -> String {
-    let n = traces.len();
-    // ordered union of phase names with any traffic
-    let mut phases: Vec<String> = Vec::new();
-    let per_rank: Vec<Vec<(String, u64, u64)>> = traces
-        .iter()
-        .zip(phase_names)
-        .map(|(t, names)| wire_by_phase(t, names))
-        .collect();
-    for rows in &per_rank {
-        for (name, _, _) in rows {
-            if !phases.contains(name) {
-                phases.push(name.clone());
-            }
-        }
-    }
+/// Render the table's wire traffic as text: one row per phase that
+/// communicated (in table order), one `msgs/bytes` cell per rank, and a
+/// final column and row totalling per phase and per rank.
+pub fn render_wire_table(table: &PhaseTable) -> String {
+    let n = table.ranks();
+    let rows: Vec<_> = table.rows.iter().filter(|r| r.total().is_comm()).collect();
     let cell = |msgs: u64, bytes: u64| {
         if msgs == 0 && bytes == 0 {
             "-".to_string()
@@ -197,9 +129,9 @@ pub fn render_wire_table(traces: &[Vec<TraceEvent>], phase_names: &[Vec<String>]
             format!("{msgs} msg/{bytes} B")
         }
     };
-    let name_w = phases
+    let name_w = rows
         .iter()
-        .map(|p| p.len())
+        .map(|r| r.phase.len())
         .chain(["phase".len(), "total".len()])
         .max()
         .unwrap_or(5);
@@ -210,30 +142,23 @@ pub fn render_wire_table(traces: &[Vec<TraceEvent>], phase_names: &[Vec<String>]
     }
     out.push_str(&format!("  {:>16}\n", "total"));
     let mut rank_totals = vec![(0u64, 0u64); n];
-    for phase in &phases {
-        out.push_str(&format!("{phase:name_w$}"));
-        let (mut pm, mut pb) = (0u64, 0u64);
-        for (r, rows) in per_rank.iter().enumerate() {
-            let (m, b) = rows
-                .iter()
-                .find(|(name, _, _)| name == phase)
-                .map(|&(_, m, b)| (m, b))
-                .unwrap_or((0, 0));
-            pm += m;
-            pb += b;
-            rank_totals[r].0 += m;
-            rank_totals[r].1 += b;
-            out.push_str(&format!("  {:>16}", cell(m, b)));
+    for row in &rows {
+        out.push_str(&format!("{:name_w$}", row.phase));
+        for (c, total) in row.cells.iter().zip(&mut rank_totals) {
+            total.0 += c.msgs;
+            total.1 += c.bytes;
+            out.push_str(&format!("  {:>16}", cell(c.msgs, c.bytes)));
         }
-        out.push_str(&format!("  {:>16}\n", cell(pm, pb)));
+        let t = row.total();
+        out.push_str(&format!("  {:>16}\n", cell(t.msgs, t.bytes)));
     }
     out.push_str(&format!("{:name_w$}", "total"));
-    let (mut tm, mut tb) = (0u64, 0u64);
     for &(m, b) in &rank_totals {
-        tm += m;
-        tb += b;
         out.push_str(&format!("  {:>16}", cell(m, b)));
     }
+    let (tm, tb) = rank_totals
+        .iter()
+        .fold((0, 0), |(m, b), t| (m + t.0, b + t.1));
     out.push_str(&format!("  {:>16}\n", cell(tm, tb)));
     out
 }
@@ -302,6 +227,19 @@ pub fn render_timeline(traces: &[Vec<TraceEvent>], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::fold_traces;
+
+    /// The communicating rows of one rank's folded trace, as
+    /// `(phase, msgs, bytes)`.
+    fn wire_rows(trace: &[TraceEvent], names: &[String]) -> Vec<(String, u64, u64)> {
+        fold_traces(&[trace.to_vec()], &[names.to_vec()])
+            .rows
+            .iter()
+            .map(|r| (r.phase.clone(), r.total()))
+            .filter(|(_, t)| t.is_comm())
+            .map(|(phase, t)| (phase, t.msgs, t.bytes))
+            .collect()
+    }
 
     fn ev(kind: EventKind, start_ms: u64, end_ms: u64, elems: usize) -> TraceEvent {
         ev_in(kind, start_ms, end_ms, elems, 0)
@@ -327,11 +265,12 @@ mod tests {
             ev(EventKind::Recv, 2, 7, 10),
             ev(EventKind::Barrier, 9, 10, 0),
         ];
-        let (n, wait, elems) = summarize(&t);
-        assert_eq!(n, 3);
-        assert_eq!(wait, Duration::from_millis(6));
-        assert_eq!(elems, 20);
-        assert_eq!(wire_bytes(&t), 160);
+        let total = fold_traces(&[t], &[]).rank_total(0);
+        assert_eq!(total.events, 3);
+        assert_eq!(total.wait, Duration::from_millis(6));
+        assert_eq!(total.comm, Duration::ZERO, "sends are instantaneous");
+        assert_eq!(total.msgs, 2, "a barrier is not a message");
+        assert_eq!(total.bytes, 160);
     }
 
     #[test]
@@ -385,7 +324,7 @@ mod tests {
             ev_in(EventKind::Reduce, 3, 4, 1, 3),
             ev_in(EventKind::Barrier, 5, 6, 0, 3),
         ];
-        let rows = wire_by_phase(&trace, &names);
+        let rows = wire_rows(&trace, &names);
         assert_eq!(
             rows,
             vec![
@@ -405,7 +344,7 @@ mod tests {
             vec![ev_in(EventKind::Send, 0, 0, 8, 1)],
             vec![ev_in(EventKind::Recv, 0, 1, 8, 1)],
         ];
-        let s = render_wire_table(&traces, &names);
+        let s = render_wire_table(&fold_traces(&traces, &names));
         assert!(s.contains("sync_0"), "{s}");
         assert!(s.contains("1 msg/64 B"), "{s}");
         // grand total: 2 messages, 128 bytes
@@ -419,17 +358,16 @@ mod tests {
             ev(EventKind::Compute, 0, 40, 0),
             ev(EventKind::Recv, 40, 50, 4),
         ];
-        let (n, wait, elems) = summarize(&t);
-        assert_eq!(n, 2);
-        assert_eq!(wait, Duration::from_millis(10), "compute is not wait");
-        assert_eq!(elems, 4);
-        assert_eq!(t[0].span(), Duration::from_millis(40));
+        let total = fold_traces(std::slice::from_ref(&t), &[]).rank_total(0);
+        assert_eq!(total.events, 2);
+        assert_eq!(total.wait, Duration::from_millis(10), "compute is not wait");
+        assert_eq!(total.compute, Duration::from_millis(40));
         // compute never shows up in the wire table
         let names = vec!["main".to_string()];
-        let rows = wire_by_phase(&t, &names);
+        let rows = wire_rows(&t, &names);
         assert_eq!(rows, vec![("main".to_string(), 1, 32)]);
         let quiet = vec![ev(EventKind::Compute, 0, 40, 0)];
-        assert!(wire_by_phase(&quiet, &names).is_empty());
+        assert!(wire_rows(&quiet, &names).is_empty());
     }
 
     #[test]
@@ -438,11 +376,12 @@ mod tests {
             ev(EventKind::Overlap, 0, 30, 0),
             ev(EventKind::Recv, 30, 35, 4),
         ];
-        let (n, wait, _) = summarize(&t);
-        assert_eq!(n, 2);
-        assert_eq!(wait, Duration::from_millis(5), "overlap is not wait");
+        let total = fold_traces(std::slice::from_ref(&t), &[]).rank_total(0);
+        assert_eq!(total.events, 2);
+        assert_eq!(total.wait, Duration::from_millis(5), "overlap is not wait");
+        assert_eq!(total.overlap, Duration::from_millis(30));
         let names = vec!["main".to_string()];
-        assert_eq!(wire_by_phase(&t, &names), vec![("main".to_string(), 1, 32)]);
+        assert_eq!(wire_rows(&t, &names), vec![("main".to_string(), 1, 32)]);
         let s = render_timeline(&[t], 10);
         assert!(s.lines().next().unwrap().contains('O'), "{s}");
     }
@@ -500,7 +439,7 @@ rank 1 |CCCCCCCsBB|
             ],
             vec![ev_in(EventKind::Recv, 5, 6, 8, 1)],
         ];
-        let s = render_wire_table(&traces, &names);
+        let s = render_wire_table(&fold_traces(&traces, &names));
         let expect = "\
 phase             rank 0            rank 1             total
 sync_0        1 msg/64 B        1 msg/64 B       2 msg/128 B

@@ -137,7 +137,8 @@ impl Skeleton {
     }
 
     /// The statement owning list `key` (`None` for the unit body).
-    pub fn owner_of(&self, key: ListKey) -> Option<StmtId> {
+    #[cfg(test)]
+    fn owner_of(&self, key: ListKey) -> Option<StmtId> {
         self.lists[&key].owner
     }
 
@@ -148,18 +149,21 @@ impl Skeleton {
     }
 
     /// The gap just before statement `id`.
-    pub fn gap_before(&self, id: StmtId) -> GapPos {
+    #[cfg(test)]
+    fn gap_before(&self, id: StmtId) -> GapPos {
         let (list, idx) = self.list_of(id);
         GapPos { list, gap: idx }
     }
 
     /// Number of gaps in a list (= statements + 1).
-    pub fn gap_count(&self, key: ListKey) -> usize {
+    #[cfg(test)]
+    fn gap_count(&self, key: ListKey) -> usize {
         self.lists[&key].stmts.len() + 1
     }
 
     /// All arm keys of an `if` statement.
-    pub fn if_arms(&self, id: StmtId) -> Vec<ListKey> {
+    #[cfg(test)]
+    fn if_arms(&self, id: StmtId) -> Vec<ListKey> {
         let mut arms = Vec::new();
         if self.lists.contains_key(&ListKey::ThenArm(id)) {
             arms.push(ListKey::ThenArm(id));

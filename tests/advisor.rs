@@ -9,8 +9,7 @@ use autocfd::advisor;
 use autocfd::grid::{GridShape, PartitionSpec};
 use autocfd::obs;
 use autocfd::runtime::{
-    merge, merge_marker_aligned, phase_metrics, EventKind, JournalEvent, JournalHeader,
-    RankJournal, SCHEMA_VERSION,
+    merge, phase_metrics, EventKind, JournalEvent, JournalHeader, RankJournal, SCHEMA_VERSION,
 };
 use autocfd::{compile, CompileOptions};
 use autocfd_cfd_kernels::{sprayer_program, CaseParams};
@@ -101,7 +100,7 @@ fn skewed_journals() -> Vec<RankJournal> {
 #[test]
 fn skewed_partition_is_diagnosed_and_search_rebalances_it() {
     let journals = skewed_journals();
-    let merged = merge_marker_aligned(&journals);
+    let merged = merge(&journals);
     let diag = advisor::diagnose(&merged);
     assert_eq!(diag.ranks, 4);
     assert_eq!(diag.straggler, Some(3), "rank 3 does 4x the work");
@@ -117,9 +116,10 @@ fn skewed_partition_is_diagnosed_and_search_rebalances_it() {
     );
     // per-sync attribution: the halo phase carries the wait, not the step
     let sync = diag.phases.iter().find(|p| p.phase == "sync_v").unwrap();
-    assert!(sync.total_wait() > Duration::ZERO);
-    assert_eq!(sync.total_msgs(), 4);
-    assert_eq!(sync.total_bytes(), 4 * 100 * 8);
+    let sync = sync.total();
+    assert!(sync.wait > Duration::ZERO);
+    assert_eq!(sync.msgs, 4);
+    assert_eq!(sync.bytes, 4 * 100 * 8);
 
     let shape = GridShape::d2(300, 100);
     let rec = advisor::search(
@@ -154,16 +154,12 @@ fn skewed_partition_is_diagnosed_and_search_rebalances_it() {
 #[test]
 fn diagnosis_uses_marker_alignment_not_wall_clock_epochs() {
     let journals = skewed_journals();
-    let by_epoch = merge(&journals);
-    let aligned = merge_marker_aligned(&journals);
-    // Rank 1's 3 s clock skew inflates the epoch-merged makespan; the
-    // marker-aligned merge cancels it before any skew math runs.
-    let wall_epoch = advisor::diagnose(&by_epoch).wall;
-    let wall_aligned = advisor::diagnose(&aligned).wall;
-    assert!(
-        wall_epoch > Duration::from_secs(2),
-        "epoch merge should show the 3 s clock skew: {wall_epoch:?}"
-    );
+    // Rank 1's header epoch reads 3 s ahead of the others; trusting it
+    // would inflate the makespan by that much. The merge aligns at the
+    // first shared sync instead, before any skew math runs.
+    let skew = journals[1].header.epoch_unix_ns - journals[0].header.epoch_unix_ns;
+    assert!(skew >= 3_000_000_000, "fixture lost its clock skew: {skew}");
+    let wall_aligned = advisor::diagnose(&merge(&journals)).wall;
     assert!(
         wall_aligned < Duration::from_millis(100),
         "marker alignment should recover the ~43 ms true makespan: {wall_aligned:?}"
@@ -181,7 +177,7 @@ fn forecast_divergence_is_clean_on_real_trace_and_flags_a_doctored_one() {
         run.outcome.as_ref().unwrap();
         obs::write_rank_run(&dir, "inproc", rank, runs.len(), run).unwrap();
     }
-    let merged = obs::load_merged_aligned(&dir).unwrap();
+    let merged = obs::load_merged(&dir).unwrap();
     let fc = autocfd::interp::forecast(&c.parallel_file, &c.spmd_plan).unwrap();
 
     let clean = advisor::divergence(&fc, &phase_metrics(&merged), 0);
@@ -283,8 +279,9 @@ fn acfc_advise_writes_schema_versioned_advice_with_a_recommendation() {
 /// A minimal two-row trajectory file in the `perf_trajectory` schema.
 fn trajectory(wall_ms: f64) -> String {
     format!(
-        r#"{{"schema": 1, "bench": "perf_trajectory", "cases": [
-  {{"case": "aerofoil-small", "partition": "2x1x1", "ranks": 2, "compile_ms": 1.0,
+        r#"{{"schema": 2, "bench": "perf_trajectory", "cases": [
+  {{"case": "aerofoil-small", "partition": "2x1x1", "ranks": 2, "engine": "tree", "threads": 1,
+    "compile_ms": 1.0,
     "wall_ms": {wall_ms}, "comm_msgs": 100, "comm_elems": 5000, "comm_bytes": 40000,
     "barriers": 2, "reduces": 8, "syncs_before": 6, "syncs_after": 4}}
 ], "compile_cache": []}}"#

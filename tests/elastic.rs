@@ -335,10 +335,13 @@ fn schema1_snapshots_refuse_to_repartition() {
         .unwrap();
     let mut snaps = load_all_epochs(&dir).pop().unwrap();
     for s in &mut snaps {
-        s.parts.clear(); // what a schema-1 reader reconstructs
+        s.parts.clear(); // a caller-built snapshot without geometry
     }
     let target = compile(&src, &CompileOptions::with_partition(&[2, 1])).unwrap();
     let err = repartition(&snaps, &target.spmd_plan, &target.parallel_file).unwrap_err();
-    assert!(err.contains("schema 1"), "unexpected error: {err}");
+    assert!(
+        err.contains("no partition geometry"),
+        "unexpected error: {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -245,3 +245,127 @@ fn telemetry_run_spools_frames_over_tcp() {
     }
     assert!(obs::telemetry_failures(&rows, 0.5).is_empty());
 }
+
+/// One run, every tool: the per-rank column of `stats`
+/// (`rank_breakdown`), the per-phase rows of `stats` (`phase_metrics`),
+/// `advise`'s cells (`diagnose`), and the rank's last live frame (what
+/// `top` reads) must all report the same time and traffic, and the one
+/// imbalance figure must come out of all three tools alike.
+fn assert_tools_agree(src: &str, parts: &[u32], tcp: bool, tag: &str) {
+    use autocfd::runtime::{imbalance, phase_metrics, rank_breakdown, Cell};
+    let c = compile(src, &CompileOptions::with_partition(parts)).unwrap();
+    let n = c.spmd_plan.ranks() as usize;
+    let dir = scratch(tag);
+    obs::clean_trace_dir(&dir).unwrap();
+    let cfg = || {
+        c.run_config().overlap(true).telemetry(TelemetryConfig {
+            // a frame after every event, so the last one is the total
+            interval: Duration::ZERO,
+            spool_dir: Some(dir.clone()),
+            ..Default::default()
+        })
+    };
+    let (label, runs) = if tcp {
+        let runs = run_spmd_tcp(n, Duration::from_secs(60), |comm| {
+            cfg().run_rank_traced(&comm)
+        })
+        .expect("mesh setup");
+        ("tcp", runs)
+    } else {
+        ("inproc", cfg().run_parallel_traced())
+    };
+    for (rank, run) in runs.iter().enumerate() {
+        assert!(
+            run.outcome.is_ok(),
+            "rank {rank}: {:?}",
+            run.outcome.as_ref().err()
+        );
+        obs::write_rank_run(&dir, label, rank, n, run).unwrap();
+    }
+    let merged = obs::load_merged(&dir).unwrap();
+    let breakdown = rank_breakdown(&merged.traces);
+    let metrics = phase_metrics(&merged);
+    let diag = advisor::diagnose(&merged);
+    let frames = obs::scan_telemetry(&dir);
+    assert_eq!((breakdown.len(), frames.len(), diag.ranks), (n, n, n));
+    assert!(
+        diag.phases.iter().any(|p| !p.total().overlap.is_zero()),
+        "{tag}: overlap was on, so some phase must record overlap spans"
+    );
+
+    for rank in 0..n {
+        let cells: Cell = diag.phases.iter().map(|p| p.cells[rank]).sum();
+        // stats' rank column == advise's cells summed over phases
+        let b = &breakdown[rank];
+        assert_eq!(
+            (b.compute, b.comm, b.wait),
+            (cells.work(), cells.comm, cells.wait)
+        );
+        // the traffic every tool reports is what the trace holds
+        let count = |kind| merged.traces[rank].iter().filter(move |e| e.kind == kind);
+        let sends = count(EventKind::Send).count() as u64;
+        let msgs =
+            sends + (count(EventKind::Recv).count() + count(EventKind::Reduce).count()) as u64;
+        let bytes: u64 = merged.traces[rank].iter().map(|e| e.bytes as u64).sum();
+        assert_eq!((cells.msgs, cells.bytes), (msgs, bytes), "rank {rank}");
+        // the last live frame: same totals, truncated to whole µs
+        let f = &frames[rank].latest;
+        let events = merged.traces[rank].len() as u64;
+        for (what, frame_us, traced) in [
+            ("compute+overlap", f.compute_us + f.overlap_us, cells.work()),
+            ("comm", f.comm_us, cells.comm),
+            ("wait", f.wait_us, cells.wait),
+        ] {
+            let traced_us = traced.as_micros() as u64;
+            assert!(
+                frame_us <= traced_us && traced_us - frame_us <= events,
+                "{tag} rank {rank} {what}: frame {frame_us} µs vs trace {traced_us} µs"
+            );
+        }
+        let frame_sends: u64 = f.peers.iter().map(|p| p.msgs).sum();
+        let frame_bytes: u64 = f.peers.iter().map(|p| p.bytes).sum();
+        let sent_bytes: u64 = count(EventKind::Send).map(|e| e.bytes as u64).sum();
+        assert_eq!(
+            (frame_sends, frame_bytes),
+            (sends, sent_bytes),
+            "rank {rank}"
+        );
+    }
+    // stats' phase table and advise's diagnosis read the very same rows
+    assert_eq!(metrics, diag.phases);
+
+    // imbalance: stats' whole-run figure == advise's == the largest
+    // entry of top's per-rank column
+    let work: Vec<Duration> = breakdown.iter().map(|b| b.compute).collect();
+    assert_eq!(imbalance(&work), Some(diag.imbalance));
+    let top = std::process::Command::new(env!("CARGO_BIN_EXE_acfc"))
+        .args(["top", dir.to_str().unwrap(), "--once"])
+        .output()
+        .expect("acfc top runs");
+    assert!(top.status.success(), "{top:?}");
+    let screen = String::from_utf8(top.stdout).unwrap();
+    let column: Vec<f64> = screen
+        .lines()
+        .skip(2) // title line, column headings
+        .map(|l| l.split_whitespace().nth(3).unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(column.len(), n, "{screen}");
+    let top_max = column.iter().copied().fold(0.0, f64::max);
+    assert!(
+        (top_max - diag.imbalance).abs() <= 0.0051,
+        "{tag}: top prints {top_max:.2}, advise {:.4}\n{screen}",
+        diag.imbalance
+    );
+}
+
+#[test]
+fn stats_advise_and_top_report_the_same_numbers() {
+    use autocfd_cfd_kernels::{aerofoil_program, sprayer_program, CaseParams};
+    let sprayer = sprayer_program(&CaseParams::sprayer_small());
+    let aerofoil = aerofoil_program(&CaseParams::aerofoil_small());
+    for tcp in [false, true] {
+        let t = if tcp { "tcp" } else { "inproc" };
+        assert_tools_agree(&sprayer, &[2, 1], tcp, &format!("agree-sprayer-{t}"));
+        assert_tools_agree(&aerofoil, &[2, 1, 1], tcp, &format!("agree-aerofoil-{t}"));
+    }
+}
