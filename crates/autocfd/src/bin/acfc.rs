@@ -1,84 +1,7 @@
 //! `acfc` — the Auto-CFD pre-compiler command line.
 //!
 //! ```text
-//! acfc [run|trace] INPUT.f [options]
-//! acfc compile INPUT.f --server ADDR --partition AxB [-o plan.json] [--emit FILE]
-//! acfc plan INPUT.f [-o plan.json] [compile options]
-//! acfc resume DIR [--ranks M | --partition PxQ] [--transport inproc|tcp]
-//!                 [--engine E] [--threads T] [--server ADDR] [--trace-dir DIR]
-//!                 [--verify | --verify-exact] [--profile]
-//! acfc stats DIR [--input INPUT.f] [options]
-//! acfc advise DIR [--input INPUT.f] [-o advice.json] [compile options]
-//! acfc advise --gate CURRENT.json [--baseline FILE] [--wall-tolerance T] [--comm-tolerance T]
-//! acfc top DIR | --attach HOST:PORT [--once] [--interval MS] [--check]
-//!
-//!   --procs N            target processor count (partition chosen automatically)
-//!   --partition AxB[xC]  explicit processor grid (e.g. 3x2x1)
-//!   --no-optimize        skip the §5 synchronization optimizations
-//!   --emit FILE          write the generated parallel Fortran ('-' = stdout)
-//!   --report             print the synchronization-optimization report
-//!   --run                execute the parallel program on rank-threads
-//!   --verify             run sequential + parallel and compare owned regions
-//!   --overlap            hide eligible halo exchanges behind interior
-//!                        computation (nonblocking sync points)
-//!   --transport T        inproc (rank-threads, default) or tcp (one OS
-//!                        process per rank over localhost sockets)
-//!   --ranks N            shorthand for --procs N; with --transport tcp
-//!                        this is the worker-process count
-//!   --timeout-ms N       per-receive timeout (deadlock detection)
-//!   --trace-dir DIR      where `trace` writes the journal (default
-//!                        <INPUT stem>.trace/)
-//!   --tolerance T        max relative wire-byte error accepted by the
-//!                        predicted-vs-measured table (default 0.05)
-//!   --min-coverage C     min fraction of wall time the trace must cover
-//!                        per rank under --check (default 0.9)
-//!   --check              exit nonzero when the trace fails validation
-//!                        (incomplete journal, no phases, low coverage,
-//!                        model mismatch)
-//!   --input FILE         (stats) source file to forecast against, for
-//!                        the predicted-vs-measured table
-//!   --plan FILE          execute against a previously emitted plan JSON
-//!                        instead of the plan this compile produced
-//!   --checkpoint-every N snapshot every N-th checkpoint-safe sync visit
-//!                        (tcp transport; requires --checkpoint-dir)
-//!   --checkpoint-dir DIR where per-epoch snapshots and the relaunch
-//!                        manifest are written
-//!   --verify-exact       like --verify with a zero tolerance: the
-//!                        parallel fields must be bit-identical
-//!   --chaos-abort-after N fault injection: one worker hard-aborts at its
-//!                        N-th checkpoint-safe sync visit (chaos testing)
-//!   --elastic            (run, tcp + checkpointing) on a runtime failure,
-//!                        shrink the mesh by one rank and auto-resume from
-//!                        the newest consistent epoch, repeating until the
-//!                        relaunch succeeds or one rank remains
-//!   --apply              (advise) resume the checkpointed run named by
-//!                        --checkpoint-dir onto the advisor's top-ranked
-//!                        partition
-//!   -o FILE              (plan) where to write the plan JSON ('-' or
-//!                        absent = stdout)
-//!   --server ADDR        submit the compile (and run) to a resident
-//!                        `acfd-compile serve` daemon instead of running
-//!                        the pipeline locally; requires an explicit
-//!                        --partition AxB (the server never auto-picks)
-//!   --gate CURRENT.json  (advise) compare a freshly measured perf
-//!                        trajectory against the committed baseline and
-//!                        exit 5 on any regression beyond tolerance
-//!   --baseline FILE      (advise --gate) the baseline trajectory
-//!                        (default BENCH_perf_trajectory.json)
-//!   --wall-tolerance T   (advise --gate) allowed wall-time growth as a
-//!                        fraction (default 0.5 — wall time is noisy)
-//!   --comm-tolerance T   (advise --gate) allowed comm-volume growth
-//!                        (default 0.02 — traffic is deterministic)
-//!   --telemetry          publish live per-rank stat frames (spooled into
-//!                        the trace directory and piggybacked on the TCP
-//!                        heartbeat framing) for `acfc top`
-//!   --telemetry-ms N     telemetry publish interval (implies --telemetry;
-//!                        default 100 ms)
-//!   --attach ADDR        (top) watch a resident `acfd-compile serve`
-//!                        daemon — queue depth, cache hit rate, latencies
-//!   --once               (top) render one frame and exit (CI-scriptable
-//!                        with --check)
-//!   --interval MS        (top) refresh cadence (default 500 ms)
+#![doc = include_str!("acfc-usage.txt")]
 //! ```
 //!
 //! `acfc top DIR` is the live monitor: it polls the telemetry spool
@@ -86,8 +9,10 @@
 //! per-rank table in place — current phase, busy time, work over the
 //! mesh mean (its maximum is the imbalance `stats` and `advise` print),
 //! exposed-communication percentage, checkpoint epoch and lag, dropped
-//! frames, and liveness (age of the rank's last frame). It works against a live TCP run, an elastic run
-//! mid-shrink (vanished ranks go idle, survivors keep updating), and —
+//! frames, and liveness (age of the rank's last frame). It works
+//! against a live TCP run, an elastic run mid-shrink (vanished ranks go
+//! idle; survivors keep updating, because a recovery launch spools into
+//! the same `--trace-dir` as the launch it replaces), and —
 //! via `--attach ADDR` — a resident compile service. `--once --check`
 //! exits nonzero when telemetry is unhealthy (no frames, drop rate over
 //! threshold, coverage gap), so CI can assert on a live run.
@@ -146,28 +71,33 @@
 //! With `--transport tcp` the launcher binds a rendezvous socket, spawns
 //! one `acfd-worker` process per rank (found next to the `acfc`
 //! executable), serves the rank-assignment handshake, and aggregates the
-//! workers' exit statuses.
+//! workers' exit statuses. Either way a launch is one
+//! [`autocfd::cli::CommonOpts`] — what every launch option means is
+//! decided there, once, for every subcommand and both transports.
 //!
 //! Exit codes: 0 success, 1 usage or I/O error, 2 compile failure,
 //! 3 runtime/communication failure, 4 validation failure, 5 perf
 //! regression (see [`autocfd::Error::exit_code`]).
 
 use autocfd::advisor;
-use autocfd::cli::{CommonOpts, TransportKind};
+use autocfd::cli::{retarget, CommonOpts, TransportKind};
 use autocfd::compile_service::{
     Client, CompileReq, ErrorClass, Request, RunReq, ServiceError, StreamItem,
 };
-use autocfd::interp::{verify_owned_regions, CheckpointOpts};
+use autocfd::grid::PartitionSpec;
 use autocfd::obs;
 use autocfd::runtime::checkpoint::{self, RunManifest};
 use autocfd::runtime::journal;
 use autocfd::runtime_net::Rendezvous;
-use autocfd::{compile, Compiled, Error};
-use serde::json::Value;
+use autocfd::{Compiled, Error};
+use serde::json::{Fields, Value};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// The one usage text: `--help` prints it, the module header embeds it.
+const USAGE: &str = include_str!("acfc-usage.txt");
 
 #[derive(PartialEq, Clone, Copy)]
 enum Mode {
@@ -195,15 +125,12 @@ struct Args {
     /// Input source file — or the trace/checkpoint directory in
     /// `stats`/`resume` mode.
     input: String,
-    /// The flags shared by every subcommand and the worker.
+    /// The launch description: every flag a worker shares.
     common: CommonOpts,
     emit: Option<String>,
     report: bool,
     analysis: bool,
     run: bool,
-    verify: bool,
-    /// `--verify-exact`: verify with a zero tolerance.
-    verify_exact: bool,
     mode: Mode,
     tolerance: f64,
     min_coverage: f64,
@@ -238,190 +165,120 @@ struct Args {
     top_interval: Option<u64>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// `Ok(None)`: `--help` was asked for and answered.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = std::env::args().skip(1).peekable();
     let mut input = None;
-    let mut common = CommonOpts::new();
-    let mut emit = None;
-    let mut report = false;
-    let mut analysis = false;
-    let mut run = false;
-    let mut verify = false;
-    let mut verify_exact = false;
-    let mut mode = Mode::Compile;
-    let mut tolerance = 0.05;
-    let mut min_coverage = 0.9;
-    let mut check = false;
-    let mut stats_input = None;
-    let mut plan_out = None;
-    let mut server = None;
-    let mut gate = None;
-    let mut baseline = None;
-    let mut wall_tolerance = 0.5;
-    let mut comm_tolerance = 0.02;
-    let mut elastic = false;
-    let mut apply = false;
-    let mut attach = None;
-    let mut once = false;
-    let mut top_interval = None;
+    let mut a = Args {
+        input: String::new(),
+        common: CommonOpts::new(),
+        emit: None,
+        report: false,
+        analysis: false,
+        run: false,
+        mode: Mode::Compile,
+        tolerance: 0.05,
+        min_coverage: 0.9,
+        check: false,
+        stats_input: None,
+        plan_out: None,
+        server: None,
+        gate: None,
+        baseline: None,
+        wall_tolerance: 0.5,
+        comm_tolerance: 0.02,
+        elastic: false,
+        apply: false,
+        attach: None,
+        once: false,
+        top_interval: None,
+    };
     // `acfc run INPUT.f ...` is sugar for `acfc INPUT.f --run ...`;
     // `trace` and `stats` select the observability modes, `plan` emits
     // the plan artifact, `resume` relaunches a checkpointed run,
     // `compile` submits a compile-only request to `--server`
-    match args.peek().map(String::as_str) {
-        Some("run") => {
-            args.next();
-            run = true;
-        }
-        Some("trace") => {
-            args.next();
-            mode = Mode::Trace;
-        }
-        Some("stats") => {
-            args.next();
-            mode = Mode::Stats;
-        }
-        Some("plan") => {
-            args.next();
-            mode = Mode::Plan;
-        }
-        Some("resume") => {
-            args.next();
-            mode = Mode::Resume;
-        }
-        Some("compile") => {
-            args.next();
-            mode = Mode::RemoteCompile;
-        }
-        Some("advise") => {
-            args.next();
-            mode = Mode::Advise;
-        }
-        Some("top") => {
-            args.next();
-            mode = Mode::Top;
-        }
-        _ => {}
+    let sub = match args.peek().map(String::as_str) {
+        Some("run") => Some(Mode::Compile),
+        Some("trace") => Some(Mode::Trace),
+        Some("stats") => Some(Mode::Stats),
+        Some("plan") => Some(Mode::Plan),
+        Some("resume") => Some(Mode::Resume),
+        Some("compile") => Some(Mode::RemoteCompile),
+        Some("advise") => Some(Mode::Advise),
+        Some("top") => Some(Mode::Top),
+        _ => None,
+    };
+    if let Some(mode) = sub {
+        a.run = args.next().as_deref() == Some("run");
+        a.mode = mode;
     }
-    while let Some(a) = args.next() {
-        if common.accept(&a, &mut args)? {
-            continue;
-        }
-        match a.as_str() {
-            "--emit" => emit = Some(args.next().ok_or("--emit needs a path or -")?),
-            "--tolerance" => {
-                let v = args.next().ok_or("--tolerance needs a value like 0.05")?;
-                tolerance = v.parse().map_err(|_| format!("bad tolerance `{v}`"))?;
-            }
-            "--min-coverage" => {
-                let v = args.next().ok_or("--min-coverage needs a value like 0.9")?;
-                min_coverage = v.parse().map_err(|_| format!("bad coverage `{v}`"))?;
-            }
-            "--check" => check = true,
-            "--server" => server = Some(args.next().ok_or("--server needs HOST:PORT")?),
-            "--gate" => gate = Some(args.next().ok_or("--gate needs a trajectory JSON path")?),
-            "--baseline" => baseline = Some(args.next().ok_or("--baseline needs a path")?),
-            "--wall-tolerance" => {
-                let v = args
-                    .next()
-                    .ok_or("--wall-tolerance needs a value like 0.5")?;
-                wall_tolerance = v.parse().map_err(|_| format!("bad tolerance `{v}`"))?;
-            }
-            "--comm-tolerance" => {
-                let v = args
-                    .next()
-                    .ok_or("--comm-tolerance needs a value like 0.02")?;
-                comm_tolerance = v.parse().map_err(|_| format!("bad tolerance `{v}`"))?;
-            }
-            "--input" => stats_input = Some(args.next().ok_or("--input needs a path")?),
-            "--elastic" => elastic = true,
-            "--apply" => apply = true,
-            "--attach" => attach = Some(args.next().ok_or("--attach needs HOST:PORT")?),
-            "--once" => once = true,
+    while let Some(arg) = args.next() {
+        let mut value = |needs: &str| args.next().ok_or(format!("{arg} needs {needs}"));
+        let num = |v: String, what: &str| v.parse().map_err(|_| format!("bad {what} `{v}`"));
+        match arg.as_str() {
+            "--emit" => a.emit = Some(value("a path or -")?),
+            "--tolerance" => a.tolerance = num(value("a value like 0.05")?, "tolerance")?,
+            "--min-coverage" => a.min_coverage = num(value("a value like 0.9")?, "coverage")?,
+            "--check" => a.check = true,
+            "--server" => a.server = Some(value("HOST:PORT")?),
+            "--gate" => a.gate = Some(value("a trajectory JSON path")?),
+            "--baseline" => a.baseline = Some(value("a path")?),
+            "--wall-tolerance" => a.wall_tolerance = num(value("a value like 0.5")?, "tolerance")?,
+            "--comm-tolerance" => a.comm_tolerance = num(value("a value like 0.02")?, "tolerance")?,
+            "--input" => a.stats_input = Some(value("a path")?),
+            "--elastic" => a.elastic = true,
+            "--apply" => a.apply = true,
+            "--attach" => a.attach = Some(value("HOST:PORT")?),
+            "--once" => a.once = true,
             "--interval" => {
-                let v = args.next().ok_or("--interval needs milliseconds")?;
-                top_interval = Some(v.parse().map_err(|_| format!("bad interval `{v}`"))?);
+                let v = value("milliseconds")?;
+                a.top_interval = Some(v.parse().map_err(|_| format!("bad interval `{v}`"))?);
             }
-            "--report" => report = true,
-            "--analysis" => analysis = true,
-            "--run" => run = true,
-            "--verify" => verify = true,
-            "--verify-exact" => {
-                verify = true;
-                verify_exact = true;
-            }
-            "-o" | "--output" => plan_out = Some(args.next().ok_or("-o needs a path or -")?),
+            "--report" => a.report = true,
+            "--analysis" => a.analysis = true,
+            "--run" => a.run = true,
+            "-o" | "--output" => a.plan_out = Some(value("a path or -")?),
             "--help" | "-h" => {
-                return Err(
-                    "usage: acfc [run|trace] INPUT.f [--procs N | --partition AxB[xC]] \
-                            [--distance D] [--no-optimize] [--emit FILE|-] [--report] \
-                            [--analysis] [--profile] [--run] [--verify] [--verify-exact] \
-                            [--overlap] [--transport inproc|tcp] [--ranks N] \
-                            [--timeout-ms N] [--trace-dir DIR] [--tolerance T] [--check] \
-                            [--plan FILE] [--checkpoint-every N] [--checkpoint-dir DIR] \
-                            [--server HOST:PORT] [--elastic]\n\
-                     or:    acfc compile INPUT.f --server HOST:PORT --partition AxB[xC] \
-                            [-o plan.json] [--emit FILE|-]\n\
-                     or:    acfc plan INPUT.f [-o plan.json] [compile options]\n\
-                     or:    acfc resume DIR [--ranks M | --partition PxQ] \
-                            [--transport inproc|tcp] [--engine E] [--threads T] \
-                            [--server HOST:PORT] [--trace-dir DIR] \
-                            [--verify | --verify-exact] [--profile]\n\
-                     or:    acfc stats DIR [--input INPUT.f] [--tolerance T] \
-                            [--min-coverage C] [--check] [compile options]\n\
-                     or:    acfc advise DIR [--input INPUT.f] [-o advice.json] \
-                            [--apply --checkpoint-dir DIR] [compile options]\n\
-                     or:    acfc advise --gate CURRENT.json [--baseline FILE] \
-                            [--wall-tolerance T] [--comm-tolerance T]\n\
-                     or:    acfc top DIR | --attach HOST:PORT [--once] \
-                            [--interval MS] [--check]"
-                        .into(),
-                )
+                print!("{USAGE}");
+                return Ok(None);
             }
-            other if input.is_none() && !other.starts_with('-') => input = Some(a),
+            // the launcher→worker half of the description is not the
+            // user's to set
+            "--journal" | "--resume-epoch" | "--connect" => {
+                return Err(format!("unknown argument `{arg}` (try --help)"))
+            }
+            _ if a.common.accept(&arg, &mut args)? => {}
+            other if input.is_none() && !other.starts_with('-') => input = Some(arg),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    common.finish();
-    // `advise --gate FILE` works on trajectory files alone — no trace
-    // directory (positional input) required.
-    let input = match input {
+    a.common.finish()?;
+    a.input = match input {
         Some(i) => i,
-        None if mode == Mode::Advise && gate.is_some() => String::new(),
+        // `advise --gate FILE` works on trajectory files alone, and
         // `top --attach ADDR` watches a service — no directory needed
-        None if mode == Mode::Top && attach.is_some() => String::new(),
+        None if a.mode == Mode::Advise && a.gate.is_some() => String::new(),
+        None if a.mode == Mode::Top && a.attach.is_some() => String::new(),
         None => return Err("no input file (try --help)".into()),
     };
-    Ok(Args {
-        input,
-        common,
-        emit,
-        report,
-        analysis,
-        run,
-        verify,
-        verify_exact,
-        mode,
-        tolerance,
-        min_coverage,
-        check,
-        stats_input,
-        plan_out,
-        server,
-        gate,
-        baseline,
-        wall_tolerance,
-        comm_tolerance,
-        elastic,
-        apply,
-        attach,
-        once,
-        top_interval,
-    })
+    Ok(Some(a))
 }
 
 fn runtime_err(msg: String) -> Error {
     Error::Runtime(autocfd::interp::RunError::new(msg))
+}
+
+fn read_file(path: &str) -> Result<String, Error> {
+    std::fs::read_to_string(path).map_err(|e| Error::Usage(format!("cannot read `{path}`: {e}")))
+}
+
+/// Write `text` to `path`, or to stdout when `path` is `-`.
+fn write_out(path: &str, text: &str) -> Result<(), Error> {
+    if path == "-" {
+        print!("{text}");
+        return Ok(());
+    }
+    std::fs::write(path, text).map_err(|e| Error::Usage(format!("cannot write `{path}`: {e}")))
 }
 
 /// Locate the `acfd-worker` binary next to this executable.
@@ -440,13 +297,16 @@ fn worker_binary() -> Result<PathBuf, Error> {
 
 /// Launch `n` `acfd-worker` processes against a rendezvous socket,
 /// stream their output through, and aggregate exit statuses;
-/// `extra_args(i)` supplies each spawned worker's argument list beyond
-/// `--connect ADDR` (workers are numbered by spawn order — *ranks* are
-/// assigned by arrival at the rendezvous). A worker exiting with the
+/// `argv(i, rendezvous)` supplies each spawned worker's argument list
+/// (workers are numbered by spawn order — *ranks* are assigned by
+/// arrival at the rendezvous). A worker exiting with the
 /// validation code makes the whole launch a validation failure;
 /// anything else — including a chaos-aborted worker — is a runtime
 /// failure.
-fn launch_workers(n: usize, extra_args: impl Fn(usize) -> Vec<String>) -> Result<(), Error> {
+fn launch_workers(
+    n: usize,
+    argv: impl Fn(usize, std::net::SocketAddr) -> Vec<String>,
+) -> Result<(), Error> {
     let worker = worker_binary()?;
     let rendezvous = Rendezvous::bind(n, Duration::from_secs(30))
         .map_err(|e| runtime_err(format!("cannot bind rendezvous socket: {e}")))?;
@@ -457,9 +317,7 @@ fn launch_workers(n: usize, extra_args: impl Fn(usize) -> Vec<String>) -> Result
     let mut children = Vec::with_capacity(n);
     for i in 0..n {
         let mut cmd = std::process::Command::new(&worker);
-        cmd.args(extra_args(i))
-            .arg("--connect")
-            .arg(addr.to_string());
+        cmd.args(argv(i, addr));
         match cmd.spawn() {
             Ok(child) => children.push(child),
             Err(e) => {
@@ -501,379 +359,105 @@ fn launch_workers(n: usize, extra_args: impl Fn(usize) -> Vec<String>) -> Result
     }
 }
 
-/// The dependence-distance limit a compile actually used (option >
-/// directive > default), recorded in the relaunch manifest so `acfc
-/// resume` recompiles the identical program.
-fn effective_distance(args: &Args, compiled: &Compiled) -> u64 {
-    args.common
-        .compile
-        .distance
-        .or(compiled.ir.directives.distance.map(u64::from))
-        .unwrap_or(1)
-}
-
-/// Launch a multi-process run: one `acfd-worker` per rank. With
-/// checkpointing on, first write the relaunch manifest (and the source
-/// it embeds) into the checkpoint directory so `acfc resume DIR` can
-/// reconstruct the identical compile. A `--chaos-abort-after` request
-/// is injected into exactly one spawned worker.
-fn run_tcp(args: &Args, compiled: &Compiled, journal: Option<&Path>) -> Result<(), Error> {
-    let n = compiled.spmd_plan.ranks() as usize;
-    let ckpt = args.common.checkpointing().map_err(runtime_err)?;
-    if let Some((every, dir)) = &ckpt {
-        let source = std::fs::read_to_string(&args.input)
-            .map_err(|e| runtime_err(format!("cannot re-read `{}`: {e}", args.input)))?;
-        let manifest = RunManifest {
-            source,
-            parts: compiled.partition.spec.parts.clone(),
-            grid: compiled.partition.shape.extents.clone(),
-            ranks: n,
-            distance: effective_distance(args, compiled) as i64,
-            optimize: args.common.compile.optimize,
-            overlap: args.common.overlap,
-            checkpoint_every: *every,
-            timeout_ms: args
-                .common
-                .timeout_ms
-                .unwrap_or(Duration::from_secs(30).as_millis() as u64),
-            engine: args.common.compile.engine.name().into(),
-            threads: args.common.compile.threads.into(),
-        };
-        checkpoint::write_manifest(Path::new(dir), &manifest)
-            .map_err(|e| runtime_err(format!("cannot write relaunch manifest: {e}")))?;
+/// Launch the mesh `d` describes: rank-threads in this process, or one
+/// `acfd-worker` per rank handed `d` itself as its argument list. A
+/// fresh checkpointed launch first records how to relaunch itself; a
+/// `--chaos-abort-after` request goes to exactly one spawned worker.
+fn launch(d: &CommonOpts, input: &str, compiled: &Compiled) -> Result<(), Error> {
+    if d.transport == TransportKind::Inproc {
+        return d.run_mesh(compiled);
     }
-
+    if d.resume_epoch.is_none() && d.checkpointing().is_some() {
+        let source = std::fs::read_to_string(input)
+            .map_err(|e| runtime_err(format!("cannot re-read `{input}`: {e}")))?;
+        d.write_manifest(compiled, source)?;
+    }
     // every worker re-compiles with the *resolved* partition so all
     // processes hold the identical plan, however the shape was chosen
-    let partition_arg = compiled
-        .partition
-        .spec
-        .parts
-        .iter()
-        .map(u32::to_string)
-        .collect::<Vec<_>>()
-        .join("x");
-    launch_workers(n, |i| {
-        let mut a = vec![
-            args.input.clone(),
-            "--partition".into(),
-            partition_arg.clone(),
-        ];
-        a.extend(args.common.worker_args());
-        if args.verify_exact {
-            a.push("--verify-exact".into());
-        } else if args.verify {
-            a.push("--verify".into());
-        }
-        if let Some(dir) = journal {
-            a.push("--journal".into());
-            a.push(dir.to_string_lossy().into_owned());
-        }
-        if i == 0 {
-            if let Some(v) = args.common.chaos_abort_after {
-                a.push("--chaos-abort-after".into());
-                a.push(v.to_string());
-            }
-        }
-        a
+    let mut d = d.clone();
+    d.compile.partition = Some(compiled.partition.spec.parts.clone());
+    let chaos = d.chaos_abort_after.take();
+    launch_workers(compiled.spmd_plan.ranks() as usize, |i, rendezvous| {
+        let worker = CommonOpts {
+            connect: Some(rendezvous),
+            chaos_abort_after: chaos.filter(|_| i == 0),
+            ..d.clone()
+        };
+        std::iter::once(input.to_string())
+            .chain(worker.worker_args())
+            .collect()
     })
 }
 
-/// Relaunch a worker mesh from the checkpoint directory `dir`, resuming
-/// the pinned `epoch` under the geometry and execution knobs `manifest`
-/// records (the manifest must already be rewritten to the *target*
-/// geometry — workers infer an elastic move by comparing it to the
-/// epoch's snapshots). `plan_file` substitutes a server-compiled plan
-/// artifact for each worker's local compile.
-fn launch_resumed(
-    dir: &Path,
-    manifest: &RunManifest,
-    epoch: u64,
-    args: &Args,
-    journal_dir: Option<&Path>,
-    plan_file: Option<&Path>,
-) -> Result<(), Error> {
-    // workers re-read the source from disk; hand them the manifest's
-    // embedded copy, which is the authority even if the original file
-    // changed since the checkpointed launch
-    let source_path = dir.join("source.f");
-    std::fs::write(&source_path, &manifest.source)
-        .map_err(|e| runtime_err(format!("cannot write `{}`: {e}", source_path.display())))?;
-    let engine = autocfd::codegen::EnginePref::parse(&manifest.engine).unwrap_or_default();
-    let partition_arg = manifest
-        .parts
-        .iter()
-        .map(u32::to_string)
-        .collect::<Vec<_>>()
-        .join("x");
-    launch_workers(manifest.ranks, |_| {
-        let mut a = vec![
-            source_path.to_string_lossy().into_owned(),
-            "--partition".into(),
-            partition_arg.clone(),
-            "--distance".into(),
-            manifest.distance.to_string(),
-            "--timeout-ms".into(),
-            manifest.timeout_ms.to_string(),
-            "--checkpoint-every".into(),
-            manifest.checkpoint_every.to_string(),
-            "--checkpoint-dir".into(),
-            dir.to_string_lossy().into_owned(),
-            "--resume-epoch".into(),
-            epoch.to_string(),
-        ];
-        if !manifest.optimize {
-            a.push("--no-optimize".into());
-        }
-        if engine != autocfd::codegen::EnginePref::Tree {
-            a.push("--engine".into());
-            a.push(engine.name().into());
-        }
-        if manifest.threads > 1 {
-            a.push("--threads".into());
-            a.push(manifest.threads.to_string());
-        }
-        if manifest.overlap {
-            a.push("--overlap".into());
-        }
-        if let Some(p) = plan_file {
-            a.push("--plan".into());
-            a.push(p.to_string_lossy().into_owned());
-        }
-        if args.verify_exact {
-            a.push("--verify-exact".into());
-        } else if args.verify {
-            a.push("--verify".into());
-        }
-        if args.common.profile {
-            a.push("--profile".into());
-        }
-        if let Some(d) = journal_dir {
-            a.push("--journal".into());
-            a.push(d.to_string_lossy().into_owned());
-        }
-        a
-    })
+/// Launch `d`, the overlay of a checkpoint directory's manifest, from
+/// the copy of the embedded source [`retarget`] left in `dir`.
+fn relaunch(d: &CommonOpts, dir: &Path, compiled: &Compiled) -> Result<(), Error> {
+    launch(d, &dir.join("source.f").to_string_lossy(), compiled)
 }
 
-/// `--server ADDR` on a resume: recompile the plan for the (possibly
-/// new) geometry on the resident daemon — the content-addressed cache
-/// makes a repeat resume a cache hit — and stash the artifact in the
-/// checkpoint directory for the workers' `--plan`.
-fn fetch_remote_plan(addr: &str, manifest: &RunManifest, dir: &Path) -> Result<PathBuf, ExitCode> {
-    let req = CompileReq {
-        source: manifest.source.clone(),
-        parts: manifest.parts.iter().map(|&p| p as usize).collect(),
-        distance: Some(manifest.distance as usize),
-        optimize: manifest.optimize,
-        engine: autocfd::codegen::EnginePref::parse(&manifest.engine).unwrap_or_default(),
-        threads: manifest.threads.min(u64::from(u32::MAX)) as u32,
+/// The best partition of the manifest's recorded grid for `ranks` ranks;
+/// `None` when the manifest records no grid to partition.
+fn partition_for(manifest: &RunManifest, ranks: u32) -> Option<PartitionSpec> {
+    let shape = autocfd::grid::GridShape {
+        extents: manifest.grid.clone(),
     };
-    let mut client = Client::connect(addr).map_err(|e| remote_exit(&e))?;
-    let resp = client
-        .request(&Request::Compile(req), &mut |_| {})
-        .map_err(|e| remote_exit(&e))?;
-    eprintln!("acfc: server recompile: {}", remote_verdict(&resp));
-    let plan = resp.get("plan").and_then(Value::as_str).unwrap_or("");
-    let path = dir.join("plan.json");
-    if let Err(e) = std::fs::write(&path, plan) {
-        eprintln!("acfc: cannot write `{}`: {e}", path.display());
-        return Err(ExitCode::FAILURE);
-    }
-    Ok(path)
-}
-
-/// `acfc resume --transport inproc`: resume the epoch on rank-threads
-/// in this process through
-/// [`autocfd::interp::RunConfig::resume_from`] instead of spawning
-/// workers — checkpointing continues into the same directory.
-fn resume_inproc(
-    args: &Args,
-    dir: &Path,
-    manifest: &RunManifest,
-    epoch: u64,
-    compiled: &Compiled,
-    journal_dir: Option<&Path>,
-) -> ExitCode {
-    let ckpt = CheckpointOpts {
-        every: manifest.checkpoint_every,
-        dir: dir.to_path_buf(),
-        chaos_abort_after: None,
-    };
-    let runs = compiled
-        .run_config()
-        .overlap(manifest.overlap)
-        .checkpoint(ckpt)
-        .resume_from(dir)
-        .resume_epoch(epoch)
-        .run_parallel_traced();
-    if let Ok((m, _)) = &runs[0].outcome {
-        for line in &m.output {
-            println!("{line}");
-        }
-    }
-    let mut results = Vec::new();
-    let mut failed: Option<Error> = None;
-    for (rank, run) in runs.into_iter().enumerate() {
-        if let Some(d) = journal_dir {
-            if let Err(e) = obs::write_rank_run(d, "inproc", rank, manifest.ranks, &run) {
-                eprintln!("acfc: cannot write journal for rank {rank}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if args.common.profile {
-            let ws = &run.wire_stats;
-            eprintln!(
-                "acfc: rank {rank}: wire {} msg / {} B sent, {} msg / {} B recvd",
-                ws.msgs_sent, ws.bytes_sent, ws.msgs_recvd, ws.bytes_recvd
-            );
-        }
-        match run.outcome {
-            Ok((machine, frame)) => results.push(autocfd::interp::RankResult {
-                machine,
-                frame,
-                comm_stats: run.comm_stats,
-                wire_stats: run.wire_stats,
-                phases: run.phases,
-                trace: run.trace,
-            }),
-            Err(e) => {
-                eprintln!("acfc: rank {rank}: {e}");
-                failed = Some(Error::Runtime(e));
-            }
-        }
-    }
-    if let Some(e) = failed {
-        return exit_with(&e);
-    }
-    if args.verify {
-        let seq = match compiled.run_sequential(vec![]) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("acfc: sequential reference run: {e}");
-                return exit_with(&Error::Runtime(e));
-            }
-        };
-        let tol = if args.verify_exact { 0.0 } else { 1e-12 };
-        match verify_owned_regions(&seq, &results, &compiled.spmd_plan, tol) {
-            Ok(d) => eprintln!("acfc: verified — max |seq - par| = {d:e}"),
-            Err(e) => {
-                eprintln!("acfc: VERIFICATION FAILED: {e}");
-                return exit_with(&Error::Validation(e));
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `acfc resume DIR`: reload the relaunch manifest, recompile the
-/// embedded source (statement ids are minted deterministically, so the
-/// saved cursors stay valid), find the newest epoch with a complete
-/// consistent snapshot set — torn or partial epochs are skipped — and
-/// relaunch the mesh from it. `--ranks M` / `--partition PxQ` resume
-/// elastically onto a different geometry: the epoch's N-rank snapshots
-/// are regathered and re-scattered by the resuming ranks, and the
-/// manifest is rewritten to the new geometry *before* launch so the
-/// checkpoint directory's future epochs stay self-consistent.
-fn run_resume(args: &Args) -> ExitCode {
-    let dir = PathBuf::from(&args.input);
-    let mut manifest = match checkpoint::load_manifest(&dir) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("acfc: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Target geometry: explicit --partition beats --ranks (auto-chosen
-    // over the manifest's recorded grid) beats the recorded partition.
-    let target_parts: Vec<u32> = if let Some(p) = &args.common.compile.partition {
-        p.clone()
-    } else if let Some(m) = args.common.ranks.filter(|&m| m as usize != manifest.ranks) {
-        if manifest.grid.is_empty() {
-            let e = Error::Validation(format!(
-                "manifest predates grid-geometry recording; pass an explicit \
-                 --partition to resume on {m} ranks"
-            ));
-            eprintln!("acfc: {e}");
-            return exit_with(&e);
-        }
-        let shape = autocfd::grid::GridShape {
-            extents: manifest.grid.clone(),
-        };
-        autocfd::grid::choose_partition(&shape, m, manifest.distance as u64)
+    let distance = manifest.distance as u64;
+    (!shape.extents.is_empty()).then(|| {
+        autocfd::grid::choose_partition(&shape, ranks, distance)
             .0
             .spec
-            .parts
+    })
+}
+
+/// `acfc resume DIR`: reload the relaunch manifest, find the newest
+/// epoch with a complete consistent snapshot set — torn or partial
+/// epochs are skipped — and relaunch the mesh from it. `--ranks M` /
+/// `--partition PxQ` resume elastically onto a different geometry: the
+/// epoch's N-rank snapshots are regathered and re-scattered by the
+/// resuming ranks.
+fn run_resume(args: &Args) -> Result<(), Error> {
+    let dir = Path::new(&args.input);
+    let cli = &args.common;
+    let mut manifest = checkpoint::load_manifest(dir).map_err(Error::Usage)?;
+    // Target geometry: explicit --partition beats --ranks (auto-chosen
+    // over the manifest's recorded grid) beats the recorded partition.
+    let parts: Vec<u32> = if let Some(p) = &cli.compile.partition {
+        p.clone()
+    } else if let Some(m) = cli.ranks.filter(|&m| m as usize != manifest.ranks) {
+        let spec = partition_for(&manifest, m).ok_or_else(|| {
+            Error::Validation(format!(
+                "manifest records no grid extents; pass an explicit --partition to \
+                 resume on {m} ranks"
+            ))
+        })?;
+        spec.parts
     } else {
         manifest.parts.clone()
     };
+    let n: u32 = parts.iter().product();
+    if let Some(m) = cli.ranks.filter(|&m| m != n) {
+        return Err(Error::Usage(format!(
+            "--ranks {m} conflicts with partition ({n} subtasks)"
+        )));
+    }
     // Execution-knob overrides: a non-default CLI flag beats the
     // manifest; everything else resumes exactly as launched.
-    if args.common.compile.engine != autocfd::codegen::EnginePref::Tree {
-        manifest.engine = args.common.compile.engine.name().into();
+    if cli.compile.engine != autocfd::codegen::EnginePref::Tree {
+        manifest.engine = cli.compile.engine.name().into();
     }
-    if args.common.compile.threads != 1 {
-        manifest.threads = args.common.compile.threads.into();
+    if cli.compile.threads != 1 {
+        manifest.threads = cli.compile.threads.into();
     }
-    if let Some(ms) = args.common.timeout_ms {
+    if let Some(ms) = cli.timeout_ms {
         manifest.timeout_ms = ms;
     }
-    if args.common.overlap {
-        manifest.overlap = true;
-    }
-    let engine = match autocfd::codegen::EnginePref::parse(&manifest.engine) {
-        Some(e) => e,
-        None => {
-            eprintln!("acfc: manifest names unknown engine `{}`", manifest.engine);
-            return exit_with(&Error::Validation("manifest engine unknown".into()));
-        }
-    };
-    let opts = autocfd::CompileOptions {
-        partition: Some(target_parts.clone()),
-        distance: Some(manifest.distance as u64),
-        optimize: manifest.optimize,
-        engine,
-        threads: manifest.threads.min(u64::from(u32::MAX)) as u32,
-        ..Default::default()
-    };
-    let compiled = match compile(&manifest.source, &opts) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("acfc: manifest source no longer compiles: {e}");
-            return exit_with(&Error::Compile(e));
-        }
-    };
-    let n = compiled.spmd_plan.ranks() as usize;
-    if let Some(m) = args.common.ranks {
-        if m as usize != n {
-            eprintln!("acfc: --ranks {m} conflicts with partition ({n} subtasks)");
-            return ExitCode::FAILURE;
-        }
-    }
-    // Pick the epoch before committing the target geometry below, so a
-    // failure here leaves the manifest untouched.
-    let epoch = match checkpoint::latest_consistent_epoch(&dir) {
-        Some(e) => e,
-        None => {
-            let err = runtime_err(format!(
-                "no consistent checkpoint epoch under `{}` (need all rank snapshots \
-                 of one epoch to parse and agree)",
-                dir.display()
-            ));
-            eprintln!("acfc: {err}");
-            return exit_with(&err);
-        }
-    };
-    if target_parts != manifest.parts || n != manifest.ranks {
+    manifest.overlap |= cli.overlap;
+    let (old_parts, old_ranks) = (manifest.parts.clone(), manifest.ranks);
+    let (manifest, epoch, mut compiled) = retarget(dir, manifest, parts)?;
+    if (&old_parts, old_ranks) != (&manifest.parts, manifest.ranks) {
         eprintln!(
-            "acfc: elastic resume: repartitioning {} ({} rank(s)) -> {} ({n} rank(s))",
-            manifest
-                .parts
-                .iter()
-                .map(u32::to_string)
-                .collect::<Vec<_>>()
-                .join("x"),
-            manifest.ranks,
+            "acfc: elastic resume: repartitioning {} ({old_ranks} rank(s)) -> {} ({n} rank(s))",
+            PartitionSpec::new(&old_parts).display(),
             compiled.partition.spec.display(),
         );
     }
@@ -881,67 +465,29 @@ fn run_resume(args: &Args) -> ExitCode {
         "acfc: resuming from checkpoint epoch {epoch} in {}",
         dir.display()
     );
-    // Commit the target geometry: workers launched below — and any
-    // later resume — read this manifest. Epochs recorded under the old
-    // geometry stay loadable via their pinned epoch number, but no
-    // longer count as "latest".
-    manifest.parts = target_parts;
-    manifest.ranks = n;
-    manifest.grid = compiled.partition.shape.extents.clone();
-    if let Err(e) = checkpoint::write_manifest(&dir, &manifest) {
-        eprintln!("acfc: cannot rewrite relaunch manifest: {e}");
-        return ExitCode::FAILURE;
-    }
+    let mut d = cli.overlay(dir, &manifest, epoch)?;
     // `--trace-dir` journals the resumed run, so `acfc stats --check`
     // can validate a post-recovery execution like any other
-    let journal_dir = args.common.trace_dir.clone().map(PathBuf::from);
-    if let Some(d) = &journal_dir {
-        if let Err(e) = obs::clean_trace_dir(d) {
-            eprintln!("acfc: cannot clean `{}`: {e}", d.display());
-            return ExitCode::FAILURE;
-        }
+    if let Some(t) = &d.trace_dir {
+        obs::clean_trace_dir(Path::new(t))
+            .map_err(|e| Error::Usage(format!("cannot clean `{t}`: {e}")))?;
+        d.journal = Some(t.clone());
     }
-    // Leave the authoritative source next to the manifest on every
-    // path (the TCP relaunch rewrites it for its workers): post-resume
-    // tooling — `acfc stats DIR --input ck/source.f` — reads it, and
-    // the original `.f` may have changed or vanished since the launch.
-    let source_path = dir.join("source.f");
-    if let Err(e) = std::fs::write(&source_path, &manifest.source) {
-        eprintln!("acfc: cannot write `{}`: {e}", source_path.display());
-        return ExitCode::FAILURE;
+    // `--server ADDR`: recompile the plan for the (possibly new)
+    // geometry on the resident daemon — the content-addressed cache
+    // makes a repeat resume a cache hit — and stash the artifact in the
+    // checkpoint directory for the workers' `--plan`.
+    if let Some(addr) = &args.server {
+        let req = remote_request(&d.compile, &manifest.source)?;
+        let resp = Client::connect(addr)?.request(&Request::Compile(req), &mut |_| {})?;
+        eprintln!("acfc: server recompile: {}", remote_verdict(&resp));
+        let path = dir.join("plan.json").to_string_lossy().into_owned();
+        write_out(&path, &response_text(&resp, "plan")?)?;
+        autocfd::planio::substitute_plan_file(&mut compiled, &path)?;
+        d.plan = Some(path);
+        d.transport = TransportKind::Tcp;
     }
-    if args.common.transport == TransportKind::Inproc && args.server.is_none() {
-        return resume_inproc(
-            args,
-            &dir,
-            &manifest,
-            epoch,
-            &compiled,
-            journal_dir.as_deref(),
-        );
-    }
-    let plan_file = match args.server.as_deref() {
-        Some(addr) => match fetch_remote_plan(addr, &manifest, &dir) {
-            Ok(p) => Some(p),
-            Err(code) => return code,
-        },
-        None => None,
-    };
-    let result = launch_resumed(
-        &dir,
-        &manifest,
-        epoch,
-        args,
-        journal_dir.as_deref(),
-        plan_file.as_deref(),
-    );
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("acfc: {e}");
-            exit_with(&e)
-        }
-    }
+    relaunch(&d, dir, &compiled)
 }
 
 /// `acfc run --elastic`: after a runtime-class failure of a
@@ -949,121 +495,86 @@ fn run_resume(args: &Args) -> ExitCode {
 /// declared dead by the heartbeat liveness check), shrink the mesh by
 /// one rank, re-partition the recorded grid for the survivors, and
 /// resume from the newest consistent epoch — repeating until a relaunch
-/// succeeds or one rank remains. Chaos injection is never re-applied to
-/// a recovery launch.
-fn elastic_recover(args: &Args, first_err: Error) -> Result<(), Error> {
-    if !matches!(first_err, Error::Runtime(_) | Error::Comm(_)) {
-        return Err(first_err); // only failed peers are recoverable
-    }
-    let Some((_, ckdir)) = args.common.checkpointing().map_err(runtime_err)? else {
-        return Err(first_err);
+/// succeeds or one rank remains.
+fn elastic_recover(args: &Args, mut err: Error) -> Result<(), Error> {
+    let Some((_, ckdir)) = args.common.checkpointing() else {
+        return Err(err);
     };
-    let dir = PathBuf::from(ckdir);
-    let mut err = first_err;
-    loop {
-        let mut manifest = match checkpoint::load_manifest(&dir) {
-            Ok(m) => m,
-            Err(_) => return Err(err),
+    let dir = Path::new(ckdir);
+    // only failed peers are recoverable
+    while matches!(err, Error::Runtime(_) | Error::Comm(_)) {
+        let Ok(manifest) = checkpoint::load_manifest(dir) else {
+            break;
+        };
+        let (was, survivors) = (manifest.ranks, manifest.ranks.saturating_sub(1));
+        if survivors == 0 {
+            break;
+        }
+        let Some(spec) = partition_for(&manifest, survivors as u32) else {
+            break;
         };
         // each epoch is judged in its own geometry — the cut the
         // snapshots were actually written under
-        let Some(epoch) = checkpoint::latest_consistent_epoch(&dir) else {
-            return Err(err);
+        let Ok((manifest, epoch, compiled)) = retarget(dir, manifest, spec.parts.clone()) else {
+            break;
         };
-        let survivors = manifest.ranks.saturating_sub(1);
-        if survivors == 0 || manifest.grid.is_empty() {
-            return Err(err);
-        }
-        let shape = autocfd::grid::GridShape {
-            extents: manifest.grid.clone(),
-        };
-        let (part, _) =
-            autocfd::grid::choose_partition(&shape, survivors as u32, manifest.distance as u64);
         eprintln!(
-            "acfc: elastic: mesh failed ({err}); shrinking {} -> {survivors} rank(s) \
+            "acfc: elastic: mesh failed ({err}); shrinking {was} -> {survivors} rank(s) \
              (partition {}), resuming epoch {epoch}",
-            manifest.ranks,
-            part.spec.display()
+            spec.display(),
         );
-        manifest.parts = part.spec.parts.clone();
-        manifest.ranks = survivors;
-        checkpoint::write_manifest(&dir, &manifest)
-            .map_err(|e| runtime_err(format!("cannot rewrite relaunch manifest: {e}")))?;
-        match launch_resumed(&dir, &manifest, epoch, args, None, None) {
+        let d = args.common.overlay(dir, &manifest, epoch)?;
+        match relaunch(&d, dir, &compiled) {
             Ok(()) => {
                 eprintln!("acfc: elastic: recovered on {survivors} rank(s)");
                 return Ok(());
             }
-            e @ Err(Error::Runtime(_)) | e @ Err(Error::Comm(_)) => {
-                err = e.unwrap_err(); // shrink further
-            }
-            Err(e) => return Err(e),
+            Err(e) => err = e, // a failed peer again: shrink further
         }
     }
+    Err(err)
 }
 
-/// `acfc plan INPUT.f -o plan.json`: emit the compiled SpmdPlan as
-/// schema-versioned JSON (stdout when `-o` is `-` or absent).
-fn run_plan(args: &Args, compiled: &Compiled) -> ExitCode {
-    let text = autocfd::planio::plan_to_json(&compiled.spmd_plan);
-    match args.plan_out.as_deref() {
+/// Emit a plan artifact: stdout when `out` is `-` or absent.
+fn write_plan(out: Option<&str>, text: &str) -> Result<(), Error> {
+    match out {
         None | Some("-") => println!("{text}"),
         Some(path) => {
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("acfc: cannot write `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
+            write_out(path, text)?;
             eprintln!("acfc: plan written to {path}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The directory `trace` mode journals into: `--trace-dir`, or
 /// `<INPUT stem>.trace/` next to the source.
-fn trace_dir_of(args: &Args) -> PathBuf {
-    args.common
-        .trace_dir
-        .clone()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            let stem = Path::new(&args.input)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("acfc");
-            PathBuf::from(format!("{stem}.trace"))
-        })
-}
-
-/// Map a service error onto the local exit-code conventions: bad
-/// request 1, compile failure 2, server-side runtime failure 3.
-fn remote_exit(e: &ServiceError) -> ExitCode {
-    eprintln!("acfc: server: {e}");
-    ExitCode::from(match e.class {
-        ErrorClass::BadRequest => 1,
-        ErrorClass::Compile => 2,
-        ErrorClass::Internal => 3,
+fn trace_dir_of(args: &Args) -> String {
+    args.common.trace_dir.clone().unwrap_or_else(|| {
+        let stem = Path::new(&args.input)
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .unwrap_or("acfc");
+        format!("{stem}.trace")
     })
 }
 
 /// The compile request `--server` submits. The server never auto-picks
 /// a partition (choosing one takes the frontend it is trying to skip),
 /// so an explicit `--partition` is mandatory here.
-fn remote_request(args: &Args, source: &str) -> Result<CompileReq, String> {
-    let parts = args
-        .common
-        .compile
+fn remote_request(opts: &autocfd::CompileOptions, source: &str) -> Result<CompileReq, Error> {
+    let parts = opts
         .partition
         .as_ref()
         .filter(|p| !p.is_empty())
-        .ok_or("--server needs an explicit --partition AxB[xC]")?;
+        .ok_or_else(|| Error::Usage("--server needs an explicit --partition AxB[xC]".into()))?;
     Ok(CompileReq {
         source: source.into(),
         parts: parts.iter().map(|&p| p as usize).collect(),
-        distance: args.common.compile.distance.map(|d| d as usize),
-        optimize: args.common.compile.optimize,
-        engine: args.common.compile.engine,
-        threads: args.common.compile.threads,
+        distance: opts.distance.map(|d| d as usize),
+        optimize: opts.optimize,
+        engine: opts.engine,
+        threads: opts.threads,
     })
 }
 
@@ -1078,73 +589,52 @@ fn remote_verdict(resp: &Value) -> String {
     format!("cache {cache}, plan {digest}, compile {ms:.1} ms")
 }
 
+/// A text field of a server response that is about to be written to
+/// disk: a response without it is the server's failure, not an empty
+/// file for four workers to trip over later.
+fn response_text(resp: &Value, field: &str) -> Result<String, Error> {
+    Fields::new(resp, "server response")
+        .str(field)
+        .map_err(|e| ServiceError::new(ErrorClass::Internal, e).into())
+}
+
 /// `--server ADDR`: submit the source to a resident `acfd-compile`
 /// daemon instead of compiling locally. `acfc compile` stops after the
 /// (possibly cached) compile; `acfc run`/`acfc trace` execute on the
 /// server and stream the per-rank journals back, so the trace report —
 /// and `acfc stats` afterwards — work unchanged on remote runs.
-fn run_remote(args: &Args, source: &str, addr: &str) -> ExitCode {
-    let req = match remote_request(args, source) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("acfc: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => return remote_exit(&e),
-    };
+fn run_remote(args: &Args, source: &str, addr: &str) -> Result<(), Error> {
+    let req = remote_request(&args.common.compile, source)?;
+    let mut client = Client::connect(addr)?;
 
     if args.mode == Mode::RemoteCompile {
-        let resp = match client.request(&Request::Compile(req), &mut |_| {}) {
-            Ok(v) => v,
-            Err(e) => return remote_exit(&e),
-        };
+        let resp = client.request(&Request::Compile(req), &mut |_| {})?;
         eprintln!("acfc: server compile: {}", remote_verdict(&resp));
-        if let Some(path) = args.plan_out.as_deref() {
-            let plan = resp.get("plan").and_then(Value::as_str).unwrap_or("");
-            if path == "-" {
-                println!("{plan}");
-            } else if let Err(e) = std::fs::write(path, plan) {
-                eprintln!("acfc: cannot write `{path}`: {e}");
-                return ExitCode::FAILURE;
-            } else {
-                eprintln!("acfc: plan written to {path}");
-            }
+        if args.plan_out.is_some() {
+            write_plan(args.plan_out.as_deref(), &response_text(&resp, "plan")?)?;
         }
         if let Some(path) = args.emit.as_deref() {
-            let out = resp
-                .get("parallel_source")
-                .and_then(Value::as_str)
-                .unwrap_or("");
-            if path == "-" {
-                print!("{out}");
-            } else if let Err(e) = std::fs::write(path, out) {
-                eprintln!("acfc: cannot write `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
+            write_out(path, &response_text(&resp, "parallel_source")?)?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     // run / trace: the server's per-rank journals stream back into a
     // local trace directory, arrival order, one file per rank
     let dir: Option<PathBuf> = if args.mode == Mode::Trace {
-        Some(trace_dir_of(args))
+        Some(trace_dir_of(args).into())
     } else {
         args.common.trace_dir.clone().map(PathBuf::from)
     };
     if let Some(d) = &dir {
-        if let Err(e) = obs::clean_trace_dir(d).and_then(|()| std::fs::create_dir_all(d)) {
-            eprintln!("acfc: cannot prepare `{}`: {e}", d.display());
-            return ExitCode::FAILURE;
-        }
+        obs::clean_trace_dir(d)
+            .and_then(|()| std::fs::create_dir_all(d))
+            .map_err(|e| Error::Usage(format!("cannot prepare `{}`: {e}", d.display())))?;
     }
     let run = Request::Run(RunReq {
         compile: req,
         overlap: args.common.overlap,
-        verify: args.verify,
+        verify: args.common.verify.is_some(),
     });
     let mut files: std::collections::HashMap<usize, std::fs::File> = Default::default();
     let mut stream_err: Option<String> = None;
@@ -1172,14 +662,9 @@ fn run_remote(args: &Args, source: &str, addr: &str) -> ExitCode {
                 stream_err = Some(format!("rank {rank}: {e}"));
             }
         }
-    });
-    let resp = match resp {
-        Ok(v) => v,
-        Err(e) => return remote_exit(&e),
-    };
+    })?;
     if let Some(e) = stream_err {
-        eprintln!("acfc: cannot write streamed journal: {e}");
-        return ExitCode::FAILURE;
+        return Err(Error::Usage(format!("cannot write streamed journal: {e}")));
     }
     let ranks = resp.get("ranks").and_then(Value::as_int).unwrap_or(0);
     eprintln!(
@@ -1190,41 +675,12 @@ fn run_remote(args: &Args, source: &str, addr: &str) -> ExitCode {
         let d = resp.get("max_diff").and_then(Value::as_f64).unwrap_or(0.0);
         eprintln!("acfc: verified (server) — max |seq - par| = {d:e}");
     }
-    if args.mode != Mode::Trace {
-        return ExitCode::SUCCESS;
+    match dir {
+        // the forecast table needs a local compile, so for a remote
+        // trace it stays with `acfc stats DIR --input INPUT.f`
+        Some(dir) if args.mode == Mode::Trace => trace_report(args, &dir, None, Ok(())),
+        _ => Ok(()),
     }
-    // trace: render the report from the streamed journals, exactly as a
-    // local `acfc trace` would (the forecast table needs a local
-    // compile, so it stays with `acfc stats DIR --input INPUT.f`)
-    let dir = dir.expect("trace mode always journals");
-    let merged = match obs::load_merged(&dir) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("acfc: cannot load trace dir `{}`: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(w) = obs::skipped_warning(&merged) {
-        eprintln!("acfc: {w}");
-    }
-    let chrome = autocfd::runtime::chrome_trace(&merged);
-    if let Err(e) = std::fs::write(dir.join("trace.json"), chrome) {
-        eprintln!("acfc: cannot write trace.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprint!("{}", obs::render_report(&merged));
-    eprintln!(
-        "acfc: trace written to {} (open trace.json in ui.perfetto.dev)",
-        dir.display()
-    );
-    if args.check {
-        let failures = check_failures(&merged, None, args.min_coverage);
-        if !failures.is_empty() {
-            return check_exit(&failures);
-        }
-        eprintln!("acfc: trace checks passed");
-    }
-    ExitCode::SUCCESS
 }
 
 /// Validate a merged trace: complete journals, at least one
@@ -1267,30 +723,84 @@ fn check_failures(
     failures
 }
 
-/// Report trace-check failures and return the validation exit code.
-fn check_exit(failures: &[String]) -> ExitCode {
-    for f in failures {
+/// `--check`: report the failures and turn them into the validation
+/// exit.
+fn check(args: &Args, what: &str, failures: Vec<String>) -> Result<(), Error> {
+    if !args.check {
+        return Ok(());
+    }
+    for f in &failures {
         eprintln!("acfc: CHECK FAILED: {f}");
     }
-    exit_with(&Error::Validation("trace checks failed".into()))
+    if !failures.is_empty() {
+        return Err(Error::Validation(format!("{what} checks failed")));
+    }
+    eprintln!("acfc: {what} checks passed");
+    Ok(())
 }
 
-/// The process exit code for a categorized error.
-fn exit_with(e: &Error) -> ExitCode {
-    ExitCode::from(e.exit_code())
+/// The tail of every `trace`: export `trace.json` and render the report
+/// from the journals in `dir` — with the predicted-vs-measured table
+/// when there is a local compile to forecast from — then the run's
+/// `outcome`, then `--check`. Whatever the journals captured is
+/// rendered also on failure, so a deadlock or crash still yields a
+/// partial timeline to debug with.
+fn trace_report(
+    args: &Args,
+    dir: &Path,
+    compiled: Option<&Compiled>,
+    outcome: Result<(), Error>,
+) -> Result<(), Error> {
+    let merged = match obs::load_merged(dir) {
+        Ok(m) => m,
+        Err(e) => {
+            let load = format!("cannot load trace dir `{}`: {e}", dir.display());
+            let Err(run) = outcome else {
+                return Err(Error::Usage(load));
+            };
+            eprintln!("acfc: {load}");
+            return Err(run);
+        }
+    };
+    if let Some(w) = obs::skipped_warning(&merged) {
+        eprintln!("acfc: {w}");
+    }
+    let chrome = autocfd::runtime::chrome_trace(&merged);
+    std::fs::write(dir.join("trace.json"), chrome)
+        .map_err(|e| Error::Usage(format!("cannot write trace.json: {e}")))?;
+    eprint!("{}", obs::render_report(&merged));
+    let checks = compiled.and_then(|c| {
+        obs::cross_validate(c, &merged, args.tolerance)
+            .inspect(|checks| eprint!("{}", obs::render_cross_validation(checks)))
+            .inspect_err(|e| eprintln!("acfc: cross-validation: {e}"))
+            .ok()
+    });
+    eprintln!(
+        "acfc: trace written to {} (open trace.json in ui.perfetto.dev)",
+        dir.display()
+    );
+    outcome?;
+    let failures = check_failures(&merged, checks.as_deref(), args.min_coverage);
+    check(args, "trace", failures)
+}
+
+/// Compile `--input` for the forecast-backed halves of `stats` and
+/// `advise`.
+fn compile_input(args: &Args) -> Result<Option<Compiled>, Error> {
+    let Some(path) = &args.stats_input else {
+        return Ok(None);
+    };
+    Ok(Some(autocfd::compile(
+        &read_file(path)?,
+        &args.common.compile,
+    )?))
 }
 
 /// `acfc stats DIR`: re-render a trace directory; with `--input`, also
 /// cross-validate against the forecast for that source.
-fn run_stats(args: &Args) -> ExitCode {
+fn run_stats(args: &Args) -> Result<(), Error> {
     let dir = Path::new(&args.input);
-    let merged = match obs::load_merged(dir) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("acfc: cannot load trace dir `{}`: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let merged = load_trace_dir(dir)?;
     eprint!("{}", obs::render_report(&merged));
     if let Some(w) = obs::skipped_warning(&merged) {
         eprintln!("acfc: {w}");
@@ -1306,67 +816,39 @@ fn run_stats(args: &Args) -> ExitCode {
         );
     }
     let mut checks = None;
-    if let Some(src_path) = &args.stats_input {
-        let source = match std::fs::read_to_string(src_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("acfc: cannot read `{src_path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let compiled = match compile(&source, &args.common.compile) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("acfc: {e}");
-                return exit_with(&Error::Compile(e));
-            }
-        };
-        match obs::cross_validate(&compiled, &merged, args.tolerance) {
-            Ok(c) => {
-                eprint!("{}", obs::render_cross_validation(&c));
-                checks = Some(c);
-            }
-            Err(e) => {
-                eprintln!("acfc: cross-validation: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(compiled) = compile_input(args)? {
+        let c = obs::cross_validate(&compiled, &merged, args.tolerance)
+            .map_err(|e| Error::Usage(format!("cross-validation: {e}")))?;
+        eprint!("{}", obs::render_cross_validation(&c));
+        checks = Some(c);
     }
-    if args.check {
-        let mut failures = check_failures(&merged, checks.as_deref(), args.min_coverage);
-        failures.extend(obs::telemetry_failures(
-            &telemetry,
-            TELEMETRY_DROP_THRESHOLD,
-        ));
-        if !failures.is_empty() {
-            return check_exit(&failures);
-        }
-        eprintln!("acfc: trace checks passed");
-    }
-    ExitCode::SUCCESS
+    let mut failures = check_failures(&merged, checks.as_deref(), args.min_coverage);
+    failures.extend(obs::telemetry_failures(
+        &telemetry,
+        TELEMETRY_DROP_THRESHOLD,
+    ));
+    check(args, "trace", failures)
+}
+
+fn load_trace_dir(dir: &Path) -> Result<autocfd::runtime::MergedTrace, Error> {
+    obs::load_merged(dir)
+        .map_err(|e| Error::Usage(format!("cannot load trace dir `{}`: {e}", dir.display())))
 }
 
 /// `acfc advise --gate CURRENT.json`: compare a freshly measured perf
 /// trajectory against the committed baseline; any wall-time or
 /// comm-volume regression beyond tolerance exits with the distinct
 /// perf-regression code (5).
-fn run_gate(args: &Args, current_path: &str) -> ExitCode {
+fn run_gate(args: &Args, current_path: &str) -> Result<(), Error> {
     let baseline_path = args
         .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_perf_trajectory.json".into());
-    let read = |path: &str| -> Result<Vec<advisor::TrajectoryRow>, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        advisor::parse_trajectory(&text).map_err(|e| format!("`{path}`: {e}"))
+        .as_deref()
+        .unwrap_or("BENCH_perf_trajectory.json");
+    let read = |path: &str| {
+        advisor::parse_trajectory(&read_file(path)?)
+            .map_err(|e| Error::Usage(format!("`{path}`: {e}")))
     };
-    let (current, baseline) = match (read(current_path), read(&baseline_path)) {
-        (Ok(c), Ok(b)) => (c, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("acfc: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (current, baseline) = (read(current_path)?, read(baseline_path)?);
     let cfg = advisor::GateConfig {
         wall_tolerance: args.wall_tolerance,
         comm_tolerance: args.comm_tolerance,
@@ -1377,14 +859,13 @@ fn run_gate(args: &Args, current_path: &str) -> ExitCode {
         advisor::render_gate(&regressions, baseline.len(), &cfg)
     );
     if regressions.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        exit_with(&Error::PerfRegression(format!(
-            "{} of {} trajectory rows regressed vs `{baseline_path}`",
-            regressions.len(),
-            baseline.len()
-        )))
+        return Ok(());
     }
+    Err(Error::PerfRegression(format!(
+        "{} of {} trajectory rows regressed vs `{baseline_path}`",
+        regressions.len(),
+        baseline.len()
+    )))
 }
 
 /// `acfc advise DIR`: mine a trace directory for load imbalance and
@@ -1392,22 +873,17 @@ fn run_gate(args: &Args, current_path: &str) -> ExitCode {
 /// divergence and search candidate partitions through `cluster-sim`.
 /// Writes the schema-versioned `advice.json` next to the journals (or
 /// to `-o`).
-fn run_advise(args: &Args) -> ExitCode {
+fn run_advise(args: &Args) -> Result<(), Error> {
     if let Some(current) = &args.gate {
         return run_gate(args, current);
     }
     if args.input.is_empty() {
-        eprintln!("acfc: advise needs a trace directory or --gate FILE (try --help)");
-        return ExitCode::FAILURE;
+        return Err(Error::Usage(
+            "advise needs a trace directory or --gate FILE (try --help)".into(),
+        ));
     }
     let dir = Path::new(&args.input);
-    let merged = match obs::load_merged(dir) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("acfc: cannot load trace dir `{}`: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let merged = load_trace_dir(dir)?;
     if let Some(w) = obs::skipped_warning(&merged) {
         eprintln!("acfc: {w}");
     }
@@ -1417,56 +893,32 @@ fn run_advise(args: &Args) -> ExitCode {
         recommendation: None,
         tolerance: args.tolerance,
     };
-    if let Some(src_path) = &args.stats_input {
-        let source = match std::fs::read_to_string(src_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("acfc: cannot read `{src_path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let compiled = match compile(&source, &args.common.compile) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("acfc: {e}");
-                return exit_with(&Error::Compile(e));
-            }
-        };
+    if let Some(compiled) = compile_input(args)? {
         if compiled.spmd_plan.ranks() as usize != advice.diagnosis.ranks {
-            let e = Error::Validation(format!(
-                "journal has {} ranks but `{src_path}` compiles to {} (pass the partition the \
+            return Err(Error::Validation(format!(
+                "journal has {} ranks but `{}` compiles to {} (pass the partition the \
                  trace ran on)",
                 advice.diagnosis.ranks,
+                args.stats_input.as_deref().unwrap_or_default(),
                 compiled.spmd_plan.ranks()
-            ));
-            eprintln!("acfc: {e}");
-            return exit_with(&e);
+            )));
         }
-        let fc = match autocfd::interp::forecast(&compiled.parallel_file, &compiled.spmd_plan) {
-            Ok(fc) => fc,
-            Err(e) => {
-                eprintln!("acfc: forecast: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let fc = autocfd::interp::forecast(&compiled.parallel_file, &compiled.spmd_plan)
+            .map_err(|e| Error::Usage(format!("forecast: {e}")))?;
         let metrics = autocfd::runtime::phase_metrics(&merged);
         advice.divergence = Some(advisor::divergence(
             &fc,
             &metrics,
             obs::frame_header_bytes(&merged.transport),
         ));
-        match advisor::search(
+        let rec = advisor::search(
             &advice.diagnosis,
             &compiled.partition.shape,
             &compiled.partition.spec,
             &advisor::SearchConfig::default(),
-        ) {
-            Ok(rec) => advice.recommendation = Some(rec),
-            Err(e) => {
-                eprintln!("acfc: partition search: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        )
+        .map_err(|e| Error::Usage(format!("partition search: {e}")))?;
+        advice.recommendation = Some(rec);
     } else {
         eprintln!(
             "acfc: no --input source: diagnosis only (no forecast divergence or partition search)"
@@ -1477,83 +929,49 @@ fn run_advise(args: &Args) -> ExitCode {
     match args.plan_out.as_deref() {
         Some("-") => print!("{json}"),
         out => {
-            let path = out
-                .map(PathBuf::from)
-                .unwrap_or_else(|| dir.join("advice.json"));
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("acfc: cannot write `{}`: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("acfc: advice written to {}", path.display());
+            let default = dir.join("advice.json").to_string_lossy().into_owned();
+            let path = out.unwrap_or(&default);
+            write_out(path, &json)?;
+            eprintln!("acfc: advice written to {path}");
         }
     }
     if args.apply {
         return apply_advice(args, &advice);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `acfc advise --apply`: rewrite the checkpointed run's relaunch
-/// manifest to the advisor's top-ranked partition and elastically
-/// resume it from the newest consistent epoch — the trace-driven
-/// closing of the loop: measure, diagnose, repartition, continue.
-fn apply_advice(args: &Args, advice: &advisor::Advice) -> ExitCode {
-    let Some(rec) = &advice.recommendation else {
-        eprintln!("acfc: --apply needs a partition search (pass --input INPUT.f)");
-        return ExitCode::FAILURE;
+/// `acfc advise --apply`: retarget the checkpointed run to the
+/// advisor's top-ranked partition and elastically resume it from the
+/// newest consistent epoch — the trace-driven closing of the loop:
+/// measure, diagnose, repartition, continue.
+fn apply_advice(args: &Args, advice: &advisor::Advice) -> Result<(), Error> {
+    let rec = advice.recommendation.as_ref().ok_or_else(|| {
+        Error::Usage("--apply needs a partition search (pass --input INPUT.f)".into())
+    })?;
+    let Some((_, ckdir)) = args.common.checkpointing() else {
+        return Err(Error::Usage(
+            "--apply needs --checkpoint-dir DIR (the checkpointed run to resume)".into(),
+        ));
     };
-    let Some(ckdir) = &args.common.checkpoint_dir else {
-        eprintln!("acfc: --apply needs --checkpoint-dir DIR (the checkpointed run to resume)");
-        return ExitCode::FAILURE;
-    };
-    let dir = PathBuf::from(ckdir);
-    let mut manifest = match checkpoint::load_manifest(&dir) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("acfc: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let dir = Path::new(ckdir);
+    let manifest = checkpoint::load_manifest(dir).map_err(Error::Usage)?;
     let best = rec.best();
-    let best_disp = best
-        .parts
-        .iter()
-        .map(u32::to_string)
-        .collect::<Vec<_>>()
-        .join("x");
+    let best_disp = PartitionSpec::new(&best.parts).display();
     if best.parts == manifest.parts {
         eprintln!("acfc: advised partition {best_disp} is already in use; nothing to apply");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    // judged against the manifest still on disk — the geometry the
-    // snapshots were cut under
-    let Some(epoch) = checkpoint::latest_consistent_epoch(&dir) else {
-        let e = runtime_err(format!(
-            "no consistent checkpoint epoch under `{}` to apply the advice to",
-            dir.display()
-        ));
-        eprintln!("acfc: {e}");
-        return exit_with(&e);
-    };
-    let ranks: usize = best.parts.iter().map(|&p| p as usize).product();
+    let (manifest, epoch, compiled) = retarget(dir, manifest, best.parts.clone())?;
     eprintln!(
         "acfc: applying advised partition {best_disp}: resuming epoch {epoch} on \
-         {ranks} rank(s) (predicted wall {:+.1}%)",
-        best.wall_delta_pct
+         {} rank(s) (predicted wall {:+.1}%)",
+        manifest.ranks, best.wall_delta_pct
     );
-    manifest.parts = best.parts.clone();
-    manifest.ranks = ranks;
-    if let Err(e) = checkpoint::write_manifest(&dir, &manifest) {
-        eprintln!("acfc: cannot rewrite relaunch manifest: {e}");
-        return ExitCode::FAILURE;
-    }
-    match launch_resumed(&dir, &manifest, epoch, args, None, None) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("acfc: {e}");
-            exit_with(&e)
-        }
-    }
+    let mut d = args.common.overlay(dir, &manifest, epoch)?;
+    // the checkpointed run was a worker mesh; it is relaunched as one
+    d.transport = TransportKind::Tcp;
+    relaunch(&d, dir, &compiled)
 }
 
 /// The dropped-frame fraction above which `top --check` and
@@ -1676,7 +1094,7 @@ fn render_top_attach(addr: &str) -> Result<String, String> {
 /// with `--attach`) every `--interval` until interrupted; `--once`
 /// renders a single frame, and with `--check` exits nonzero when the
 /// telemetry plane is unhealthy.
-fn run_top(args: &Args) -> ExitCode {
+fn run_top(args: &Args) -> Result<(), Error> {
     let interval = Duration::from_millis(args.top_interval.unwrap_or(500));
     loop {
         let (screen, failures) = match args.attach.as_deref() {
@@ -1696,184 +1114,31 @@ fn run_top(args: &Args) -> ExitCode {
         print!("{screen}");
         let _ = std::io::stdout().flush();
         if args.once {
-            if args.check && !failures.is_empty() {
-                for f in &failures {
-                    eprintln!("acfc: CHECK FAILED: {f}");
-                }
-                return exit_with(&Error::Validation("telemetry checks failed".into()));
+            if !args.check || failures.is_empty() {
+                return Ok(());
             }
-            return ExitCode::SUCCESS;
+            return check(args, "telemetry", failures);
         }
         std::thread::sleep(interval);
     }
 }
 
 /// `acfc trace INPUT.f`: run with journaling, export `trace.json`, and
-/// render the report plus the predicted-vs-measured table. Renders the
-/// partial trace even when ranks fail.
-fn run_trace(args: &Args, compiled: &Compiled) -> ExitCode {
+/// render the report plus the predicted-vs-measured table.
+fn run_trace(args: &Args, compiled: &Compiled) -> Result<(), Error> {
     let dir = trace_dir_of(args);
-    if let Err(e) = obs::clean_trace_dir(&dir) {
-        eprintln!("acfc: cannot clean `{}`: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let mut run_error: Option<Error> = None;
-    if args.common.transport == TransportKind::Tcp {
-        if let Err(e) = run_tcp(args, compiled, Some(&dir)) {
-            run_error = Some(e);
-        }
-    } else {
-        let mut cfg = compiled.run_config().overlap(args.common.overlap);
-        if let Some(interval) = args.common.telemetry_interval() {
-            cfg = cfg.telemetry(autocfd::runtime::TelemetryConfig {
-                interval,
-                spool_dir: Some(dir.clone()),
-                ..Default::default()
-            });
-        }
-        let runs = cfg.run_parallel_traced();
-        if let Ok((m, _)) = &runs[0].outcome {
-            for line in &m.output {
-                println!("{line}");
-            }
-        }
-        for (rank, run) in runs.iter().enumerate() {
-            if let Err(e) = obs::write_rank_run(&dir, "inproc", rank, runs.len(), run) {
-                eprintln!("acfc: cannot write journal for rank {rank}: {e}");
-                return ExitCode::FAILURE;
-            }
-            if let Err(e) = &run.outcome {
-                run_error = Some(Error::Runtime(e.clone()));
-            }
-        }
-    }
-    // render whatever the journals captured — also on failure, so a
-    // deadlock or crash still yields a partial timeline to debug with
-    let merged = match obs::load_merged(&dir) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("acfc: cannot load trace dir `{}`: {e}", dir.display());
-            if let Some(err) = run_error {
-                eprintln!("acfc: {err}");
-                return exit_with(&err);
-            }
-            return ExitCode::FAILURE;
-        }
+    obs::clean_trace_dir(Path::new(&dir))
+        .map_err(|e| Error::Usage(format!("cannot clean `{dir}`: {e}")))?;
+    let d = CommonOpts {
+        journal: Some(dir.clone()),
+        ..args.common.clone()
     };
-    if let Some(w) = obs::skipped_warning(&merged) {
-        eprintln!("acfc: {w}");
-    }
-    let chrome = autocfd::runtime::chrome_trace(&merged);
-    if let Err(e) = std::fs::write(dir.join("trace.json"), chrome) {
-        eprintln!("acfc: cannot write trace.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprint!("{}", obs::render_report(&merged));
-    let checks = match obs::cross_validate(compiled, &merged, args.tolerance) {
-        Ok(c) => {
-            eprint!("{}", obs::render_cross_validation(&c));
-            Some(c)
-        }
-        Err(e) => {
-            eprintln!("acfc: cross-validation: {e}");
-            None
-        }
-    };
-    eprintln!(
-        "acfc: trace written to {} (open trace.json in ui.perfetto.dev)",
-        dir.display()
-    );
-    if let Some(e) = run_error {
-        eprintln!("acfc: {e}");
-        return exit_with(&e);
-    }
-    if args.check {
-        let failures = check_failures(&merged, checks.as_deref(), args.min_coverage);
-        if !failures.is_empty() {
-            return check_exit(&failures);
-        }
-        eprintln!("acfc: trace checks passed");
-    }
-    ExitCode::SUCCESS
+    let outcome = launch(&d, &args.input, compiled);
+    trace_report(args, Path::new(&dir), Some(compiled), outcome)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.mode == Mode::Stats {
-        return run_stats(&args);
-    }
-    if args.mode == Mode::Advise {
-        return run_advise(&args);
-    }
-    if args.mode == Mode::Resume {
-        return run_resume(&args);
-    }
-    if args.mode == Mode::Top {
-        return run_top(&args);
-    }
-    let source = match std::fs::read_to_string(&args.input) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("acfc: cannot read `{}`: {e}", args.input);
-            return ExitCode::FAILURE;
-        }
-    };
-    // `--server ADDR` routes the compile (and run) to a resident
-    // daemon: no local pipeline runs at all on this path
-    if let Some(addr) = args.server.clone() {
-        return run_remote(&args, &source, &addr);
-    }
-    if args.mode == Mode::RemoteCompile {
-        eprintln!(
-            "acfc: `acfc compile` needs --server ADDR (plain `acfc INPUT.f` compiles locally)"
-        );
-        return ExitCode::FAILURE;
-    }
-    let mut compiled = match compile(&source, &args.common.compile) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("acfc: {e}");
-            return exit_with(&Error::Compile(e));
-        }
-    };
-    // `--plan plan.json`: execute against a previously emitted plan
-    // artifact instead of the plan this compile just produced
-    if let Some(path) = &args.common.plan {
-        if let Err(e) = autocfd::planio::substitute_plan_file(&mut compiled, path) {
-            eprintln!("acfc: {e}");
-            return exit_with(&e);
-        }
-    }
-    if args.mode == Mode::Plan {
-        return run_plan(&args, &compiled);
-    }
-    match args.common.checkpointing() {
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        Ok(Some(_)) if args.common.transport != TransportKind::Tcp => {
-            eprintln!("acfc: checkpointing requires --transport tcp (one process per rank)");
-            return ExitCode::FAILURE;
-        }
-        _ => {}
-    }
-
-    eprintln!(
-        "acfc: partition {} ({} subtasks), {} -> {} synchronizations ({:.1}% reduction)",
-        compiled.partition.spec.display(),
-        compiled.partition.spec.tasks(),
-        compiled.sync_plan.stats.before,
-        compiled.sync_plan.stats.after,
-        compiled.sync_plan.stats.reduction_pct(),
-    );
-
+/// `--analysis` / `--report`: what the pre-compiler found and decided.
+fn print_reports(args: &Args, compiled: &Compiled) {
     if args.analysis {
         eprint!("{}", autocfd::ir::report_program(&compiled.ir));
         // S_LDP: the dependency-pair sets of §4.2
@@ -1923,99 +1188,98 @@ fn main() -> ExitCode {
             }
         }
     }
+}
 
-    if let Some(path) = &args.emit {
-        let out = compiled.parallel_source();
-        if path == "-" {
-            print!("{out}");
-        } else if let Err(e) = std::fs::write(path, out) {
-            eprintln!("acfc: cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
+fn run() -> Result<(), Error> {
+    let Some(args) = parse_args().map_err(Error::Usage)? else {
+        return Ok(());
+    };
+    match args.mode {
+        Mode::Stats => return run_stats(&args),
+        Mode::Advise => return run_advise(&args),
+        Mode::Resume => return run_resume(&args),
+        Mode::Top => return run_top(&args),
+        _ => {}
+    }
+    let source = read_file(&args.input)?;
+    // `--server ADDR` routes the compile (and run) to a resident
+    // daemon: no local pipeline runs at all on this path
+    if let Some(addr) = &args.server {
+        return run_remote(&args, &source, addr);
+    }
+    if args.mode == Mode::RemoteCompile {
+        return Err(Error::Usage(
+            "`acfc compile` needs --server ADDR (plain `acfc INPUT.f` compiles locally)".into(),
+        ));
+    }
+    let d = &args.common;
+    let compiled = d.build(&source)?;
+    if args.mode == Mode::Plan {
+        let text = autocfd::planio::plan_to_json(&compiled.spmd_plan);
+        return write_plan(args.plan_out.as_deref(), &text);
+    }
+    if d.checkpointing().is_some() && d.transport != TransportKind::Tcp {
+        return Err(Error::Usage(
+            "checkpointing requires --transport tcp (one process per rank)".into(),
+        ));
     }
 
-    if let Some(n) = args.common.ranks {
-        let tasks = compiled.partition.spec.tasks();
-        if tasks != n {
-            eprintln!("acfc: --ranks {n} conflicts with partition ({tasks} subtasks)");
-            return ExitCode::FAILURE;
-        }
+    eprintln!(
+        "acfc: partition {} ({} subtasks), {} -> {} synchronizations ({:.1}% reduction)",
+        compiled.partition.spec.display(),
+        compiled.partition.spec.tasks(),
+        compiled.sync_plan.stats.before,
+        compiled.sync_plan.stats.after,
+        compiled.sync_plan.stats.reduction_pct(),
+    );
+    print_reports(&args, &compiled);
+    if let Some(path) = &args.emit {
+        write_out(path, &compiled.parallel_source())?;
+    }
+    let tasks = compiled.partition.spec.tasks();
+    if let Some(n) = d.ranks.filter(|&n| n != tasks) {
+        return Err(Error::Usage(format!(
+            "--ranks {n} conflicts with partition ({tasks} subtasks)"
+        )));
     }
 
     if args.mode == Mode::Trace {
         return run_trace(&args, &compiled);
     }
+    if !(args.run || d.profile || d.verify.is_some()) {
+        return Ok(());
+    }
+    // with --elastic a runtime failure triggers shrink-and-resume
+    // instead of giving up
+    match launch(d, &args.input, &compiled) {
+        Err(e) if args.elastic => elastic_recover(&args, e),
+        outcome => outcome,
+    }
+}
 
-    if args.common.transport == TransportKind::Tcp
-        && (args.run || args.common.profile || args.verify)
-    {
-        // multi-process path: workers execute, verify, and profile;
-        // with --elastic a runtime failure triggers shrink-and-resume
-        // instead of giving up
-        if let Err(e) = run_tcp(&args, &compiled, None) {
-            let recovered = if args.elastic {
-                elastic_recover(&args, e)
-            } else {
-                Err(e)
-            };
-            if let Err(e) = recovered {
-                eprintln!("acfc: {e}");
-                return exit_with(&e);
-            }
-        }
-    } else if args.verify {
-        let tol = if args.verify_exact { 0.0 } else { 1e-12 };
-        match compiled.verify_opts(vec![], tol, args.common.overlap) {
-            Ok(d) => eprintln!("acfc: verified — max |seq - par| = {d:e}"),
-            Err(e) => {
-                eprintln!("acfc: VERIFICATION FAILED: {e}");
-                return exit_with(&e);
-            }
-        }
-    } else if args.run || args.common.profile {
-        // traced even for a plain run: on failure the partial trace
-        // still renders, instead of vanishing with the error
-        let mut cfg = compiled.run_config().overlap(args.common.overlap);
-        if let Some(interval) = args.common.telemetry_interval() {
-            // spool into --trace-dir when given, else wire only
-            cfg = cfg.telemetry(autocfd::runtime::TelemetryConfig {
-                interval,
-                spool_dir: args.common.trace_dir.clone().map(PathBuf::from),
-                ..Default::default()
-            });
-        }
-        let runs = cfg.run_parallel_traced();
-        if let Ok((m, _)) = &runs[0].outcome {
-            for line in &m.output {
-                println!("{line}");
-            }
-        }
-        if args.common.profile {
-            let traces: Vec<_> = runs.iter().map(|r| r.trace.clone()).collect();
-            eprint!("{}", autocfd::runtime::render_timeline(&traces, 72));
-            let phases: Vec<_> = runs.iter().map(|r| r.phases.clone()).collect();
-            let table = autocfd::runtime::fold_traces(&traces, &phases);
-            eprint!("{}", autocfd::runtime::render_wire_table(&table));
-            for (r, run) in runs.iter().enumerate() {
-                let total = table.rank_total(r);
-                let elems: usize = run.trace.iter().map(|e| e.elems).sum();
-                eprintln!(
-                    "rank {r}: {} comm events, {:?} blocked, {elems} f64s moved",
-                    total.events,
-                    total.comm + total.wait
-                );
-            }
-        }
-        let mut failed = None;
-        for (r, run) in runs.iter().enumerate() {
-            if let Err(e) = &run.outcome {
-                eprintln!("acfc: rank {r}: runtime error: {e}");
-                failed = Some(Error::Runtime(e.clone()));
-            }
-        }
-        if let Some(e) = failed {
-            return exit_with(&e);
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("acfc: {e}");
+            ExitCode::from(e.exit_code())
         }
     }
-    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_response_without_the_field_is_the_servers_failure_not_an_empty_file() {
+        let resp = serde::json::parse(r#"{"cache":"hit","plan":7}"#).unwrap();
+        for field in ["plan", "parallel_source"] {
+            let err = response_text(&resp, field).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{err}");
+            assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
+        }
+        let resp = serde::json::parse(r#"{"plan":"{}"}"#).unwrap();
+        assert_eq!(response_text(&resp, "plan").unwrap(), "{}");
+    }
 }

@@ -131,7 +131,6 @@ fn cmd_hash(mut args: std::env::Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    common.finish();
     let Some(input) = input else {
         eprintln!("no input file\n{USAGE}");
         return ExitCode::FAILURE;

@@ -72,6 +72,7 @@ pub mod transport;
 pub struct ReadmeDoctests;
 
 use autocfd_codegen::{transform, EnginePref, SpmdPlan, TransformError};
+use autocfd_compile_service::ErrorClass;
 use autocfd_fortran::{FortranError, SourceFile};
 use autocfd_grid::{choose_partition, partition, GridShape, Partition, PartitionSpec};
 use autocfd_interp::spmd::{verify_owned_regions, RankResult};
@@ -93,7 +94,7 @@ pub use autocfd_runtime_net as runtime_net;
 pub use autocfd_syncopt as syncopt;
 
 /// Options controlling a compilation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompileOptions {
     /// Number of processors; the partitioner chooses the best shape.
     /// Ignored when `partition` (or the `!$acf partition` directive)
@@ -205,18 +206,32 @@ pub enum Error {
     /// perf trajectory allows: `acfc advise --gate` found a wall-time
     /// or comm-volume regression beyond tolerance (exit code 5).
     PerfRegression(String),
+    /// A bad command line or an I/O failure on a file the user named
+    /// (exit code 1).
+    Usage(String),
+    /// A resident compile service refused or failed the request; the
+    /// exit code follows its class (bad request 1, compile 2,
+    /// server-side runtime 3).
+    Service(autocfd_compile_service::ServiceError),
 }
 
 impl Error {
     /// Exit code for the paper's `acfc` binary (compile = 2,
     /// runtime/communication = 3, validation = 4, perf regression = 5;
-    /// argument and I/O errors use the conventional 1).
+    /// argument and I/O errors use the conventional 1; a compile
+    /// service's failure maps its class onto the same codes).
     pub fn exit_code(&self) -> u8 {
         match self {
             Error::Compile(_) => 2,
             Error::Runtime(_) | Error::Comm(_) => 3,
             Error::Validation(_) => 4,
             Error::PerfRegression(_) => 5,
+            Error::Usage(_) => 1,
+            Error::Service(e) => match e.class {
+                ErrorClass::BadRequest => 1,
+                ErrorClass::Compile => 2,
+                ErrorClass::Internal => 3,
+            },
         }
     }
 }
@@ -229,6 +244,8 @@ impl std::fmt::Display for Error {
             Error::Comm(e) => write!(f, "{e}"),
             Error::Validation(s) => write!(f, "validation failed: {s}"),
             Error::PerfRegression(s) => write!(f, "perf regression: {s}"),
+            Error::Usage(s) => write!(f, "{s}"),
+            Error::Service(e) => write!(f, "server: {e}"),
         }
     }
 }
@@ -262,6 +279,12 @@ impl From<RunError> for Error {
 impl From<CommError> for Error {
     fn from(e: CommError) -> Self {
         Error::Comm(e)
+    }
+}
+
+impl From<autocfd_compile_service::ServiceError> for Error {
+    fn from(e: autocfd_compile_service::ServiceError) -> Self {
+        Error::Service(e)
     }
 }
 

@@ -19,7 +19,7 @@ use crate::planio;
 use crate::{compile, CompileOptions};
 use autocfd_compile_service::proto::{CompileReq, ErrorClass, RunReq, ServiceError, StreamItem};
 use autocfd_compile_service::{Backend, CacheEntry, CompiledUnit};
-use autocfd_interp::spmd::{verify_rank_owned_region, RankResult};
+use autocfd_interp::spmd::verify_rank_owned_region;
 use autocfd_interp::RunConfig;
 use serde::json::Value;
 use std::path::PathBuf;
@@ -99,7 +99,11 @@ impl Backend for PipelineBackend {
             .overlap(req.overlap)
             .run_parallel_traced();
 
-        // journals first (they exist even for failed ranks), then output
+        // The same order as the launcher's post-run sequence (journals
+        // first — they exist even for failed ranks — then output, first
+        // error, verification), but not the same code: this one streams
+        // to a client through `emit`, reports `ServiceError`s, and has
+        // only the cached plan and generated source, never a `Compiled`.
         let dir = self.scratch_dir();
         let mut streamed = true;
         for (rank, run) in runs.iter().enumerate() {
@@ -154,15 +158,7 @@ impl Backend for PipelineBackend {
                 .map_err(|e| internal(format!("sequential reference: {e}")))?;
             let mut max_diff = 0.0f64;
             for (rank, run) in runs.into_iter().enumerate() {
-                let (machine, frame) = run.outcome.expect("failures returned above");
-                let rr = RankResult {
-                    machine,
-                    frame,
-                    comm_stats: run.comm_stats,
-                    wire_stats: run.wire_stats,
-                    phases: run.phases,
-                    trace: run.trace,
-                };
+                let rr = run.into_result().expect("failures returned above");
                 let d = verify_rank_owned_region(&seq, &rr, rank, &plan, 0.0)
                     .map_err(|e| ServiceError::new(ErrorClass::Internal, format!("verify: {e}")))?;
                 max_diff = max_diff.max(d);

@@ -332,16 +332,7 @@ impl<'a> RunConfig<'a> {
     /// Execute one rank over an existing communicator; the rank identity
     /// comes from `comm.rank()`.
     pub fn run_rank(&self, comm: &Comm) -> Result<RankResult, RunError> {
-        let run = self.run_rank_traced(comm);
-        let (machine, frame) = run.outcome?;
-        Ok(RankResult {
-            machine,
-            frame,
-            comm_stats: run.comm_stats,
-            wire_stats: run.wire_stats,
-            phases: run.phases,
-            trace: run.trace,
-        })
+        self.run_rank_traced(comm).into_result()
     }
 
     /// Execute one rank, always returning trace and statistics — even
@@ -388,35 +379,10 @@ impl<'a> RunConfig<'a> {
     /// kernel compilation, one worker pool); likewise any resume
     /// snapshots are loaded and repartitioned once.
     pub fn run_parallel(&self) -> Result<Vec<RankResult>, RunError> {
-        let plan = self.plan_or_err()?;
-        let snaps = self.load_resume_snaps(plan)?;
-        let engine = self.build_engine();
-        let kernels = engine.kernels();
-        let n = plan.ranks() as usize;
-        let results = run_spmd(n, |comm| {
-            self.attach_telemetry(&comm, kernels.is_some());
-            let run = run_rank_traced_impl(
-                self.file,
-                plan,
-                self.input.clone(),
-                self.stmt_limit,
-                &comm,
-                self.overlap,
-                self.ckpt.clone(),
-                snaps.as_ref().map(|s| &s[comm.rank()]),
-                kernels,
-            );
-            let (machine, frame) = run.outcome?;
-            Ok(RankResult {
-                machine,
-                frame,
-                comm_stats: run.comm_stats,
-                wire_stats: run.wire_stats,
-                phases: run.phases,
-                trace: run.trace,
-            })
-        });
-        results.into_iter().collect()
+        self.run_parallel_traced()
+            .into_iter()
+            .map(RankRun::into_result)
+            .collect()
     }
 
     /// Like [`RunConfig::run_parallel`], but every rank returns a

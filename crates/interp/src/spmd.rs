@@ -991,6 +991,22 @@ pub struct RankRun {
     pub epoch_unix_ns: i128,
 }
 
+impl RankRun {
+    /// The completed rank's [`RankResult`], or the error that stopped it
+    /// (dropping the partial trace a failed run still carries).
+    pub fn into_result(self) -> Result<RankResult, RunError> {
+        let (machine, frame) = self.outcome?;
+        Ok(RankResult {
+            machine,
+            frame,
+            comm_stats: self.comm_stats,
+            wire_stats: self.wire_stats,
+            phases: self.phases,
+            trace: self.trace,
+        })
+    }
+}
+
 /// Overwrite a freshly built main-program machine/frame with a
 /// snapshot's state: common-block arrays, main-frame local arrays,
 /// scalars, the I/O queues, and the op counters. Every array the

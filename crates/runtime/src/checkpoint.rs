@@ -179,8 +179,7 @@ pub struct RunManifest {
     pub parts: Vec<u32>,
     /// Global grid extents per axis (the `!$acf grid(...)` directive),
     /// so a resume can re-partition for a different rank count without
-    /// recompiling first. Empty when the manifest predates geometry
-    /// recording.
+    /// recompiling first.
     pub grid: Vec<u64>,
     /// Mesh size.
     pub ranks: usize,
@@ -196,10 +195,9 @@ pub struct RunManifest {
     pub timeout_ms: u64,
     /// Execution engine name (`"tree"` or `"kernel"`) the run used —
     /// a plain string here because this crate sits below the planner.
-    /// Manifests written before engines existed read back as `"tree"`.
     pub engine: String,
     /// Kernel-engine worker threads (1 for sequential kernels and for
-    /// the tree engine). Pre-engine manifests read back as 1.
+    /// the tree engine).
     pub threads: u64,
 }
 
@@ -512,10 +510,8 @@ pub fn manifest_from_json(text: &str) -> Result<RunManifest, String> {
         overlap: v.bool("overlap")?,
         checkpoint_every: v.int("checkpoint_every")?,
         timeout_ms: v.int("timeout_ms")?,
-        // lenient: manifests written before engine selection existed
-        // omit these — they ran the tree engine, single-threaded
-        engine: v.str("engine").unwrap_or_else(|_| "tree".into()),
-        threads: v.int::<u64>("threads").unwrap_or(1).max(1),
+        engine: v.str("engine")?,
+        threads: v.int("threads")?,
     })
 }
 
@@ -841,28 +837,24 @@ mod tests {
     }
 
     #[test]
-    fn manifest_engine_fields_default_when_absent() {
-        let m = RunManifest {
-            source: "      program p\n      end\n".into(),
-            parts: vec![2],
-            grid: vec![8],
-            ranks: 2,
-            distance: 1,
-            optimize: true,
-            overlap: false,
-            checkpoint_every: 1,
-            timeout_ms: 1000,
-            engine: "tree".into(),
-            threads: 1,
-        };
-        // strip the engine fields the way a pre-engine manifest would
-        let text = manifest_to_json(&m)
-            .replace(",\"engine\":\"tree\"", "")
-            .replace(",\"threads\":1", "");
-        assert!(!text.contains("engine"));
-        let back = manifest_from_json(&text).unwrap();
-        assert_eq!(back.engine, "tree");
-        assert_eq!(back.threads, 1);
+    fn manifest_engine_fields_are_required() {
+        // schema 2 always writes both: a manifest without them, or with
+        // a value of the wrong type or sign, is an error, not a default
+        let text = manifest_to_json(&sample_manifest(2));
+        for (written, doctored, complaint) in [
+            (",\"engine\":\"tree\"", "", "missing `engine`"),
+            (
+                "\"engine\":\"tree\"",
+                "\"engine\":7",
+                "`engine` is not a string",
+            ),
+            (",\"threads\":1", "", "missing `threads`"),
+            ("\"threads\":1", "\"threads\":-3", "`threads` out of range"),
+        ] {
+            assert!(text.contains(written), "{text}");
+            let err = manifest_from_json(&text.replace(written, doctored)).unwrap_err();
+            assert!(err.contains(complaint), "{err}");
+        }
     }
 
     #[test]

@@ -80,17 +80,8 @@ fn resume_run(c: &Compiled, dir: &Path, epoch: u64, overlap: bool) -> Vec<RankRe
     .into_iter()
     .enumerate()
     .map(|(r, run)| {
-        let (machine, frame) = run
-            .outcome
-            .unwrap_or_else(|e| panic!("resumed rank {r} failed: {e}"));
-        RankResult {
-            machine,
-            frame,
-            comm_stats: run.comm_stats,
-            wire_stats: run.wire_stats,
-            phases: run.phases,
-            trace: run.trace,
-        }
+        run.into_result()
+            .unwrap_or_else(|e| panic!("resumed rank {r} failed: {e}"))
     })
     .collect()
 }

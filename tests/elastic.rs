@@ -261,17 +261,8 @@ fn check_elastic_resume(
         if kernel {
             assert_eq!(run.engine, "kernel", "rank {r} resumed on the wrong engine");
         }
-        let (machine, frame) = run
-            .outcome
-            .unwrap_or_else(|e| panic!("resumed rank {r} failed: {e}"));
-        RankResult {
-            machine,
-            frame,
-            comm_stats: run.comm_stats,
-            wire_stats: run.wire_stats,
-            phases: run.phases,
-            trace: run.trace,
-        }
+        run.into_result()
+            .unwrap_or_else(|e| panic!("resumed rank {r} failed: {e}"))
     })
     .collect();
 

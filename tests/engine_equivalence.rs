@@ -248,17 +248,8 @@ fn kernel_engine_kill_and_resume_stays_bit_exact() {
     .enumerate()
     .map(|(r, run)| {
         assert_eq!(run.engine, "kernel", "rank {r} resumed on the wrong engine");
-        let (machine, frame) = run
-            .outcome
-            .unwrap_or_else(|e| panic!("resumed rank {r} failed: {e}"));
-        RankResult {
-            machine,
-            frame,
-            comm_stats: run.comm_stats,
-            wire_stats: run.wire_stats,
-            phases: run.phases,
-            trace: run.trace,
-        }
+        run.into_result()
+            .unwrap_or_else(|e| panic!("resumed rank {r} failed: {e}"))
     })
     .collect();
     let d = verify_owned_regions(&seq, &resumed, &c.spmd_plan, 0.0).unwrap();
