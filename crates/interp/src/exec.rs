@@ -1461,6 +1461,93 @@ mod tests {
         assert!(r.is_err());
     }
 
+    /// Run `file`'s main body and keep the machine whatever the outcome,
+    /// so a failed run's partial stores and counters can be compared.
+    fn run_keeping_state(
+        file: &SourceFile,
+        limit: u64,
+        kernels: Option<&KernelSet>,
+    ) -> (Result<(), RunError>, Machine) {
+        let mut m = Machine::new(vec![]);
+        m.stmt_limit = limit;
+        let main = file.main_unit().unwrap();
+        let mut frame = build_frame(&mut m, main, HashMap::new()).unwrap();
+        let mut exec = Exec {
+            program: file,
+            hooks: &mut NoHooks,
+            depth: 0,
+            pending: Vec::new(),
+            hook_calls: 0,
+            cursor: Vec::new(),
+            track: false,
+            kernels,
+        };
+        let res = exec.exec_stmts(&mut m, &mut frame, &main.body).map(|_| ());
+        (res, m)
+    }
+
+    /// A failing run must leave the same error, the same partial stores
+    /// and the same counters under the kernel engine as under the tree
+    /// walk, however far into a row the failure sits.
+    fn assert_failures_match(src: &str, limits: impl Iterator<Item = u64>) {
+        let file = parse(src).unwrap();
+        let set = KernelSet::build(&file, None, 1);
+        assert!(!set.is_empty(), "the nest must run as a kernel");
+        for limit in limits {
+            let (tr, tm) = run_keeping_state(&file, limit, None);
+            let (kr, km) = run_keeping_state(&file, limit, Some(&set));
+            assert_eq!(tr, kr, "budget {limit}: message and line");
+            assert_eq!(tm.ops, km.ops, "budget {limit}: counters at the end");
+            for (a, b) in tm.arrays.iter().zip(&km.arrays) {
+                let bits = |v: &crate::value::ArrayVal| {
+                    v.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(a), bits(b), "budget {limit}: stores at the end");
+            }
+        }
+    }
+
+    #[test]
+    fn statement_budget_exhausted_mid_row_matches_tree_walk() {
+        // 1 + 6*(1 + 2*9) = 115 statements: every budget that runs out
+        // does so at some statement of some trip of some row, and the
+        // rows before it still run as rows
+        assert_failures_match(
+            "      program p
+      real a(12,8), b(12,8)
+      integer i, j
+      do j = 2, 7
+        do i = 2, 10
+          b(i,j) = 1.5*i + j
+          a(i,j) = 0.5*(b(i-1,j) + b(i,j))
+        end do
+      end do
+      end
+",
+            1..=120,
+        );
+    }
+
+    #[test]
+    fn row_stepping_out_of_bounds_mid_body_matches_tree_walk() {
+        // the last trip's second statement reads b(13,j): the first
+        // statement of that trip, and every trip before it, already stored
+        assert_failures_match(
+            "      program p
+      real a(12,8), b(12,8)
+      integer i, j
+      do j = 2, 7
+        do i = 2, 12
+          a(i,j) = 1.5*i + j
+          b(i,j) = 0.5*(a(i,j) + b(i+1,j))
+        end do
+      end do
+      end
+",
+            [0, 30, 1000].into_iter(),
+        );
+    }
+
     #[test]
     fn out_of_bounds_reports_line() {
         let err = run_program(

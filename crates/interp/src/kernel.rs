@@ -3,11 +3,23 @@
 //! The tree-walk interpreter re-resolves every scalar by name and boxes
 //! every intermediate in a [`Value`] on each iteration of a stencil
 //! loop. This module lowers eligible `do` nests once, at plan time,
-//! into typed expression trees over integer/real *slots* (scalar
-//! registers) and directly-addressed flat `f64` array storage, then
-//! executes them with a compact recursive VM — and, when a nest is
-//! provably data-parallel in its outermost loop, splits its trips
-//! across the vendored `rayon` thread pool.
+//! straight from the AST into one flat register program — [`Op`]s
+//! `{code, dst, a, b}` over one file of 64-bit registers, with every
+//! `c`/`i`/`i±c` subscript resolved to a `(register, offset)` pair at
+//! emit time — and runs it with two drivers over the same ops:
+//!
+//! * **a row at a time** for an innermost loop whose body nothing can
+//!   fail in or carry state through ([`RowVerdict::Row`]): every array
+//!   access of the row is proven in bounds once, from its two end
+//!   points, and resolved to `(base, stride)`; then each op runs as one
+//!   tight loop over temp rows, so dispatch amortises over the trip
+//!   count and the arithmetic vectorises;
+//! * **point-wise** for everything else, and for any row whose proof
+//!   fails at run time — one op at a time over the registers, with the
+//!   tree walk's per-element checks.
+//!
+//! When a nest is provably data-parallel in its outermost loop its
+//! trips are also split across the vendored `rayon` thread pool.
 //!
 //! Everything observable is kept bit-exact with the tree walk:
 //!
@@ -15,12 +27,14 @@
 //!   (integer ops wrap and count no flops, any real operand promotes
 //!   through `f64` and counts one flop, intrinsics count one flop
 //!   before their domain checks);
-//! * [`OpCounts`] are accumulated locally and flushed to the
-//!   [`Machine`], so `flops/loads/stores/stmts` match the tree walk
-//!   exactly, including per-chunk re-ticks of overlap-split roots;
+//! * [`OpCounts`] are accumulated locally — per op point-wise, `trips ×`
+//!   the body's static cost per row — and flushed to the [`Machine`],
+//!   so `flops/loads/stores/stmts` match the tree walk exactly,
+//!   including per-chunk re-ticks of overlap-split roots;
 //! * runtime errors reproduce the tree walk's messages and source-line
 //!   attribution (evaluation errors carry line 0 unless the statement
-//!   arm would have attached one);
+//!   arm would have attached one); a row that could fail is never
+//!   formed, so partial stores and counters at the error match too;
 //! * scalars are written back through [`Frame::set_scalar`] only for
 //!   names the nest statically assigns, preserving the `Int`-vs-`Real`
 //!   representation of everything else for checkpoint snapshots.
@@ -35,7 +49,7 @@ use crate::value::Value;
 use autocfd_fortran::ast::{
     BinOp, Expr, LValue, SourceFile, Stmt, StmtId, StmtKind, Type, UnOp, Unit,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Which chunk of an overlap-split loop a kernel invocation covers.
@@ -54,8 +68,8 @@ pub enum KernelClamp {
 /// Clamp geometry resolved against a kernel: which slot is the split
 /// variable plus the boundary widths and chunk selector.
 #[derive(Debug, Clone, Copy)]
-pub struct ResolvedClamp {
-    slot: usize,
+struct ResolvedClamp {
+    slot: Reg,
     low: i64,
     high: i64,
     mode: KernelClamp,
@@ -70,153 +84,199 @@ fn kclamp_range(f: i64, t: i64, c: &ResolvedClamp) -> (i64, i64) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled representation
+// The register program
 // ---------------------------------------------------------------------------
 
-/// One pre-resolved affine subscript: `add` plus the value of `slot`
-/// (when present). Affine subscripts charge no ops and cannot fail, so
-/// collapsing their expression trees at compile time is invisible to
-/// everything observable — the post-compile lowering pass rewrites any
-/// `i`/`i+c`/`c` subscript into this form so the hot loop skips the
-/// recursive evaluator entirely.
+/// Index into the register file, laid out `[slots | constants |
+/// temporaries]`. A register holds an integer or a real as its 64 bits
+/// ([`Lane`]); an op's code says which each operand is. While a nest is
+/// being emitted the three kinds are told apart by the tag in the top
+/// two bits ([`KONST`], [`TEMP`]); [`Compiler::compile`] relocates them
+/// into the dense layout once the slot and constant counts are known.
+type Reg = u32;
+/// "No register": an absent operand, or the constant part of a
+/// subscript with no variable.
+const NONE: Reg = u32::MAX;
+const KONST: Reg = 1 << 30;
+const TEMP: Reg = 2 << 30;
+
+/// Operation codes, with `dst ← operands` and what each holds (`i`/`r`;
+/// booleans are integers `0`/`1`). Codes from [`Code::AbsI`] on charge
+/// one flop, the ones before it none — the tree walk's accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd)]
+enum Code {
+    /// Statement tick (`imm` = line); evaluation errors of the statement
+    /// carry no line (`if` conditions, `do` bounds).
+    Tick,
+    /// Statement tick whose evaluation errors carry the line (assignments).
+    TickAt,
+    /// `pc ← imm`.
+    Jmp,
+    /// `pc ← imm` unless `i[a]`.
+    BrF,
+    /// `pc ← imm` if `i[a]`.
+    BrT,
+    /// Counted loop `imm` over `i[a] ..= i[b]` step `i[dst]` (1 when
+    /// absent); the body follows and ends at the loop's `end`.
+    Do,
+    // i ← i, i (integer arithmetic wraps; `DivI` and `PowI` can fail)
+    MovI,
+    AddI,
+    SubI,
+    MulI,
+    NegI,
+    DivI,
+    PowI,
+    // r ← r, r
+    MovR,
+    NegR,
+    /// One link of a `max`/`min` fold, whose single flop is its final
+    /// `Cvt`/`Int`.
+    Max,
+    Min,
+    /// `r ← i as f64`.
+    I2R,
+    /// `i ← r as i64`, the `as_i64` truncation.
+    R2I,
+    // i ← r ? r (both sides through f64 — `eval::binop`)
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+    /// `i ← !i[a]`.
+    Not,
+    /// `r ←` the array element at site `imm` (rounded when the array is
+    /// declared integer).
+    LoadR,
+    /// `i ←` the same element `as i64` (integer-typed array name).
+    LoadI,
+    /// The element at site `imm` `← r[a]` (truncated when the array is
+    /// declared integer).
+    Store,
+    // One flop each from here on, charged before any domain check.
+    /// `abs`/`iabs` on an integer.
+    AbsI,
+    /// `mod` on integers; can fail.
+    ModI,
+    AddR,
+    SubR,
+    MulR,
+    DivR,
+    PowR,
+    ModR,
+    Sign,
+    AbsR,
+    /// `float`/`real`/`dble`, and the end of a real `max`/`min` fold:
+    /// identity.
+    Cvt,
+    Exp,
+    Sin,
+    Cos,
+    Tan,
+    Atan,
+    /// Can fail (negative argument).
+    Sqrt,
+    /// Can fail (non-positive argument).
+    Log,
+    /// `int(x)`, and the end of an all-integer `max`/`min` fold: `R2I`'s
+    /// truncation.
+    Int,
+    /// `nint(x)`.
+    Nint,
+}
+
+impl Code {
+    /// Flops the tree walk charges for this op.
+    fn flops(self) -> u64 {
+        (self >= Code::AbsI) as u64
+    }
+}
+
+/// One instruction. `dst`/`a`/`b` are always registers (or [`NONE`]);
+/// anything else an op needs — line, jump target, loop or site index —
+/// is `imm`. A unary op names its operand as both `a` and `b`, so every
+/// arithmetic op is `dst ← f(a, b)`.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    code: Code,
+    /// Row-driver operand shapes, set by the row analysis: bit 0 = `a`
+    /// varies along the row, bit 1 = `b` does. A pure op with neither
+    /// bit is uniform and runs once per row on the register file.
+    row: u8,
+    dst: Reg,
+    a: Reg,
+    b: Reg,
+    imm: u32,
+}
+
+/// One subscript: `add` plus the integer register `reg` (when present).
+/// `c`, `i` and `i±c` subscripts are recognised at emit time and name a
+/// slot — they charge no ops and cannot fail, so the bounds of a whole
+/// row follow from its end points. Any other subscript is computed by
+/// ordinary ops into a temporary that `reg` names (with `add == 0`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Aff {
-    slot: Option<u32>,
+    reg: Reg,
     add: i64,
 }
 
-/// Integer-valued compiled expression.
-#[derive(Debug, Clone, PartialEq)]
-enum IExpr {
-    Const(i64),
-    Slot(usize),
-    /// `as_i64` truncation of a real value (no ops charged).
-    FromReal(Box<RExpr>),
-    /// Load from an integer array (`get` rounds, then `as i64`).
-    Load(usize, Vec<IExpr>),
-    /// `Load` with every subscript affine — fast path, same semantics.
-    LoadA(usize, Box<[Aff]>),
-    Add(Box<IExpr>, Box<IExpr>),
-    Sub(Box<IExpr>, Box<IExpr>),
-    Mul(Box<IExpr>, Box<IExpr>),
-    Div(Box<IExpr>, Box<IExpr>),
-    Pow(Box<IExpr>, Box<IExpr>),
-    Neg(Box<IExpr>),
-    /// `abs`/`iabs` on an integer argument (one flop).
-    Abs(Box<IExpr>),
-    /// `int(x)` (one flop, truncating cast through f64).
-    Cvt(Box<RExpr>),
-    /// `nint(x)` (one flop, round then cast).
-    Nint(Box<RExpr>),
-    /// `mod(a, b)` on integers (one flop, zero divisor checked).
-    Mod(Box<IExpr>, Box<IExpr>),
-    /// All-integer `max`/`min`: folded in f64 like the tree walk, then
-    /// cast back (one flop).
-    MaxMin(bool, Vec<RExpr>),
+/// One array access: the array and its subscripts `subs[lo..hi]`.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    arr: u32,
+    lo: u32,
+    hi: u32,
 }
 
-/// Real-valued compiled expression.
-#[derive(Debug, Clone, PartialEq)]
-enum RExpr {
-    Const(f64),
-    Slot(usize),
-    FromInt(Box<IExpr>),
-    Load(usize, Vec<IExpr>),
-    /// `Load` with every subscript affine — fast path, same semantics.
-    LoadA(usize, Box<[Aff]>),
-    /// Arithmetic with at least one real operand: one flop.
-    Bin(BinOp, Box<RExpr>, Box<RExpr>),
-    Neg(Box<RExpr>),
-    Abs(Box<RExpr>),
-    Sqrt(Box<RExpr>),
-    Exp(Box<RExpr>),
-    Log(Box<RExpr>),
-    Sin(Box<RExpr>),
-    Cos(Box<RExpr>),
-    Tan(Box<RExpr>),
-    Atan(Box<RExpr>),
-    Mod(Box<RExpr>, Box<RExpr>),
-    Sign(Box<RExpr>, Box<RExpr>),
-    /// `float`/`real`/`dble`: identity on the f64 value, one flop.
-    Cvt(Box<RExpr>),
-    MaxMin(bool, Vec<RExpr>),
+/// Which driver the trips of one `do` loop of a compiled nest take.
+/// The verdict is the row analysis's own result, decided once at
+/// compile time; a `Row` loop still runs point-wise whenever its
+/// run-time proof (bounds at both end points, rank, no aliased names,
+/// statement budget) fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowVerdict {
+    /// Straight-line element stores over loads, constants, invariant
+    /// scalars and infallible arithmetic: one op runs a whole row.
+    Row,
+    /// One trip at a time, for the stated reason.
+    PointWise(PointWise),
 }
 
-/// Boolean-valued compiled expression.
-#[derive(Debug, Clone, PartialEq)]
-enum BExpr {
-    Const(bool),
-    /// Relational comparison; both sides through f64, no flop (matches
-    /// `eval::binop`).
-    Rel(BinOp, Box<RExpr>, Box<RExpr>),
-    And(Box<BExpr>, Box<BExpr>),
-    Or(Box<BExpr>, Box<BExpr>),
-    Not(Box<BExpr>),
+/// Why a loop's trips cannot be formed into rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PointWise {
+    /// The body holds another loop (only innermost loops form rows).
+    InnerLoop,
+    /// The body assigns a scalar: state carried from trip to trip.
+    ScalarState,
+    /// The body branches (`if`, logical `if`, `.and.`/`.or.`).
+    Branch,
+    /// The body can fail part-way: `sqrt`, `log`, integer `/`, `mod`,
+    /// `**`.
+    Fallible,
+    /// A store may meet another access of the body at a different trip.
+    CarriedDependence,
+    /// A subscript is not `c`, `i` or `i±c`.
+    NonAffine,
 }
 
-/// Compiled counted loop.
-#[derive(Debug, Clone, PartialEq)]
-struct DoLoop {
-    var: usize,
-    from: IExpr,
-    to: IExpr,
-    step: Option<IExpr>,
-    body: Vec<CStmt>,
+/// One counted loop of a nest.
+#[derive(Debug, Clone)]
+struct Loop {
+    var: Reg,
+    /// Body ops are `start..end`; the loop's `Do` op sits at `start-1`.
+    start: usize,
+    end: usize,
     line: u32,
-}
-
-/// Compiled statement.
-#[derive(Debug, Clone, PartialEq)]
-enum CStmt {
-    /// Integer slot ← integer expression.
-    AssignI {
-        slot: usize,
-        rhs: IExpr,
-        line: u32,
-    },
-    /// Integer slot ← real expression (`set_scalar` truncates).
-    AssignIFromR {
-        slot: usize,
-        rhs: RExpr,
-        line: u32,
-    },
-    /// Real slot ← real expression (integer RHS pre-wrapped).
-    AssignR {
-        slot: usize,
-        rhs: RExpr,
-        line: u32,
-    },
-    /// Array element store.
-    Store {
-        arr: usize,
-        idx: Vec<IExpr>,
-        rhs: RExpr,
-        line: u32,
-    },
-    /// `Store` with every subscript affine — fast path, same semantics.
-    StoreA {
-        arr: usize,
-        idx: Box<[Aff]>,
-        rhs: RExpr,
-        line: u32,
-    },
-    If {
-        cond: BExpr,
-        then: Vec<CStmt>,
-        elifs: Vec<(BExpr, Vec<CStmt>)>,
-        els: Vec<CStmt>,
-        line: u32,
-    },
-    LogicalIf {
-        cond: BExpr,
-        stmt: Box<CStmt>,
-        line: u32,
-    },
-    Do(DoLoop),
-    /// `continue`: ticks, does nothing.
-    Continue {
-        line: u32,
-    },
+    /// Sites created by the body (`sites[lo..hi]`).
+    sites: (usize, usize),
+    verdict: RowVerdict,
+    /// `Row` only: what one trip of the body charges.
+    cost: OpCounts,
+    /// `Row` only: the body reads the loop variable as a value.
+    iota: bool,
 }
 
 /// One scalar register of a kernel.
@@ -239,21 +299,37 @@ struct ArrInfo {
 pub struct Kernel {
     /// Identity of the root `do` statement this kernel replaces.
     pub id: StmtId,
-    root: DoLoop,
+    ops: Vec<Op>,
+    sites: Vec<Site>,
+    subs: Vec<Aff>,
+    /// `loops[0]` is the root.
+    loops: Vec<Loop>,
     slots: Vec<SlotInfo>,
+    consts: Vec<Value>,
+    ntemps: usize,
     arrays: Vec<ArrInfo>,
     /// Slots the nest statically assigns (targets and loop variables);
     /// only these are written back to the frame.
-    assigned: Vec<usize>,
+    assigned: Vec<Reg>,
     /// Whether outer-loop trips may be split across threads.
     threadable: bool,
+}
+
+impl Kernel {
+    fn subs_of(&self, s: &Site) -> &[Aff] {
+        &self.subs[s.lo as usize..s.hi as usize]
+    }
+
+    /// First temporary register.
+    fn t0(&self) -> usize {
+        self.slots.len() + self.consts.len()
+    }
 }
 
 /// The compiled kernels of one program plus the shared thread pool.
 pub struct KernelSet {
     kernels: HashMap<u32, Kernel>,
     pool: Option<rayon::ThreadPool>,
-    threads: usize,
 }
 
 impl KernelSet {
@@ -265,28 +341,21 @@ impl KernelSet {
     pub fn build(file: &SourceFile, hints: Option<&[StmtId]>, threads: usize) -> KernelSet {
         let mut kernels = HashMap::new();
         for unit in &file.units {
-            collect_kernels(unit, &unit.body, hints, &mut kernels);
+            let mut sink = |s: &Stmt, k: Option<Kernel>| {
+                if let Some(k) = k {
+                    if hints.is_none_or(|h| h.contains(&s.id)) {
+                        kernels.insert(s.id.0, k);
+                    }
+                }
+            };
+            walk_nests(unit, &unit.body, &mut sink);
         }
-        let threads = threads.max(1);
         let pool = if threads > 1 && kernels.values().any(|k| k.threadable) {
             Some(rayon::ThreadPool::new(threads))
         } else {
             None
         };
-        KernelSet {
-            kernels,
-            pool,
-            threads,
-        }
-    }
-
-    /// An empty set (pure tree-walk execution).
-    pub fn empty() -> KernelSet {
-        KernelSet {
-            kernels: HashMap::new(),
-            pool: None,
-            threads: 1,
-        }
+        KernelSet { kernels, pool }
     }
 
     /// The kernel compiled for a root `do` statement, if any.
@@ -304,15 +373,15 @@ impl KernelSet {
         self.kernels.is_empty()
     }
 
-    /// Configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Ids of compiled nests in ascending order (diagnostics, tests).
-    pub fn ids(&self) -> Vec<StmtId> {
-        let mut v: Vec<StmtId> = self.kernels.keys().map(|&k| StmtId(k)).collect();
-        v.sort_by_key(|s| s.0);
+    /// The row analysis's verdict on every `do` loop of every compiled
+    /// nest, as `(source line, verdict)` in line order.
+    pub fn row_verdicts(&self) -> Vec<(u32, RowVerdict)> {
+        let mut v: Vec<(u32, RowVerdict)> = self
+            .kernels
+            .values()
+            .flat_map(|k| k.loops.iter().map(|l| (l.line, l.verdict)))
+            .collect();
+        v.sort_by_key(|&(line, _)| line);
         v
     }
 }
@@ -334,143 +403,119 @@ pub fn eligible_nests(file: &SourceFile) -> Vec<StmtId> {
     out
 }
 
-fn collect_kernels(
-    unit: &Unit,
-    stmts: &[Stmt],
-    hints: Option<&[StmtId]>,
-    into: &mut HashMap<u32, Kernel>,
-) {
-    let mut sink = |s: &Stmt, k: Option<Kernel>| {
-        if let Some(k) = k {
-            if hints.is_none_or(|h| h.contains(&s.id)) {
-                into.insert(s.id.0, k);
-            }
-        }
-    };
-    walk_nests(unit, stmts, &mut sink);
-}
-
 /// Walk statements, attempting compilation at every outermost `do`;
 /// descend into the bodies of everything that did not compile.
-fn walk_nests(unit: &Unit, stmts: &[Stmt], sink: &mut impl FnMut(&Stmt, Option<Kernel>)) {
+fn walk_nests<'u>(unit: &'u Unit, stmts: &'u [Stmt], sink: &mut impl FnMut(&Stmt, Option<Kernel>)) {
     for s in stmts {
-        match &s.kind {
-            StmtKind::Do { body, .. } => {
-                let k = Compiler::compile(unit, s);
-                let missed = k.is_none();
-                sink(s, k);
-                if missed {
-                    walk_nests(unit, body, sink);
-                }
+        if matches!(s.kind, StmtKind::Do { .. }) {
+            let k = Compiler::compile(unit, s);
+            let compiled = k.is_some();
+            sink(s, k);
+            if compiled {
+                continue;
             }
-            StmtKind::DoWhile { body, .. } => walk_nests(unit, body, sink),
-            StmtKind::If {
-                then,
-                else_ifs,
-                els,
-                ..
-            } => {
-                walk_nests(unit, then, sink);
-                for (_, b) in else_ifs {
-                    walk_nests(unit, b, sink);
-                }
-                if let Some(b) = els {
-                    walk_nests(unit, b, sink);
-                }
-            }
-            StmtKind::LogicalIf { stmt, .. } => walk_nests(unit, std::slice::from_ref(stmt), sink),
-            _ => {}
+        }
+        for body in s.child_bodies() {
+            walk_nests(unit, body, sink);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Compilation
+// Compilation: AST → ops
 // ---------------------------------------------------------------------------
 
-/// Typed compile result of one AST expression.
-enum CE {
-    I(IExpr),
-    R(RExpr),
-    B(BExpr),
+/// Static type of an emitted value, which is also its bank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ty {
+    I,
+    R,
+    B,
 }
 
-impl CE {
-    /// Coerce to a subscript/bound value the way `as_i64` would.
-    fn index(self) -> Option<IExpr> {
-        match self {
-            CE::I(e) => Some(e),
-            CE::R(e) => Some(IExpr::FromReal(Box::new(e))),
-            CE::B(_) => None,
-        }
-    }
+/// An emitted value: its type and the register holding it.
+type Val = (Ty, Reg);
 
-    /// Coerce to f64 the way `as_f64` would.
-    fn real(self) -> Option<RExpr> {
-        match self {
-            CE::R(e) => Some(e),
-            CE::I(e) => Some(RExpr::FromInt(Box::new(e))),
-            CE::B(_) => None,
-        }
-    }
-
-    fn boolean(self) -> Option<BExpr> {
-        match self {
-            CE::B(e) => Some(e),
+/// `c` or `-c` as a literal.
+fn int_lit(e: &Expr) -> Option<i64> {
+    match e {
+        Expr::IntLit(v) => Some(*v),
+        Expr::Un {
+            op: UnOp::Neg,
+            expr,
+        } => match **expr {
+            Expr::IntLit(v) => v.checked_neg(),
             _ => None,
-        }
+        },
+        _ => None,
     }
 }
 
+/// Emits one nest straight into the [`Kernel`] it will become.
 struct Compiler<'u> {
     unit: &'u Unit,
-    slots: Vec<SlotInfo>,
-    slot_ix: HashMap<String, usize>,
-    arrays: Vec<ArrInfo>,
-    arr_ix: HashMap<String, usize>,
-    /// Slots that are loop variables anywhere in the nest.
-    loop_slots: HashSet<usize>,
-    /// Slots assigned by the nest (targets + loop variables).
-    assigned: HashSet<usize>,
-    /// True once any scalar `Assign` target was seen (disables
-    /// threading — per-iteration scalar state would race).
-    scalar_writes: bool,
-    /// Array store sites: `(array, subscripts)` for the disjointness
-    /// proof.
-    stores: Vec<(usize, Vec<IExpr>)>,
-    /// Array load sites, for constraining reads of written arrays.
-    loads: Vec<(usize, Vec<IExpr>)>,
+    k: Kernel,
+    slot_ix: HashMap<&'u str, Reg>,
+    arr_ix: HashMap<&'u str, u32>,
+    /// Temporaries live within one statement; the counter restarts at
+    /// every statement and `k.ntemps` keeps the high-water mark.
+    next_temp: u32,
 }
 
 impl<'u> Compiler<'u> {
-    /// Compile the nest rooted at `s` (a `do` statement); `None` when
-    /// any construct inside escapes the supported subset.
-    fn compile(unit: &'u Unit, s: &Stmt) -> Option<Kernel> {
-        let mut c = Compiler {
-            unit,
+    fn new(unit: &'u Unit, id: StmtId) -> Self {
+        let k = Kernel {
+            id,
+            ops: Vec::new(),
+            sites: Vec::new(),
+            subs: Vec::new(),
+            loops: Vec::new(),
             slots: Vec::new(),
-            slot_ix: HashMap::new(),
+            consts: Vec::new(),
+            ntemps: 0,
             arrays: Vec::new(),
-            arr_ix: HashMap::new(),
-            loop_slots: HashSet::new(),
-            assigned: HashSet::new(),
-            scalar_writes: false,
-            stores: Vec::new(),
-            loads: Vec::new(),
+            assigned: Vec::new(),
+            threadable: false,
         };
-        let mut root = c.compile_do(s)?;
-        let threadable = !c.scalar_writes && c.prove_store_disjointness(&root);
-        opt_do(&mut root);
-        let mut assigned: Vec<usize> = c.assigned.iter().copied().collect();
-        assigned.sort_unstable();
-        Some(Kernel {
-            id: s.id,
-            root,
-            slots: c.slots,
-            arrays: c.arrays,
-            assigned,
-            threadable,
-        })
+        Compiler {
+            unit,
+            k,
+            slot_ix: HashMap::new(),
+            arr_ix: HashMap::new(),
+            next_temp: 0,
+        }
+    }
+
+    /// Compile the nest rooted at `s` (a `do` statement); `None` when
+    /// any construct inside escapes the supported subset. Registers are
+    /// then relocated from their emit-time tags into `[slots | consts |
+    /// temps]` and the two analyses run over the finished program.
+    fn compile(unit: &'u Unit, s: &'u Stmt) -> Option<Kernel> {
+        let mut c = Compiler::new(unit, s.id);
+        c.compile_do(s)?;
+        let mut k = c.k;
+        let (ns, nk) = (k.slots.len() as u32, k.consts.len() as u32);
+        let rel = |r: &mut Reg| {
+            *r = match *r >> 30 {
+                0 => *r,
+                1 => ns + (*r & !KONST),
+                2 => ns + nk + (*r & !TEMP),
+                _ => NONE,
+            }
+        };
+        for op in &mut k.ops {
+            rel(&mut op.dst);
+            rel(&mut op.a);
+            rel(&mut op.b);
+        }
+        k.subs.iter_mut().for_each(|s| rel(&mut s.reg));
+        k.assigned.sort_unstable();
+        k.assigned.dedup();
+        k.threadable = k.prove_store_disjointness();
+        for li in 0..k.loops.len() {
+            k.analyse_rows(li);
+        }
+        Some(k)
     }
 
     /// Integer-ness of a scalar, matching `Frame::is_integer` (declared
@@ -484,7 +529,7 @@ impl<'u> Compiler<'u> {
         }
     }
 
-    fn slot(&mut self, name: &str) -> Option<usize> {
+    fn slot(&mut self, name: &'u str) -> Option<Reg> {
         if self.unit.is_array(name) {
             return None; // array used as a scalar — tree walk errors
         }
@@ -492,16 +537,16 @@ impl<'u> Compiler<'u> {
             return Some(i);
         }
         let is_int = self.scalar_is_int(name)?;
-        let i = self.slots.len();
-        self.slots.push(SlotInfo {
+        let i = self.k.slots.len() as Reg;
+        self.k.slots.push(SlotInfo {
             name: name.to_string(),
             is_int,
         });
-        self.slot_ix.insert(name.to_string(), i);
+        self.slot_ix.insert(name, i);
         Some(i)
     }
 
-    fn array(&mut self, name: &str, written: bool) -> Option<usize> {
+    fn array(&mut self, name: &'u str, written: bool) -> Option<u32> {
         if !self.unit.is_array(name) {
             return None;
         }
@@ -509,23 +554,79 @@ impl<'u> Compiler<'u> {
         let i = match self.arr_ix.get(name) {
             Some(&i) => i,
             None => {
-                let i = self.arrays.len();
-                self.arrays.push(ArrInfo {
+                let i = self.k.arrays.len() as u32;
+                self.k.arrays.push(ArrInfo {
                     name: name.to_string(),
                     is_int,
                     written: false,
                 });
-                self.arr_ix.insert(name.to_string(), i);
+                self.arr_ix.insert(name, i);
                 i
             }
         };
         if written {
-            self.arrays[i].written = true;
+            self.k.arrays[i as usize].written = true;
         }
         Some(i)
     }
 
-    fn compile_do(&mut self, s: &Stmt) -> Option<DoLoop> {
+    fn konst(&mut self, v: Value) -> Reg {
+        self.k.consts.push(v);
+        KONST | (self.k.consts.len() as Reg - 1)
+    }
+
+    fn emit(&mut self, code: Code, dst: Reg, a: Reg, b: Reg, imm: u32) -> usize {
+        self.k.ops.push(Op {
+            code,
+            row: 0,
+            dst,
+            a,
+            b,
+            imm,
+        });
+        self.k.ops.len() - 1
+    }
+
+    /// Emit `code` into a fresh temporary.
+    fn op(&mut self, code: Code, a: Reg, b: Reg, imm: u32) -> Reg {
+        let d = TEMP | self.next_temp;
+        self.next_temp += 1;
+        self.k.ntemps = self.k.ntemps.max(self.next_temp as usize);
+        self.emit(code, d, a, b, imm);
+        d
+    }
+
+    /// Point the jump at `at` to the next op emitted.
+    fn land(&mut self, at: usize) {
+        self.k.ops[at].imm = self.k.ops.len() as u32;
+    }
+
+    /// Coerce to f64 the way `as_f64` would.
+    fn real(&mut self, v: Val) -> Option<Reg> {
+        match v.0 {
+            Ty::R => Some(v.1),
+            Ty::I => Some(self.op(Code::I2R, v.1, v.1, 0)),
+            Ty::B => None,
+        }
+    }
+
+    /// Coerce to a subscript/bound value the way `as_i64` would.
+    fn index(&mut self, v: Val) -> Option<Reg> {
+        match v.0 {
+            Ty::I => Some(v.1),
+            Ty::R => Some(self.op(Code::R2I, v.1, v.1, 0)),
+            Ty::B => None,
+        }
+    }
+
+    fn boolean(&mut self, e: &'u Expr) -> Option<Reg> {
+        match self.expr(e)? {
+            (Ty::B, r) => Some(r),
+            _ => None,
+        }
+    }
+
+    fn compile_do(&mut self, s: &'u Stmt) -> Option<()> {
         let StmtKind::Do {
             var,
             from,
@@ -538,645 +639,483 @@ impl<'u> Compiler<'u> {
             return None;
         };
         let vslot = self.slot(var)?;
-        if !self.slots[vslot].is_int {
+        if !self.k.slots[vslot as usize].is_int {
             return None; // real loop variables stay on the tree walk
         }
-        self.loop_slots.insert(vslot);
-        self.assigned.insert(vslot);
-        let from = self.expr(from)?.index()?;
-        let to = self.expr(to)?.index()?;
+        self.k.assigned.push(vslot);
+        self.emit(Code::Tick, NONE, NONE, NONE, s.line);
+        let from = self.expr(from).and_then(|v| self.index(v))?;
+        let to = self.expr(to).and_then(|v| self.index(v))?;
         let step = match step {
-            Some(e) => Some(self.expr(e)?.index()?),
-            None => None,
+            Some(e) => self.expr(e).and_then(|v| self.index(v))?,
+            None => NONE,
         };
-        let body = self.stmts(body)?;
-        Some(DoLoop {
+        let li = self.k.loops.len();
+        self.emit(Code::Do, step, from, to, li as u32);
+        self.k.loops.push(Loop {
             var: vslot,
-            from,
-            to,
-            step,
-            body,
+            start: self.k.ops.len(),
+            end: 0,
             line: s.line,
-        })
+            sites: (self.k.sites.len(), 0),
+            verdict: RowVerdict::PointWise(PointWise::InnerLoop),
+            cost: OpCounts::default(),
+            iota: false,
+        });
+        self.stmts(body)?;
+        self.k.loops[li].end = self.k.ops.len();
+        self.k.loops[li].sites.1 = self.k.sites.len();
+        Some(())
     }
 
-    fn stmts(&mut self, list: &[Stmt]) -> Option<Vec<CStmt>> {
+    fn stmts(&mut self, list: &'u [Stmt]) -> Option<()> {
         // Labels inside the nest are inert: no goto can exist in an
         // eligible nest (`Goto` fails compilation), and a goto outside
         // the nest cannot resolve into a loop body (`exec_stmts` only
         // searches its own statement list).
-        list.iter().map(|s| self.stmt(s)).collect()
+        list.iter().try_for_each(|s| self.stmt(s))
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Option<CStmt> {
+    fn stmt(&mut self, s: &'u Stmt) -> Option<()> {
+        self.next_temp = 0;
         match &s.kind {
             StmtKind::Assign { target, value } => self.assign(target, value, s.line),
-            StmtKind::Do { .. } => Some(CStmt::Do(self.compile_do(s)?)),
+            StmtKind::Do { .. } => self.compile_do(s),
             StmtKind::If {
                 cond,
                 then,
                 else_ifs,
                 els,
             } => {
-                let cond = self.expr(cond)?.boolean()?;
-                let then = self.stmts(then)?;
-                let mut elifs = Vec::with_capacity(else_ifs.len());
-                for (c, b) in else_ifs {
-                    elifs.push((self.expr(c)?.boolean()?, self.stmts(b)?));
+                // One tick for the whole chain; each arm tests, runs
+                // and leaves.
+                self.emit(Code::Tick, NONE, NONE, NONE, s.line);
+                let mut exits = Vec::with_capacity(1 + else_ifs.len());
+                let arms =
+                    std::iter::once((cond, then)).chain(else_ifs.iter().map(|(c, b)| (c, b)));
+                for (c, body) in arms {
+                    let c = self.boolean(c)?;
+                    let skip = self.emit(Code::BrF, NONE, c, NONE, 0);
+                    self.stmts(body)?;
+                    exits.push(self.emit(Code::Jmp, NONE, NONE, NONE, 0));
+                    self.land(skip);
                 }
-                let els = match els {
-                    Some(b) => self.stmts(b)?,
-                    None => Vec::new(),
-                };
-                Some(CStmt::If {
-                    cond,
-                    then,
-                    elifs,
-                    els,
-                    line: s.line,
-                })
+                if let Some(b) = els {
+                    self.stmts(b)?;
+                }
+                exits.into_iter().for_each(|j| self.land(j));
+                Some(())
             }
             StmtKind::LogicalIf { cond, stmt } => {
-                let cond = self.expr(cond)?.boolean()?;
-                let inner = self.stmt(stmt)?;
-                Some(CStmt::LogicalIf {
-                    cond,
-                    stmt: Box::new(inner),
-                    line: s.line,
-                })
+                self.emit(Code::Tick, NONE, NONE, NONE, s.line);
+                let c = self.boolean(cond)?;
+                let skip = self.emit(Code::BrF, NONE, c, NONE, 0);
+                self.stmt(stmt)?;
+                self.land(skip);
+                Some(())
             }
-            StmtKind::Continue => Some(CStmt::Continue { line: s.line }),
+            StmtKind::Continue => {
+                self.emit(Code::Tick, NONE, NONE, NONE, s.line);
+                Some(())
+            }
             // Calls (communication!), goto/return/stop (escaping
             // control flow), I/O and do-while stay on the tree walk.
             _ => None,
         }
     }
 
-    fn assign(&mut self, lv: &LValue, value: &Expr, line: u32) -> Option<CStmt> {
+    fn assign(&mut self, lv: &'u LValue, value: &'u Expr, line: u32) -> Option<()> {
+        self.emit(Code::TickAt, NONE, NONE, NONE, line);
         let rhs = self.expr(value)?;
         if lv.indices.is_empty() {
             let slot = self.slot(&lv.name)?;
-            self.assigned.insert(slot);
-            self.scalar_writes = true;
-            return Some(if self.slots[slot].is_int {
-                match rhs {
-                    CE::I(e) => CStmt::AssignI { slot, rhs: e, line },
-                    CE::R(e) => CStmt::AssignIFromR { slot, rhs: e, line },
-                    CE::B(_) => return None,
-                }
-            } else {
-                CStmt::AssignR {
-                    slot,
-                    rhs: rhs.real()?,
-                    line,
+            self.k.assigned.push(slot);
+            // `set_scalar` coerces to the declared type.
+            let code = match (self.k.slots[slot as usize].is_int, rhs.0) {
+                (true, Ty::I) => Code::MovI,
+                (true, Ty::R) => Code::R2I,
+                (false, Ty::I) => Code::I2R,
+                (false, Ty::R) => Code::MovR,
+                (_, Ty::B) => return None,
+            };
+            self.emit(code, slot, rhs.1, rhs.1, 0);
+            return Some(());
+        }
+        // RHS first, then subscripts, then the store counter, then the
+        // bounds check — `assign`'s exact order.
+        let arr = self.array(&lv.name, true)?;
+        let site = self.site(arr, &lv.indices)?;
+        let v = self.real(rhs)?;
+        self.emit(Code::Store, NONE, v, NONE, site);
+        Some(())
+    }
+
+    /// An integer scalar variable's slot.
+    fn int_var(&mut self, e: &'u Expr) -> Option<Reg> {
+        match e {
+            Expr::Var(n) if !self.unit.is_array(n) && self.scalar_is_int(n) == Some(true) => {
+                self.slot(n)
+            }
+            _ => None,
+        }
+    }
+
+    /// Recognize the `c`, `i`, `i+c`, `c+i` and `i-c` subscript shapes.
+    /// The value the drivers compute (`reg.wrapping_add(add)`) is
+    /// identical to evaluating the expression (which also wraps).
+    fn affine(&mut self, e: &'u Expr) -> Option<Aff> {
+        if let Some(add) = int_lit(e) {
+            return Some(Aff { reg: NONE, add });
+        }
+        if let Some(reg) = self.int_var(e) {
+            return Some(Aff { reg, add: 0 });
+        }
+        let Expr::Bin { op, lhs, rhs } = e else {
+            return None;
+        };
+        let (reg, add) = match op {
+            BinOp::Add => match (int_lit(lhs), int_lit(rhs)) {
+                (None, Some(c)) => (self.int_var(lhs)?, c),
+                (Some(c), None) => (self.int_var(rhs)?, c),
+                _ => return None,
+            },
+            // `i - c` wraps like `i + (-c)` except at `c == i64::MIN`.
+            BinOp::Sub => (self.int_var(lhs)?, int_lit(rhs)?.checked_neg()?),
+            _ => return None,
+        };
+        Some(Aff { reg, add })
+    }
+
+    /// Register one access site; non-affine subscripts are emitted as
+    /// ops (in order, so their loads and errors keep their place).
+    fn site(&mut self, arr: u32, indices: &'u [Expr]) -> Option<u32> {
+        let mut subs = Vec::with_capacity(indices.len());
+        for e in indices {
+            subs.push(match self.affine(e) {
+                Some(a) => a,
+                None => {
+                    let v = self.expr(e)?;
+                    Aff {
+                        reg: self.index(v)?,
+                        add: 0,
+                    }
                 }
             });
         }
-        let arr = self.array(&lv.name, true)?;
-        let idx: Option<Vec<IExpr>> = lv
-            .indices
-            .iter()
-            .map(|e| self.expr(e).and_then(CE::index))
-            .collect();
-        let idx = idx?;
-        self.stores.push((arr, idx.clone()));
-        Some(CStmt::Store {
+        let lo = self.k.subs.len() as u32;
+        self.k.subs.extend(subs);
+        self.k.sites.push(Site {
             arr,
-            idx,
-            rhs: rhs.real()?,
-            line,
-        })
+            lo,
+            hi: self.k.subs.len() as u32,
+        });
+        Some(self.k.sites.len() as u32 - 1)
     }
 
-    fn expr(&mut self, e: &Expr) -> Option<CE> {
-        match e {
-            Expr::IntLit(v) => Some(CE::I(IExpr::Const(*v))),
-            Expr::RealLit(v) => Some(CE::R(RExpr::Const(*v))),
-            Expr::LogicalLit(b) => Some(CE::B(BExpr::Const(*b))),
-            Expr::StrLit(_) => None,
+    fn expr(&mut self, e: &'u Expr) -> Option<Val> {
+        Some(match e {
+            Expr::StrLit(_) => return None,
+            Expr::IntLit(v) => (Ty::I, self.konst(Value::Int(*v))),
+            Expr::RealLit(v) => (Ty::R, self.konst(Value::Real(*v))),
+            Expr::LogicalLit(b) => (Ty::B, self.konst(Value::Int(*b as i64))),
             Expr::Var(name) => {
                 let slot = self.slot(name)?;
-                Some(if self.slots[slot].is_int {
-                    CE::I(IExpr::Slot(slot))
+                let ty = if self.k.slots[slot as usize].is_int {
+                    Ty::I
                 } else {
-                    CE::R(RExpr::Slot(slot))
-                })
+                    Ty::R
+                };
+                (ty, slot)
             }
             Expr::Index { name, indices } => {
                 if self.unit.is_array(name) {
                     let arr = self.array(name, false)?;
-                    let idx: Option<Vec<IExpr>> = indices
-                        .iter()
-                        .map(|e| self.expr(e).and_then(CE::index))
-                        .collect();
-                    let idx = idx?;
-                    self.loads.push((arr, idx.clone()));
-                    return Some(if self.arrays[arr].is_int {
-                        CE::I(IExpr::Load(arr, idx))
+                    let site = self.site(arr, indices)?;
+                    return Some(if self.k.arrays[arr as usize].is_int {
+                        (Ty::I, self.op(Code::LoadI, NONE, NONE, site))
                     } else {
-                        CE::R(RExpr::Load(arr, idx))
+                        (Ty::R, self.op(Code::LoadR, NONE, NONE, site))
                     });
                 }
                 if crate::eval::is_intrinsic_name(name) {
                     return self.intrinsic(name, indices);
                 }
-                None // user function call
+                return None; // user function call
             }
             Expr::Bin { op, lhs, rhs } => {
-                if *op == BinOp::And || *op == BinOp::Or {
-                    let l = self.expr(lhs)?.boolean()?;
-                    let r = self.expr(rhs)?.boolean()?;
-                    return Some(CE::B(if *op == BinOp::And {
-                        BExpr::And(Box::new(l), Box::new(r))
+                if op.is_logical() {
+                    // Short-circuit like the tree walk: the right side
+                    // (its loads, its errors) runs only when it decides.
+                    let l = self.boolean(lhs)?;
+                    let d = self.op(Code::MovI, l, l, 0);
+                    let br = if *op == BinOp::And {
+                        Code::BrF
                     } else {
-                        BExpr::Or(Box::new(l), Box::new(r))
-                    }));
+                        Code::BrT
+                    };
+                    let skip = self.emit(br, NONE, d, NONE, 0);
+                    let r = self.boolean(rhs)?;
+                    self.emit(Code::MovI, d, r, r, 0);
+                    self.land(skip);
+                    return Some((Ty::B, d));
                 }
                 let l = self.expr(lhs)?;
                 let r = self.expr(rhs)?;
-                if op.is_relational() {
-                    let l = l.real()?;
-                    let r = r.real()?;
-                    return Some(CE::B(BExpr::Rel(*op, Box::new(l), Box::new(r))));
-                }
-                match (l, r) {
-                    (CE::I(a), CE::I(b)) => {
-                        let (a, b) = (Box::new(a), Box::new(b));
-                        Some(CE::I(match op {
-                            BinOp::Add => IExpr::Add(a, b),
-                            BinOp::Sub => IExpr::Sub(a, b),
-                            BinOp::Mul => IExpr::Mul(a, b),
-                            BinOp::Div => IExpr::Div(a, b),
-                            BinOp::Pow => IExpr::Pow(a, b),
-                            _ => return None,
-                        }))
-                    }
-                    (a, b) => {
-                        let a = a.real()?;
-                        let b = b.real()?;
-                        Some(CE::R(RExpr::Bin(*op, Box::new(a), Box::new(b))))
-                    }
-                }
-            }
-            Expr::Un { op, expr } => {
-                let v = self.expr(expr)?;
-                match op {
-                    UnOp::Neg => match v {
-                        CE::I(e) => Some(CE::I(fold_neg(e))),
-                        CE::R(e) => Some(CE::R(RExpr::Neg(Box::new(e)))),
-                        CE::B(_) => None,
-                    },
-                    UnOp::Not => Some(CE::B(BExpr::Not(Box::new(v.boolean()?)))),
+                let (ty, code) = match (op, l.0, r.0) {
+                    (BinOp::Eq, ..) => (Ty::B, Code::Eq),
+                    (BinOp::Ne, ..) => (Ty::B, Code::Ne),
+                    (BinOp::Lt, ..) => (Ty::B, Code::Lt),
+                    (BinOp::Le, ..) => (Ty::B, Code::Le),
+                    (BinOp::Gt, ..) => (Ty::B, Code::Gt),
+                    (BinOp::Ge, ..) => (Ty::B, Code::Ge),
+                    (BinOp::Add, Ty::I, Ty::I) => (Ty::I, Code::AddI),
+                    (BinOp::Sub, Ty::I, Ty::I) => (Ty::I, Code::SubI),
+                    (BinOp::Mul, Ty::I, Ty::I) => (Ty::I, Code::MulI),
+                    (BinOp::Div, Ty::I, Ty::I) => (Ty::I, Code::DivI),
+                    (BinOp::Pow, Ty::I, Ty::I) => (Ty::I, Code::PowI),
+                    (BinOp::Add, ..) => (Ty::R, Code::AddR),
+                    (BinOp::Sub, ..) => (Ty::R, Code::SubR),
+                    (BinOp::Mul, ..) => (Ty::R, Code::MulR),
+                    (BinOp::Div, ..) => (Ty::R, Code::DivR),
+                    (BinOp::Pow, ..) => (Ty::R, Code::PowR),
+                    (BinOp::And | BinOp::Or, ..) => unreachable!("logical ops handled above"),
+                };
+                if ty == Ty::I {
+                    (ty, self.op(code, l.1, r.1, 0))
+                } else {
+                    // Relational and mixed arithmetic go through f64.
+                    let (a, b) = (self.real(l)?, self.real(r)?);
+                    (ty, self.op(code, a, b, 0))
                 }
             }
-        }
+            Expr::Un { op, expr } => match (op, &**expr) {
+                // Fold `-(literal)` into a constant.
+                (UnOp::Neg, Expr::IntLit(v)) => (Ty::I, self.konst(Value::Int(v.checked_neg()?))),
+                (UnOp::Neg, Expr::RealLit(v)) => (Ty::R, self.konst(Value::Real(-v))),
+                (UnOp::Neg, _) => match self.expr(expr)? {
+                    (Ty::I, r) => (Ty::I, self.op(Code::NegI, r, r, 0)),
+                    (Ty::R, r) => (Ty::R, self.op(Code::NegR, r, r, 0)),
+                    (Ty::B, _) => return None,
+                },
+                (UnOp::Not, _) => {
+                    let r = self.boolean(expr)?;
+                    (Ty::B, self.op(Code::Not, r, r, 0))
+                }
+            },
+        })
     }
 
-    fn intrinsic(&mut self, name: &str, args: &[Expr]) -> Option<CE> {
-        let compiled: Option<Vec<CE>> = args.iter().map(|a| self.expr(a)).collect();
-        let mut args = compiled?;
+    fn intrinsic(&mut self, name: &str, args: &'u [Expr]) -> Option<Val> {
         // The tree walk evaluates *all* arguments, then most intrinsics
         // consume a prefix; reject surplus arguments instead of
         // modeling their evaluation (the fallback handles them).
-        let exact = |n: usize, args: &[CE]| args.len() == n;
-        match name {
-            "abs" => {
-                if !exact(1, &args) {
-                    return None;
-                }
-                Some(match args.pop().unwrap() {
-                    CE::I(e) => CE::I(IExpr::Abs(Box::new(e))),
-                    CE::R(e) => CE::R(RExpr::Abs(Box::new(e))),
-                    CE::B(_) => return None,
-                })
+        let vals: Vec<Val> = args.iter().map(|a| self.expr(a)).collect::<Option<_>>()?;
+        Some(match (name, vals.as_slice()) {
+            ("abs", &[(Ty::I, a)]) => (Ty::I, self.op(Code::AbsI, a, a, 0)),
+            ("abs", &[(Ty::R, a)]) => (Ty::R, self.op(Code::AbsR, a, a, 0)),
+            ("iabs", &[v]) => {
+                let a = self.index(v)?;
+                (Ty::I, self.op(Code::AbsI, a, a, 0))
             }
-            "iabs" => {
-                if !exact(1, &args) {
-                    return None;
-                }
-                Some(CE::I(IExpr::Abs(Box::new(args.pop().unwrap().index()?))))
-            }
-            "max" | "amax1" | "min" | "amin1" => {
-                if args.is_empty() {
-                    return None;
-                }
-                let is_max = name == "max" || name == "amax1";
-                let all_int =
-                    (name == "max" || name == "min") && args.iter().all(|a| matches!(a, CE::I(_)));
-                let reals: Option<Vec<RExpr>> = args.into_iter().map(CE::real).collect();
-                let reals = reals?;
-                Some(if all_int {
-                    CE::I(IExpr::MaxMin(is_max, reals))
+            ("max" | "amax1" | "min" | "amin1", &[first, ref rest @ ..]) => {
+                // Folded in f64 like the tree walk, one flop for the
+                // whole fold; all-integer `max`/`min` casts back.
+                let link = if name == "max" || name == "amax1" {
+                    Code::Max
                 } else {
-                    CE::R(RExpr::MaxMin(is_max, reals))
-                })
-            }
-            "sqrt" | "exp" | "log" | "sin" | "cos" | "tan" | "atan" => {
-                if !exact(1, &args) {
-                    return None;
+                    Code::Min
+                };
+                let all_int = (name == "max" || name == "min") && vals.iter().all(|v| v.0 == Ty::I);
+                let mut acc = self.real(first)?;
+                for &v in rest {
+                    let r = self.real(v)?;
+                    acc = self.op(link, acc, r, 0);
                 }
-                let a = Box::new(args.pop().unwrap().real()?);
-                Some(CE::R(match name {
-                    "sqrt" => RExpr::Sqrt(a),
-                    "exp" => RExpr::Exp(a),
-                    "log" => RExpr::Log(a),
-                    "sin" => RExpr::Sin(a),
-                    "cos" => RExpr::Cos(a),
-                    "tan" => RExpr::Tan(a),
-                    _ => RExpr::Atan(a),
-                }))
-            }
-            "mod" => {
-                if !exact(2, &args) {
-                    return None;
-                }
-                let b = args.pop().unwrap();
-                let a = args.pop().unwrap();
-                match (a, b) {
-                    (CE::I(a), CE::I(b)) => Some(CE::I(IExpr::Mod(Box::new(a), Box::new(b)))),
-                    (a, b) => Some(CE::R(RExpr::Mod(Box::new(a.real()?), Box::new(b.real()?)))),
+                if all_int {
+                    (Ty::I, self.op(Code::Int, acc, acc, 0))
+                } else {
+                    (Ty::R, self.op(Code::Cvt, acc, acc, 0))
                 }
             }
-            "sign" => {
-                if !exact(2, &args) {
-                    return None;
-                }
-                let b = args.pop().unwrap().real()?;
-                let a = args.pop().unwrap().real()?;
-                Some(CE::R(RExpr::Sign(Box::new(a), Box::new(b))))
+            ("sqrt" | "exp" | "log" | "sin" | "cos" | "tan" | "atan", &[v]) => {
+                let code = match name {
+                    "sqrt" => Code::Sqrt,
+                    "exp" => Code::Exp,
+                    "log" => Code::Log,
+                    "sin" => Code::Sin,
+                    "cos" => Code::Cos,
+                    "tan" => Code::Tan,
+                    _ => Code::Atan,
+                };
+                let a = self.real(v)?;
+                (Ty::R, self.op(code, a, a, 0))
             }
-            "float" | "real" | "dble" => {
-                if !exact(1, &args) {
-                    return None;
-                }
-                Some(CE::R(RExpr::Cvt(Box::new(args.pop().unwrap().real()?))))
+            ("mod", &[(Ty::I, a), (Ty::I, b)]) => (Ty::I, self.op(Code::ModI, a, b, 0)),
+            ("mod" | "sign", &[a, b]) => {
+                let code = if name == "mod" {
+                    Code::ModR
+                } else {
+                    Code::Sign
+                };
+                let (a, b) = (self.real(a)?, self.real(b)?);
+                (Ty::R, self.op(code, a, b, 0))
             }
-            "int" => {
-                if !exact(1, &args) {
-                    return None;
-                }
-                Some(CE::I(IExpr::Cvt(Box::new(args.pop().unwrap().real()?))))
+            ("float" | "real" | "dble", &[v]) => {
+                let a = self.real(v)?;
+                (Ty::R, self.op(Code::Cvt, a, a, 0))
             }
-            "nint" => {
-                if !exact(1, &args) {
-                    return None;
-                }
-                Some(CE::I(IExpr::Nint(Box::new(args.pop().unwrap().real()?))))
+            ("int" | "nint", &[v]) => {
+                let code = if name == "int" { Code::Int } else { Code::Nint };
+                let a = self.real(v)?;
+                (Ty::I, self.op(code, a, a, 0))
             }
-            _ => None, // recognized but unimplemented — tree walk errors
-        }
+            _ => return None, // recognized but unimplemented — tree walk errors
+        })
+    }
+}
+
+impl Kernel {
+    /// The site of every store (or of every load) of the nest.
+    fn accesses(&self, stores: bool) -> impl Iterator<Item = &Site> {
+        let wanted = move |c: Code| match c {
+            Code::Store => stores,
+            Code::LoadR | Code::LoadI => !stores,
+            _ => false,
+        };
+        (self.ops.iter().filter(move |op| wanted(op.code))).map(|op| &self.sites[op.imm as usize])
     }
 
     /// Prove that splitting the root loop's trips across threads can
-    /// never make two threads touch the same element: every store to
-    /// an array must carry the root variable, with a compile-time
-    /// nonzero coefficient, in exactly one dimension whose remaining
-    /// terms are loop-invariant; all *other* dimensions must not
-    /// mention the root variable; and all stores to the same array
-    /// must agree on that dimension's subscript. Loads of a written
-    /// array must sit at the *same* root coordinate as its stores
-    /// (identical owner-dimension subscript, root variable absent
-    /// elsewhere) — cross-iteration reads like `a(i, j-1)` under
-    /// stores to `a(i, j)` would cross chunk boundaries. Name aliasing
-    /// (two names bound to one array) is caught at invocation time by
-    /// the runtime `ArrayId` disjointness check.
-    fn prove_store_disjointness(&self, root: &DoLoop) -> bool {
-        let rv = root.var;
-        // (array → (dim, owner subscript)) agreed across sites
-        let mut owners: HashMap<usize, (usize, &IExpr)> = HashMap::new();
-        for (arr, idx) in &self.stores {
-            let mut owner: Option<usize> = None;
-            for (d, sub) in idx.iter().enumerate() {
-                match affine_root_coeff(sub, rv, &self.loop_slots) {
-                    Some(0) => {}
-                    Some(_) => {
-                        if owner.is_some() {
-                            return false; // root var in two dimensions
-                        }
-                        owner = Some(d);
-                    }
-                    None => {
-                        // Nonlinear in the root variable, or mentions
-                        // it through a load: only safe if the root
-                        // variable does not occur at all.
-                        if mentions_slot_i(sub, rv) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            let Some(d) = owner else { return false };
-            match owners.get(arr) {
-                Some(&(pd, pe)) => {
-                    if pd != d || pe != &idx[d] {
-                        return false;
-                    }
-                }
-                None => {
-                    owners.insert(*arr, (d, &idx[d]));
-                }
+    /// never make two threads touch the same element. No scalar may be
+    /// assigned anywhere in the nest (per-iteration scalar state would
+    /// race). Every store must carry the root variable as `i±c` in
+    /// exactly one dimension, with every other subscript `c`/`j`/`j±c`
+    /// over some other scalar; all stores to the same array must agree
+    /// on that dimension and offset. Loads of a written array must sit
+    /// at the *same* root coordinate as its stores (identical
+    /// owner-dimension subscript, root variable absent elsewhere) —
+    /// cross-iteration reads like `a(i, j-1)` under stores to `a(i, j)`
+    /// would cross chunk boundaries. Name aliasing (two names bound to
+    /// one array) is caught at invocation time by [`rw_disjoint`].
+    fn prove_store_disjointness(&self) -> bool {
+        let (rv, ns, t0) = (self.loops[0].var, self.slots.len() as Reg, self.t0() as Reg);
+        if self.ops.iter().any(|op| op.code != Code::Do && op.dst < ns) {
+            return false;
+        }
+        let elsewhere = |s: &Aff| s.reg != rv && (s.reg == NONE || s.reg < t0);
+        // (array → (dim, offset)) of the root variable, agreed across sites
+        let mut owners: HashMap<u32, (usize, i64)> = HashMap::new();
+        for site in self.accesses(true) {
+            let subs = self.subs_of(site);
+            let Some(d) = subs.iter().position(|s| s.reg == rv) else {
+                return false;
+            };
+            let rest_ok = subs
+                .iter()
+                .enumerate()
+                .all(|(d2, s)| d2 == d || elsewhere(s));
+            let own = (d, subs[d].add);
+            if !rest_ok || *owners.entry(site.arr).or_insert(own) != own {
+                return false;
             }
         }
         // A nest with no stores mutates nothing; threading it is
-        // pointless (and scalar_writes already gates reductions).
-        if self.stores.is_empty() {
-            return false;
-        }
-        // Loads of written arrays must match the store's root
-        // coordinate exactly.
-        for (arr, idx) in &self.loads {
-            let Some(&(d, owner)) = owners.get(arr) else {
-                continue; // read-only array: any subscript is fine
-            };
-            if idx.len() <= d || &idx[d] != owner {
-                return false;
-            }
-            for (d2, sub) in idx.iter().enumerate() {
-                if d2 != d && mentions_slot_i(sub, rv) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Post-compile lowering: affine subscript fast path
-// ---------------------------------------------------------------------------
-
-/// Recognize `c`, `i`, `i+c`, `c+i`, and `i-c` subscript shapes. The
-/// value computed by [`Vm::offset_aff`] (`ints[slot].wrapping_add(add)`)
-/// is identical to the recursive evaluation (which also wraps), and
-/// affine subscripts charge no ops and cannot error, so the rewrite is
-/// unobservable.
-fn as_aff(e: &IExpr) -> Option<Aff> {
-    match e {
-        IExpr::Const(c) => Some(Aff {
-            slot: None,
-            add: *c,
-        }),
-        IExpr::Slot(s) => Some(Aff {
-            slot: Some(*s as u32),
-            add: 0,
-        }),
-        IExpr::Add(a, b) => match (&**a, &**b) {
-            (IExpr::Slot(s), IExpr::Const(c)) | (IExpr::Const(c), IExpr::Slot(s)) => Some(Aff {
-                slot: Some(*s as u32),
-                add: *c,
-            }),
-            _ => None,
-        },
-        IExpr::Sub(a, b) => match (&**a, &**b) {
-            // `i - c` wraps like `i + (-c)` except at `c == i64::MIN`.
-            (IExpr::Slot(s), IExpr::Const(c)) => Some(Aff {
-                slot: Some(*s as u32),
-                add: c.checked_neg()?,
-            }),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-fn aff_idx(idx: &[IExpr]) -> Option<Box<[Aff]>> {
-    idx.iter().map(as_aff).collect()
-}
-
-fn opt_do(d: &mut DoLoop) {
-    opt_i(&mut d.from);
-    opt_i(&mut d.to);
-    if let Some(s) = &mut d.step {
-        opt_i(s);
-    }
-    for s in &mut d.body {
-        opt_stmt(s);
-    }
-}
-
-fn opt_stmt(s: &mut CStmt) {
-    match s {
-        CStmt::AssignI { rhs, .. } => opt_i(rhs),
-        CStmt::AssignIFromR { rhs, .. } | CStmt::AssignR { rhs, .. } => opt_r(rhs),
-        CStmt::Store {
-            arr,
-            idx,
-            rhs,
-            line,
-        } => {
-            opt_r(rhs);
-            for e in idx.iter_mut() {
-                opt_i(e);
-            }
-            if let Some(aff) = aff_idx(idx) {
-                let (arr, rhs, line) = (*arr, std::mem::replace(rhs, RExpr::Const(0.0)), *line);
-                *s = CStmt::StoreA {
-                    arr,
-                    idx: aff,
-                    rhs,
-                    line,
+        // pointless.
+        !owners.is_empty()
+            && self.accesses(false).all(|site| {
+                let Some(&(d, add)) = owners.get(&site.arr) else {
+                    return true; // read-only array: any subscript is fine
                 };
-            }
-        }
-        CStmt::StoreA { idx: _, rhs, .. } => opt_r(rhs),
-        CStmt::If {
-            cond,
-            then,
-            elifs,
-            els,
-            ..
-        } => {
-            opt_b(cond);
-            for st in then.iter_mut().chain(els.iter_mut()) {
-                opt_stmt(st);
-            }
-            for (c, b) in elifs {
-                opt_b(c);
-                for st in b {
-                    opt_stmt(st);
+                let subs = self.subs_of(site);
+                subs.get(d) == Some(&Aff { reg: rv, add })
+                    && subs
+                        .iter()
+                        .enumerate()
+                        .all(|(d2, s)| d2 == d || elsewhere(s))
+            })
+    }
+
+    /// The row analysis of loop `li`: decide its [`RowVerdict`] and, for
+    /// a `Row`, record the body's per-trip cost and mark which operands
+    /// vary along the row. A row runs each op over all trips before the
+    /// next op, so it is only formed when that reordering is invisible:
+    ///
+    /// * nothing in the body can fail or carry state — element stores
+    ///   whose right sides are loads, constants, invariant scalars and
+    ///   infallible arithmetic, every subscript `c`/`i`/`i±c`;
+    /// * no access meets a store of the body at a different trip: two
+    ///   sites on one array name either have identical subscripts that
+    ///   contain the row variable (same element ⇒ same trip), or differ
+    ///   by a constant in a dimension that does not move with the row.
+    ///   Names are told apart here; two names bound to one array are
+    ///   caught per invocation by [`rw_disjoint`].
+    fn analyse_rows(&mut self, li: usize) {
+        use Code::*;
+        let (ns, t0) = (self.slots.len() as Reg, self.t0() as Reg);
+        let lp = self.loops[li].clone();
+        let mut varies = vec![false; self.ntemps];
+        let (mut cost, mut iota) = (OpCounts::default(), false);
+        // (site, is a store) of every access, in body order
+        let mut accesses: Vec<(&Site, bool)> = Vec::new();
+        let mut scan = || {
+            for op in &mut self.ops[lp.start..lp.end] {
+                cost.flops += op.code.flops();
+                match op.code {
+                    Tick | TickAt => cost.stmts += 1,
+                    Do => return Some(PointWise::InnerLoop),
+                    Jmp | BrF | BrT | Eq | Ne | Lt | Le | Gt | Ge | Not => {
+                        return Some(PointWise::Branch)
+                    }
+                    DivI | PowI | ModI | Sqrt | Log => return Some(PointWise::Fallible),
+                    LoadR | LoadI | Store => {
+                        let site = &self.sites[op.imm as usize];
+                        let subs = &self.subs[site.lo as usize..site.hi as usize];
+                        if subs.iter().any(|s| s.reg != NONE && s.reg >= t0) {
+                            return Some(PointWise::NonAffine);
+                        }
+                        accesses.push((site, op.code == Store));
+                        cost.stores += (op.code == Store) as u64;
+                        cost.loads += (op.code != Store) as u64;
+                    }
+                    _ => {}
+                }
+                if op.dst < ns {
+                    return Some(PointWise::ScalarState);
+                }
+                let along =
+                    |r: Reg| r == lp.var || r != NONE && r >= t0 && varies[(r - t0) as usize];
+                op.row = along(op.a) as u8 | (along(op.b) as u8) << 1;
+                iota |= op.a == lp.var || op.b == lp.var;
+                if op.dst != NONE {
+                    varies[(op.dst - t0) as usize] =
+                        op.row != 0 || matches!(op.code, LoadR | LoadI);
                 }
             }
+            None
+        };
+        let why = scan().or_else(|| {
+            let carried = accesses.iter().filter(|a| a.1).any(|&(store, _)| {
+                let ss = self.subs_of(store);
+                // a store the row does not move hits one element on
+                // every trip
+                !ss.iter().any(|x| x.reg == lp.var)
+                    || accesses.iter().any(|&(other, _)| {
+                        let os = self.subs_of(other);
+                        let apart = ss.len() == os.len()
+                            && ss
+                                .iter()
+                                .zip(os)
+                                .any(|(x, y)| x.reg == y.reg && x.reg != lp.var && x.add != y.add);
+                        other.arr == store.arr && os != ss && !apart
+                    })
+            });
+            carried.then_some(PointWise::CarriedDependence)
+        });
+        let lp = &mut self.loops[li];
+        match why {
+            Some(why) => lp.verdict = RowVerdict::PointWise(why),
+            None => (lp.verdict, lp.cost, lp.iota) = (RowVerdict::Row, cost, iota),
         }
-        CStmt::LogicalIf { cond, stmt, .. } => {
-            opt_b(cond);
-            opt_stmt(stmt);
-        }
-        CStmt::Do(d) => opt_do(d),
-        CStmt::Continue { .. } => {}
-    }
-}
-
-fn opt_i(e: &mut IExpr) {
-    match e {
-        IExpr::Const(_) | IExpr::Slot(_) | IExpr::LoadA(..) => {}
-        IExpr::FromReal(r) | IExpr::Cvt(r) | IExpr::Nint(r) => opt_r(r),
-        IExpr::Load(arr, idx) => {
-            for i in idx.iter_mut() {
-                opt_i(i);
-            }
-            if let Some(aff) = aff_idx(idx) {
-                *e = IExpr::LoadA(*arr, aff);
-            }
-        }
-        IExpr::Add(a, b)
-        | IExpr::Sub(a, b)
-        | IExpr::Mul(a, b)
-        | IExpr::Div(a, b)
-        | IExpr::Pow(a, b)
-        | IExpr::Mod(a, b) => {
-            opt_i(a);
-            opt_i(b);
-        }
-        IExpr::Neg(a) | IExpr::Abs(a) => opt_i(a),
-        IExpr::MaxMin(_, args) => args.iter_mut().for_each(opt_r),
-    }
-}
-
-fn opt_r(e: &mut RExpr) {
-    match e {
-        RExpr::Const(_) | RExpr::Slot(_) | RExpr::LoadA(..) => {}
-        RExpr::FromInt(i) => opt_i(i),
-        RExpr::Load(arr, idx) => {
-            for i in idx.iter_mut() {
-                opt_i(i);
-            }
-            if let Some(aff) = aff_idx(idx) {
-                *e = RExpr::LoadA(*arr, aff);
-            }
-        }
-        RExpr::Bin(_, a, b) | RExpr::Mod(a, b) | RExpr::Sign(a, b) => {
-            opt_r(a);
-            opt_r(b);
-        }
-        RExpr::Neg(a)
-        | RExpr::Abs(a)
-        | RExpr::Sqrt(a)
-        | RExpr::Exp(a)
-        | RExpr::Log(a)
-        | RExpr::Sin(a)
-        | RExpr::Cos(a)
-        | RExpr::Tan(a)
-        | RExpr::Atan(a)
-        | RExpr::Cvt(a) => opt_r(a),
-        RExpr::MaxMin(_, args) => args.iter_mut().for_each(opt_r),
-    }
-}
-
-fn opt_b(e: &mut BExpr) {
-    match e {
-        BExpr::Const(_) => {}
-        BExpr::Rel(_, a, b) => {
-            opt_r(a);
-            opt_r(b);
-        }
-        BExpr::And(a, b) | BExpr::Or(a, b) => {
-            opt_b(a);
-            opt_b(b);
-        }
-        BExpr::Not(a) => opt_b(a),
-    }
-}
-
-/// Fold `-(literal)` into a constant so affine analysis sees it.
-fn fold_neg(e: IExpr) -> IExpr {
-    match e {
-        IExpr::Const(v) => IExpr::Const(-v),
-        other => IExpr::Neg(Box::new(other)),
-    }
-}
-
-/// Coefficient of slot `rv` in `e` when `e` is linear in `rv` with a
-/// compile-time constant coefficient and a remainder free of *all*
-/// loop variables; `None` otherwise. `Some(0)` means "no dependence on
-/// any loop variable at all" for the owner-dimension remainder rule.
-fn affine_root_coeff(e: &IExpr, rv: usize, loop_slots: &HashSet<usize>) -> Option<i64> {
-    match e {
-        IExpr::Const(_) => Some(0),
-        IExpr::Slot(s) => {
-            if *s == rv {
-                Some(1)
-            } else if loop_slots.contains(s) {
-                None
-            } else {
-                Some(0)
-            }
-        }
-        IExpr::Add(a, b) => Some(
-            affine_root_coeff(a, rv, loop_slots)?
-                .checked_add(affine_root_coeff(b, rv, loop_slots)?)?,
-        ),
-        IExpr::Sub(a, b) => Some(
-            affine_root_coeff(a, rv, loop_slots)?
-                .checked_sub(affine_root_coeff(b, rv, loop_slots)?)?,
-        ),
-        IExpr::Neg(a) => affine_root_coeff(a, rv, loop_slots)?.checked_neg(),
-        IExpr::Mul(a, b) => {
-            let scale = |k: &IExpr, x: &IExpr| -> Option<i64> {
-                let IExpr::Const(k) = k else { return None };
-                affine_root_coeff(x, rv, loop_slots)?.checked_mul(*k)
-            };
-            scale(a, b).or_else(|| scale(b, a))
-        }
-        // Anything else is fine only when it involves no loop variable.
-        other => {
-            if mentions_any_slot_i(other, loop_slots) {
-                None
-            } else {
-                Some(0)
-            }
-        }
-    }
-}
-
-fn mentions_slot_i(e: &IExpr, slot: usize) -> bool {
-    let mut set = HashSet::new();
-    set.insert(slot);
-    mentions_any_slot_i(e, &set)
-}
-
-fn mentions_any_slot_i(e: &IExpr, slots: &HashSet<usize>) -> bool {
-    match e {
-        IExpr::Const(_) => false,
-        IExpr::Slot(s) => slots.contains(s),
-        IExpr::FromReal(r) | IExpr::Cvt(r) | IExpr::Nint(r) => mentions_any_slot_r(r, slots),
-        IExpr::Load(_, idx) => idx.iter().any(|i| mentions_any_slot_i(i, slots)),
-        IExpr::LoadA(_, idx) => idx
-            .iter()
-            .any(|a| a.slot.is_some_and(|s| slots.contains(&(s as usize)))),
-        IExpr::Add(a, b)
-        | IExpr::Sub(a, b)
-        | IExpr::Mul(a, b)
-        | IExpr::Div(a, b)
-        | IExpr::Pow(a, b)
-        | IExpr::Mod(a, b) => mentions_any_slot_i(a, slots) || mentions_any_slot_i(b, slots),
-        IExpr::Neg(a) | IExpr::Abs(a) => mentions_any_slot_i(a, slots),
-        IExpr::MaxMin(_, args) => args.iter().any(|a| mentions_any_slot_r(a, slots)),
-    }
-}
-
-fn mentions_any_slot_r(e: &RExpr, slots: &HashSet<usize>) -> bool {
-    match e {
-        RExpr::Const(_) => false,
-        RExpr::Slot(s) => slots.contains(s),
-        RExpr::FromInt(i) => mentions_any_slot_i(i, slots),
-        RExpr::Load(_, idx) => idx.iter().any(|i| mentions_any_slot_i(i, slots)),
-        RExpr::LoadA(_, idx) => idx
-            .iter()
-            .any(|a| a.slot.is_some_and(|s| slots.contains(&(s as usize)))),
-        RExpr::Bin(_, a, b) | RExpr::Mod(a, b) | RExpr::Sign(a, b) => {
-            mentions_any_slot_r(a, slots) || mentions_any_slot_r(b, slots)
-        }
-        RExpr::Neg(a)
-        | RExpr::Abs(a)
-        | RExpr::Sqrt(a)
-        | RExpr::Exp(a)
-        | RExpr::Log(a)
-        | RExpr::Sin(a)
-        | RExpr::Cos(a)
-        | RExpr::Tan(a)
-        | RExpr::Atan(a)
-        | RExpr::Cvt(a) => mentions_any_slot_r(a, slots),
-        RExpr::MaxMin(_, args) => args.iter().any(|a| mentions_any_slot_r(a, slots)),
     }
 }
 
@@ -1187,15 +1126,15 @@ fn mentions_any_slot_r(e: &RExpr, slots: &HashSet<usize>) -> bool {
 /// Entry state captured *without side effects*: the caller may still
 /// fall back to the tree walk if this returns `None`.
 pub struct Ready {
-    ints: Vec<i64>,
-    reals: Vec<f64>,
+    regs: Vec<u64>,
     arr_ids: Vec<ArrayId>,
     clamp: Option<ResolvedClamp>,
 }
 
 /// Runtime view of one array: raw base pointer plus bounds. The
 /// pointer is only dereferenced at offsets validated against `bounds`
-/// (the same check `ArrayVal::offset` performs).
+/// (the same check `ArrayVal::offset` performs), one element at a time
+/// point-wise or one row at a time from its two end points.
 #[derive(Clone)]
 struct ArrRt {
     ptr: *mut f64,
@@ -1203,10 +1142,11 @@ struct ArrRt {
     is_int: bool,
 }
 
-/// Shared thread-broadcast state; Sync is sound because the store
-/// disjointness proof (plus the runtime read/write id check) makes all
-/// concurrent pointer accesses race-free.
+/// Shared thread-broadcast state.
 struct ShareArrs<'a>(&'a [ArrRt]);
+// SAFETY: the store disjointness proof (plus the runtime read/write id
+// check) makes all concurrent accesses through `ptr` race-free, and
+// `bounds`/`is_int` are only read.
 unsafe impl Sync for ShareArrs<'_> {}
 
 impl Kernel {
@@ -1220,45 +1160,43 @@ impl Kernel {
         frame: &Frame,
         clamp: Option<(&crate::exec::LoopSplit, KernelClamp)>,
     ) -> Option<Ready> {
-        let mut ints = vec![0i64; self.slots.len()];
-        let mut reals = vec![0f64; self.slots.len()];
+        let nregs = self.t0() + self.ntemps;
+        let mut regs = vec![0u64; nregs];
         for (i, s) in self.slots.iter().enumerate() {
             if frame.arrays.contains_key(&s.name) {
                 return None; // compile-time scalar is a runtime array
             }
             match (frame.scalars.get(&s.name), s.is_int) {
                 (None, _) => {}
-                (Some(Value::Int(v)), true) => ints[i] = *v,
-                (Some(Value::Real(v)), false) => reals[i] = *v,
+                (Some(Value::Int(v)), true) => regs[i] = v.bits(),
+                (Some(Value::Real(v)), false) => regs[i] = v.bits(),
                 // Representation differs from the static type (e.g. a
                 // parameter constant stored as Int under a real name):
                 // the tree walk's dynamic typing must decide.
                 _ => return None,
             }
         }
-        let mut arr_ids = Vec::with_capacity(self.arrays.len());
-        for a in &self.arrays {
-            let id = *frame.arrays.get(&a.name)?;
-            arr_ids.push(id);
+        for (i, c) in self.consts.iter().enumerate() {
+            match c {
+                Value::Int(v) => regs[self.slots.len() + i] = v.bits(),
+                Value::Real(v) => regs[self.slots.len() + i] = v.bits(),
+                _ => unreachable!("only numeric constants are emitted"),
+            }
         }
+        let arr_ids = (self.arrays.iter())
+            .map(|a| frame.arrays.get(&a.name).copied())
+            .collect::<Option<_>>()?;
         let clamp = match clamp {
             None => None,
-            Some((split, mode)) => {
-                let slot = self
-                    .slots
-                    .iter()
-                    .position(|s| s.name == split.var && s.is_int)?;
-                Some(ResolvedClamp {
-                    slot,
-                    low: split.low_width as i64,
-                    high: split.high_width as i64,
-                    mode,
-                })
-            }
+            Some((split, mode)) => Some(ResolvedClamp {
+                slot: (self.slots.iter()).position(|s| s.name == split.var && s.is_int)? as Reg,
+                low: split.low_width as i64,
+                high: split.high_width as i64,
+                mode,
+            }),
         };
         Some(Ready {
-            ints,
-            reals,
+            regs,
             arr_ids,
             clamp,
         })
@@ -1277,13 +1215,8 @@ impl Kernel {
         frame: &mut Frame,
         root_ticked: bool,
     ) -> Result<(), RunError> {
-        let Ready {
-            ints,
-            reals,
-            arr_ids,
-            clamp,
-        } = ready;
-        let arrs: Vec<ArrRt> = arr_ids
+        let arrs: Vec<ArrRt> = ready
+            .arr_ids
             .iter()
             .map(|id| {
                 let a = m.array_mut(*id);
@@ -1294,29 +1227,21 @@ impl Kernel {
                 }
             })
             .collect();
-        let mut ctx = Vm {
-            ints,
-            reals,
-            arrs: &arrs,
-            ops: OpCounts::default(),
-            base_stmts: m.ops.stmts,
-            limit: m.stmt_limit,
-            clamp,
-        };
-        let result = self.run_root(set, &mut ctx, &arr_ids, root_ticked);
+        let mut ctx = Vm::new(self, ready.regs, &arrs, ready.clamp);
+        ctx.base_stmts = m.ops.stmts;
+        ctx.limit = m.stmt_limit;
+        ctx.disjoint = rw_disjoint(&self.arrays, &ready.arr_ids);
+        let result = self.run_root(set, &mut ctx, root_ticked);
         // Flush ops and write scalars back whether or not we errored —
         // a failing run aborts, but the machine should still account
         // for the work done.
-        m.ops.flops += ctx.ops.flops;
-        m.ops.loads += ctx.ops.loads;
-        m.ops.stores += ctx.ops.stores;
-        m.ops.stmts += ctx.ops.stmts;
+        add_counts(&mut m.ops, &ctx.ops, 1);
         for &i in &self.assigned {
-            let s = &self.slots[i];
+            let s = &self.slots[i as usize];
             let v = if s.is_int {
-                Value::Int(ctx.ints[i])
+                Value::Int(ctx.int(i))
             } else {
-                Value::Real(ctx.reals[i])
+                Value::Real(ctx.real(i))
             };
             frame.set_scalar(&s.name, v)?;
         }
@@ -1329,63 +1254,34 @@ impl Kernel {
         &self,
         set: &KernelSet,
         ctx: &mut Vm<'_>,
-        arr_ids: &[ArrayId],
         root_ticked: bool,
     ) -> Result<(), RunError> {
-        let d = &self.root;
-        if !root_ticked {
-            ctx.tick(d.line)?;
+        let root = &self.loops[0];
+        // ops[0] is the root's own tick; its bounds follow.
+        ctx.run(self, root_ticked as usize, root.start - 1)?;
+        let (f, step, trips, clamped) = ctx.bounds(&self.ops[root.start - 1], root)?;
+        if clamped {
+            // Below the clamped loop the body runs unmodified.
+            ctx.clamp = None;
         }
-        let f = ctx.eval_i(&d.from)?;
-        let t = ctx.eval_i(&d.to)?;
-        let step = match &d.step {
-            Some(e) => ctx.eval_i(e)?,
-            None => 1,
-        };
-        if step == 0 {
-            return Err(RunError::new("zero do-loop step").at(d.line));
-        }
-        let root_clamp = ctx.clamp.filter(|c| c.slot == d.var);
-        let (f, t, step) = match &root_clamp {
-            Some(c) => {
-                if step != 1 {
-                    return Err(RunError::new("overlapped loop must have unit step").at(d.line));
-                }
-                // Below the clamped loop the body runs unmodified.
-                ctx.clamp = None;
-                let (cf, ct) = kclamp_range(f, t, c);
-                (cf, ct, 1)
-            }
-            None => (f, t, step),
-        };
-        let trips = ((t - f + step) / step).max(0);
-        let threaded = self.threadable
-            && ctx.limit == 0
-            && trips >= 2
-            && set.pool.is_some()
-            && rw_disjoint(&self.arrays, arr_ids);
+        let threaded =
+            self.threadable && ctx.limit == 0 && trips >= 2 && set.pool.is_some() && ctx.disjoint;
         if threaded {
             self.run_threaded(set, ctx, f, step, trips)?;
         } else {
-            let mut iv = f;
-            for _ in 0..trips {
-                ctx.ints[d.var] = iv;
-                for s in &d.body {
-                    ctx.exec(s)?;
-                }
-                iv += step;
-            }
+            ctx.run_trips(self, root, f, step, trips)?;
         }
         // Loop variable rests one past the last value.
-        ctx.ints[d.var] = f + trips.max(0) * step;
+        ctx.set(root.var, f + trips * step);
         Ok(())
     }
 
     /// Split `trips` root iterations into contiguous chunks across the
-    /// pool. Each chunk runs an independent VM over cloned scalar
-    /// banks; op counters are summed (order-independent totals) and
-    /// final scalar state is taken from the last chunk, which by
-    /// construction executed the final iterations.
+    /// pool. Each chunk runs an independent VM over a cloned register
+    /// file and its own row buffer; op counters are summed
+    /// (order-independent totals) and final scalar state is taken from
+    /// the last chunk, which by construction executed the final
+    /// iterations.
     fn run_threaded(
         &self,
         set: &KernelSet,
@@ -1396,70 +1292,57 @@ impl Kernel {
     ) -> Result<(), RunError> {
         let pool = set.pool.as_ref().expect("threaded gate checked pool");
         let nchunks = pool.threads().min(trips as usize).max(1);
-        type ChunkOut = (Result<(), RunError>, OpCounts, Vec<i64>, Vec<f64>);
+        type ChunkOut = (Result<(), RunError>, OpCounts, Vec<u64>);
         let results: Vec<Mutex<Option<ChunkOut>>> =
             (0..nchunks).map(|_| Mutex::new(None)).collect();
         let share = ShareArrs(ctx.arrs);
-        let (ints0, reals0, clamp) = (&ctx.ints, &ctx.reals, ctx.clamp);
-        let d = &self.root;
+        let (regs0, clamp) = (&ctx.regs, ctx.clamp);
         pool.broadcast(nchunks, &|k| {
             let share = &share;
             let lo = trips as usize * k / nchunks;
             let hi = trips as usize * (k + 1) / nchunks;
-            let mut vm = Vm {
-                ints: ints0.clone(),
-                reals: reals0.clone(),
-                arrs: share.0,
-                ops: OpCounts::default(),
-                base_stmts: 0,
-                limit: 0,
-                clamp,
-            };
-            let mut iv = f + lo as i64 * step;
-            let mut res = Ok(());
-            'chunk: for _ in lo..hi {
-                vm.ints[d.var] = iv;
-                for s in &d.body {
-                    if let Err(e) = vm.exec(s) {
-                        res = Err(e);
-                        break 'chunk;
-                    }
-                }
-                iv += step;
-            }
-            *results[k].lock().unwrap() = Some((res, vm.ops, vm.ints, vm.reals));
+            let mut vm = Vm::new(self, regs0.clone(), share.0, clamp);
+            let res = vm.run_trips(
+                self,
+                &self.loops[0],
+                f + lo as i64 * step,
+                step,
+                (hi - lo) as i64,
+            );
+            *results[k]
+                .lock()
+                .expect("chunk slots are written once, panic-free") = Some((res, vm.ops, vm.regs));
         });
         let mut first_err = None;
         for slot in &results {
-            let (res, ops, ints, reals) = slot
+            let (res, ops, regs) = slot
                 .lock()
-                .unwrap()
+                .expect("chunk slots are written once, panic-free")
                 .take()
                 .expect("broadcast filled every chunk slot");
-            ctx.ops.flops += ops.flops;
-            ctx.ops.loads += ops.loads;
-            ctx.ops.stores += ops.stores;
-            ctx.ops.stmts += ops.stmts;
+            add_counts(&mut ctx.ops, &ops, 1);
             if first_err.is_none() {
-                if let Err(e) = res {
-                    first_err = Some(e);
-                }
+                first_err = res.err();
             }
-            // Last chunk ran the final iterations: its scalar banks are
+            // Last chunk ran the final iterations: its registers are
             // the sequential end state.
-            ctx.ints = ints;
-            ctx.reals = reals;
+            ctx.regs = regs;
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
+}
+
+fn add_counts(into: &mut OpCounts, c: &OpCounts, times: u64) {
+    into.flops += c.flops * times;
+    into.loads += c.loads * times;
+    into.stores += c.stores * times;
+    into.stmts += c.stmts * times;
 }
 
 /// Runtime read/write disjointness by resolved `ArrayId`: argument
 /// binding can alias two names to one array, which would defeat the
-/// compile-time proof.
+/// compile-time proofs (threading and rows both tell arrays apart by
+/// name).
 fn rw_disjoint(arrays: &[ArrInfo], ids: &[ArrayId]) -> bool {
     let written: Vec<ArrayId> = arrays
         .iter()
@@ -1483,17 +1366,61 @@ fn rw_disjoint(arrays: &[ArrInfo], ids: &[ArrayId]) -> bool {
 // The VM
 // ---------------------------------------------------------------------------
 
+/// Longest stretch of a row run in one go. Longer rows are strip-mined
+/// so the temp rows stay cache-resident and the buffer stays
+/// `ntemps × STRIP × 8` bytes whatever the grid.
+const STRIP: usize = 128;
+
 struct Vm<'k> {
-    ints: Vec<i64>,
-    reals: Vec<f64>,
+    regs: Vec<u64>,
     arrs: &'k [ArrRt],
     ops: OpCounts,
     base_stmts: u64,
     limit: u64,
     clamp: Option<ResolvedClamp>,
+    /// Line that evaluation errors of the current statement carry.
+    line: u32,
+    /// No two names of the nest resolve to one array this invocation.
+    disjoint: bool,
+    /// One temp row per temporary, `STRIP` apart, allocated at the
+    /// first row, then the row variable's own values. Rows hold either
+    /// bank's values as their bits ([`Lane`]).
+    rows: Vec<u64>,
+    /// `(base, stride)` of each site of the row being run.
+    resolved: Vec<(isize, isize)>,
+    /// Scratch of [`Vm::gather`]: the loads of one statement.
+    gathered: Vec<Gathered>,
 }
 
-impl Vm<'_> {
+impl<'k> Vm<'k> {
+    fn new(k: &Kernel, regs: Vec<u64>, arrs: &'k [ArrRt], clamp: Option<ResolvedClamp>) -> Self {
+        Vm {
+            regs,
+            arrs,
+            ops: OpCounts::default(),
+            base_stmts: 0,
+            limit: 0,
+            clamp,
+            line: 0,
+            disjoint: true,
+            rows: Vec::new(),
+            resolved: vec![(0, 0); k.sites.len()],
+            gathered: Vec::new(),
+        }
+    }
+
+    fn int(&self, r: Reg) -> i64 {
+        i64::of(self.regs[r as usize])
+    }
+
+    fn real(&self, r: Reg) -> f64 {
+        f64::of(self.regs[r as usize])
+    }
+
+    fn set(&mut self, r: Reg, v: impl Lane) {
+        self.regs[r as usize] = v.bits();
+    }
+
     /// `Machine::tick` with the statement's line attached, against the
     /// locally accumulated count.
     fn tick(&mut self, line: u32) -> Result<(), RunError> {
@@ -1508,52 +1435,31 @@ impl Vm<'_> {
         Ok(())
     }
 
-    /// Column-major offset with `ArrayVal::offset`'s exact checks.
-    fn offset_of(&self, arr: usize, idx: &[i64]) -> Result<usize, RunError> {
-        let a = &self.arrs[arr];
-        if idx.len() != a.bounds.len() {
-            return Err(RunError::new(format!(
-                "rank mismatch: {} subscripts for rank-{} array",
-                idx.len(),
-                a.bounds.len()
-            )));
-        }
-        let mut off = 0usize;
-        let mut stride = 1usize;
-        for (d, (&i, &(lo, hi))) in idx.iter().zip(&a.bounds).enumerate() {
-            if i < lo || i > hi {
-                return Err(RunError::new(format!(
-                    "subscript {i} out of bounds {lo}:{hi} in dimension {}",
-                    d + 1
-                )));
-            }
-            off += (i - lo) as usize * stride;
-            stride *= (hi - lo + 1) as usize;
-        }
-        Ok(off)
+    /// An evaluation error of the current statement.
+    fn fail(&self, message: &str) -> RunError {
+        RunError::new(message).at(self.line)
     }
 
-    /// Column-major offset for pre-resolved affine subscripts, with the
-    /// same per-dimension checks and error text as [`Vm::offset_of`].
-    #[inline]
-    fn offset_aff(&self, arr: usize, idx: &[Aff]) -> Result<usize, RunError> {
-        let a = &self.arrs[arr];
-        if idx.len() != a.bounds.len() {
-            return Err(RunError::new(format!(
+    /// Column-major offset of one access with `ArrayVal::offset`'s
+    /// exact checks and error text.
+    fn offset(&self, k: &Kernel, site: &Site) -> Result<usize, RunError> {
+        let (a, subs) = (&self.arrs[site.arr as usize], k.subs_of(site));
+        if subs.len() != a.bounds.len() {
+            return Err(self.fail(&format!(
                 "rank mismatch: {} subscripts for rank-{} array",
-                idx.len(),
+                subs.len(),
                 a.bounds.len()
             )));
         }
         let mut off = 0usize;
         let mut stride = 1usize;
-        for (d, (aff, &(lo, hi))) in idx.iter().zip(&a.bounds).enumerate() {
-            let i = match aff.slot {
-                Some(s) => self.ints[s as usize].wrapping_add(aff.add),
-                None => aff.add,
+        for (d, (s, &(lo, hi))) in subs.iter().zip(&a.bounds).enumerate() {
+            let i = match s.reg {
+                NONE => s.add,
+                r => self.int(r).wrapping_add(s.add),
             };
             if i < lo || i > hi {
-                return Err(RunError::new(format!(
+                return Err(self.fail(&format!(
                     "subscript {i} out of bounds {lo}:{hi} in dimension {}",
                     d + 1
                 )));
@@ -1564,422 +1470,494 @@ impl Vm<'_> {
         Ok(off)
     }
 
-    /// [`Vm::load`] for affine subscripts: they evaluate without ops or
-    /// errors, so the load counter ticks first and the value comes
-    /// straight off the precomputed offset.
-    #[inline]
-    fn load_aff(&mut self, arr: usize, idx: &[Aff]) -> Result<f64, RunError> {
-        self.ops.loads += 1;
-        let off = self.offset_aff(arr, idx)?;
-        let a = &self.arrs[arr];
-        // SAFETY: as in `load` — offset validated against the bounds,
-        // pointer live for the invocation, races excluded by the
-        // disjointness proof.
-        let v = unsafe { *a.ptr.add(off) };
-        Ok(if a.is_int { v.round() } else { v })
-    }
-
-    /// Array element load: subscripts, then `loads += 1`, then the
-    /// bounds-checked read (rounded when declared integer) — the exact
-    /// order of `eval`'s `Index` arm.
-    fn load(&mut self, arr: usize, idx: &[IExpr]) -> Result<f64, RunError> {
-        let is_int = self.arrs[arr].is_int;
-        // Subscripts first (their loads/errors), then this load.
-        let mut vals = [0i64; 8];
-        let n = idx.len();
-        let off = if n <= vals.len() {
-            for (k, e) in idx.iter().enumerate() {
-                vals[k] = self.eval_i(e)?;
-            }
-            self.ops.loads += 1;
-            self.offset_of(arr, &vals[..n])?
-        } else {
-            let mut vals = Vec::with_capacity(n);
-            for e in idx {
-                vals.push(self.eval_i(e)?);
-            }
-            self.ops.loads += 1;
-            self.offset_of(arr, &vals)?
-        };
-        // SAFETY: `off` was validated against the array bounds, whose
-        // product is the data length; the pointer is live for the
-        // whole invocation and concurrent access is race-free by the
-        // disjointness proof.
-        let v = unsafe { *self.arrs[arr].ptr.add(off) };
-        Ok(if is_int { v.round() } else { v })
-    }
-
-    fn eval_i(&mut self, e: &IExpr) -> Result<i64, RunError> {
-        Ok(match e {
-            IExpr::Const(v) => *v,
-            IExpr::Slot(s) => self.ints[*s],
-            IExpr::FromReal(r) => self.eval_r(r)? as i64,
-            IExpr::Load(arr, idx) => self.load(*arr, idx)? as i64,
-            IExpr::LoadA(arr, idx) => self.load_aff(*arr, idx)? as i64,
-            IExpr::Add(a, b) => self.eval_i(a)?.wrapping_add(self.eval_i(b)?),
-            IExpr::Sub(a, b) => self.eval_i(a)?.wrapping_sub(self.eval_i(b)?),
-            IExpr::Mul(a, b) => self.eval_i(a)?.wrapping_mul(self.eval_i(b)?),
-            IExpr::Div(a, b) => {
-                let a = self.eval_i(a)?;
-                let b = self.eval_i(b)?;
-                if b == 0 {
-                    return Err(RunError::new("integer division by zero"));
+    /// The point-wise driver: ops `pc..end`, one at a time over the
+    /// register file, counting and checking exactly like the tree walk.
+    fn run(&mut self, k: &Kernel, mut pc: usize, end: usize) -> Result<(), RunError> {
+        while pc < end {
+            let op = &k.ops[pc];
+            pc += 1;
+            match op.code {
+                Code::Tick | Code::TickAt => {
+                    self.line = if op.code == Code::TickAt { op.imm } else { 0 };
+                    self.tick(op.imm)?;
                 }
-                a / b
-            }
-            IExpr::Pow(a, b) => {
-                let a = self.eval_i(a)?;
-                let b = self.eval_i(b)?;
-                if b >= 0 {
-                    let mut acc = 1i64;
-                    for _ in 0..b {
-                        acc = acc.wrapping_mul(a);
-                    }
-                    acc
-                } else {
-                    match a {
-                        1 => 1,
-                        -1 => {
-                            if b % 2 == 0 {
-                                1
-                            } else {
-                                -1
-                            }
-                        }
-                        0 => return Err(RunError::new("0 ** negative exponent")),
-                        _ => 0,
+                Code::Jmp => pc = op.imm as usize,
+                Code::BrF | Code::BrT => {
+                    if (self.int(op.a) != 0) == (op.code == Code::BrT) {
+                        pc = op.imm as usize;
                     }
                 }
-            }
-            IExpr::Neg(a) => -self.eval_i(a)?,
-            IExpr::Abs(a) => {
-                let v = self.eval_i(a)?;
-                self.ops.flops += 1;
-                v.abs()
-            }
-            IExpr::Cvt(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                v as i64
-            }
-            IExpr::Nint(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                v.round() as i64
-            }
-            IExpr::Mod(a, b) => {
-                let a = self.eval_i(a)?;
-                let b = self.eval_i(b)?;
-                self.ops.flops += 1;
-                if b == 0 {
-                    return Err(RunError::new("mod by zero"));
+                Code::Do => {
+                    let lp = &k.loops[op.imm as usize];
+                    self.exec_do(k, op, lp)?;
+                    pc = lp.end;
                 }
-                a % b
-            }
-            IExpr::MaxMin(is_max, args) => self.max_min(*is_max, args)? as i64,
-        })
-    }
-
-    fn max_min(&mut self, is_max: bool, args: &[RExpr]) -> Result<f64, RunError> {
-        let mut vals = [0f64; 8];
-        let n = args.len();
-        let mut heap;
-        let slice: &mut [f64] = if n <= vals.len() {
-            for (k, a) in args.iter().enumerate() {
-                vals[k] = self.eval_r(a)?;
-            }
-            &mut vals[..n]
-        } else {
-            heap = Vec::with_capacity(n);
-            for a in args {
-                heap.push(self.eval_r(a)?);
-            }
-            &mut heap
-        };
-        self.ops.flops += 1;
-        let mut acc = slice[0];
-        for &v in &slice[1..] {
-            acc = if is_max { acc.max(v) } else { acc.min(v) };
-        }
-        Ok(acc)
-    }
-
-    fn eval_r(&mut self, e: &RExpr) -> Result<f64, RunError> {
-        Ok(match e {
-            RExpr::Const(v) => *v,
-            RExpr::Slot(s) => self.reals[*s],
-            RExpr::FromInt(i) => self.eval_i(i)? as f64,
-            RExpr::Load(arr, idx) => self.load(*arr, idx)?,
-            RExpr::LoadA(arr, idx) => self.load_aff(*arr, idx)?,
-            RExpr::Bin(op, a, b) => {
-                let a = self.eval_r(a)?;
-                let b = self.eval_r(b)?;
-                self.ops.flops += 1;
-                match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => a / b,
-                    BinOp::Pow => a.powf(b),
-                    _ => unreachable!("logical/relational ops compile to BExpr"),
+                _ => {
+                    self.ops.flops += op.code.flops();
+                    self.exec(k, op)?;
                 }
             }
-            RExpr::Neg(a) => -self.eval_r(a)?,
-            RExpr::Abs(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                v.abs()
-            }
-            RExpr::Sqrt(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                if v < 0.0 {
-                    return Err(RunError::new("sqrt of negative value"));
-                }
-                v.sqrt()
-            }
-            RExpr::Exp(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                v.exp()
-            }
-            RExpr::Log(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                if v <= 0.0 {
-                    return Err(RunError::new("log of non-positive value"));
-                }
-                v.ln()
-            }
-            RExpr::Sin(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                v.sin()
-            }
-            RExpr::Cos(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                v.cos()
-            }
-            RExpr::Tan(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                v.tan()
-            }
-            RExpr::Atan(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                v.atan()
-            }
-            RExpr::Mod(a, b) => {
-                let a = self.eval_r(a)?;
-                let b = self.eval_r(b)?;
-                self.ops.flops += 1;
-                a % b
-            }
-            RExpr::Sign(a, b) => {
-                let a = self.eval_r(a)?;
-                let b = self.eval_r(b)?;
-                self.ops.flops += 1;
-                if b < 0.0 {
-                    -a.abs()
-                } else {
-                    a.abs()
-                }
-            }
-            RExpr::Cvt(a) => {
-                let v = self.eval_r(a)?;
-                self.ops.flops += 1;
-                v
-            }
-            RExpr::MaxMin(is_max, args) => self.max_min(*is_max, args)?,
-        })
-    }
-
-    fn eval_b(&mut self, e: &BExpr) -> Result<bool, RunError> {
-        Ok(match e {
-            BExpr::Const(b) => *b,
-            BExpr::Rel(op, a, b) => {
-                let a = self.eval_r(a)?;
-                let b = self.eval_r(b)?;
-                match op {
-                    BinOp::Eq => a == b,
-                    BinOp::Ne => a != b,
-                    BinOp::Lt => a < b,
-                    BinOp::Le => a <= b,
-                    BinOp::Gt => a > b,
-                    BinOp::Ge => a >= b,
-                    _ => unreachable!("non-relational op in Rel"),
-                }
-            }
-            BExpr::And(a, b) => self.eval_b(a)? && self.eval_b(b)?,
-            BExpr::Or(a, b) => self.eval_b(a)? || self.eval_b(b)?,
-            BExpr::Not(a) => !self.eval_b(a)?,
-        })
-    }
-
-    fn exec(&mut self, s: &CStmt) -> Result<(), RunError> {
-        match s {
-            CStmt::AssignI { slot, rhs, line } => {
-                self.tick(*line)?;
-                let v = self.eval_i(rhs).map_err(|e| e.at(*line))?;
-                self.ints[*slot] = v;
-                Ok(())
-            }
-            CStmt::AssignIFromR { slot, rhs, line } => {
-                self.tick(*line)?;
-                let v = self.eval_r(rhs).map_err(|e| e.at(*line))?;
-                // set_scalar coerces Real → declared-integer as `as i64`
-                self.ints[*slot] = v as i64;
-                Ok(())
-            }
-            CStmt::AssignR { slot, rhs, line } => {
-                self.tick(*line)?;
-                let v = self.eval_r(rhs).map_err(|e| e.at(*line))?;
-                self.reals[*slot] = v;
-                Ok(())
-            }
-            CStmt::Store {
-                arr,
-                idx,
-                rhs,
-                line,
-            } => {
-                self.tick(*line)?;
-                // RHS first, then subscripts, then the store counter,
-                // then the bounds check — `assign`'s exact order.
-                let v = self.eval_r(rhs).map_err(|e| e.at(*line))?;
-                let res: Result<(), RunError> = (|| {
-                    let mut vals = [0i64; 8];
-                    let n = idx.len();
-                    let off = if n <= vals.len() {
-                        for (k, e) in idx.iter().enumerate() {
-                            vals[k] = self.eval_i(e)?;
-                        }
-                        self.ops.stores += 1;
-                        self.offset_of(*arr, &vals[..n])?
-                    } else {
-                        let mut vals = Vec::with_capacity(n);
-                        for e in idx {
-                            vals.push(self.eval_i(e)?);
-                        }
-                        self.ops.stores += 1;
-                        self.offset_of(*arr, &vals)?
-                    };
-                    let a = &self.arrs[*arr];
-                    let stored = if a.is_int { v.trunc() } else { v };
-                    // SAFETY: offset validated; writes are race-free by
-                    // the disjointness proof (threaded) or exclusive
-                    // access (sequential).
-                    unsafe { *a.ptr.add(off) = stored };
-                    Ok(())
-                })();
-                res.map_err(|e| e.at(*line))
-            }
-            CStmt::StoreA {
-                arr,
-                idx,
-                rhs,
-                line,
-            } => {
-                self.tick(*line)?;
-                // Same order as `Store`: RHS, then (op-free, error-free)
-                // subscripts, then the store counter, then the bounds
-                // check inside `offset_aff`.
-                let v = self.eval_r(rhs).map_err(|e| e.at(*line))?;
-                self.ops.stores += 1;
-                let off = self.offset_aff(*arr, idx).map_err(|e| e.at(*line))?;
-                let a = &self.arrs[*arr];
-                let stored = if a.is_int { v.trunc() } else { v };
-                // SAFETY: as in `Store` — offset validated, writes
-                // race-free by the disjointness proof or exclusivity.
-                unsafe { *a.ptr.add(off) = stored };
-                Ok(())
-            }
-            CStmt::If {
-                cond,
-                then,
-                elifs,
-                els,
-                line,
-            } => {
-                self.tick(*line)?;
-                if self.eval_b(cond)? {
-                    return self.exec_all(then);
-                }
-                for (c, body) in elifs {
-                    if self.eval_b(c)? {
-                        return self.exec_all(body);
-                    }
-                }
-                self.exec_all(els)
-            }
-            CStmt::LogicalIf { cond, stmt, line } => {
-                self.tick(*line)?;
-                if self.eval_b(cond)? {
-                    self.exec(stmt)
-                } else {
-                    Ok(())
-                }
-            }
-            CStmt::Do(d) => self.exec_do(d),
-            CStmt::Continue { line } => self.tick(*line),
-        }
-    }
-
-    fn exec_all(&mut self, list: &[CStmt]) -> Result<(), RunError> {
-        for s in list {
-            self.exec(s)?;
         }
         Ok(())
     }
 
-    fn exec_do(&mut self, d: &DoLoop) -> Result<(), RunError> {
-        self.tick(d.line)?;
-        let f = self.eval_i(&d.from)?;
-        let t = self.eval_i(&d.to)?;
-        let step = match &d.step {
-            Some(e) => self.eval_i(e)?,
-            None => 1,
+    /// One op other than control flow, on the register file. Flops are
+    /// the caller's to charge (per op point-wise, in bulk per row).
+    #[inline(always)]
+    fn exec(&mut self, k: &Kernel, op: &Op) -> Result<(), RunError> {
+        use Code::*;
+        let (a, b, d) = (op.a, op.b, op.dst);
+        match op.code {
+            DivI => {
+                if self.int(b) == 0 {
+                    return Err(self.fail("integer division by zero"));
+                }
+                self.set(d, self.int(a).wrapping_div(self.int(b)));
+            }
+            PowI => {
+                let (x, n) = (self.int(a), self.int(b));
+                let v = match x {
+                    _ if n >= 0 => (0..n).fold(1i64, |acc, _| acc.wrapping_mul(x)),
+                    // Fortran integer power with negative exponent
+                    1 => 1,
+                    -1 if n % 2 == 0 => 1,
+                    -1 => -1,
+                    0 => return Err(self.fail("0 ** negative exponent")),
+                    _ => 0,
+                };
+                self.set(d, v);
+            }
+            ModI => {
+                if self.int(b) == 0 {
+                    return Err(self.fail("mod by zero"));
+                }
+                self.set(d, self.int(a).wrapping_rem(self.int(b)));
+            }
+            Sqrt => {
+                if self.real(a) < 0.0 {
+                    return Err(self.fail("sqrt of negative value"));
+                }
+                self.set(d, self.real(a).sqrt());
+            }
+            Log => {
+                if self.real(a) <= 0.0 {
+                    return Err(self.fail("log of non-positive value"));
+                }
+                self.set(d, self.real(a).ln());
+            }
+            Eq => self.set(d, (self.real(a) == self.real(b)) as i64),
+            Ne => self.set(d, (self.real(a) != self.real(b)) as i64),
+            Lt => self.set(d, (self.real(a) < self.real(b)) as i64),
+            Le => self.set(d, (self.real(a) <= self.real(b)) as i64),
+            Gt => self.set(d, (self.real(a) > self.real(b)) as i64),
+            Ge => self.set(d, (self.real(a) >= self.real(b)) as i64),
+            Not => self.set(d, (self.int(a) == 0) as i64),
+            LoadR | LoadI | Store => {
+                // Subscripts ran before this op; then the counter, then
+                // the bounds check, then the access — the exact order of
+                // `eval`'s `Index` arm and of `assign`.
+                if op.code == Store {
+                    self.ops.stores += 1;
+                } else {
+                    self.ops.loads += 1;
+                }
+                let site = &k.sites[op.imm as usize];
+                let off = self.offset(k, site)?;
+                let arr = &self.arrs[site.arr as usize];
+                // SAFETY: `off` was validated against the array bounds,
+                // whose product is the data length; the pointer is live
+                // for the whole invocation, no reference to the data
+                // exists while the kernel runs, and concurrent access is
+                // race-free by the disjointness proof.
+                let p = unsafe { arr.ptr.add(off) };
+                if op.code == Store {
+                    let x = self.real(a);
+                    // SAFETY: `p` is in bounds, as above.
+                    unsafe { *p = if arr.is_int { x.trunc() } else { x } };
+                } else {
+                    // SAFETY: `p` is in bounds, as above.
+                    let v = unsafe { *p };
+                    let v = if arr.is_int { v.round() } else { v };
+                    match op.code {
+                        LoadR => self.set(d, v),
+                        _ => self.set(d, v as i64),
+                    }
+                }
+            }
+            _ => pure(self, op),
+        }
+        Ok(())
+    }
+
+    /// Resolve a loop's bounds from the registers its `Do` op names:
+    /// `(first value, step, trips, clamped here)`.
+    fn bounds(&self, op: &Op, lp: &Loop) -> Result<(i64, i64, i64, bool), RunError> {
+        let (f, t) = (self.int(op.a), self.int(op.b));
+        let step = match op.dst {
+            NONE => 1,
+            r => self.int(r),
         };
         if step == 0 {
-            return Err(RunError::new("zero do-loop step").at(d.line));
+            return Err(RunError::new("zero do-loop step").at(lp.line));
         }
-        let clamped = self.clamp.filter(|c| c.slot == d.var);
-        let (f, t, step) = match &clamped {
-            Some(c) => {
-                if step != 1 {
-                    return Err(RunError::new("overlapped loop must have unit step").at(d.line));
-                }
-                let (cf, ct) = kclamp_range(f, t, c);
-                (cf, ct, 1)
+        let clamp = self.clamp.filter(|c| c.slot == lp.var);
+        let (f, t) = match &clamp {
+            Some(_) if step != 1 => {
+                return Err(RunError::new("overlapped loop must have unit step").at(lp.line))
             }
-            None => (f, t, step),
+            Some(c) => kclamp_range(f, t, c),
+            None => (f, t),
         };
+        // Fortran trip count semantics
+        Ok((f, step, ((t - f + step) / step).max(0), clamp.is_some()))
+    }
+
+    fn exec_do(&mut self, k: &Kernel, op: &Op, lp: &Loop) -> Result<(), RunError> {
+        let (f, step, trips, clamped) = self.bounds(op, lp)?;
         // Below the clamped loop the body runs unmodified; the clamp
         // stays active for sibling statements after this loop.
-        let saved = if clamped.is_some() {
-            self.clamp.take()
-        } else {
-            None
-        };
-        let trips = ((t - f + step) / step).max(0);
-        let mut iv = f;
-        for _ in 0..trips {
-            self.ints[d.var] = iv;
-            if let Err(e) = self.exec_all(&d.body) {
-                if clamped.is_some() {
-                    self.clamp = saved;
-                }
-                return Err(e);
-            }
-            iv += step;
-        }
-        if clamped.is_some() {
+        let saved = if clamped { self.clamp.take() } else { None };
+        let res = self.run_trips(k, lp, f, step, trips);
+        if clamped {
             self.clamp = saved;
         }
-        self.ints[d.var] = iv;
+        res?;
+        self.set(lp.var, f + trips * step);
         Ok(())
+    }
+
+    /// `trips` trips of `lp` from `f`: as rows when the loop's verdict
+    /// and this invocation allow it, else one trip at a time.
+    fn run_trips(
+        &mut self,
+        k: &Kernel,
+        lp: &Loop,
+        f: i64,
+        step: i64,
+        trips: i64,
+    ) -> Result<(), RunError> {
+        if lp.verdict == RowVerdict::Row
+            && trips > 0
+            && self.disjoint
+            && self.run_row(k, lp, f, step, trips as usize).is_some()
+        {
+            return Ok(());
+        }
+        let mut iv = f;
+        for _ in 0..trips {
+            self.set(lp.var, iv);
+            self.run(k, lp.start, lp.end)?;
+            iv += step;
+        }
+        Ok(())
+    }
+
+    /// Prove the whole row safe, then run it: `None`, having changed
+    /// nothing observable, when the statement budget could run out
+    /// inside the row, end-point arithmetic overflows, or any access is
+    /// out of bounds or of the wrong rank at either end point — the
+    /// caller then goes point-wise and the failing element reports
+    /// itself exactly as in the tree walk.
+    fn run_row(&mut self, k: &Kernel, lp: &Loop, f: i64, step: i64, n: usize) -> Option<()> {
+        let stmts = (n as u64).saturating_mul(lp.cost.stmts);
+        if self.limit != 0 && self.base_stmts + self.ops.stmts + stmts > self.limit {
+            return None;
+        }
+        let last = f.checked_add(step.checked_mul(n as i64 - 1)?)?;
+        for s in lp.sites.0..lp.sites.1 {
+            let site = &k.sites[s];
+            let (a, subs) = (&self.arrs[site.arr as usize], k.subs_of(site));
+            if subs.len() != a.bounds.len() {
+                return None;
+            }
+            // Every subscript is affine in the row variable with
+            // coefficient 0 or 1, so each dimension's index moves
+            // monotonically from its value at the first trip to its
+            // value at the last: both in bounds ⇒ all in bounds.
+            let (mut base, mut stride, mut dim) = (0isize, 0isize, 1isize);
+            for (sub, &(lo, hi)) in subs.iter().zip(&a.bounds) {
+                let (i0, i1) = if sub.reg == lp.var {
+                    stride += (step as isize).wrapping_mul(dim);
+                    (f.checked_add(sub.add)?, last.checked_add(sub.add)?)
+                } else {
+                    let i = match sub.reg {
+                        NONE => sub.add,
+                        r => self.int(r).checked_add(sub.add)?,
+                    };
+                    (i, i)
+                };
+                if i0.min(i1) < lo || i0.max(i1) > hi {
+                    return None;
+                }
+                base += (i0 - lo) as isize * dim;
+                dim *= (hi - lo + 1) as isize;
+            }
+            self.resolved[s] = (base, stride);
+        }
+        let t0 = k.t0();
+        self.rows.resize((k.ntemps + 1) * STRIP, 0);
+        let ops = &k.ops[lp.start..lp.end];
+        for s0 in (0..n).step_by(STRIP) {
+            let len = STRIP.min(n - s0);
+            if lp.iota {
+                let iota = &mut self.rows[k.ntemps * STRIP..][..len];
+                for (t, v) in iota.iter_mut().enumerate() {
+                    *v = (f + (s0 + t) as i64 * step).bits();
+                }
+            }
+            for (i, op) in ops.iter().enumerate() {
+                match op.code {
+                    Code::Tick | Code::TickAt => self.gather(k, &ops[i + 1..], s0, len),
+                    Code::LoadR | Code::LoadI => {} // its statement's gather took it
+                    Code::Store => {
+                        let (arr, first, stride) = self.strip_of(k, op, s0);
+                        // Integer arrays truncate on store: rare, and done
+                        // ahead of the loop below so it stays a plain copy.
+                        let adjust = |x: f64| if arr.is_int { x.trunc() } else { x };
+                        let uniform = adjust(self.real(op.a));
+                        let row = (op.row & 1 != 0).then(|| {
+                            let row = &mut self.rows[(op.a as usize - t0) * STRIP..][..len];
+                            if arr.is_int {
+                                row.iter_mut().for_each(|v| *v = adjust(f64::of(*v)).bits());
+                            }
+                            &*row
+                        });
+                        for t in 0..len {
+                            let x = row.map_or(uniform, |r| f64::of(r[t]));
+                            // SAFETY: see `strip_of`; `disjoint` rules out
+                            // a second name for the written array, and the
+                            // row analysis any other access to this element
+                            // at another trip.
+                            unsafe { *first.wrapping_offset(t as isize * stride) = x };
+                        }
+                    }
+                    // uniform: once, on the register file
+                    _ if op.row == 0 => pure(self, op),
+                    _ => {
+                        let (rows, iota) = self.rows.split_at_mut(k.ntemps * STRIP);
+                        let mut strip = Rows {
+                            regs: &self.regs,
+                            rows,
+                            iota: (lp.var, &iota[..len]),
+                            t0,
+                        };
+                        pure(&mut strip, op)
+                    }
+                }
+            }
+        }
+        add_counts(&mut self.ops, &lp.cost, n as u64);
+        Some(())
+    }
+
+    /// The array of a row op's site, the address of its element at trip
+    /// `s0` and its stride. Trip `s0 + t` of the strip is `t` strides on.
+    ///
+    /// Dereferencing that is sound for every trip of the row: `run_row`'s
+    /// proof put the site's element of each trip `0..n` inside the array,
+    /// at `base + trip * stride` by linearity; the pointer is live for the
+    /// whole invocation, no reference to the data exists while the kernel
+    /// runs, and threads touch disjoint elements by the disjointness
+    /// proof.
+    fn strip_of(&self, k: &Kernel, op: &Op, s0: usize) -> (&'k ArrRt, *mut f64, isize) {
+        let arr = &self.arrs[k.sites[op.imm as usize].arr as usize];
+        let (base, stride) = self.resolved[op.imm as usize];
+        (
+            arr,
+            arr.ptr.wrapping_offset(base + s0 as isize * stride),
+            stride,
+        )
+    }
+
+    /// Load every site of the statement `ops` starts with in one pass over
+    /// the strip. A strided row touches a new page (and line) per element;
+    /// a stencil's sites sit next to each other, so visiting them together
+    /// keeps each page's translation and line hot across all of them
+    /// instead of sweeping the same pages once per site. Hoisting a
+    /// statement's loads ahead of its arithmetic is invisible: only its
+    /// own store, which follows them all, can write what they read.
+    fn gather(&mut self, k: &Kernel, ops: &[Op], s0: usize, len: usize) {
+        let t0 = k.t0();
+        let mut sites = std::mem::take(&mut self.gathered);
+        sites.clear();
+        let stmt = ops
+            .iter()
+            .take_while(|op| !matches!(op.code, Code::Tick | Code::TickAt));
+        for op in stmt.filter(|op| matches!(op.code, Code::LoadR | Code::LoadI)) {
+            let (arr, first, stride) = self.strip_of(k, op, s0);
+            sites.push(Gathered {
+                first,
+                stride,
+                row: (op.dst as usize - t0) * STRIP,
+                rounds: arr.is_int,
+                int: op.code == Code::LoadI,
+            });
+        }
+        for t in 0..len {
+            for g in &sites {
+                // SAFETY: see `strip_of`.
+                let x = unsafe { *g.first.wrapping_offset(t as isize * g.stride) };
+                self.rows[g.row + t] = x.bits();
+            }
+        }
+        // Integer arrays round on load and integer-typed names truncate:
+        // rare, and kept out of the loop above so it stays a plain copy.
+        for g in sites.iter().filter(|g| g.rounds || g.int) {
+            for v in &mut self.rows[g.row..g.row + len] {
+                let x = if g.rounds {
+                    f64::of(*v).round()
+                } else {
+                    f64::of(*v)
+                };
+                *v = if g.int { (x as i64).bits() } else { x.bits() };
+            }
+        }
+        self.gathered = sites;
+    }
+}
+
+/// One load of a statement being gathered: where its strip starts in the
+/// array and in the temp rows, and how the element is read (`LoadR`/
+/// `LoadI` on a real/integer array).
+struct Gathered {
+    first: *mut f64,
+    stride: isize,
+    row: usize,
+    rounds: bool,
+    int: bool,
+}
+
+/// A value a register or a temp row can hold, as its 64 bits.
+trait Lane: Copy {
+    fn bits(self) -> u64;
+    fn of(bits: u64) -> Self;
+}
+
+impl Lane for f64 {
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+    fn of(bits: u64) -> f64 {
+        f64::from_bits(bits)
+    }
+}
+
+impl Lane for i64 {
+    fn bits(self) -> u64 {
+        self as u64
+    }
+    fn of(bits: u64) -> i64 {
+        bits as i64
+    }
+}
+
+/// How an arithmetic op reads its operands (both integers or both
+/// reals) and writes its result: one value at a time over the register
+/// file ([`Vm`]), or a strip of a row at a time over the temp rows ([`Rows`]).
+trait Lanes {
+    fn map<A: Lane, D: Lane>(&mut self, op: &Op, f: impl Fn(A, A) -> D);
+}
+
+/// The infallible, stateless ops — all the arithmetic a row may hold —
+/// with one definition of each for both drivers.
+#[inline(always)]
+fn pure<L: Lanes>(l: &mut L, op: &Op) {
+    use Code::*;
+    match op.code {
+        MovR | Cvt => l.map(op, |x: f64, _| x),
+        AddR => l.map(op, |x: f64, y| x + y),
+        SubR => l.map(op, |x: f64, y| x - y),
+        MulR => l.map(op, |x: f64, y| x * y),
+        DivR => l.map(op, |x: f64, y| x / y),
+        PowR => l.map(op, f64::powf),
+        ModR => l.map(op, |x: f64, y| x % y),
+        Sign => l.map(op, |x: f64, y| if y < 0.0 { -x.abs() } else { x.abs() }),
+        Max => l.map(op, f64::max),
+        Min => l.map(op, f64::min),
+        NegR => l.map(op, |x: f64, _| -x),
+        AbsR => l.map(op, |x: f64, _| x.abs()),
+        Exp => l.map(op, |x: f64, _| x.exp()),
+        Sin => l.map(op, |x: f64, _| x.sin()),
+        Cos => l.map(op, |x: f64, _| x.cos()),
+        Tan => l.map(op, |x: f64, _| x.tan()),
+        Atan => l.map(op, |x: f64, _| x.atan()),
+        MovI => l.map(op, |x: i64, _| x),
+        AddI => l.map(op, i64::wrapping_add),
+        SubI => l.map(op, i64::wrapping_sub),
+        MulI => l.map(op, i64::wrapping_mul),
+        NegI => l.map(op, |x: i64, _| x.wrapping_neg()),
+        AbsI => l.map(op, |x: i64, _| x.wrapping_abs()),
+        I2R => l.map(op, |x: i64, _| x as f64),
+        R2I | Int => l.map(op, |x: f64, _| x as i64),
+        Nint => l.map(op, |x: f64, _| x.round() as i64),
+        _ => unreachable!("{:?} is not a pure op", op.code),
+    }
+}
+
+impl Lanes for Vm<'_> {
+    fn map<A: Lane, D: Lane>(&mut self, op: &Op, f: impl Fn(A, A) -> D) {
+        let v = f(
+            A::of(self.regs[op.a as usize]),
+            A::of(self.regs[op.b as usize]),
+        );
+        self.set(op.dst, v);
+    }
+}
+
+/// One strip of a row: the temp rows for what varies along it, the
+/// register file for what does not.
+struct Rows<'v> {
+    regs: &'v [u64],
+    rows: &'v mut [u64],
+    /// The row variable and its values over the strip (whose length is
+    /// the strip's).
+    iota: (Reg, &'v [u64]),
+    t0: usize,
+}
+
+/// An operand of a row op: a row, or one value for every trip.
+enum Src<'a> {
+    Row(&'a [u64]),
+    Uni(u64),
+}
+
+impl Lanes for Rows<'_> {
+    /// `d[t] ← f(a[t], b[t])` into `dst`'s strip, with the loop
+    /// specialised on the operand shapes so each one is a plain slice
+    /// loop the compiler vectorises. Operands sit in the rows below
+    /// `dst`'s — a statement's temporaries are numbered in emission
+    /// order, so they precede their result — and at least one of them
+    /// varies along the row: the row driver hands uniform ops to the
+    /// register file.
+    fn map<A: Lane, D: Lane>(&mut self, op: &Op, f: impl Fn(A, A) -> D) {
+        let (t0, (var, iota)) = (self.t0, self.iota);
+        let (lo, hi) = self.rows.split_at_mut((op.dst as usize - t0) * STRIP);
+        let regs = self.regs;
+        let src = |r: Reg, along: bool| match along {
+            true if r == var => Src::Row(iota),
+            true => Src::Row(&lo[(r as usize - t0) * STRIP..][..iota.len()]),
+            false => Src::Uni(regs[r as usize]),
+        };
+        let f = |x: u64, y: u64| f(A::of(x), A::of(y)).bits();
+        let d = &mut hi[..iota.len()];
+        match (src(op.a, op.row & 1 != 0), src(op.b, op.row & 2 != 0)) {
+            (Src::Row(a), Src::Row(b)) => {
+                for ((d, &x), &y) in d.iter_mut().zip(a).zip(b) {
+                    *d = f(x, y);
+                }
+            }
+            (Src::Row(a), Src::Uni(y)) => {
+                for (d, &x) in d.iter_mut().zip(a) {
+                    *d = f(x, y);
+                }
+            }
+            (Src::Uni(x), Src::Row(b)) => {
+                for (d, &y) in d.iter_mut().zip(b) {
+                    *d = f(x, y);
+                }
+            }
+            (Src::Uni(x), Src::Uni(y)) => d.fill(f(x, y)),
+        }
     }
 }
 
@@ -2026,62 +2004,60 @@ mod tests {
 
     #[test]
     fn stencil_subscripts_lower_to_the_affine_fast_path() {
-        // every subscript in STENCIL is `i`, `i±1`, or `j±1`, so after
-        // lowering no generic Load/Store should survive in either nest
-        fn generic_free(s: &CStmt) -> bool {
-            fn ok_i(e: &IExpr) -> bool {
-                !matches!(e, IExpr::Load(..))
-            }
-            fn ok_r(e: &RExpr) -> bool {
-                match e {
-                    RExpr::Load(..) => false,
-                    RExpr::Bin(_, a, b) => ok_r(a) && ok_r(b),
-                    RExpr::FromInt(i) => ok_i(i),
-                    _ => true,
-                }
-            }
-            match s {
-                CStmt::Store { .. } => false,
-                CStmt::StoreA { rhs, .. } => ok_r(rhs),
-                CStmt::Do(d) => d.body.iter().all(generic_free),
-                _ => true,
-            }
-        }
+        // every subscript in STENCIL is `i`, `i±1`, or `j±1`, so no site
+        // of either nest names a computed temporary — and with nothing
+        // else in the way both inner loops form rows
         let file = parse(STENCIL);
         let set = KernelSet::build(&file, None, 1);
-        for id in set.ids() {
-            let k = set.get(id).unwrap();
+        for k in set.kernels.values() {
+            let t0 = k.t0() as Reg;
             assert!(
-                k.root.body.iter().all(generic_free),
-                "nest {id:?} kept a generic load/store after lowering"
+                k.subs.iter().all(|s| s.reg == NONE || s.reg < t0),
+                "nest {:?} kept a computed subscript",
+                k.id
             );
         }
+        let rows = set.row_verdicts();
+        assert_eq!(
+            rows.iter().map(|r| r.1).collect::<Vec<_>>(),
+            vec![
+                RowVerdict::PointWise(PointWise::InnerLoop),
+                RowVerdict::Row,
+                RowVerdict::PointWise(PointWise::InnerLoop),
+                RowVerdict::Row
+            ]
+        );
+    }
+
+    /// The subscripts of the only store site of `a(SUB) = 1.0` in a
+    /// `do i` loop, with the kernel's first temporary register.
+    fn store_subs(sub: &str) -> (Vec<Aff>, Reg) {
+        let file = parse(&format!(
+            "      program p\n      real a(10)\n      integer i, n\n      do 10 i = 1, 9\n      a({sub}) = 1.0\n 10   continue\n      end\n"
+        ));
+        let set = KernelSet::build(&file, None, 1);
+        let k = set.kernels.values().next().expect("nest compiles");
+        (k.subs_of(k.sites.last().unwrap()).to_vec(), k.t0() as Reg)
     }
 
     #[test]
     fn affine_recognition_matches_wrapping_semantics() {
-        let slot_minus = |c: i64| IExpr::Sub(Box::new(IExpr::Slot(0)), Box::new(IExpr::Const(c)));
-        assert_eq!(
-            as_aff(&slot_minus(3)),
-            Some(Aff {
-                slot: Some(0),
-                add: -3
-            })
-        );
+        // slot 0 is `i` (the loop variable is resolved first)
+        assert_eq!(store_subs("i - 3").0, [Aff { reg: 0, add: -3 }]);
+        assert_eq!(store_subs("7 + i").0, [Aff { reg: 0, add: 7 }]);
+        assert_eq!(store_subs("i + (-2)").0, [Aff { reg: 0, add: -2 }]);
+        assert_eq!(store_subs("4").0, [Aff { reg: NONE, add: 4 }]);
         // `i - i64::MIN` has no wrapping-equivalent `i + c`: must stay
         // on the generic evaluator rather than silently mis-fold
-        assert_eq!(as_aff(&slot_minus(i64::MIN)), None);
-        let c_plus_slot = IExpr::Add(Box::new(IExpr::Const(7)), Box::new(IExpr::Slot(2)));
-        assert_eq!(
-            as_aff(&c_plus_slot),
-            Some(Aff {
-                slot: Some(2),
-                add: 7
-            })
-        );
-        // non-affine shapes are left alone
-        let scaled = IExpr::Mul(Box::new(IExpr::Slot(0)), Box::new(IExpr::Const(2)));
-        assert_eq!(as_aff(&scaled), None);
+        let e = Expr::bin(BinOp::Sub, Expr::var("i"), Expr::IntLit(i64::MIN));
+        let file = parse(STENCIL);
+        let mut c = Compiler::new(&file.units[0], StmtId(0));
+        assert_eq!(c.affine(&e), None);
+        // non-affine shapes are computed into a temporary
+        let (subs, t0) = store_subs("i * 2");
+        assert!(subs[0].reg >= t0 && subs[0].add == 0);
+        let (subs, t0) = store_subs("i + n");
+        assert!(subs[0].reg >= t0);
     }
 
     #[test]
@@ -2413,28 +2389,39 @@ mod tests {
 
     #[test]
     fn affine_coefficient_analysis() {
-        let mut loops = HashSet::new();
-        loops.insert(0usize);
-        loops.insert(1usize);
-        let i = || IExpr::Slot(0);
-        let j = || IExpr::Slot(1);
-        let c = IExpr::Add(Box::new(i()), Box::new(IExpr::Const(3)));
-        assert_eq!(affine_root_coeff(&c, 0, &loops), Some(1));
-        let c = IExpr::Sub(Box::new(IExpr::Const(3)), Box::new(i()));
-        assert_eq!(affine_root_coeff(&c, 0, &loops), Some(-1));
-        let c = IExpr::Mul(Box::new(IExpr::Const(2)), Box::new(i()));
-        assert_eq!(affine_root_coeff(&c, 0, &loops), Some(2));
-        // i + j: remainder mentions another loop var ⇒ rejected
-        let c = IExpr::Add(Box::new(i()), Box::new(j()));
-        assert_eq!(affine_root_coeff(&c, 0, &loops), None);
-        // j alone: fine for a non-owner dimension of var 0? No — the
-        // analysis only says "no root dependence" via Some(0) for
-        // loop-invariant terms; j is loop-variant ⇒ None.
-        assert_eq!(affine_root_coeff(&j(), 0, &loops), None);
-        // plain scalar (slot 2, not a loop var)
-        assert_eq!(affine_root_coeff(&IExpr::Slot(2), 0, &loops), Some(0));
-        // i * i: nonlinear
-        let c = IExpr::Mul(Box::new(i()), Box::new(i()));
-        assert_eq!(affine_root_coeff(&c, 0, &loops), None);
+        // which store subscripts let the root loop's trips be split: the
+        // root variable must own exactly one dimension as `i±c`, and the
+        // other dimensions must be `c`/`j`/`j±c` over other scalars
+        let threadable = |store: &str| {
+            let file = parse(&format!(
+                "      program p
+      real a(40,40), x
+      integer i, j, n
+      do 20 i = 2, 9
+      do 10 j = 2, 9
+      a({store}) = 1.0
+ 10   continue
+ 20   continue
+      end
+"
+            ));
+            let set = KernelSet::build(&file, None, 1);
+            let k = set.kernels.values().next().expect("nest compiles");
+            k.threadable
+        };
+        assert!(threadable("i + 3, j"));
+        assert!(threadable("j - 1, i"));
+        assert!(threadable("i, n"));
+        // the root variable in two dimensions, or in none
+        assert!(!threadable("i, i"));
+        assert!(!threadable("j, n"));
+        // scaled, mixed with another variable, nonlinear or truncated
+        // root coordinates are computed subscripts: not split
+        assert!(!threadable("2 * i, j"));
+        assert!(!threadable("i + j, 1"));
+        assert!(!threadable("i * i, j"));
+        assert!(!threadable("i + x, j"));
+        // … and so is a computed subscript in any other dimension
+        assert!(!threadable("i, j + n"));
     }
 }
