@@ -2,10 +2,10 @@
 //!
 //! The rest of the workspace *produces* performance evidence — per-rank
 //! JSONL journals ([`autocfd_runtime::journal`]), overlap spans, static
-//! traffic forecasts ([`autocfd_interp::forecast()`]), the recorded perf
-//! trajectory (`BENCH_perf_trajectory.json`) — but nothing *consumes*
-//! it. This crate closes the loop, following the mining approach of
-//! "Automatic Performance Debugging of SPMD Parallel Programs":
+//! traffic forecasts ([`autocfd_interp::forecast()`]) — but nothing
+//! *consumes* it. This crate closes the loop, following the mining
+//! approach of "Automatic Performance Debugging of SPMD Parallel
+//! Programs":
 //!
 //! 1. [`diagnose()`] aggregates a merged trace into per-phase, per-rank
 //!    load figures: compute-span skew, straggler identification,
@@ -20,20 +20,15 @@
 //!    current partition's entry so a balanced candidate can beat it.
 //! 4. [`advice`] assembles the above into a human-readable report and
 //!    a schema-versioned `advice.json` document.
-//! 5. [`gate()`] compares two perf-trajectory documents and reports
-//!    wall-time / comm-volume regressions beyond a tolerance; `acfc
-//!    advise --gate` turns its verdict into a distinct exit code.
 
 #![warn(missing_docs)]
 
 pub mod advice;
 pub mod diagnose;
 pub mod divergence;
-pub mod gate;
 pub mod search;
 
 pub use advice::{Advice, ADVICE_SCHEMA_VERSION};
 pub use diagnose::{diagnose, hot_phase, render_diagnosis, Diagnosis};
 pub use divergence::{divergence, render_divergence, PhaseDivergence};
-pub use gate::{gate, parse_trajectory, render_gate, GateConfig, Regression, TrajectoryRow};
 pub use search::{render_recommendation, search, Candidate, Recommendation, SearchConfig};

@@ -76,8 +76,8 @@
 //! decided there, once, for every subcommand and both transports.
 //!
 //! Exit codes: 0 success, 1 usage or I/O error, 2 compile failure,
-//! 3 runtime/communication failure, 4 validation failure, 5 perf
-//! regression (see [`autocfd::Error::exit_code`]).
+//! 3 runtime/communication failure, 4 validation failure (see
+//! [`autocfd::Error::exit_code`]).
 
 use autocfd::advisor;
 use autocfd::cli::{retarget, CommonOpts, TransportKind};
@@ -113,8 +113,7 @@ enum Mode {
     Resume,
     /// Compile on a resident `acfd-compile` daemon, nothing more.
     RemoteCompile,
-    /// Mine a trace directory for performance advice, or gate a perf
-    /// trajectory against the committed baseline.
+    /// Mine a trace directory for performance advice.
     Advise,
     /// Live per-rank monitor over the telemetry spools (or a resident
     /// compile service), refreshing in place.
@@ -142,15 +141,6 @@ struct Args {
     plan_out: Option<String>,
     /// `--server ADDR`: compile (and run) on a resident daemon.
     server: Option<String>,
-    /// `advise` only: gate this freshly measured trajectory file
-    /// against the baseline instead of mining a trace directory.
-    gate: Option<String>,
-    /// `advise --gate` only: the baseline trajectory file.
-    baseline: Option<String>,
-    /// `advise --gate` only: allowed wall-time growth fraction.
-    wall_tolerance: f64,
-    /// `advise --gate` only: allowed comm-volume growth fraction.
-    comm_tolerance: f64,
     /// `run` only: auto-shrink and resume on worker failure.
     elastic: bool,
     /// `advise` only: resume the checkpointed run onto the advised
@@ -183,10 +173,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         stats_input: None,
         plan_out: None,
         server: None,
-        gate: None,
-        baseline: None,
-        wall_tolerance: 0.5,
-        comm_tolerance: 0.02,
         elastic: false,
         apply: false,
         attach: None,
@@ -221,10 +207,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--min-coverage" => a.min_coverage = num(value("a value like 0.9")?, "coverage")?,
             "--check" => a.check = true,
             "--server" => a.server = Some(value("HOST:PORT")?),
-            "--gate" => a.gate = Some(value("a trajectory JSON path")?),
-            "--baseline" => a.baseline = Some(value("a path")?),
-            "--wall-tolerance" => a.wall_tolerance = num(value("a value like 0.5")?, "tolerance")?,
-            "--comm-tolerance" => a.comm_tolerance = num(value("a value like 0.02")?, "tolerance")?,
             "--input" => a.stats_input = Some(value("a path")?),
             "--elastic" => a.elastic = true,
             "--apply" => a.apply = true,
@@ -255,9 +237,7 @@ fn parse_args() -> Result<Option<Args>, String> {
     a.common.finish()?;
     a.input = match input {
         Some(i) => i,
-        // `advise --gate FILE` works on trajectory files alone, and
         // `top --attach ADDR` watches a service — no directory needed
-        None if a.mode == Mode::Advise && a.gate.is_some() => String::new(),
         None if a.mode == Mode::Top && a.attach.is_some() => String::new(),
         None => return Err("no input file (try --help)".into()),
     };
@@ -835,53 +815,12 @@ fn load_trace_dir(dir: &Path) -> Result<autocfd::runtime::MergedTrace, Error> {
         .map_err(|e| Error::Usage(format!("cannot load trace dir `{}`: {e}", dir.display())))
 }
 
-/// `acfc advise --gate CURRENT.json`: compare a freshly measured perf
-/// trajectory against the committed baseline; any wall-time or
-/// comm-volume regression beyond tolerance exits with the distinct
-/// perf-regression code (5).
-fn run_gate(args: &Args, current_path: &str) -> Result<(), Error> {
-    let baseline_path = args
-        .baseline
-        .as_deref()
-        .unwrap_or("BENCH_perf_trajectory.json");
-    let read = |path: &str| {
-        advisor::parse_trajectory(&read_file(path)?)
-            .map_err(|e| Error::Usage(format!("`{path}`: {e}")))
-    };
-    let (current, baseline) = (read(current_path)?, read(baseline_path)?);
-    let cfg = advisor::GateConfig {
-        wall_tolerance: args.wall_tolerance,
-        comm_tolerance: args.comm_tolerance,
-    };
-    let regressions = advisor::gate(&current, &baseline, &cfg);
-    eprint!(
-        "{}",
-        advisor::render_gate(&regressions, baseline.len(), &cfg)
-    );
-    if regressions.is_empty() {
-        return Ok(());
-    }
-    Err(Error::PerfRegression(format!(
-        "{} of {} trajectory rows regressed vs `{baseline_path}`",
-        regressions.len(),
-        baseline.len()
-    )))
-}
-
 /// `acfc advise DIR`: mine a trace directory for load imbalance and
 /// exposed communication; with `--input`, also compute the forecast
 /// divergence and search candidate partitions through `cluster-sim`.
 /// Writes the schema-versioned `advice.json` next to the journals (or
 /// to `-o`).
 fn run_advise(args: &Args) -> Result<(), Error> {
-    if let Some(current) = &args.gate {
-        return run_gate(args, current);
-    }
-    if args.input.is_empty() {
-        return Err(Error::Usage(
-            "advise needs a trace directory or --gate FILE (try --help)".into(),
-        ));
-    }
     let dir = Path::new(&args.input);
     let merged = load_trace_dir(dir)?;
     if let Some(w) = obs::skipped_warning(&merged) {

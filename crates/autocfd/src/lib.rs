@@ -105,9 +105,10 @@ pub struct CompileOptions {
     /// Dependency-distance fallback for opaque accesses, overriding the
     /// `!$acf distance` directive (default 1).
     pub distance: Option<u64>,
-    /// Apply the synchronization optimizations of §5 (default true).
-    /// `false` keeps one synchronization per writer loop — the paper's
-    /// "before optimization" configuration.
+    /// Apply the synchronization optimizations of §5 (on in
+    /// [`with_procs`](Self::with_procs) / [`with_partition`](Self::with_partition),
+    /// off in `Default`). `false` keeps one synchronization per writer
+    /// loop — the paper's "before optimization" configuration.
     pub optimize: bool,
     /// Execution engine recorded in the emitted plan (default tree):
     /// `Kernel` makes runs of this compile execute eligible comm-free
@@ -202,10 +203,6 @@ pub enum Error {
     /// The computation ran but its result failed validation:
     /// sequential/parallel divergence or trace checks (exit code 4).
     Validation(String),
-    /// The run was correct but slower (or chattier) than the recorded
-    /// perf trajectory allows: `acfc advise --gate` found a wall-time
-    /// or comm-volume regression beyond tolerance (exit code 5).
-    PerfRegression(String),
     /// A bad command line or an I/O failure on a file the user named
     /// (exit code 1).
     Usage(String),
@@ -217,15 +214,14 @@ pub enum Error {
 
 impl Error {
     /// Exit code for the paper's `acfc` binary (compile = 2,
-    /// runtime/communication = 3, validation = 4, perf regression = 5;
-    /// argument and I/O errors use the conventional 1; a compile
-    /// service's failure maps its class onto the same codes).
+    /// runtime/communication = 3, validation = 4; argument and I/O
+    /// errors use the conventional 1; a compile service's failure maps
+    /// its class onto the same codes).
     pub fn exit_code(&self) -> u8 {
         match self {
             Error::Compile(_) => 2,
             Error::Runtime(_) | Error::Comm(_) => 3,
             Error::Validation(_) => 4,
-            Error::PerfRegression(_) => 5,
             Error::Usage(_) => 1,
             Error::Service(e) => match e.class {
                 ErrorClass::BadRequest => 1,
@@ -243,7 +239,6 @@ impl std::fmt::Display for Error {
             Error::Runtime(e) => write!(f, "{e}"),
             Error::Comm(e) => write!(f, "{e}"),
             Error::Validation(s) => write!(f, "validation failed: {s}"),
-            Error::PerfRegression(s) => write!(f, "perf regression: {s}"),
             Error::Usage(s) => write!(f, "{s}"),
             Error::Service(e) => write!(f, "server: {e}"),
         }

@@ -10,7 +10,7 @@
 //!   seconds are calibrated to the paper's sequential baselines; the
 //!   *shapes* — who wins, where the crossovers fall — are emergent);
 //! * [`report`] — row structures and fixed-width table printing shared
-//!   by the `table*` binaries and Criterion benches.
+//!   by the `table*`, `calibrate` and `ablations` binaries.
 
 pub mod models;
 pub mod report;

@@ -1,4 +1,4 @@
-//! Table formatting shared by the `table*` binaries and benches.
+//! Table formatting shared by the `table*` and `ablations` binaries.
 
 /// One printed row: a label and value cells.
 #[derive(Debug, Clone)]

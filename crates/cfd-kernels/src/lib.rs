@@ -6,8 +6,8 @@
 //!
 //! * [`solvers`] — native Rust implementations of the iterative methods
 //!   CFD codes of the paper's era are built from (Jacobi, Gauss–Seidel,
-//!   SOR, line sweeps), used to cross-validate the Fortran interpreter
-//!   and as Criterion baselines (including a rayon-parallel Jacobi);
+//!   SOR, line sweeps, and a rayon-parallel Jacobi), used to
+//!   cross-validate the Fortran interpreter;
 //! * [`generate`] — synthetic *case-study program generators*. The
 //!   paper's two applications (a 3,600-line aerofoil simulation and a
 //!   6,100-line sprayer-flow simulation) are proprietary NWPU codes; the

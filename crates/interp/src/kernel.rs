@@ -3,7 +3,7 @@
 //! The tree-walk interpreter re-resolves every scalar by name and boxes
 //! every intermediate in a [`Value`] on each iteration of a stencil
 //! loop. This module lowers eligible `do` nests once, at plan time,
-//! straight from the AST into one flat register program — [`Op`]s
+//! straight from the AST into one flat register program — `Op`s
 //! `{code, dst, a, b}` over one file of 64-bit registers, with every
 //! `c`/`i`/`i±c` subscript resolved to a `(register, offset)` pair at
 //! emit time — and runs it with two drivers over the same ops:

@@ -369,11 +369,27 @@ fn parse_array_snap(v: Fields<'_>) -> Result<ArraySnap, String> {
                 .ok_or_else(|| "snapshot: bad bound pair".to_string())
         })
         .collect::<Result<Vec<(i64, i64)>, _>>()?;
+    let name = v.str("name")?;
+    let data: Vec<u64> = v.ints("data")?;
+    match element_count(&bounds) {
+        Some(n) if n == data.len() => {}
+        Some(n) => {
+            return Err(format!(
+                "snapshot: array `{name}` bounds {bounds:?} hold {n} elements, data has {}",
+                data.len()
+            ))
+        }
+        None => {
+            return Err(format!(
+                "snapshot: array `{name}` has bad bounds {bounds:?}"
+            ))
+        }
+    }
     Ok(ArraySnap {
-        name: v.str("name")?,
+        name,
         bounds,
         is_int: v.bool("is_int")?,
-        data: v.ints("data")?,
+        data,
     })
 }
 
@@ -673,6 +689,20 @@ pub fn load_epoch(dir: &Path, epoch: u64) -> Result<Vec<Snapshot>, String> {
 // Region copy: the regather/scatter primitive
 // ---------------------------------------------------------------------
 
+/// Elements of the dimension declared `lo..=hi`, or `None` when it is
+/// inverted past empty (`lo > hi + 1`) or the count overflows.
+fn extent(lo: i64, hi: i64) -> Option<usize> {
+    usize::try_from(hi.checked_sub(lo)?.checked_add(1)?).ok()
+}
+
+/// Elements an array declared with `bounds` holds (`None` as for
+/// [`extent`], or when the product overflows).
+fn element_count(bounds: &[(i64, i64)]) -> Option<usize> {
+    bounds
+        .iter()
+        .try_fold(1usize, |len, &(lo, hi)| len.checked_mul(extent(lo, hi)?))
+}
+
 /// Copy the elements of `region` — per-dimension inclusive global index
 /// ranges — from `src` into `dst`, both full-size column-major arrays
 /// declared with `bounds`. This is the primitive both halves of elastic
@@ -707,7 +737,9 @@ pub fn copy_region(
             ));
         }
         strides.push(len);
-        len *= usize::try_from(bhi - blo + 1).map_err(|_| "copy_region: bad bounds")?;
+        len = extent(blo, bhi)
+            .and_then(|e| len.checked_mul(e))
+            .ok_or("copy_region: bad bounds")?;
     }
     if src.len() != len || dst.len() != len {
         return Err(format!(
@@ -734,8 +766,8 @@ pub fn copy_region(
             if d == idx.len() {
                 return Ok(copied);
             }
-            idx[d] += 1;
-            if idx[d] <= region[d].1 {
+            if idx[d] < region[d].1 {
+                idx[d] += 1;
                 break;
             }
             idx[d] = region[d].0;
@@ -1022,6 +1054,37 @@ mod tests {
         assert!(copy_region(&bounds, &[(1, 2)], &src, &mut short).is_err());
         // empty region copies nothing
         assert_eq!(copy_region(&bounds, &[(3, 2)], &src, &mut dst).unwrap(), 0);
+        // extents that overflow are refused, not wrapped
+        let huge = [(i64::MIN, i64::MAX)];
+        assert!(copy_region(&huge, &[(0, 0)], &src, &mut dst).is_err());
+        // the top index of i64 is reachable without stepping past it
+        let top = [(i64::MAX - 1, i64::MAX)];
+        let (src, mut dst) = (vec![5u64, 6], vec![0u64; 2]);
+        assert_eq!(copy_region(&top, &top, &src, &mut dst).unwrap(), 2);
+        assert_eq!(dst, src);
+    }
+
+    #[test]
+    fn snapshot_bounds_must_match_the_data() {
+        let corrupt = |bounds: Vec<(i64, i64)>| {
+            let mut s = sample_snapshot(0, 1);
+            s.arrays[0].bounds = bounds;
+            snapshot_from_json(&snapshot_to_json(&s)).unwrap_err()
+        };
+        // extreme bounds: the extent overflows i64
+        let err = corrupt(vec![(i64::MIN, i64::MAX)]);
+        assert!(
+            err.starts_with("snapshot:") && err.contains("bad bounds"),
+            "{err}"
+        );
+        // inverted past empty
+        assert!(corrupt(vec![(5, 2), (0, 1)]).contains("bad bounds"));
+        // the product of the extents overflows usize
+        assert!(corrupt(vec![(0, i64::MAX - 1), (0, 3)]).contains("bad bounds"));
+        // well-formed extents that disagree with the data length
+        let err = corrupt(vec![(1, 3), (0, 1)]);
+        assert!(err.contains("hold 6 elements, data has 4"), "{err}");
+        assert!(corrupt(vec![(1, 1)]).contains("hold 1 elements"));
     }
 
     #[test]

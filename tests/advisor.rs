@@ -2,8 +2,7 @@
 //! diagnosed as imbalanced and the partition search ranks a balanced
 //! Table-1 candidate above the measured skew; forecast divergence stays
 //! clean on a real traced run and flags a doctored one; and the `acfc
-//! advise` CLI writes schema-versioned advice and gates trajectories
-//! with a distinct exit code.
+//! advise` CLI writes schema-versioned advice.
 
 use autocfd::advisor;
 use autocfd::grid::{GridShape, PartitionSpec};
@@ -274,101 +273,4 @@ fn acfc_advise_writes_schema_versioned_advice_with_a_recommendation() {
     );
     assert!(rec.get("best").and_then(|b| b.as_str()).is_some());
     assert!(v.get("divergence").and_then(|d| d.as_arr()).is_some());
-}
-
-/// A minimal two-row trajectory file in the `perf_trajectory` schema.
-fn trajectory(wall_ms: f64) -> String {
-    format!(
-        r#"{{"schema": 2, "bench": "perf_trajectory", "cases": [
-  {{"case": "aerofoil-small", "partition": "2x1x1", "ranks": 2, "engine": "tree", "threads": 1,
-    "compile_ms": 1.0,
-    "wall_ms": {wall_ms}, "comm_msgs": 100, "comm_elems": 5000, "comm_bytes": 40000,
-    "barriers": 2, "reduces": 8, "syncs_before": 6, "syncs_after": 4}}
-], "compile_cache": []}}"#
-    )
-}
-
-#[test]
-fn acfc_gate_passes_identical_trajectories_and_fails_regressions_with_exit_5() {
-    let dir = scratch("cli-gate");
-    let base = dir.join("baseline.json");
-    let same = dir.join("current-ok.json");
-    let slow = dir.join("current-slow.json");
-    std::fs::write(&base, trajectory(120.0)).unwrap();
-    std::fs::write(&same, trajectory(120.0)).unwrap();
-    std::fs::write(&slow, trajectory(12000.0)).unwrap();
-
-    let ok = acfc()
-        .args([
-            "advise",
-            "--gate",
-            &same.to_string_lossy(),
-            "--baseline",
-            &base.to_string_lossy(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        ok.status.success(),
-        "identical trajectories must pass: {}",
-        String::from_utf8_lossy(&ok.stderr)
-    );
-    assert!(String::from_utf8_lossy(&ok.stderr).contains("perf gate: PASS"));
-
-    let bad = acfc()
-        .args([
-            "advise",
-            "--gate",
-            &slow.to_string_lossy(),
-            "--baseline",
-            &base.to_string_lossy(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(
-        bad.status.code(),
-        Some(5),
-        "a 100x wall regression must exit with the dedicated perf code: {}",
-        String::from_utf8_lossy(&bad.stderr)
-    );
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("perf gate: FAIL"));
-}
-
-#[test]
-fn acfc_gate_tolerances_are_tunable_from_the_command_line() {
-    let dir = scratch("cli-gate-tol");
-    let base = dir.join("baseline.json");
-    let cur = dir.join("current.json");
-    std::fs::write(&base, trajectory(100.0)).unwrap();
-    std::fs::write(&cur, trajectory(160.0)).unwrap();
-    // 60% growth: rejected at the default 50% wall tolerance...
-    let bad = acfc()
-        .args([
-            "advise",
-            "--gate",
-            &cur.to_string_lossy(),
-            "--baseline",
-            &base.to_string_lossy(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(bad.status.code(), Some(5));
-    // ...but admitted when the caller loosens it.
-    let ok = acfc()
-        .args([
-            "advise",
-            "--gate",
-            &cur.to_string_lossy(),
-            "--baseline",
-            &base.to_string_lossy(),
-            "--wall-tolerance",
-            "1.0",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        ok.status.success(),
-        "{}",
-        String::from_utf8_lossy(&ok.stderr)
-    );
 }

@@ -176,6 +176,44 @@ fn interior_ranks_communicate_twice_as_much_measured() {
 }
 
 #[test]
+fn combined_sync_traffic_is_pinned_per_case_and_partition() {
+    // The absolute cost of §5's combining on real runs: summed messages,
+    // f64s shipped, barriers and reductions across all ranks, plus the
+    // sync points before/after optimization. Traffic is deterministic,
+    // so any change here is a change to what the optimizer saves.
+    use autocfd::codegen::EnginePref;
+    let aerofoil = aerofoil_program(&CaseParams::aerofoil_bench());
+    let sprayer = sprayer_program(&CaseParams::sprayer_bench());
+    // (source, partition, [msgs, f64s, barriers, reduces], syncs before → after)
+    let rows = [
+        (&aerofoil, &[2, 1, 1][..], [182, 234_736, 0, 16], (55, 11)),
+        (&aerofoil, &[2, 2, 1], [592, 513_528, 0, 32], (85, 18)),
+        (&sprayer, &[4, 1], [288, 129_312, 0, 48], (23, 5)),
+        (&sprayer, &[2, 2], [328, 122_928, 0, 48], (36, 9)),
+    ];
+    for (src, parts, traffic, syncs) in rows {
+        let opts = CompileOptions {
+            engine: EnginePref::Kernel,
+            ..CompileOptions::with_partition(parts)
+        };
+        let c = compile(src, &opts).unwrap();
+        let mut sum = [0u64; 4];
+        for rank in c.run_parallel(vec![]).unwrap() {
+            let (m, e, b, r) = rank.comm_stats;
+            for (s, v) in sum.iter_mut().zip([m, e, b, r]) {
+                *s += v;
+            }
+        }
+        let stats = c.sync_plan.stats;
+        assert_eq!(
+            (sum, (stats.before, stats.after)),
+            (traffic, syncs),
+            "{parts:?}: ([msgs, f64s, barriers, reduces], (syncs before, after))"
+        );
+    }
+}
+
+#[test]
 fn traces_show_pipeline_structure() {
     use autocfd::runtime::EventKind;
     // a pure Gauss–Seidel program on 4 ranks: every rank except rank 0
