@@ -8,14 +8,13 @@
 //! files a `--telemetry` run writes next to its journals and redraws a
 //! per-rank table in place — current phase, busy time, work over the
 //! mesh mean (its maximum is the imbalance `stats` and `advise` print),
-//! exposed-communication percentage, checkpoint epoch and lag, dropped
-//! frames, and liveness (age of the rank's last frame). It works
-//! against a live TCP run, an elastic run mid-shrink (vanished ranks go
-//! idle; survivors keep updating, because a recovery launch spools into
-//! the same `--trace-dir` as the launch it replaces), and —
-//! via `--attach ADDR` — a resident compile service. `--once --check`
-//! exits nonzero when telemetry is unhealthy (no frames, drop rate over
-//! threshold, coverage gap), so CI can assert on a live run.
+//! exposed-communication percentage, checkpoint epoch and lag, and
+//! liveness (age of the rank's last frame). It works against a live TCP
+//! run and an elastic run mid-shrink (vanished ranks go idle; survivors
+//! keep updating, because a recovery launch spools into the same
+//! `--trace-dir` as the launch it replaces). `--once --check` exits
+//! nonzero when telemetry is unhealthy (no frames, coverage gap), so CI
+//! can assert on a live run.
 //!
 //! `acfc advise DIR` mines a trace directory for performance problems:
 //! per-phase load imbalance across ranks (with straggler attribution),
@@ -26,16 +25,6 @@
 //! stderr; a schema-versioned `advice.json` is written into DIR (or to
 //! `-o`). Skew math runs on the marker-aligned merge, so ranks whose
 //! journals have different wall-clock origins are compared correctly.
-//!
-//! With `--server ADDR`, `acfc run`/`acfc trace` submit the source to a
-//! resident `acfd-compile` daemon: the server compiles (or serves the
-//! plan from its content-addressed cache — the cache verdict is
-//! reported), executes the parallel program on its own rank-threads, and
-//! streams the per-rank JSONL journals back over the wire. `acfc trace
-//! --server` therefore renders the same report, and `acfc stats DIR`
-//! works unchanged on the streamed journals. `acfc compile --server`
-//! stops after the compile: `-o` captures the plan JSON and `--emit` the
-//! generated parallel source, exactly like their local counterparts.
 //!
 //! `acfc plan INPUT.f -o plan.json` runs the analysis pipeline and
 //! emits the executable [`SpmdPlan`](autocfd::codegen::SpmdPlan) as
@@ -51,9 +40,7 @@
 //! regions and re-scattered for the new geometry (see
 //! [`autocfd::interp::repartition`]), so a checkpoint taken on N ranks
 //! resumes — still bit-exactly — on M. `--transport inproc` resumes on
-//! rank-threads in this process instead of spawning workers; `--server
-//! ADDR` recompiles the plan for the new geometry on a resident
-//! `acfd-compile` daemon and hands workers the cached artifact.
+//! rank-threads in this process instead of spawning workers.
 //!
 //! `acfc trace INPUT.f` executes the parallel program with per-rank
 //! JSONL journaling, writes a Perfetto-openable `trace.json`, and prints
@@ -81,16 +68,11 @@
 
 use autocfd::advisor;
 use autocfd::cli::{retarget, CommonOpts, TransportKind};
-use autocfd::compile_service::{
-    Client, CompileReq, ErrorClass, Request, RunReq, ServiceError, StreamItem,
-};
 use autocfd::grid::PartitionSpec;
 use autocfd::obs;
 use autocfd::runtime::checkpoint::{self, RunManifest};
-use autocfd::runtime::journal;
 use autocfd::runtime_net::Rendezvous;
 use autocfd::{Compiled, Error};
-use serde::json::{Fields, Value};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -111,12 +93,10 @@ enum Mode {
     Plan,
     /// Relaunch a checkpointed run from its newest consistent epoch.
     Resume,
-    /// Compile on a resident `acfd-compile` daemon, nothing more.
-    RemoteCompile,
     /// Mine a trace directory for performance advice.
     Advise,
-    /// Live per-rank monitor over the telemetry spools (or a resident
-    /// compile service), refreshing in place.
+    /// Live per-rank monitor over the telemetry spools, refreshing in
+    /// place.
     Top,
 }
 
@@ -139,16 +119,11 @@ struct Args {
     /// `plan` only: output path for the plan JSON. `advise` reuses it
     /// for `advice.json`.
     plan_out: Option<String>,
-    /// `--server ADDR`: compile (and run) on a resident daemon.
-    server: Option<String>,
     /// `run` only: auto-shrink and resume on worker failure.
     elastic: bool,
     /// `advise` only: resume the checkpointed run onto the advised
     /// partition.
     apply: bool,
-    /// `top --attach ADDR`: watch a resident compile service instead of
-    /// a trace directory.
-    attach: Option<String>,
     /// `top --once`: render a single frame and exit (CI-scriptable).
     once: bool,
     /// `top --interval MS`: refresh cadence.
@@ -172,24 +147,20 @@ fn parse_args() -> Result<Option<Args>, String> {
         check: false,
         stats_input: None,
         plan_out: None,
-        server: None,
         elastic: false,
         apply: false,
-        attach: None,
         once: false,
         top_interval: None,
     };
     // `acfc run INPUT.f ...` is sugar for `acfc INPUT.f --run ...`;
     // `trace` and `stats` select the observability modes, `plan` emits
-    // the plan artifact, `resume` relaunches a checkpointed run,
-    // `compile` submits a compile-only request to `--server`
+    // the plan artifact, `resume` relaunches a checkpointed run
     let sub = match args.peek().map(String::as_str) {
         Some("run") => Some(Mode::Compile),
         Some("trace") => Some(Mode::Trace),
         Some("stats") => Some(Mode::Stats),
         Some("plan") => Some(Mode::Plan),
         Some("resume") => Some(Mode::Resume),
-        Some("compile") => Some(Mode::RemoteCompile),
         Some("advise") => Some(Mode::Advise),
         Some("top") => Some(Mode::Top),
         _ => None,
@@ -206,11 +177,9 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--tolerance" => a.tolerance = num(value("a value like 0.05")?, "tolerance")?,
             "--min-coverage" => a.min_coverage = num(value("a value like 0.9")?, "coverage")?,
             "--check" => a.check = true,
-            "--server" => a.server = Some(value("HOST:PORT")?),
             "--input" => a.stats_input = Some(value("a path")?),
             "--elastic" => a.elastic = true,
             "--apply" => a.apply = true,
-            "--attach" => a.attach = Some(value("HOST:PORT")?),
             "--once" => a.once = true,
             "--interval" => {
                 let v = value("milliseconds")?;
@@ -235,12 +204,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         }
     }
     a.common.finish()?;
-    a.input = match input {
-        Some(i) => i,
-        // `top --attach ADDR` watches a service — no directory needed
-        None if a.mode == Mode::Top && a.attach.is_some() => String::new(),
-        None => return Err("no input file (try --help)".into()),
-    };
+    a.input = input.ok_or("no input file (try --help)")?;
     Ok(Some(a))
 }
 
@@ -433,7 +397,7 @@ fn run_resume(args: &Args) -> Result<(), Error> {
     }
     manifest.overlap |= cli.overlap;
     let (old_parts, old_ranks) = (manifest.parts.clone(), manifest.ranks);
-    let (manifest, epoch, mut compiled) = retarget(dir, manifest, parts)?;
+    let (manifest, epoch, compiled) = retarget(dir, manifest, parts)?;
     if (&old_parts, old_ranks) != (&manifest.parts, manifest.ranks) {
         eprintln!(
             "acfc: elastic resume: repartitioning {} ({old_ranks} rank(s)) -> {} ({n} rank(s))",
@@ -452,20 +416,6 @@ fn run_resume(args: &Args) -> Result<(), Error> {
         obs::clean_trace_dir(Path::new(t))
             .map_err(|e| Error::Usage(format!("cannot clean `{t}`: {e}")))?;
         d.journal = Some(t.clone());
-    }
-    // `--server ADDR`: recompile the plan for the (possibly new)
-    // geometry on the resident daemon — the content-addressed cache
-    // makes a repeat resume a cache hit — and stash the artifact in the
-    // checkpoint directory for the workers' `--plan`.
-    if let Some(addr) = &args.server {
-        let req = remote_request(&d.compile, &manifest.source)?;
-        let resp = Client::connect(addr)?.request(&Request::Compile(req), &mut |_| {})?;
-        eprintln!("acfc: server recompile: {}", remote_verdict(&resp));
-        let path = dir.join("plan.json").to_string_lossy().into_owned();
-        write_out(&path, &response_text(&resp, "plan")?)?;
-        autocfd::planio::substitute_plan_file(&mut compiled, &path)?;
-        d.plan = Some(path);
-        d.transport = TransportKind::Tcp;
     }
     relaunch(&d, dir, &compiled)
 }
@@ -539,130 +489,6 @@ fn trace_dir_of(args: &Args) -> String {
     })
 }
 
-/// The compile request `--server` submits. The server never auto-picks
-/// a partition (choosing one takes the frontend it is trying to skip),
-/// so an explicit `--partition` is mandatory here.
-fn remote_request(opts: &autocfd::CompileOptions, source: &str) -> Result<CompileReq, Error> {
-    let parts = opts
-        .partition
-        .as_ref()
-        .filter(|p| !p.is_empty())
-        .ok_or_else(|| Error::Usage("--server needs an explicit --partition AxB[xC]".into()))?;
-    Ok(CompileReq {
-        source: source.into(),
-        parts: parts.iter().map(|&p| p as usize).collect(),
-        distance: opts.distance.map(|d| d as usize),
-        optimize: opts.optimize,
-        engine: opts.engine,
-        threads: opts.threads,
-    })
-}
-
-/// Render the cache verdict trio every server response carries.
-fn remote_verdict(resp: &Value) -> String {
-    let cache = resp.get("cache").and_then(Value::as_str).unwrap_or("?");
-    let digest = resp.get("digest").and_then(Value::as_str).unwrap_or("?");
-    let ms = resp
-        .get("compile_ms")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    format!("cache {cache}, plan {digest}, compile {ms:.1} ms")
-}
-
-/// A text field of a server response that is about to be written to
-/// disk: a response without it is the server's failure, not an empty
-/// file for four workers to trip over later.
-fn response_text(resp: &Value, field: &str) -> Result<String, Error> {
-    Fields::new(resp, "server response")
-        .str(field)
-        .map_err(|e| ServiceError::new(ErrorClass::Internal, e).into())
-}
-
-/// `--server ADDR`: submit the source to a resident `acfd-compile`
-/// daemon instead of compiling locally. `acfc compile` stops after the
-/// (possibly cached) compile; `acfc run`/`acfc trace` execute on the
-/// server and stream the per-rank journals back, so the trace report —
-/// and `acfc stats` afterwards — work unchanged on remote runs.
-fn run_remote(args: &Args, source: &str, addr: &str) -> Result<(), Error> {
-    let req = remote_request(&args.common.compile, source)?;
-    let mut client = Client::connect(addr)?;
-
-    if args.mode == Mode::RemoteCompile {
-        let resp = client.request(&Request::Compile(req), &mut |_| {})?;
-        eprintln!("acfc: server compile: {}", remote_verdict(&resp));
-        if args.plan_out.is_some() {
-            write_plan(args.plan_out.as_deref(), &response_text(&resp, "plan")?)?;
-        }
-        if let Some(path) = args.emit.as_deref() {
-            write_out(path, &response_text(&resp, "parallel_source")?)?;
-        }
-        return Ok(());
-    }
-
-    // run / trace: the server's per-rank journals stream back into a
-    // local trace directory, arrival order, one file per rank
-    let dir: Option<PathBuf> = if args.mode == Mode::Trace {
-        Some(trace_dir_of(args).into())
-    } else {
-        args.common.trace_dir.clone().map(PathBuf::from)
-    };
-    if let Some(d) = &dir {
-        obs::clean_trace_dir(d)
-            .and_then(|()| std::fs::create_dir_all(d))
-            .map_err(|e| Error::Usage(format!("cannot prepare `{}`: {e}", d.display())))?;
-    }
-    let run = Request::Run(RunReq {
-        compile: req,
-        overlap: args.common.overlap,
-        verify: args.common.verify.is_some(),
-    });
-    let mut files: std::collections::HashMap<usize, std::fs::File> = Default::default();
-    let mut stream_err: Option<String> = None;
-    let resp = client.request(&run, &mut |item| match item {
-        StreamItem::Output { line } => println!("{line}"),
-        StreamItem::Journal { rank, line } => {
-            let Some(d) = &dir else { return };
-            if stream_err.is_some() {
-                return;
-            }
-            let written = (|| -> std::io::Result<()> {
-                use std::collections::hash_map::Entry;
-                let f = match files.entry(rank) {
-                    Entry::Occupied(o) => o.into_mut(),
-                    Entry::Vacant(v) => v.insert(
-                        std::fs::OpenOptions::new()
-                            .create(true)
-                            .append(true)
-                            .open(journal::rank_path(d, rank))?,
-                    ),
-                };
-                writeln!(f, "{line}")
-            })();
-            if let Err(e) = written {
-                stream_err = Some(format!("rank {rank}: {e}"));
-            }
-        }
-    })?;
-    if let Some(e) = stream_err {
-        return Err(Error::Usage(format!("cannot write streamed journal: {e}")));
-    }
-    let ranks = resp.get("ranks").and_then(Value::as_int).unwrap_or(0);
-    eprintln!(
-        "acfc: server run: {}, {ranks} rank(s)",
-        remote_verdict(&resp)
-    );
-    if matches!(resp.get("verified"), Some(Value::Bool(true))) {
-        let d = resp.get("max_diff").and_then(Value::as_f64).unwrap_or(0.0);
-        eprintln!("acfc: verified (server) — max |seq - par| = {d:e}");
-    }
-    match dir {
-        // the forecast table needs a local compile, so for a remote
-        // trace it stays with `acfc stats DIR --input INPUT.f`
-        Some(dir) if args.mode == Mode::Trace => trace_report(args, &dir, None, Ok(())),
-        _ => Ok(()),
-    }
-}
-
 /// Validate a merged trace: complete journals, at least one
 /// communication phase, per-rank coverage, and (when a forecast is
 /// available) the predicted-vs-measured verdicts. Returns the failures.
@@ -720,15 +546,14 @@ fn check(args: &Args, what: &str, failures: Vec<String>) -> Result<(), Error> {
 }
 
 /// The tail of every `trace`: export `trace.json` and render the report
-/// from the journals in `dir` — with the predicted-vs-measured table
-/// when there is a local compile to forecast from — then the run's
-/// `outcome`, then `--check`. Whatever the journals captured is
+/// from the journals in `dir` with the predicted-vs-measured table for
+/// `compiled`, then the run's `outcome`, then `--check`. Whatever the journals captured is
 /// rendered also on failure, so a deadlock or crash still yields a
 /// partial timeline to debug with.
 fn trace_report(
     args: &Args,
     dir: &Path,
-    compiled: Option<&Compiled>,
+    compiled: &Compiled,
     outcome: Result<(), Error>,
 ) -> Result<(), Error> {
     let merged = match obs::load_merged(dir) {
@@ -749,12 +574,10 @@ fn trace_report(
     std::fs::write(dir.join("trace.json"), chrome)
         .map_err(|e| Error::Usage(format!("cannot write trace.json: {e}")))?;
     eprint!("{}", obs::render_report(&merged));
-    let checks = compiled.and_then(|c| {
-        obs::cross_validate(c, &merged, args.tolerance)
-            .inspect(|checks| eprint!("{}", obs::render_cross_validation(checks)))
-            .inspect_err(|e| eprintln!("acfc: cross-validation: {e}"))
-            .ok()
-    });
+    let checks = obs::cross_validate(compiled, &merged, args.tolerance)
+        .inspect(|checks| eprint!("{}", obs::render_cross_validation(checks)))
+        .inspect_err(|e| eprintln!("acfc: cross-validation: {e}"))
+        .ok();
     eprintln!(
         "acfc: trace written to {} (open trace.json in ui.perfetto.dev)",
         dir.display()
@@ -786,14 +609,11 @@ fn run_stats(args: &Args) -> Result<(), Error> {
         eprintln!("acfc: {w}");
     }
     // telemetry health: a `--telemetry` run leaves spool files next to
-    // the journals — render the per-rank dropped/gap verdicts with them
+    // the journals — render the per-rank gap verdicts with them
     let telemetry = obs::scan_telemetry(dir);
     if !telemetry.is_empty() {
         eprintln!("telemetry health ({} rank spool(s)):", telemetry.len());
-        eprint!(
-            "{}",
-            obs::render_telemetry_health(&telemetry, TELEMETRY_DROP_THRESHOLD)
-        );
+        eprint!("{}", obs::render_telemetry_health(&telemetry));
     }
     let mut checks = None;
     if let Some(compiled) = compile_input(args)? {
@@ -803,10 +623,7 @@ fn run_stats(args: &Args) -> Result<(), Error> {
         checks = Some(c);
     }
     let mut failures = check_failures(&merged, checks.as_deref(), args.min_coverage);
-    failures.extend(obs::telemetry_failures(
-        &telemetry,
-        TELEMETRY_DROP_THRESHOLD,
-    ));
+    failures.extend(obs::telemetry_failures(&telemetry));
     check(args, "trace", failures)
 }
 
@@ -913,10 +730,6 @@ fn apply_advice(args: &Args, advice: &advisor::Advice) -> Result<(), Error> {
     relaunch(&d, dir, &compiled)
 }
 
-/// The dropped-frame fraction above which `top --check` and
-/// `stats --check` call a rank's telemetry unhealthy.
-const TELEMETRY_DROP_THRESHOLD: f64 = 0.1;
-
 /// A rank is rendered `live` while its spool was written more recently
 /// than this (workers flush every frame, so a healthy rank's spool is
 /// always fresher than a couple of publish intervals).
@@ -946,17 +759,15 @@ fn render_top_dir(dir: &Path) -> (String, Vec<String>) {
         .map(|r| r.latest.checkpoint_epoch)
         .max()
         .unwrap_or(0);
-    let dropped: u64 = rows.iter().map(|r| r.latest.dropped).sum();
     let mut out = format!(
-        "acfc top — {} | {} rank(s), engine {}, {} frame(s) dropped\n",
+        "acfc top — {} | {} rank(s), engine {}\n",
         dir.display(),
         rows.len(),
         rows[0].latest.engine,
-        dropped
     );
     out.push_str(&format!(
-        "{:>4}  {:<12}  {:>9}  {:>7}  {:>7}  {:>5}  {:>4}  {:>5}  {}\n",
-        "rank", "phase", "busy", "imbal", "expos", "ckpt", "lag", "drop", "last frame"
+        "{:>4}  {:<12}  {:>9}  {:>7}  {:>7}  {:>5}  {:>4}  {}\n",
+        "rank", "phase", "busy", "imbal", "expos", "ckpt", "lag", "last frame"
     ));
     for (i, r) in rows.iter().enumerate() {
         let imbal = over_mean
@@ -970,7 +781,7 @@ fn render_top_dir(dir: &Path) -> (String, Vec<String>) {
             None => "?".into(),
         };
         out.push_str(&format!(
-            "{:>4}  {:<12}  {:>7}ms  {:>7}  {:>7}  {:>5}  {:>4}  {:>5}  {}\n",
+            "{:>4}  {:<12}  {:>7}ms  {:>7}  {:>7}  {:>5}  {:>4}  {}\n",
             r.rank,
             r.latest.phase,
             r.latest.busy_us() / 1_000,
@@ -978,74 +789,20 @@ fn render_top_dir(dir: &Path) -> (String, Vec<String>) {
             exposed,
             r.latest.checkpoint_epoch,
             max_epoch - r.latest.checkpoint_epoch,
-            r.latest.dropped,
             liveness,
         ));
     }
-    let failures = obs::telemetry_failures(&rows, TELEMETRY_DROP_THRESHOLD);
+    let failures = obs::telemetry_failures(&rows);
     (out, failures)
 }
 
-/// Render one `acfc top --attach` frame from a resident compile
-/// service's `Stats` counters (queue depth, cache hit rate, latencies).
-fn render_top_attach(addr: &str) -> Result<String, String> {
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    let resp = client
-        .request(&Request::Stats, &mut |_| {})
-        .map_err(|e| e.to_string())?;
-    let int = |k: &str| resp.get(k).and_then(Value::as_int).unwrap_or(0);
-    let flt = |k: &str| resp.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-    let hits = int("hits");
-    let misses = int("misses");
-    let lookups = hits + misses;
-    let hit_rate = if lookups > 0 {
-        format!("{:.1}%", hits as f64 / lookups as f64 * 100.0)
-    } else {
-        "-".into()
-    };
-    let hot = resp
-        .get("advice_hot_phase")
-        .and_then(Value::as_str)
-        .unwrap_or("none")
-        .to_string();
-    Ok(format!(
-        "acfc top — compile service {addr}\n\
-         queue depth    {}\n\
-         served         {}\n\
-         cache          {} hit / {} miss ({hit_rate}), {}/{} entries\n\
-         compile ms     p50 {:.1}  p95 {:.1}  max {:.1}\n\
-         hot phase      {hot} ({:.1} ms, {:.0}% of busy)\n",
-        int("queue_depth"),
-        int("served"),
-        hits,
-        misses,
-        int("entries"),
-        int("capacity"),
-        flt("compile_ms_p50"),
-        flt("compile_ms_p95"),
-        flt("compile_ms_max"),
-        flt("advice_hot_phase_ms"),
-        flt("advice_hot_phase_share_pct"),
-    ))
-}
-
-/// `acfc top`: redraw the live per-rank table (or the service counters
-/// with `--attach`) every `--interval` until interrupted; `--once`
-/// renders a single frame, and with `--check` exits nonzero when the
-/// telemetry plane is unhealthy.
+/// `acfc top`: redraw the live per-rank table every `--interval` until
+/// interrupted; `--once` renders a single frame, and with `--check`
+/// exits nonzero when the telemetry plane is unhealthy.
 fn run_top(args: &Args) -> Result<(), Error> {
     let interval = Duration::from_millis(args.top_interval.unwrap_or(500));
     loop {
-        let (screen, failures) = match args.attach.as_deref() {
-            Some(addr) => match render_top_attach(addr) {
-                Ok(s) => (s, Vec::new()),
-                Err(e) => (
-                    format!("acfc top — service {addr} unreachable: {e}\n"),
-                    vec![format!("service {addr}: {e}")],
-                ),
-            },
-            None => render_top_dir(Path::new(&args.input)),
-        };
+        let (screen, failures) = render_top_dir(Path::new(&args.input));
         if !args.once {
             // clear screen + home: redraw the table in place
             print!("\x1b[2J\x1b[H");
@@ -1073,7 +830,7 @@ fn run_trace(args: &Args, compiled: &Compiled) -> Result<(), Error> {
         ..args.common.clone()
     };
     let outcome = launch(&d, &args.input, compiled);
-    trace_report(args, Path::new(&dir), Some(compiled), outcome)
+    trace_report(args, Path::new(&dir), compiled, outcome)
 }
 
 /// `--analysis` / `--report`: what the pre-compiler found and decided.
@@ -1141,16 +898,6 @@ fn run() -> Result<(), Error> {
         _ => {}
     }
     let source = read_file(&args.input)?;
-    // `--server ADDR` routes the compile (and run) to a resident
-    // daemon: no local pipeline runs at all on this path
-    if let Some(addr) = &args.server {
-        return run_remote(&args, &source, addr);
-    }
-    if args.mode == Mode::RemoteCompile {
-        return Err(Error::Usage(
-            "`acfc compile` needs --server ADDR (plain `acfc INPUT.f` compiles locally)".into(),
-        ));
-    }
     let d = &args.common;
     let compiled = d.build(&source)?;
     if args.mode == Mode::Plan {
@@ -1203,22 +950,5 @@ fn main() -> ExitCode {
             eprintln!("acfc: {e}");
             ExitCode::from(e.exit_code())
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_response_without_the_field_is_the_servers_failure_not_an_empty_file() {
-        let resp = serde::json::parse(r#"{"cache":"hit","plan":7}"#).unwrap();
-        for field in ["plan", "parallel_source"] {
-            let err = response_text(&resp, field).unwrap_err();
-            assert_eq!(err.exit_code(), 3, "{err}");
-            assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
-        }
-        let resp = serde::json::parse(r#"{"plan":"{}"}"#).unwrap();
-        assert_eq!(response_text(&resp, "plan").unwrap(), "{}");
     }
 }

@@ -82,8 +82,8 @@ pub struct CommonOpts {
     /// launcher hands this to a single worker, never the whole mesh.
     pub chaos_abort_after: Option<u64>,
     /// `--telemetry-ms N` — publish live per-rank stat frames every N
-    /// milliseconds (spooled next to the journals and piggybacked on
-    /// the transport) for `acfc top`; bare `--telemetry` means
+    /// milliseconds (spooled next to the journals) for `acfc top`; bare
+    /// `--telemetry` means
     /// [`autocfd_runtime::telemetry::DEFAULT_TELEMETRY_INTERVAL`].
     pub telemetry_ms: Option<u64>,
     /// `--verify` / `--verify-exact` — compare every held rank's owned
@@ -364,9 +364,8 @@ impl CommonOpts {
                 chaos_abort_after: self.chaos_abort_after,
             });
         }
-        // frames spool next to the journal, else into --trace-dir, and
-        // ride the transport either way, so `acfc top DIR` can watch
-        // the run while it executes
+        // frames spool next to the journal, else into --trace-dir, so
+        // `acfc top DIR` can watch the run while it executes
         if let Some(ms) = self.telemetry_ms {
             cfg = cfg.telemetry(TelemetryConfig {
                 interval: Duration::from_millis(ms),

@@ -72,7 +72,6 @@ pub mod transport;
 pub struct ReadmeDoctests;
 
 use autocfd_codegen::{transform, EnginePref, SpmdPlan, TransformError};
-use autocfd_compile_service::ErrorClass;
 use autocfd_fortran::{FortranError, SourceFile};
 use autocfd_grid::{choose_partition, partition, GridShape, Partition, PartitionSpec};
 use autocfd_interp::spmd::{verify_owned_regions, RankResult};
@@ -206,28 +205,18 @@ pub enum Error {
     /// A bad command line or an I/O failure on a file the user named
     /// (exit code 1).
     Usage(String),
-    /// A resident compile service refused or failed the request; the
-    /// exit code follows its class (bad request 1, compile 2,
-    /// server-side runtime 3).
-    Service(autocfd_compile_service::ServiceError),
 }
 
 impl Error {
     /// Exit code for the paper's `acfc` binary (compile = 2,
     /// runtime/communication = 3, validation = 4; argument and I/O
-    /// errors use the conventional 1; a compile service's failure maps
-    /// its class onto the same codes).
+    /// errors use the conventional 1).
     pub fn exit_code(&self) -> u8 {
         match self {
             Error::Compile(_) => 2,
             Error::Runtime(_) | Error::Comm(_) => 3,
             Error::Validation(_) => 4,
             Error::Usage(_) => 1,
-            Error::Service(e) => match e.class {
-                ErrorClass::BadRequest => 1,
-                ErrorClass::Compile => 2,
-                ErrorClass::Internal => 3,
-            },
         }
     }
 }
@@ -240,7 +229,6 @@ impl std::fmt::Display for Error {
             Error::Comm(e) => write!(f, "{e}"),
             Error::Validation(s) => write!(f, "validation failed: {s}"),
             Error::Usage(s) => write!(f, "{s}"),
-            Error::Service(e) => write!(f, "server: {e}"),
         }
     }
 }
@@ -274,12 +262,6 @@ impl From<RunError> for Error {
 impl From<CommError> for Error {
     fn from(e: CommError) -> Self {
         Error::Comm(e)
-    }
-}
-
-impl From<autocfd_compile_service::ServiceError> for Error {
-    fn from(e: autocfd_compile_service::ServiceError) -> Self {
-        Error::Service(e)
     }
 }
 
@@ -417,10 +399,10 @@ pub fn compile(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileE
     let sync_plan = plan_program(&ir, &cut_axes, distance, opts.optimize);
     let (parallel_file, mut spmd_plan) = transform(&ir, &part, &sync_plan, distance)?;
 
-    // The plan carries the execution-engine choice so artifacts (plan
-    // JSON, compile-service cache entries) replay with the engine the
-    // submitter picked. Eligibility runs over the *transformed* program
-    // — the one that executes — so remote runs compile the same nests.
+    // The plan carries the execution-engine choice so plan artifacts
+    // replay with the engine the submitter picked. Eligibility runs over
+    // the *transformed* program — the one that executes — so a `--plan`
+    // run compiles the same nests.
     spmd_plan.engine = opts.engine;
     spmd_plan.threads = opts.threads.max(1);
     if opts.engine == EnginePref::Kernel {

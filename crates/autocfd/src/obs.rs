@@ -294,19 +294,11 @@ pub struct RankTelemetry {
 }
 
 impl RankTelemetry {
-    /// Fraction of published frames the wire refused.
-    pub fn drop_fraction(&self) -> f64 {
-        let published = self.latest.seq + 1;
-        self.latest.dropped as f64 / published as f64
-    }
-
-    /// The warn-column verdict `acfc stats` renders: `drops!` over the
-    /// drop threshold, `gap!` on a coverage hole, `torn!` on unparsable
-    /// spool lines, `-` when healthy.
-    pub fn warn(&self, max_drop_fraction: f64) -> &'static str {
-        if self.drop_fraction() > max_drop_fraction {
-            "drops!"
-        } else if self.has_coverage_gap() {
+    /// The warn-column verdict `acfc stats` renders: `gap!` on a
+    /// coverage hole, `torn!` on unparsable spool lines, `-` when
+    /// healthy.
+    pub fn warn(&self) -> &'static str {
+        if self.has_coverage_gap() {
             "gap!"
         } else if self.skipped > 1 {
             // one torn line is a live writer, several are corruption
@@ -376,46 +368,35 @@ pub fn scan_telemetry(dir: &Path) -> Vec<RankTelemetry> {
     rows
 }
 
-/// Telemetry health verdicts for `--check`: dropped frames over the
-/// threshold and coverage gaps fail; torn lines and idleness only warn.
-pub fn telemetry_failures(rows: &[RankTelemetry], max_drop_fraction: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    for r in rows {
-        if r.drop_fraction() > max_drop_fraction {
-            failures.push(format!(
-                "rank {}: {} of {} telemetry frame(s) dropped ({:.1}% > {:.1}%)",
-                r.rank,
-                r.latest.dropped,
-                r.latest.seq + 1,
-                r.drop_fraction() * 100.0,
-                max_drop_fraction * 100.0
-            ));
-        } else if r.has_coverage_gap() {
-            failures.push(format!(
+/// Telemetry health verdicts for `--check`: coverage gaps fail; torn
+/// lines and idleness only warn.
+pub fn telemetry_failures(rows: &[RankTelemetry]) -> Vec<String> {
+    rows.iter()
+        .filter(|r| r.has_coverage_gap())
+        .map(|r| {
+            format!(
                 "rank {}: telemetry coverage gap — {} ms silent out of {} ms covered",
                 r.rank, r.max_gap_ms, r.span_ms
-            ));
-        }
-    }
-    failures
+            )
+        })
+        .collect()
 }
 
 /// Render the `acfc stats` telemetry-health table: one row per rank with
-/// the dropped-frame and coverage warn column.
-pub fn render_telemetry_health(rows: &[RankTelemetry], max_drop_fraction: f64) -> String {
+/// the coverage warn column.
+pub fn render_telemetry_health(rows: &[RankTelemetry]) -> String {
     let mut out = format!(
-        "{:>4}  {:>6}  {:>7}  {:>9}  {:>6}  {:>6}\n",
-        "rank", "frames", "dropped", "gap ms", "ckpt", "warn"
+        "{:>4}  {:>6}  {:>9}  {:>6}  {:>6}\n",
+        "rank", "frames", "gap ms", "ckpt", "warn"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:>4}  {:>6}  {:>7}  {:>9}  {:>6}  {:>6}\n",
+            "{:>4}  {:>6}  {:>9}  {:>6}  {:>6}\n",
             r.rank,
             r.frames,
-            r.latest.dropped,
             r.max_gap_ms,
             r.latest.checkpoint_epoch,
-            r.warn(max_drop_fraction),
+            r.warn(),
         ));
     }
     out
@@ -537,12 +518,12 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_scan_summarizes_and_flags_drops_and_gaps() {
+    fn telemetry_scan_summarizes_and_flags_gaps() {
         use autocfd_runtime::telemetry::{encode_stat_frame, spool_path, TELEMETRY_SCHEMA};
         let dir = std::env::temp_dir().join(format!("acf-obs-telem-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let mk = |rank: usize, seq: u64, at_ms: u64, dropped: u64| StatFrame {
+        let mk = |rank: usize, seq: u64, at_ms: u64| StatFrame {
             schema: TELEMETRY_SCHEMA,
             rank,
             seq,
@@ -556,17 +537,17 @@ mod tests {
             checkpoint_epoch: 3,
             engine: "tree".into(),
             queue_depth: 0,
-            dropped,
+            dropped: 0,
         };
-        // rank 0: healthy; rank 1: a coverage hole plus heavy drops
+        // rank 0: healthy; rank 1: a coverage hole
         let healthy: Vec<String> = (0..4)
-            .map(|i| encode_stat_frame(&mk(0, i, 100 * i, 0)))
+            .map(|i| encode_stat_frame(&mk(0, i, 100 * i)))
             .collect();
         std::fs::write(spool_path(&dir, 0), healthy.join("\n")).unwrap();
         let gappy = [
-            encode_stat_frame(&mk(1, 0, 0, 0)),
-            encode_stat_frame(&mk(1, 1, 100, 0)),
-            encode_stat_frame(&mk(1, 2, 2_000, 2)),
+            encode_stat_frame(&mk(1, 0, 0)),
+            encode_stat_frame(&mk(1, 1, 100)),
+            encode_stat_frame(&mk(1, 2, 2_000)),
         ];
         std::fs::write(spool_path(&dir, 1), gappy.join("\n")).unwrap();
 
@@ -577,23 +558,20 @@ mod tests {
         assert_eq!(rows[0].frames, 4);
         assert_eq!(rows[0].max_gap_ms, 100);
         assert!(!rows[0].has_coverage_gap());
-        assert_eq!(rows[0].warn(0.1), "-");
+        assert_eq!(rows[0].warn(), "-");
         assert_eq!(rows[1].max_gap_ms, 1_900);
         assert_eq!(rows[1].span_ms, 2_000);
         assert!(rows[1].has_coverage_gap());
-        assert!(rows[1].drop_fraction() > 0.5);
-        assert_eq!(rows[1].warn(0.1), "drops!");
+        assert_eq!(rows[1].warn(), "gap!");
 
-        let failures = telemetry_failures(&rows, 0.1);
+        let failures = telemetry_failures(&rows);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("rank 1"), "{failures:?}");
-        // gap alone (drops under threshold) also fails the check
-        assert_eq!(telemetry_failures(&rows, 10.0).len(), 1);
-        assert!(telemetry_failures(&rows, 10.0)[0].contains("coverage gap"));
+        assert!(failures[0].contains("coverage gap"), "{failures:?}");
 
-        let table = render_telemetry_health(&rows, 0.1);
+        let table = render_telemetry_health(&rows);
         assert!(table.contains("warn"), "{table}");
-        assert!(table.contains("drops!"), "{table}");
+        assert!(table.contains("gap!"), "{table}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,46 +1,42 @@
 //! The one entry point for plan artifacts — `acfc plan` emission,
 //! `--plan` substitution (launcher and workers), and the compile
-//! service's cached entries all pass through here, so the on-disk
-//! artifact format and the wire format are the same bytes by
-//! construction and cannot drift.
+//! cache's entries all pass through here, so every plan artifact is the
+//! same bytes by construction and cannot drift.
 
 use crate::{Compiled, Error};
 use autocfd_codegen::{plan_json, SpmdPlan};
 
 /// Serialize a plan to its schema-versioned JSON form (identical for
-/// the `acfc plan -o` artifact and the service wire/cache formats).
+/// the `acfc plan -o` artifact and the compile cache's entries).
 pub fn plan_to_json(plan: &SpmdPlan) -> String {
     plan_json::to_json(plan)
 }
 
 /// Parse a schema-versioned plan JSON document. `origin` names where
-/// the text came from (a path, "server response") for the error message.
+/// the text came from (a path) for the error message.
 pub fn plan_from_json(text: &str, origin: &str) -> Result<SpmdPlan, Error> {
-    plan_json::from_json(text).map_err(|e| Error::Validation(format!("plan from {origin}: {e}")))
+    parse(text, origin, None)
 }
 
-/// Substitute a deserialized plan for the one `compiled` produced,
-/// enforcing the only compatibility requirement: the rank counts must
-/// agree (the executing mesh is sized by the compile).
-pub fn substitute_plan(compiled: &mut Compiled, plan: SpmdPlan, origin: &str) -> Result<(), Error> {
-    if plan.ranks() != compiled.spmd_plan.ranks() {
-        return Err(Error::Validation(format!(
-            "plan from {origin} targets {} ranks but the compile produced {}",
-            plan.ranks(),
-            compiled.spmd_plan.ranks()
-        )));
-    }
-    compiled.spmd_plan = plan;
-    Ok(())
+/// [`plan_from_json`], refusing a plan whose rank count is not `ranks`
+/// before its subgrids are built.
+fn parse(text: &str, origin: &str, ranks: Option<u32>) -> Result<SpmdPlan, Error> {
+    plan_json::from_json(text, ranks)
+        .map_err(|e| Error::Validation(format!("plan from {origin}: {e}")))
 }
 
-/// Read, parse, and substitute a plan artifact from `path` — the
-/// `--plan FILE` behaviour shared by `acfc` and `acfd-worker`.
+/// Read and parse a plan artifact from `path` and substitute it for the
+/// plan `compiled` produced — the `--plan FILE` behaviour shared by
+/// `acfc` and `acfd-worker`. The only compatibility requirement is that
+/// the rank counts agree (the executing mesh is sized by the compile);
+/// it is checked while parsing, so a file claiming billions of ranks is
+/// refused, not allocated.
 pub fn substitute_plan_file(compiled: &mut Compiled, path: &str) -> Result<(), Error> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| Error::Validation(format!("cannot read plan `{path}`: {e}")))?;
-    let plan = plan_from_json(&text, &format!("`{path}`"))?;
-    substitute_plan(compiled, plan, &format!("`{path}`"))
+    let ranks = compiled.spmd_plan.ranks();
+    compiled.spmd_plan = parse(&text, &format!("`{path}`"), Some(ranks))?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -69,22 +65,53 @@ mod tests {
       end
 ";
 
+    /// Substitute the plan `text` into `compiled` through a plan file.
+    fn substitute(compiled: &mut Compiled, tag: &str, text: &str) -> Result<(), Error> {
+        let dir = std::env::temp_dir().join(format!("acf-planio-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("plan.json");
+        std::fs::write(&path, text).unwrap();
+        let result = substitute_plan_file(compiled, path.to_str().unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+        result
+    }
+
     #[test]
     fn roundtrip_and_substitution() {
         let mut c = compile(SRC, &CompileOptions::with_partition(&[2, 2])).unwrap();
         let text = plan_to_json(&c.spmd_plan);
         let plan = plan_from_json(&text, "test").unwrap();
         assert_eq!(plan, c.spmd_plan);
-        substitute_plan(&mut c, plan, "test").unwrap();
+        substitute(&mut c, "roundtrip", &text).unwrap();
+        assert_eq!(c.spmd_plan, plan);
     }
 
     #[test]
     fn rank_mismatch_is_a_validation_error() {
         let mut c = compile(SRC, &CompileOptions::with_partition(&[2, 2])).unwrap();
         let other = compile(SRC, &CompileOptions::with_partition(&[2, 1])).unwrap();
-        let err = substitute_plan(&mut c, other.spmd_plan, "test").unwrap_err();
+        let err = substitute(&mut c, "mismatch", &plan_to_json(&other.spmd_plan)).unwrap_err();
         assert!(matches!(err, Error::Validation(_)));
         assert_eq!(err.exit_code(), 4);
+        assert!(err.to_string().contains("targets 2 ranks but 4"), "{err}");
+    }
+
+    #[test]
+    fn plan_files_with_oversized_rank_counts_are_validation_errors() {
+        let mut c = compile(SRC, &CompileOptions::with_partition(&[2, 2])).unwrap();
+        let text = plan_to_json(&c.spmd_plan);
+        let geometry = r#""extents":[16,16],"parts":[2,2]"#;
+        assert!(text.contains(geometry), "{text}");
+        // the first overflows u32; the second fits but would allocate
+        // 2.5e9 subgrids before the rank counts were compared
+        for n in [65536, 50000] {
+            let huge = format!(r#""extents":[{n},{n}],"parts":[{n},{n}]"#);
+            let err = substitute(&mut c, "huge", &text.replace(geometry, &huge)).unwrap_err();
+            assert!(matches!(err, Error::Validation(_)), "{err}");
+            assert_eq!(err.exit_code(), 4);
+            assert!(err.to_string().contains("plan JSON:"), "{err}");
+        }
+        assert_eq!(c.spmd_plan.ranks(), 4, "the compiled plan is kept");
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Content-addressed identity for compile results.
 //!
-//! The resident compile service (`crates/compile-service`) caches
+//! The compile cache (`crates/compile-service`) holds
 //! [`SpmdPlan`](crate::SpmdPlan)s keyed by *what was compiled*, not *where
 //! it came from*: the key material is the canonicalized program text plus
 //! the pipeline options that shape the plan (partition geometry, ghost
 //! distance, sync optimization) plus [`PLAN_SCHEMA_VERSION`] so a schema
-//! bump invalidates every persisted entry at once. Host paths, file
+//! bump invalidates every entry at once. Host paths, file
 //! timestamps, and map iteration order never enter the digest — two
 //! machines compiling the same source with the same options produce the
 //! same key, byte for byte.
 //!
 //! Hashing is a hand-rolled FNV-1a-128. `std`'s `DefaultHasher` is
-//! SipHash with process-random keys, so it cannot name on-disk cache
-//! entries; FNV is stable across processes, architectures, and releases
+//! SipHash with process-random keys, so its digests differ between
+//! runs; FNV is stable across processes, architectures, and releases
 //! (the constants below are fixed by the algorithm, not by us).
 
 use crate::plan::EnginePref;

@@ -198,8 +198,7 @@ pub struct SpmdPlan {
     /// See [`SpmdPlan::sync_before`].
     pub sync_after: u64,
     /// Which execution engine should run this plan. Serialized with the
-    /// plan so a remote (`--server`) run uses the engine the client
-    /// requested.
+    /// plan so a `--plan` run uses the engine the plan was compiled for.
     pub engine: EnginePref,
     /// Worker threads for the kernel engine's interior split (1 =
     /// sequential kernels). Ignored by the tree engine.

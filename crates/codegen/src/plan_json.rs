@@ -238,10 +238,12 @@ fn parse_pipe_steps(a: Fields<'_>, key: &str) -> Result<Vec<PipeStep>, String> {
 }
 
 /// Parse a plan back from its JSON rendering. The partition geometry is
-/// validated (axis count, no overpartitioned axis) and *rebuilt* from
-/// shape + spec, so subgrid bounds and neighbor maps are exactly the
-/// ones the compiler would have produced.
-pub fn from_json(text: &str) -> Result<SpmdPlan, String> {
+/// validated (axis count, no overpartitioned axis, a rank count that
+/// fits `u32` and, when `expect_ranks` is given, equals it) and only
+/// then *rebuilt* from shape + spec, so subgrid bounds and neighbor maps
+/// are exactly the ones the compiler would have produced and a file
+/// cannot make the loader build one subgrid per claimed rank.
+pub fn from_json(text: &str, expect_ranks: Option<u32>) -> Result<SpmdPlan, String> {
     let doc = json::parse(text).map_err(|e| format!("{CTX}: {e}"))?;
     let v = Fields::new(&doc, CTX);
     let version: i128 = v.int("version")?;
@@ -267,6 +269,15 @@ pub fn from_json(text: &str) -> Result<SpmdPlan, String> {
                 "{CTX}: axis {a} of extent {n} cannot be split into {p} parts"
             ));
         }
+    }
+    let ranks = parts
+        .iter()
+        .try_fold(1u32, |n, &p| n.checked_mul(p))
+        .ok_or_else(|| format!("{CTX}: partition {parts:?} has more ranks than fit in u32"))?;
+    if let Some(want) = expect_ranks.filter(|&want| want != ranks) {
+        return Err(format!(
+            "{CTX}: targets {ranks} ranks but {want} were expected"
+        ));
     }
     let partition = partition(&GridShape { extents }, &PartitionSpec::new(&parts));
 
@@ -486,8 +497,9 @@ mod tests {
             kernel_nests: vec![StmtId(7), StmtId(12)],
         };
         let text = to_json(&plan);
-        let back = from_json(&text).unwrap();
+        let back = from_json(&text, None).unwrap();
         assert_eq!(back, plan);
+        assert_eq!(from_json(&text, Some(2)).unwrap(), plan);
         // serialization is deterministic
         assert_eq!(to_json(&back), text);
     }
@@ -512,11 +524,11 @@ mod tests {
             kernel_nests: vec![],
         };
         let text = to_json(&plan).replace("\"version\":2", "\"version\":99");
-        let err = from_json(&text).unwrap_err();
+        let err = from_json(&text, None).unwrap_err();
         assert!(err.contains("schema version 99"), "{err}");
         // v1 artifacts (pre-engine) are stale too
         let old = to_json(&plan).replace("\"version\":2", "\"version\":1");
-        let err = from_json(&old).unwrap_err();
+        let err = from_json(&old, None).unwrap_err();
         assert!(err.contains("schema version 1"), "{err}");
     }
 
@@ -529,15 +541,42 @@ mod tests {
             "reduces":[],"fills":[],"checkpoint_syncs":[],
             "sync_before":0,"sync_after":0,
             "engine":"tree","threads":1,"kernel_nests":[]}"#;
-        let err = from_json(text).unwrap_err();
+        let err = from_json(text, None).unwrap_err();
         assert!(err.contains("cannot be split"), "{err}");
     }
 
     #[test]
+    fn oversized_rank_counts_are_refused_before_any_subgrid_is_built() {
+        let text = |n: u32| {
+            format!(
+                r#"{{"version":2,"partition":{{"extents":[{n},{n}],"parts":[{n},{n}]}},
+                "dim_axis":[],"syncs":[],"overlaps":[],"self_loops":[],
+                "reduces":[],"fills":[],"checkpoint_syncs":[],"checkpoint_sites":[],
+                "sync_before":0,"sync_after":0,
+                "engine":"tree","threads":1,"kernel_nests":[]}}"#
+            )
+        };
+        // 65536 × 65536 ranks overflow u32
+        let err = from_json(&text(65536), None).unwrap_err();
+        assert!(err.contains("more ranks than fit"), "{err}");
+        // 50000 × 50000 fits, but is refused against the expected count
+        // instead of allocating 2.5e9 subgrids
+        let err = from_json(&text(50000), Some(4)).unwrap_err();
+        assert!(
+            err.contains("targets 2500000000 ranks but 4 were expected"),
+            "{err}"
+        );
+        // the same document at a sane size still loads
+        assert_eq!(from_json(&text(2), Some(4)).unwrap().ranks(), 4);
+    }
+
+    #[test]
     fn garbage_rejected_with_context() {
-        assert!(from_json("not json").unwrap_err().contains("parse error"));
-        assert!(from_json("{}").unwrap_err().contains("version"));
-        let err = from_json(r#"{"version":2}"#).unwrap_err();
+        assert!(from_json("not json", None)
+            .unwrap_err()
+            .contains("parse error"));
+        assert!(from_json("{}", None).unwrap_err().contains("version"));
+        let err = from_json(r#"{"version":2}"#, None).unwrap_err();
         assert!(err.contains("partition"), "{err}");
     }
 }

@@ -1,80 +1,24 @@
-//! The content-addressed plan cache: a bounded in-memory LRU with
-//! on-disk persistence.
+//! The content-addressed plan cache: a bounded in-memory LRU.
 //!
 //! Entries are named by [`PlanKey::digest`](autocfd_codegen::PlanKey)
 //! — canonicalized source × partition × distance × optimize ×
-//! [`PLAN_SCHEMA_VERSION`](autocfd_codegen::PLAN_SCHEMA_VERSION) — so a
-//! schema bump orphans every old entry (its digest can never be asked
-//! for again) and [`PlanCache::open`] garbage-collects the leftovers:
-//! any persisted file whose plan no longer parses under the current
-//! schema, whose JSON is corrupt, or whose recorded digest disagrees
-//! with its filename is deleted and counted, never served. A bad cache
-//! degrades to a recompile, not an error.
+//! [`PLAN_SCHEMA_VERSION`](autocfd_codegen::PLAN_SCHEMA_VERSION) — so
+//! equal requests share an entry and a schema bump can never serve an
+//! old plan.
 
-use autocfd_codegen::plan_json;
-use serde::json::{self, Value};
 use std::collections::HashMap;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
-
-/// Suffix for persisted entries: `<digest>.plan.json`.
-const FILE_SUFFIX: &str = ".plan.json";
 
 /// One cached compile result: everything needed to serve a warm
-/// `Compile` without touching the frontend, and a warm `Run` without
-/// re-running analysis.
+/// `Compile` without touching the frontend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheEntry {
     /// The [`PlanKey`](autocfd_codegen::PlanKey) digest naming this entry.
     pub digest: String,
-    /// The `SpmdPlan` in `codegen::plan_json` wire/artifact form.
+    /// The `SpmdPlan` in `codegen::plan_json` form.
     pub plan_json: String,
-    /// The restructured parallel Fortran source.
-    pub parallel_source: String,
 }
 
-impl CacheEntry {
-    fn to_json(&self) -> String {
-        Value::obj(vec![
-            ("digest", Value::Str(self.digest.clone())),
-            ("plan", Value::Str(self.plan_json.clone())),
-            ("parallel_source", Value::Str(self.parallel_source.clone())),
-        ])
-        .to_string()
-    }
-
-    /// Parse a persisted entry and validate it end to end: JSON shape,
-    /// digest/filename agreement, and the plan itself under the current
-    /// schema. Any failure is one typed reason the caller can log.
-    fn from_persisted(text: &str, expect_digest: &str) -> Result<CacheEntry, String> {
-        let v = json::parse(text).map_err(|e| format!("entry JSON: {e}"))?;
-        let get = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry JSON: missing `{k}`"))
-        };
-        let entry = CacheEntry {
-            digest: get("digest")?,
-            plan_json: get("plan")?,
-            parallel_source: get("parallel_source")?,
-        };
-        if entry.digest != expect_digest {
-            return Err(format!(
-                "digest mismatch: file says {}, name says {expect_digest}",
-                entry.digest
-            ));
-        }
-        // from_json enforces PLAN_SCHEMA_VERSION, so stale-schema
-        // entries land here and are dropped like any other corruption
-        plan_json::from_json(&entry.plan_json)
-            .map_err(|e| format!("stale or corrupt plan: {e}"))?;
-        Ok(entry)
-    }
-}
-
-/// Cumulative cache counters, served verbatim by `Stats`.
+/// Cumulative cache counters, served by `Stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
@@ -83,20 +27,13 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by the LRU bound.
     pub evictions: u64,
-    /// Persisted files dropped at open() as corrupt or stale-schema.
-    pub dropped_corrupt: u64,
-    /// Live entries right now.
-    pub entries: usize,
-    /// The LRU bound.
-    pub capacity: usize,
 }
 
-/// Bounded LRU of [`CacheEntry`]s, optionally persisted to a directory.
+/// Bounded LRU of [`CacheEntry`]s.
 ///
 /// Not internally synchronized — the service wraps it in a `Mutex`.
 #[derive(Debug)]
 pub struct PlanCache {
-    dir: Option<PathBuf>,
     capacity: usize,
     entries: HashMap<String, CacheEntry>,
     /// Digests from least- to most-recently used.
@@ -104,62 +41,19 @@ pub struct PlanCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    dropped_corrupt: u64,
 }
 
 impl PlanCache {
     /// An in-memory cache holding at most `capacity` entries.
     pub fn in_memory(capacity: usize) -> PlanCache {
         PlanCache {
-            dir: None,
             capacity: capacity.max(1),
             entries: HashMap::new(),
             order: Vec::new(),
             hits: 0,
             misses: 0,
             evictions: 0,
-            dropped_corrupt: 0,
         }
-    }
-
-    /// A persistent cache rooted at `dir` (created if missing). Every
-    /// `<digest>.plan.json` already present is validated and loaded;
-    /// corrupt, stale-schema, or misnamed files are deleted on the spot
-    /// and counted in [`CacheStats::dropped_corrupt`]. If more valid
-    /// entries exist than `capacity`, the excess is evicted immediately
-    /// (load order is arbitrary — persisted LRU order is not tracked).
-    pub fn open(dir: &Path, capacity: usize) -> io::Result<PlanCache> {
-        fs::create_dir_all(dir)?;
-        let mut cache = PlanCache::in_memory(capacity);
-        cache.dir = Some(dir.to_path_buf());
-        let mut names: Vec<PathBuf> = fs::read_dir(dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.ends_with(FILE_SUFFIX))
-            })
-            .collect();
-        names.sort(); // deterministic load order
-        for path in names {
-            let digest = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| n.strip_suffix(FILE_SUFFIX))
-                .unwrap_or("")
-                .to_string();
-            let loaded = fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| CacheEntry::from_persisted(&text, &digest));
-            match loaded {
-                Ok(entry) => cache.insert_unsynced(entry),
-                Err(_) => {
-                    cache.dropped_corrupt += 1;
-                    let _ = fs::remove_file(&path);
-                }
-            }
-        }
-        Ok(cache)
     }
 
     /// Look up `digest`, promoting it to most-recently-used.
@@ -190,21 +84,9 @@ impl PlanCache {
         }
     }
 
-    /// Insert (or refresh) an entry, persisting it if the cache has a
-    /// directory and evicting the least-recently-used entry (memory and
-    /// disk) once past capacity. Persistence failures are reported but
-    /// leave the in-memory entry live — the cache still works, it just
-    /// won't survive a restart.
-    pub fn insert(&mut self, entry: CacheEntry) -> io::Result<()> {
-        let persisted = match &self.dir {
-            Some(dir) => fs::write(self.entry_path(dir, &entry.digest), entry.to_json()),
-            None => Ok(()),
-        };
-        self.insert_unsynced(entry);
-        persisted
-    }
-
-    fn insert_unsynced(&mut self, entry: CacheEntry) {
+    /// Insert (or refresh) an entry, evicting the least-recently-used
+    /// entry once past capacity.
+    pub fn insert(&mut self, entry: CacheEntry) {
         let digest = entry.digest.clone();
         self.entries.insert(digest.clone(), entry);
         self.touch(&digest);
@@ -212,9 +94,6 @@ impl PlanCache {
             let victim = self.order.remove(0);
             self.entries.remove(&victim);
             self.evictions += 1;
-            if let Some(dir) = &self.dir {
-                let _ = fs::remove_file(self.entry_path(dir, &victim));
-            }
         }
     }
 
@@ -223,25 +102,13 @@ impl PlanCache {
         self.order.push(digest.to_string());
     }
 
-    fn entry_path(&self, dir: &Path, digest: &str) -> PathBuf {
-        dir.join(format!("{digest}{FILE_SUFFIX}"))
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
-            dropped_corrupt: self.dropped_corrupt,
-            entries: self.entries.len(),
-            capacity: self.capacity,
         }
-    }
-
-    /// Digests currently live, least- to most-recently used.
-    pub fn digests(&self) -> &[String] {
-        &self.order
     }
 }
 
@@ -252,42 +119,42 @@ mod tests {
     fn entry(digest: &str) -> CacheEntry {
         CacheEntry {
             digest: digest.to_string(),
-            // minimal but *valid* plan JSON is required for persistence
-            // tests; built by the service tests instead. Here a stub is
-            // fine because in-memory inserts never validate.
+            // in-memory inserts never parse the plan
             plan_json: "{}".into(),
-            parallel_source: "program t\nend\n".into(),
         }
     }
 
     #[test]
     fn lru_evicts_oldest_and_get_promotes() {
         let mut c = PlanCache::in_memory(2);
-        c.insert(entry("a")).unwrap();
-        c.insert(entry("b")).unwrap();
+        c.insert(entry("a"));
+        c.insert(entry("b"));
         assert!(c.get("a").is_some()); // promotes a over b
-        c.insert(entry("c")).unwrap(); // evicts b
+        c.insert(entry("c")); // evicts b
         assert!(c.get("b").is_none());
         assert!(c.get("a").is_some());
         assert!(c.get("c").is_some());
         let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.evictions, s.entries), (3, 1, 1, 2));
+        assert_eq!(
+            (s.hits, s.misses, s.evictions, c.entries.len()),
+            (3, 1, 1, 2)
+        );
     }
 
     #[test]
     fn reinserting_same_digest_does_not_grow_or_evict() {
         let mut c = PlanCache::in_memory(2);
-        c.insert(entry("a")).unwrap();
-        c.insert(entry("a")).unwrap();
-        c.insert(entry("b")).unwrap();
-        assert_eq!(c.stats().entries, 2);
+        c.insert(entry("a"));
+        c.insert(entry("a"));
+        c.insert(entry("b"));
+        assert_eq!(c.entries.len(), 2);
         assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let mut c = PlanCache::in_memory(0);
-        c.insert(entry("a")).unwrap();
+        c.insert(entry("a"));
         assert!(c.get("a").is_some());
     }
 }

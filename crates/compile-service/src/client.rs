@@ -6,8 +6,8 @@ use serde::json::Value;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// One connection to an `acfd-compile` server. Requests are
-/// synchronous: send, consume the stream, return the final response.
+/// One connection to a [`Service`](crate::Service). Requests are
+/// synchronous: send, then return the response.
 pub struct Client {
     stream: TcpStream,
 }
@@ -24,36 +24,29 @@ impl Client {
         Ok(Client { stream })
     }
 
-    /// Send `req` and block until the terminating response, feeding
-    /// every mid-request stream item to `on_stream` in arrival order.
-    /// Returns the parsed `ok:true` response object; `ok:false` comes
-    /// back as the server's typed [`ServiceError`].
+    /// Send `req` and block until its response. Returns the parsed
+    /// `ok:true` response object; `ok:false` comes back as the server's
+    /// typed [`ServiceError`]. The service streams nothing, so
+    /// `_on_stream` is never called ([`StreamItem`] has no values).
     pub fn request(
         &mut self,
         req: &Request,
-        on_stream: &mut dyn FnMut(StreamItem),
+        _on_stream: &mut dyn FnMut(StreamItem),
     ) -> Result<Value, ServiceError> {
         let frame = Frame::from_text(FrameKind::Request, 0, &req.to_json());
         self.stream
             .write_all(&encode(&frame))
             .map_err(transport_err)?;
-        loop {
-            let frame = match read_frame(&mut self.stream).map_err(transport_err)? {
-                Some((frame, _)) => frame,
-                None => {
-                    return Err(transport_err("server closed the connection mid-request"));
-                }
-            };
-            let text = frame.text().map_err(transport_err)?;
-            match frame.kind {
-                FrameKind::Stream => on_stream(StreamItem::from_json(&text)?),
-                FrameKind::Response => return parse_response(&text),
-                other => {
-                    return Err(transport_err(format!(
-                        "unexpected {other:?} frame mid-request"
-                    )));
-                }
-            }
+        let frame = read_frame(&mut self.stream)
+            .map_err(transport_err)?
+            .ok_or_else(|| transport_err("server closed the connection mid-request"))?
+            .0;
+        if frame.kind != FrameKind::Response {
+            return Err(transport_err(format!(
+                "unexpected {:?} frame mid-request",
+                frame.kind
+            )));
         }
+        parse_response(&frame.text().map_err(transport_err)?)
     }
 }

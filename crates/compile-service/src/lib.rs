@@ -1,35 +1,29 @@
 #![warn(missing_docs)]
 
-//! The resident compile service: amortizing the pre-compiler across a
-//! fleet of submitted programs (DESIGN.md §12).
+//! The in-process compile cache `acfd_bench` measures: a loopback
+//! service that answers compile requests from a bounded LRU of plans.
 //!
-//! The paper's pipeline (parse → dependence analysis → sync insertion →
-//! SPMD restructuring) runs from scratch on every `acfc run`, yet its
-//! output is a pure function of (source text, partition, analysis
-//! options, plan schema). This crate makes that function resident:
+//! A plan is a pure function of (source text, partition, analysis
+//! options, plan schema), so it can be named by a
+//! [`PlanKey`](autocfd_codegen::PlanKey) digest and served again
+//! without running the frontend:
 //!
-//! * [`proto`] — JSON requests/responses/stream items over the
-//!   `runtime-net` framed codec (`Request`/`Response`/`Stream` frames);
-//! * [`cache`] — a content-addressed, bounded-LRU plan store keyed by
-//!   [`PlanKey`](autocfd_codegen::PlanKey) digests, persisted on disk
-//!   across restarts, degrading corrupt or stale-schema entries to
-//!   recompiles;
+//! * [`proto`] — JSON requests and responses over the `runtime-net`
+//!   framed codec (`Request`/`Response` frames);
+//! * `cache` — the content-addressed, bounded-LRU plan store;
 //! * [`service`] — the accept loop, with single-flight deduplication
-//!   (N identical in-flight compiles run the pipeline once) and metrics
-//!   (hit rate, queue depth, compile latency percentiles, evictions)
-//!   served over the wire and journaled through `runtime::journal`;
-//! * [`client`] — the blocking client `acfc --server` builds on.
+//!   (N identical in-flight compiles run the pipeline once);
+//! * [`client`] — the blocking client.
 //!
 //! The pipeline itself is injected as a [`Backend`] implemented in the
 //! `autocfd` crate; this crate knows protocols and caching, not
 //! Fortran.
 
-pub mod cache;
+mod cache;
 pub mod client;
 pub mod proto;
 pub mod service;
 
-pub use cache::{CacheEntry, CacheStats, PlanCache};
 pub use client::Client;
-pub use proto::{CompileReq, ErrorClass, Request, RunReq, ServiceError, StreamItem};
-pub use service::{Backend, CompiledUnit, Service, ServiceConfig, ServiceHandle};
+pub use proto::{CompileReq, ErrorClass, Request, ServiceError, StreamItem};
+pub use service::{Backend, Service, ServiceConfig, ServiceHandle};

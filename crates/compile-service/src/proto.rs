@@ -1,15 +1,13 @@
 //! The compile-service wire protocol.
 //!
-//! Requests, responses, and stream items are single-line JSON documents
-//! carried as text frames ([`FrameKind::Request`], [`FrameKind::Response`],
-//! [`FrameKind::Stream`]) over the same length-prefixed codec the SPMD
-//! mesh uses. One request yields zero or more `Stream` frames followed by
-//! exactly one terminating `Response` frame; requests on one connection
-//! are processed in order, connections are served concurrently.
+//! Requests and responses are single-line JSON documents carried as text
+//! frames ([`FrameKind::Request`], [`FrameKind::Response`]) over the same
+//! length-prefixed codec the SPMD mesh uses. One request yields exactly
+//! one `Response` frame; requests on one connection are processed in
+//! order, connections are served concurrently.
 //!
 //! [`FrameKind::Request`]: autocfd_runtime_net::frame::FrameKind::Request
 //! [`FrameKind::Response`]: autocfd_runtime_net::frame::FrameKind::Response
-//! [`FrameKind::Stream`]: autocfd_runtime_net::frame::FrameKind::Stream
 
 use autocfd_codegen::EnginePref;
 use serde::json::{self, Value};
@@ -17,16 +15,13 @@ use std::fmt;
 
 /// Protocol version stamped into every request; the server rejects
 /// mismatches as `bad_request` so both sides can evolve deliberately.
-pub const PROTO_VERSION: i64 = 1;
+const PROTO_VERSION: i64 = 1;
 
 /// What a client may ask the service to do.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Compile `source` and return the plan + generated parallel source.
+    /// Compile `source` (or find it in the cache) and return the plan.
     Compile(CompileReq),
-    /// Compile (through the same cache) and execute server-side,
-    /// streaming per-rank journals back.
-    Run(RunReq),
     /// Report service metrics.
     Stats,
 }
@@ -46,54 +41,28 @@ pub struct CompileReq {
     pub distance: Option<usize>,
     /// Run redundant-sync elimination.
     pub optimize: bool,
-    /// Requested execution engine; embedded in the returned plan so a
-    /// server-side run uses what the client asked for. Requests from
-    /// older clients that omit the field read as [`EnginePref::Tree`].
+    /// Requested execution engine, embedded in the returned plan.
+    /// Requests that omit the field read as [`EnginePref::Tree`].
     pub engine: EnginePref,
     /// Kernel-engine worker threads (≥ 1); omitted reads as 1.
     pub threads: u32,
 }
 
-/// A server-side execution request: compile options plus run options.
+/// A mid-request stream item. The service streams nothing, so this has
+/// no values; [`Client::request`](crate::Client::request) keeps its
+/// callback parameter for the callers written against it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunReq {
-    /// What to compile (cache key material).
-    pub compile: CompileReq,
-    /// Overlap halo exchange with interior compute.
-    pub overlap: bool,
-    /// Verify owned regions against a sequential run (tolerance 0).
-    pub verify: bool,
-}
+pub enum StreamItem {}
 
-/// One mid-request stream item, sent as a `Stream` frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamItem {
-    /// One journal line of `rank`'s JSONL journal, in file order. The
-    /// client appends it verbatim to `rank-<rank>.jsonl`, reproducing
-    /// the trace directory a local run would have written.
-    Journal {
-        /// Which rank's journal this line extends.
-        rank: usize,
-        /// The raw JSONL line (no trailing newline).
-        line: String,
-    },
-    /// One line of human-readable run output (convergence report etc.).
-    Output {
-        /// The output line.
-        line: String,
-    },
-}
-
-/// Why a request failed; decides the client's exit code.
+/// Why a request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorClass {
     /// The request itself was malformed (unknown type, missing field,
     /// protocol version mismatch).
     BadRequest,
-    /// The submitted program failed to compile — maps to the client's
-    /// typed compile error (exit 2).
+    /// The submitted program failed to compile.
     Compile,
-    /// Execution or service-internal failure.
+    /// Service-internal or transport failure.
     Internal,
 }
 
@@ -174,12 +143,6 @@ impl Request {
             Request::Compile(c) => {
                 fields.push(("type", Value::Str("compile".into())));
                 fields.extend(compile_fields(c));
-            }
-            Request::Run(r) => {
-                fields.push(("type", Value::Str("run".into())));
-                fields.extend(compile_fields(&r.compile));
-                fields.push(("overlap", Value::Bool(r.overlap)));
-                fields.push(("verify", Value::Bool(r.verify)));
             }
             Request::Stats => fields.push(("type", Value::Str("stats".into()))),
         }
@@ -264,68 +227,21 @@ impl Request {
         };
         match ty {
             "compile" => Ok(Request::Compile(compile(&v)?)),
-            "run" => Ok(Request::Run(RunReq {
-                compile: compile(&v)?,
-                overlap: matches!(v.get("overlap"), Some(Value::Bool(true))),
-                verify: matches!(v.get("verify"), Some(Value::Bool(true))),
-            })),
             "stats" => Ok(Request::Stats),
             other => Err(bad(format!("request: unknown type `{other}`"))),
         }
     }
 }
 
-impl StreamItem {
-    /// Render as the single-line JSON wire form.
-    pub fn to_json(&self) -> String {
-        match self {
-            StreamItem::Journal { rank, line } => Value::obj(vec![
-                ("stream", Value::Str("journal".into())),
-                ("rank", Value::Int(*rank as i128)),
-                ("line", Value::Str(line.clone())),
-            ]),
-            StreamItem::Output { line } => Value::obj(vec![
-                ("stream", Value::Str("output".into())),
-                ("line", Value::Str(line.clone())),
-            ]),
-        }
-        .to_string()
-    }
-
-    /// Parse the wire form.
-    pub fn from_json(text: &str) -> Result<StreamItem, ServiceError> {
-        let bad = |m: String| ServiceError::new(ErrorClass::Internal, m);
-        let v = json::parse(text).map_err(|e| bad(format!("stream item: {e}")))?;
-        let line = v
-            .get("line")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("stream item: missing `line`".into()))?
-            .to_string();
-        match v.get("stream").and_then(Value::as_str) {
-            Some("journal") => {
-                let rank = v
-                    .get("rank")
-                    .and_then(Value::as_int)
-                    .filter(|&n| n >= 0)
-                    .ok_or_else(|| bad("stream item: missing `rank`".into()))?
-                    as usize;
-                Ok(StreamItem::Journal { rank, line })
-            }
-            Some("output") => Ok(StreamItem::Output { line }),
-            other => Err(bad(format!("stream item: unknown kind {other:?}"))),
-        }
-    }
-}
-
 /// Render a success response: `{"ok":true,...fields}`.
-pub fn ok_response(fields: Vec<(&str, Value)>) -> String {
+pub(crate) fn ok_response(fields: Vec<(&str, Value)>) -> String {
     let mut all = vec![("ok", Value::Bool(true))];
     all.extend(fields);
     Value::obj(all).to_string()
 }
 
 /// Render a failure response: `{"ok":false,"kind":...,"message":...}`.
-pub fn err_response(err: &ServiceError) -> String {
+pub(crate) fn err_response(err: &ServiceError) -> String {
     Value::obj(vec![
         ("ok", Value::Bool(false)),
         ("kind", Value::Str(err.class.name().into())),
@@ -336,7 +252,7 @@ pub fn err_response(err: &ServiceError) -> String {
 
 /// Parse a response body: `Ok(fields)` for `ok:true`, the typed error
 /// for `ok:false`, `Internal` for anything unparseable.
-pub fn parse_response(text: &str) -> Result<Value, ServiceError> {
+pub(crate) fn parse_response(text: &str) -> Result<Value, ServiceError> {
     let v = json::parse(text)
         .map_err(|e| ServiceError::new(ErrorClass::Internal, format!("response: {e}")))?;
     match v.get("ok") {
@@ -386,11 +302,6 @@ mod tests {
         for r in [
             Request::Compile(req()),
             Request::Compile(kernel),
-            Request::Run(RunReq {
-                compile: req(),
-                overlap: true,
-                verify: false,
-            }),
             Request::Stats,
         ] {
             assert_eq!(Request::from_json(&r.to_json()).unwrap(), r);
@@ -422,21 +333,6 @@ mod tests {
             Request::from_json(bad).unwrap_err().class,
             ErrorClass::BadRequest
         );
-    }
-
-    #[test]
-    fn stream_items_roundtrip() {
-        for s in [
-            StreamItem::Journal {
-                rank: 3,
-                line: "{\"type\":\"event\"}".into(),
-            },
-            StreamItem::Output {
-                line: "converged after 12 steps".into(),
-            },
-        ] {
-            assert_eq!(StreamItem::from_json(&s.to_json()).unwrap(), s);
-        }
     }
 
     #[test]

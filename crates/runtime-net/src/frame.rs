@@ -6,7 +6,7 @@
 //! offset  size  field
 //!      0     4  magic       0xACFD0001, big-endian
 //!      4     1  kind        0 Data, 1 Hello, 2 Welcome, 3 Peers, 4 Heartbeat,
-//!                           5 Request, 6 Response, 7 Stream, 8 Telemetry
+//!                           5 Request, 6 Response
 //!      5     4  from        sending rank (u32, big-endian)
 //!      9     8  tag         message tag (u64, big-endian)
 //!     17     8  seq         sender's causality stamp (u64, BE; 0 = none)
@@ -53,23 +53,13 @@ pub enum FrameKind {
     /// no payload, is never delivered to the application, and is
     /// excluded from wire statistics.
     Heartbeat,
-    /// Compile-service request: client → `acfd-compile`. The payload is
-    /// UTF-8 JSON text packed into f64 bit patterns (see [`pack_text`]);
-    /// `tag` carries the byte length.
+    /// Compile-service request: client → service. The payload is UTF-8
+    /// JSON text packed into f64 bit patterns (see [`pack_text`]); `tag`
+    /// carries the byte length.
     Request,
-    /// Compile-service response: server → client, terminating one
+    /// Compile-service response: service → client, answering one
     /// request. Same text packing as [`FrameKind::Request`].
     Response,
-    /// Compile-service stream element: server → client, zero or more
-    /// before the terminating [`FrameKind::Response`] (journal lines and
-    /// program output of a remote run). Same text packing; `from`
-    /// carries the originating rank.
-    Stream,
-    /// Live telemetry stat frame (see `autocfd_runtime::telemetry`),
-    /// piggybacked on the heartbeat write queues with drop-on-full
-    /// semantics. Text-packed JSON like [`FrameKind::Request`]; never
-    /// delivered to the application and excluded from wire statistics.
-    Telemetry,
 }
 
 impl FrameKind {
@@ -82,8 +72,6 @@ impl FrameKind {
             FrameKind::Heartbeat => 4,
             FrameKind::Request => 5,
             FrameKind::Response => 6,
-            FrameKind::Stream => 7,
-            FrameKind::Telemetry => 8,
         }
     }
 
@@ -96,8 +84,6 @@ impl FrameKind {
             4 => Some(FrameKind::Heartbeat),
             5 => Some(FrameKind::Request),
             6 => Some(FrameKind::Response),
-            7 => Some(FrameKind::Stream),
-            8 => Some(FrameKind::Telemetry),
             _ => None,
         }
     }
@@ -144,10 +130,9 @@ impl Frame {
         HEADER_LEN + self.payload.len() * 8
     }
 
-    /// A text-carrying frame of the given `kind` ([`FrameKind::Request`],
-    /// [`FrameKind::Response`], or [`FrameKind::Stream`]): the UTF-8
-    /// bytes of `text` packed into the f64 payload, the byte length in
-    /// `tag`. Inverse: [`Frame::text`].
+    /// A text-carrying frame of the given `kind` ([`FrameKind::Request`]
+    /// or [`FrameKind::Response`]): the UTF-8 bytes of `text` packed into
+    /// the f64 payload, the byte length in `tag`. Inverse: [`Frame::text`].
     pub fn from_text(kind: FrameKind, from: u32, text: &str) -> Frame {
         Frame {
             kind,
@@ -168,7 +153,7 @@ impl Frame {
 
 /// Pack UTF-8 bytes into f64 bit patterns, 8 bytes per element
 /// big-endian, zero-padded. The codec moves f64 payloads bit-exactly, so
-/// arbitrary byte strings — JSON requests, journal lines — ride the same
+/// arbitrary byte strings such as JSON requests ride the same
 /// wire format as halo data. The byte length travels in the frame's
 /// `tag`; [`unpack_text`] is the inverse.
 pub fn pack_text(text: &str) -> Vec<f64> {
@@ -497,8 +482,6 @@ mod proptests {
                 Just(FrameKind::Heartbeat),
                 Just(FrameKind::Request),
                 Just(FrameKind::Response),
-                Just(FrameKind::Stream),
-                Just(FrameKind::Telemetry),
             ],
             0u32..=u32::MAX,
             0u64..=u64::MAX,
@@ -569,7 +552,7 @@ mod proptests {
             bytes in proptest::collection::vec(0u8..=255u8, 0..200)
         ) {
             let text = String::from_utf8_lossy(&bytes).into_owned();
-            let f = Frame::from_text(FrameKind::Stream, 1, &text);
+            let f = Frame::from_text(FrameKind::Response, 1, &text);
             let (g, _) = decode(&encode(&f)).expect("own encoding decodes");
             prop_assert_eq!(g.text().expect("text unpacks"), text);
         }

@@ -206,9 +206,6 @@ pub struct TcpTransport {
     hb_handle: Mutex<Option<JoinHandle<()>>>,
     /// Monotonic causality stamp for outgoing data frames (first = 1).
     send_seq: AtomicU64,
-    /// `telemetry[p]` holds the latest telemetry frame (JSON line)
-    /// decoded from peer `p`'s connection.
-    telemetry: Arc<Vec<Mutex<Option<String>>>>,
     msgs_sent: AtomicU64,
     bytes_sent: AtomicU64,
     msgs_recvd: AtomicU64,
@@ -333,18 +330,13 @@ impl TcpTransport {
         let last_seen: Arc<Vec<AtomicU64>> =
             Arc::new((0..size).map(|_| AtomicU64::new(0)).collect());
         let (inbox_tx, inbox_rx) = unbounded::<InboxMsg>();
-        let telemetry: Arc<Vec<Mutex<Option<String>>>> =
-            Arc::new((0..size).map(|_| Mutex::new(None)).collect());
         let mut writers: WriterQueues = (0..size).map(|_| None).collect();
         let mut writer_handles = Vec::with_capacity(size.saturating_sub(1));
         for (peer, stream) in streams {
             let reader = stream.try_clone().map_err(|e| io_err(rank, peer, &e))?;
             let inbox_tx = inbox_tx.clone();
             let seen = Arc::clone(&last_seen);
-            let telem = Arc::clone(&telemetry);
-            std::thread::spawn(move || {
-                run_reader(peer, reader, inbox_tx, seen, telem, liveness_epoch)
-            });
+            std::thread::spawn(move || run_reader(peer, reader, inbox_tx, seen, liveness_epoch));
 
             let (wtx, wrx) = bounded::<Vec<u8>>(WRITE_QUEUE_FRAMES);
             writers[peer] = Some(wtx);
@@ -410,7 +402,6 @@ impl TcpTransport {
             hb_stop,
             hb_handle: Mutex::new(hb_handle),
             send_seq: AtomicU64::new(0),
-            telemetry,
             msgs_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
             msgs_recvd: AtomicU64::new(0),
@@ -441,31 +432,20 @@ impl TcpTransport {
 }
 
 /// Reader thread body: decode frames into the inbox until the peer goes
-/// away, then report how it went away. Every decoded frame — data,
-/// heartbeat, or telemetry — refreshes the peer's last-seen clock;
-/// heartbeats are otherwise swallowed here (never forwarded, never
-/// counted), and telemetry frames only replace the peer's latest-frame
-/// slot.
+/// away, then report how it went away. Every decoded frame — data or
+/// heartbeat — refreshes the peer's last-seen clock; heartbeats are
+/// otherwise swallowed here (never forwarded, never counted).
 fn run_reader(
     peer: usize,
     mut stream: TcpStream,
     inbox: Sender<InboxMsg>,
     last_seen: Arc<Vec<AtomicU64>>,
-    telemetry: Arc<Vec<Mutex<Option<String>>>>,
     epoch: Instant,
 ) {
     loop {
         match read_frame(&mut stream) {
             Ok(Some((frame, _))) if frame.kind == FrameKind::Heartbeat => {
                 last_seen[peer].store(epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-            }
-            Ok(Some((frame, _))) if frame.kind == FrameKind::Telemetry => {
-                last_seen[peer].store(epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-                if let Ok(json) = frame.text() {
-                    *telemetry[peer].lock() = Some(json);
-                }
-                // an undecodable telemetry frame is dropped, not fatal:
-                // the observability side channel must never kill a run
             }
             Ok(Some((frame, wire_bytes))) if frame.kind == FrameKind::Data => {
                 last_seen[peer].store(epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
@@ -613,25 +593,6 @@ impl Transport for TcpTransport {
             }
             None => Ok(false),
         }
-    }
-
-    fn publish_telemetry(&self, frame_json: &str) -> bool {
-        // mirror our own frame locally so a same-process observer (the
-        // launcher polling an attached transport) sees every rank
-        *self.telemetry[self.rank].lock() = Some(frame_json.to_string());
-        let frame = Frame::from_text(FrameKind::Telemetry, self.rank as u32, frame_json);
-        let wire = encode(&frame);
-        let mut taken = false;
-        // try_send only: a full write queue means data frames are in
-        // flight — drop the telemetry frame rather than stall compute
-        for w in self.writers.lock().iter().flatten() {
-            taken |= w.try_send(wire.clone()).is_ok();
-        }
-        taken
-    }
-
-    fn peer_telemetry(&self, peer: usize) -> Option<String> {
-        self.telemetry.get(peer)?.lock().clone()
     }
 
     fn wire_stats(&self) -> WireStats {

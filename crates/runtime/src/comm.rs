@@ -3,7 +3,7 @@
 //! trace for the profiler.
 
 use crate::error::CommError;
-use crate::telemetry::{encode_stat_frame, TelemetryConfig, TelemetrySink};
+use crate::telemetry::{TelemetryConfig, TelemetrySink};
 use crate::trace::{EventKind, Recorder, TraceEvent};
 use crate::transport::{RecvRequest, SendRequest, Transport, WireStats};
 use parking_lot::Mutex;
@@ -100,9 +100,8 @@ impl Comm {
     }
 
     /// Turn the live telemetry plane on: from now on this rank
-    /// accumulates its events into periodic stat frames, spools them
-    /// (if `config.spool_dir` is set), and offers them to the
-    /// transport's side channel.
+    /// accumulates its events into periodic stat frames and spools them
+    /// (if `config.spool_dir` is set).
     pub fn enable_telemetry(&self, config: TelemetryConfig) {
         *self.telemetry.lock() = Some(Arc::new(TelemetrySink::new(config)));
     }
@@ -201,22 +200,17 @@ impl Comm {
     }
 
     /// Append an event to the trace and, with telemetry on, to the live
-    /// cell — cutting and publishing a stat frame when one is due.
+    /// cell — cutting and spooling a stat frame when one is due.
     fn push(&self, event: TraceEvent) {
         self.trace.lock().push(event);
         let Some(sink) = self.telemetry() else { return };
         sink.add(&event);
-        if !sink.due() {
-            return;
-        }
-        let frame = sink.publish(
-            self.rank(),
-            &self.current_phase_name(),
-            self.epoch.elapsed(),
-        );
-        let taken = self.transport.publish_telemetry(&encode_stat_frame(&frame));
-        if !taken && self.size() > 1 {
-            sink.note_wire_drop();
+        if sink.due() {
+            sink.publish(
+                self.rank(),
+                &self.current_phase_name(),
+                self.epoch.elapsed(),
+            );
         }
     }
 

@@ -8,7 +8,6 @@ use crate::comm::{Comm, DEFAULT_TIMEOUT};
 use crate::error::CommError;
 use crate::transport::{InboxMsg, MatchingInbox, RecvRequest, SendRequest, Transport, WireStats};
 use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -23,9 +22,6 @@ pub struct InprocTransport {
     barrier: Arc<Barrier>,
     /// Monotonic causality stamp for outgoing messages (first send = 1).
     send_seq: AtomicU64,
-    /// Shared mesh-wide telemetry slots: `telemetry[r]` holds rank `r`'s
-    /// latest published stat frame (JSON line).
-    telemetry: Arc<Vec<Mutex<Option<String>>>>,
     msgs_sent: AtomicU64,
     bytes_sent: AtomicU64,
     msgs_recvd: AtomicU64,
@@ -45,7 +41,6 @@ impl InprocTransport {
             receivers.push(rx);
         }
         let barrier = Arc::new(Barrier::new(n));
-        let telemetry = Arc::new((0..n).map(|_| Mutex::new(None)).collect::<Vec<_>>());
         receivers
             .into_iter()
             .enumerate()
@@ -56,7 +51,6 @@ impl InprocTransport {
                 inbox: MatchingInbox::new(rank, rx),
                 barrier: barrier.clone(),
                 send_seq: AtomicU64::new(0),
-                telemetry: telemetry.clone(),
                 msgs_sent: AtomicU64::new(0),
                 bytes_sent: AtomicU64::new(0),
                 msgs_recvd: AtomicU64::new(0),
@@ -135,15 +129,6 @@ impl Transport for InprocTransport {
         // cheaper and immune to tag-band traffic
         self.barrier.wait();
         Ok(())
-    }
-
-    fn publish_telemetry(&self, frame_json: &str) -> bool {
-        *self.telemetry[self.rank].lock() = Some(frame_json.to_string());
-        true
-    }
-
-    fn peer_telemetry(&self, peer: usize) -> Option<String> {
-        self.telemetry.get(peer)?.lock().clone()
     }
 
     fn wire_stats(&self) -> WireStats {

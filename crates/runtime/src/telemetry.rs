@@ -5,19 +5,13 @@
 //! counterpart: each rank accumulates its trace events into the same
 //! [`Cell`] the post-mortem fold fills, cuts it into a periodic,
 //! schema-versioned [`StatFrame`] (current phase, compute/wait/overlap
-//! micros, per-peer traffic, checkpoint epoch, engine) and publishes it
-//! without ever stalling compute:
+//! micros, per-peer traffic, checkpoint epoch, engine) and appends it to
+//! a per-rank spool file (`telemetry-rank-<r>.jsonl`) next to the
+//! journals, flushed per frame so `acfc top DIR` can poll a *running*
+//! job. The spool is the only channel; a spool I/O failure degrades the
+//! telemetry, never the run.
 //!
-//! * frames are appended to a per-rank spool file
-//!   (`telemetry-rank-<r>.jsonl`) next to the journals, flushed per
-//!   frame so `acfc top DIR` can poll a *running* job;
-//! * frames are offered to the transport
-//!   ([`crate::Transport::publish_telemetry`]) — over TCP they
-//!   piggyback on the heartbeat framing with `try_send` drop-on-full
-//!   semantics, in-process they land in a shared per-rank slot.
-//!
-//! The frame codec is a single JSON line (the journal's format family),
-//! so spool files and wire frames speak the same bytes.
+//! The frame codec is a single JSON line (the journal's format family).
 
 use crate::export::Cell;
 use crate::trace::TraceEvent;
@@ -59,7 +53,7 @@ pub struct StatFrame {
     pub schema: i64,
     /// The rank this frame describes.
     pub rank: usize,
-    /// Monotonic frame number per rank (gaps = frames dropped).
+    /// Monotonic frame number per rank.
     pub seq: u64,
     /// Milliseconds since the rank's trace epoch at frame time.
     pub at_ms: u64,
@@ -82,7 +76,7 @@ pub struct StatFrame {
     pub engine: String,
     /// Reserved; written as 0 and ignored by readers.
     pub queue_depth: u64,
-    /// Frames the transport refused so far (wire drop-on-full).
+    /// Reserved; written as 0 and ignored by readers.
     pub dropped: u64,
 }
 
@@ -177,7 +171,7 @@ pub struct TelemetryConfig {
     /// Minimum gap between published frames.
     pub interval: Duration,
     /// Spool file directory (`telemetry-rank-<r>.jsonl` is created in
-    /// it); `None` keeps frames on the wire only.
+    /// it); `None` writes no spool.
     pub spool_dir: Option<PathBuf>,
     /// Engine label stamped into frames (`"tree"` or `"kernel"`).
     pub engine: String,
@@ -211,8 +205,6 @@ pub struct TelemetrySink {
     live: Mutex<Live>,
     checkpoint_epoch: AtomicU64,
     frame_seq: AtomicU64,
-    /// Frames the wire refused (try_send failures).
-    wire_dropped: AtomicU64,
     last_publish: Mutex<Option<Instant>>,
     spool: Mutex<Option<std::fs::File>>,
 }
@@ -225,7 +217,6 @@ impl TelemetrySink {
             live: Mutex::new(Live::default()),
             checkpoint_epoch: AtomicU64::new(0),
             frame_seq: AtomicU64::new(0),
-            wire_dropped: AtomicU64::new(0),
             last_publish: Mutex::new(None),
             spool: Mutex::new(None),
         }
@@ -249,12 +240,6 @@ impl TelemetrySink {
         self.checkpoint_epoch.store(epoch, Ordering::Relaxed);
     }
 
-    /// Count a frame the wire refused (queue full): the compute path
-    /// moved on, the observer sees the gap in the dropped counter.
-    pub fn note_wire_drop(&self) {
-        self.wire_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Whether the publish interval has elapsed since the last frame.
     /// Cheap enough for the record hot path (one mutex try-lock; a
     /// contended lock means someone else is publishing — skip).
@@ -269,9 +254,8 @@ impl TelemetrySink {
     }
 
     /// Cut a frame from the current cell and append it to the spool
-    /// file (if configured). Returns the frame so the caller can also
-    /// offer it to the transport. `rank` and `phase` come from the
-    /// communicator; `at` is time since its epoch.
+    /// file (if configured), returning it. `rank` and `phase` come from
+    /// the communicator; `at` is time since its epoch.
     pub fn publish(&self, rank: usize, phase: &str, at: Duration) -> StatFrame {
         *self.last_publish.lock() = Some(Instant::now());
         let (cell, peers) = {
@@ -297,7 +281,7 @@ impl TelemetrySink {
             checkpoint_epoch: self.checkpoint_epoch.load(Ordering::Relaxed),
             engine: self.config.engine.clone(),
             queue_depth: 0,
-            dropped: self.wire_dropped.load(Ordering::Relaxed),
+            dropped: 0,
         };
         self.spool_append(&frame);
         frame

@@ -238,23 +238,6 @@ pub trait Transport: Send {
     /// Release wire resources (close sockets, join I/O threads). Called
     /// once when the rank finishes; the default is a no-op.
     fn shutdown(&self) {}
-
-    /// Offer a telemetry stat frame (one JSON line, see
-    /// [`crate::telemetry`]) to the backend's side channel. Must never
-    /// block: backends either enqueue with drop-on-full semantics (TCP
-    /// piggybacks on the heartbeat write queues) or store the frame in a
-    /// shared slot (in-process). Returns `true` if the frame was taken
-    /// by at least one peer channel; the default discards it.
-    fn publish_telemetry(&self, _frame_json: &str) -> bool {
-        false
-    }
-
-    /// The latest telemetry frame received *from* `peer` over the side
-    /// channel, as its JSON line. Backends without a telemetry channel
-    /// return `None`.
-    fn peer_telemetry(&self, _peer: usize) -> Option<String> {
-        None
-    }
 }
 
 /// What a backend's delivery path feeds into a [`MatchingInbox`].

@@ -301,7 +301,7 @@ fn acfc_plan_artifact_round_trips_through_run() {
 
     // the artifact parses and matches what an in-process compile produces
     let text = std::fs::read_to_string(&plan_path).unwrap();
-    let plan = autocfd::codegen::from_json(&text).unwrap();
+    let plan = autocfd::codegen::from_json(&text, Some(4)).unwrap();
     let c = compile(&src, &CompileOptions::with_partition(&[2, 2])).unwrap();
     assert_eq!(plan, c.spmd_plan, "plan JSON must round-trip the compile");
 

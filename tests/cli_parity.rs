@@ -198,3 +198,25 @@ fn help_is_not_a_failure() {
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.contains("unknown argument `--resume-epoch`"), "{err}");
 }
+
+#[test]
+fn compile_server_flags_are_unknown_arguments() {
+    let (dir, src) = scratch("local");
+    // there is no compile server to submit to, watch, or run on: the
+    // flags and the subcommand that named one are unknown arguments
+    let [server, attach] = ["server", "attach"].map(|name| format!("--{name}"));
+    for (args, refused) in [
+        (vec!["run", &src, &server, "127.0.0.1:1"], server.as_str()),
+        (vec!["compile", &src, "--partition", "2x2"], src.as_str()),
+        (vec!["top", &attach, "127.0.0.1:1"], attach.as_str()),
+    ] {
+        let (out, err) = run(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}:\n{err}");
+        assert!(
+            err.contains(&format!("unknown argument `{refused}`")),
+            "{args:?}:\n{err}"
+        );
+        assert!(!err.contains("spawning"), "no worker may start:\n{err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

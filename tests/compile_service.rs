@@ -1,23 +1,15 @@
-//! End-to-end tests of the resident compile service: cache semantics
-//! (hit / miss / eviction / persistence / corruption / stale schema),
-//! single-flight deduplication, failure containment, and bit-exactness
-//! of server-mode runs against local execution.
+//! End-to-end tests of the in-process compile cache: cache semantics
+//! (hit / miss / eviction), single-flight deduplication, failure
+//! containment, and served plans equal to local compiles byte for byte.
 
 use autocfd::compile_service::{
-    Backend, CacheEntry, Client, CompileReq, CompiledUnit, ErrorClass, Request, RunReq, Service,
-    ServiceConfig, ServiceError, ServiceHandle, StreamItem,
+    Backend, Client, CompileReq, ErrorClass, Request, Service, ServiceConfig, ServiceError,
+    ServiceHandle,
 };
 use autocfd::serve::PipelineBackend;
 use autocfd_cfd_kernels::{aerofoil_program, sprayer_program, CaseParams};
 use serde::json::Value;
-use std::path::PathBuf;
 use std::time::Duration;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("acfd-csvc-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn spawn(backend: Box<dyn Backend>, config: ServiceConfig) -> ServiceHandle {
     Service::bind("127.0.0.1:0", backend, config)
@@ -90,17 +82,9 @@ fn warm_compile_skips_frontend_entirely() {
 struct SlowBackend(PipelineBackend);
 
 impl Backend for SlowBackend {
-    fn compile(&self, req: &CompileReq) -> Result<CompiledUnit, ServiceError> {
+    fn compile(&self, req: &CompileReq) -> Result<String, ServiceError> {
         std::thread::sleep(Duration::from_millis(300));
         self.0.compile(req)
-    }
-    fn execute(
-        &self,
-        entry: &CacheEntry,
-        req: &RunReq,
-        emit: &mut dyn FnMut(StreamItem) -> bool,
-    ) -> Result<Vec<(String, Value)>, ServiceError> {
-        self.0.execute(entry, req, emit)
     }
 }
 
@@ -138,10 +122,7 @@ fn concurrent_identical_requests_compile_once() {
 fn lru_eviction_forces_recompile() {
     let handle = spawn(
         Box::new(PipelineBackend::new()),
-        ServiceConfig {
-            capacity: 1,
-            ..Default::default()
-        },
+        ServiceConfig { capacity: 1 },
     );
     let mut client = Client::connect(handle.addr()).expect("connect");
     assert_eq!(compile_verdict(&mut client, &sprayer_req()).0, "miss");
@@ -152,101 +133,6 @@ fn lru_eviction_forces_recompile() {
     assert_eq!(compile_verdict(&mut client, &sprayer_req()).0, "miss");
     assert_eq!(handle.pipeline_invocations(), 3);
     handle.shutdown();
-}
-
-#[test]
-fn persisted_cache_survives_restart() {
-    let dir = temp_dir("persist");
-    let config = ServiceConfig {
-        capacity: 8,
-        cache_dir: Some(dir.clone()),
-        journal_dir: None,
-    };
-    let handle = spawn(Box::new(PipelineBackend::new()), config.clone());
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(compile_verdict(&mut client, &sprayer_req()).0, "miss");
-    handle.shutdown();
-
-    // a fresh process image: same cache directory, new service
-    let handle = spawn(Box::new(PipelineBackend::new()), config);
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(compile_verdict(&mut client, &sprayer_req()).0, "hit");
-    assert_eq!(handle.pipeline_invocations(), 0, "warm across restarts");
-    handle.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Corrupt (or doctor) every persisted entry in `dir` with `f`.
-fn rewrite_entries(dir: &PathBuf, f: impl Fn(String) -> String) -> usize {
-    let mut n = 0;
-    for entry in std::fs::read_dir(dir).expect("read cache dir") {
-        let path = entry.expect("entry").path();
-        if path.to_string_lossy().ends_with(".plan.json") {
-            let text = std::fs::read_to_string(&path).expect("read entry");
-            std::fs::write(&path, f(text)).expect("rewrite entry");
-            n += 1;
-        }
-    }
-    n
-}
-
-#[test]
-fn corrupted_disk_entry_falls_back_to_recompile() {
-    let dir = temp_dir("corrupt");
-    let config = ServiceConfig {
-        capacity: 8,
-        cache_dir: Some(dir.clone()),
-        journal_dir: None,
-    };
-    let handle = spawn(Box::new(PipelineBackend::new()), config.clone());
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(compile_verdict(&mut client, &sprayer_req()).0, "miss");
-    handle.shutdown();
-
-    assert_eq!(rewrite_entries(&dir, |_| "{not json".into()), 1);
-
-    let handle = spawn(Box::new(PipelineBackend::new()), config);
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(stat(&handle, "dropped_corrupt"), 1);
-    assert_eq!(stat(&handle, "entries"), 0);
-    // the bad entry degraded to a recompile, not an error
-    assert_eq!(compile_verdict(&mut client, &sprayer_req()).0, "miss");
-    assert_eq!(handle.pipeline_invocations(), 1);
-    handle.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn stale_schema_entry_rejected_on_load() {
-    let dir = temp_dir("stale");
-    let config = ServiceConfig {
-        capacity: 8,
-        cache_dir: Some(dir.clone()),
-        journal_dir: None,
-    };
-    let handle = spawn(Box::new(PipelineBackend::new()), config.clone());
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(compile_verdict(&mut client, &sprayer_req()).0, "miss");
-    handle.shutdown();
-
-    // simulate an entry written by a build with a newer plan schema:
-    // the embedded plan JSON (an escaped string inside the entry) leads
-    // with `{\"version\":2,` — bump it past what this build reads
-    let doctored = rewrite_entries(&dir, |text| {
-        assert!(
-            text.contains("{\\\"version\\\":2,"),
-            "fixture drifted: entry is {text}"
-        );
-        text.replace("{\\\"version\\\":2,", "{\\\"version\\\":999,")
-    });
-    assert_eq!(doctored, 1);
-
-    let handle = spawn(Box::new(PipelineBackend::new()), config);
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(stat(&handle, "dropped_corrupt"), 1, "stale entry dropped");
-    assert_eq!(compile_verdict(&mut client, &sprayer_req()).0, "miss");
-    handle.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -278,93 +164,29 @@ fn malformed_source_is_typed_error_and_connection_survives() {
     handle.shutdown();
 }
 
-/// Server-mode runs are bit-exact against local execution: same rank-0
-/// program output line for line, and the server-side verify (parallel
-/// vs sequential, zero tolerance) passes for every rank.
-fn assert_server_run_bit_exact(req: CompileReq) {
-    // local reference: compile + rank-threads, no service involved
-    let opts = autocfd::CompileOptions {
-        partition: Some(req.parts.iter().map(|&p| p as u32).collect()),
-        optimize: req.optimize,
-        ..Default::default()
-    };
-    let compiled = autocfd::compile(&req.source, &opts).expect("local compile");
-    let runs = compiled.run_parallel_traced_opts(vec![], false);
-    let (machine, _) = runs[0].outcome.as_ref().expect("local run");
-    let local_output = machine.output.clone();
-
+/// The served plan is the plan a local compile emits, byte for byte,
+/// on the miss that compiles it and on the hit that does not.
+#[test]
+fn served_plan_is_the_local_plan_byte_for_byte() {
     let handle = spawn(Box::new(PipelineBackend::new()), ServiceConfig::default());
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let mut remote_output = Vec::new();
-    let mut journal_lines = 0usize;
-    let resp = client
-        .request(
-            &Request::Run(RunReq {
-                compile: req,
-                overlap: false,
-                verify: true,
-            }),
-            &mut |item| match item {
-                StreamItem::Output { line } => remote_output.push(line),
-                StreamItem::Journal { .. } => journal_lines += 1,
-            },
-        )
-        .expect("server run");
+    for req in [sprayer_req(), aerofoil_req()] {
+        let opts = autocfd::CompileOptions::with_partition(
+            &req.parts.iter().map(|&p| p as u32).collect::<Vec<_>>(),
+        );
+        let local = autocfd::compile(&req.source, &opts).expect("local compile");
+        let local = autocfd::planio::plan_to_json(&local.spmd_plan);
+        for expect in ["miss", "hit"] {
+            let resp = client
+                .request(&Request::Compile(req.clone()), &mut |_| {})
+                .expect("compile request");
+            assert_eq!(resp.get("cache").and_then(Value::as_str), Some(expect));
+            assert_eq!(
+                resp.get("plan").and_then(Value::as_str),
+                Some(local.as_str()),
+                "{expect}: served plan differs from the local compile's"
+            );
+        }
+    }
     handle.shutdown();
-
-    assert_eq!(remote_output, local_output, "program output drifted");
-    assert!(journal_lines > 0, "run streamed no journal lines");
-    assert_eq!(resp.get("verified"), Some(&Value::Bool(true)));
-    assert_eq!(
-        resp.get("max_diff").and_then(Value::as_f64),
-        Some(0.0),
-        "server-side verify must be bit-exact"
-    );
-}
-
-#[test]
-fn server_run_bit_exact_sprayer() {
-    assert_server_run_bit_exact(sprayer_req());
-}
-
-#[test]
-fn server_run_bit_exact_aerofoil() {
-    assert_server_run_bit_exact(aerofoil_req());
-}
-
-#[test]
-fn plan_digest_is_stable_across_processes() {
-    let dir = temp_dir("hash");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let src_path = dir.join("case.f");
-    std::fs::write(&src_path, sprayer_program(&CaseParams::sprayer_small())).expect("write");
-
-    let hash_once = || {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_acfd-compile"))
-            .args(["hash", src_path.to_str().expect("utf8 path")])
-            .args(["--partition", "2x2"])
-            .output()
-            .expect("run acfd-compile hash");
-        assert!(out.status.success(), "hash failed: {out:?}");
-        String::from_utf8(out.stdout)
-            .expect("utf8")
-            .trim()
-            .to_string()
-    };
-    // two separate OS processes: catches any process-seeded hashing
-    let (a, b) = (hash_once(), hash_once());
-    assert_eq!(a, b);
-    assert_eq!(a.len(), 32, "digest is 32 hex chars: {a}");
-
-    // and the in-process key agrees with both
-    let key = autocfd::codegen::PlanKey::new(
-        &sprayer_program(&CaseParams::sprayer_small()),
-        &[2, 2],
-        None,
-        true,
-        autocfd::codegen::EnginePref::Tree,
-        1,
-    );
-    assert_eq!(key.digest(), a);
-    let _ = std::fs::remove_dir_all(&dir);
 }

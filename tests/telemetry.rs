@@ -208,10 +208,9 @@ fn telemetry_run_spools_healthy_frames_per_rank() {
             !row.latest.peers.is_empty(),
             "rank {i} exchanged halos but reported no peer traffic"
         );
-        assert_eq!(row.latest.dropped, 0, "nothing should drop in-process");
     }
     assert!(
-        obs::telemetry_failures(&rows, 0.1).is_empty(),
+        obs::telemetry_failures(&rows).is_empty(),
         "a clean run must pass the health check"
     );
     // the spools coexist with the journals and the trace cleaner
@@ -243,7 +242,7 @@ fn telemetry_run_spools_frames_over_tcp() {
     for row in &rows {
         assert!(row.latest.busy_us() > 0);
     }
-    assert!(obs::telemetry_failures(&rows, 0.5).is_empty());
+    assert!(obs::telemetry_failures(&rows).is_empty());
 }
 
 /// One run, every tool: the per-rank column of `stats`
