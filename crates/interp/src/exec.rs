@@ -66,8 +66,8 @@ pub trait Hooks {
         Ok(())
     }
 
-    /// Where the engine should record compute spans (timed loop-nest
-    /// executions), or `None` (the default) to skip span tracking
+    /// Where the engine should record compute spans (the time between
+    /// communicator calls), or `None` (the default) to skip span tracking
     /// entirely. SPMD hooks return their rank's communicator so compute
     /// and communication land on one timeline.
     fn recorder(&self) -> Option<&dyn Recorder> {
@@ -110,15 +110,12 @@ pub struct Exec<'p, H: Hooks> {
     /// Current call depth (Fortran 77 forbids recursion; a cycle in the
     /// call graph is reported instead of overflowing the stack).
     pub depth: u32,
-    // Completed comm-free loop executions not yet handed to the
-    // recorder. An enclosing comm-free loop replaces its children with
-    // one merged span, so what ends up recorded is the *maximal*
-    // comm-free loop nests; flushed before every `acf_*` hook call to
-    // keep the rank's trace chronological.
-    pending: Vec<(Instant, Instant)>,
-    // Monotone count of `acf_*` hook dispatches; a loop whose body left
-    // it unchanged was communication-free.
-    hook_calls: u64,
+    // Start of the compute span in progress. Everything the engine does
+    // between two communicator calls — loop nests, subroutine calls, the
+    // statements between them — is one span, closed before every `acf_*`
+    // hook dispatch (keeping the rank's trace chronological) and at end
+    // of program. `None` when the hooks have no recorder.
+    since: Option<Instant>,
     // Resume-cursor tracking (see [`Hooks::wants_cursor`]): the stack of
     // depth-0 `do` loops currently executing, outermost first. Only
     // maintained when `track` is set — sequential runs pay nothing.
@@ -179,19 +176,19 @@ pub fn run_program_capture_with<H: Hooks>(
     let mut m = Machine::new(input);
     m.stmt_limit = stmt_limit;
     let track = hooks.wants_cursor();
+    let since = hooks.recorder().map(|_| Instant::now());
     let mut exec = Exec {
         program: file,
         hooks,
         depth: 0,
-        pending: Vec::new(),
-        hook_calls: 0,
+        since,
         cursor: Vec::new(),
         track,
         kernels,
     };
     let mut frame = build_frame(&mut m, main, HashMap::new())?;
     let flow = exec.exec_stmts(&mut m, &mut frame, &main.body)?;
-    exec.flush_spans();
+    exec.end_compute();
     if let Flow::Goto(l) = flow {
         return Err(RunError::new(format!("unresolved goto {l} at top level")));
     }
@@ -246,12 +243,12 @@ pub fn run_program_capture_from_with<H: Hooks>(
     let mut m = Machine::new(input);
     m.stmt_limit = stmt_limit;
     let track = hooks.wants_cursor();
+    let since = hooks.recorder().map(|_| Instant::now());
     let mut exec = Exec {
         program: file,
         hooks,
         depth: 0,
-        pending: Vec::new(),
-        hook_calls: 0,
+        since,
         cursor: Vec::new(),
         track,
         kernels,
@@ -259,7 +256,7 @@ pub fn run_program_capture_from_with<H: Hooks>(
     let mut frame = build_frame(&mut m, main, HashMap::new())?;
     seed(&mut m, &mut frame)?;
     let flow = exec.resume_stmts(&mut m, &mut frame, &main.body, target, dos)?;
-    exec.flush_spans();
+    exec.end_compute();
     if let Flow::Goto(l) = flow {
         return Err(RunError::new(format!("unresolved goto {l} at top level")));
     }
@@ -293,10 +290,6 @@ fn contains_stmt(s: &Stmt, target: StmtId) -> bool {
         _ => false,
     }
 }
-
-/// Snapshot taken at loop entry for compute-span tracking; `None` when
-/// the hook set has no recorder (tracking disabled, zero overhead).
-type SpanMark = Option<(usize, u64, Instant)>;
 
 /// Which chunk of a split loop is being executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,38 +326,17 @@ fn ensure_normal(flow: Flow, line: u32) -> Result<(), RunError> {
 }
 
 impl<'p, H: Hooks> Exec<'p, H> {
-    /// Loop-entry half of compute-span tracking: remember how many
-    /// pending spans and hook dispatches exist so far, and when the loop
-    /// started.
-    fn span_enter(&self) -> SpanMark {
-        self.hooks.recorder()?;
-        Some((self.pending.len(), self.hook_calls, Instant::now()))
-    }
-
-    /// Loop-exit half: if the loop body dispatched no `acf_*` call, it
-    /// was pure computation — drop any spans its inner loops queued and
-    /// queue one merged span for the whole nest.
-    fn span_exit(&mut self, mark: SpanMark) {
-        if let Some((pend0, calls0, t0)) = mark {
-            if self.hook_calls == calls0 {
-                self.pending.truncate(pend0);
-                self.pending.push((t0, Instant::now()));
-            }
+    /// Close the compute span in progress and hand it to the recorder.
+    fn end_compute(&mut self) {
+        if let (Some(start), Some(rec)) = (self.since.take(), self.hooks.recorder()) {
+            rec.record_span(EventKind::Compute, start, Instant::now());
         }
     }
 
-    /// Hand queued compute spans to the hooks' recorder. Runs before
-    /// every `acf_*` dispatch (so recorded spans stay chronological with
-    /// communication events) and once at end of program.
-    fn flush_spans(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let spans = std::mem::take(&mut self.pending);
-        if let Some(rec) = self.hooks.recorder() {
-            for (start, end) in spans {
-                rec.record_span(EventKind::Compute, start, end);
-            }
+    /// Open the next compute span: the communicator has returned.
+    fn begin_compute(&mut self) {
+        if self.hooks.recorder().is_some() {
+            self.since = Some(Instant::now());
         }
     }
 
@@ -649,9 +621,7 @@ impl<'p, H: Hooks> Exec<'p, H> {
                 if let Some(ks) = self.kernels {
                     if let Some(k) = ks.get(s.id) {
                         if let Some(ready) = k.begin(frame, None) {
-                            let mark = self.span_enter();
                             k.run(ks, ready, m, frame, true)?;
-                            self.span_exit(mark);
                             return Ok(Flow::Normal);
                         }
                     }
@@ -682,7 +652,6 @@ impl<'p, H: Hooks> Exec<'p, H> {
                         remaining: trips.max(1) as u64 - 1,
                     });
                 }
-                let mark = self.span_enter();
                 let mut iv = from;
                 let mut flow = Flow::Normal;
                 for k in 0..trips {
@@ -708,11 +677,9 @@ impl<'p, H: Hooks> Exec<'p, H> {
                     // Fortran leaves the loop variable one past the last value
                     frame.set_scalar(var, Value::Int(iv))?;
                 }
-                self.span_exit(mark);
                 Ok(flow)
             }
             StmtKind::DoWhile { cond, body } => {
-                let mark = self.span_enter();
                 let mut flow = Flow::Normal;
                 loop {
                     m.tick().map_err(|e| e.at(s.line))?;
@@ -731,7 +698,6 @@ impl<'p, H: Hooks> Exec<'p, H> {
                         }
                     }
                 }
-                self.span_exit(mark);
                 Ok(flow)
             }
             StmtKind::Goto { target } => Ok(Flow::Goto(*target)),
@@ -740,12 +706,13 @@ impl<'p, H: Hooks> Exec<'p, H> {
             StmtKind::Stop => Ok(Flow::Stop),
             StmtKind::Call { name, args } => {
                 if name.starts_with("acf_") {
-                    self.flush_spans();
-                    self.hook_calls += 1;
+                    self.end_compute();
                     if self.track && self.depth == 0 {
                         self.hooks.hook_site(s.id, &self.cursor);
                     }
-                    if self.hooks.call(m, frame, name)? {
+                    let handled = self.hooks.call(m, frame, name);
+                    self.begin_compute();
+                    if handled? {
                         return Ok(Flow::Normal);
                     }
                 }
@@ -795,18 +762,15 @@ impl<'p, H: Hooks> Exec<'p, H> {
         s: &Stmt,
         split: &LoopSplit,
     ) -> Result<Flow, RunError> {
-        self.flush_spans();
-        // The hidden exchange is communication: an enclosing loop must
-        // not merge this nest into one compute span.
-        self.hook_calls += 1;
-        let pend0 = self.pending.len();
+        self.end_compute();
         let t0 = Instant::now();
         self.exec_chunk(m, frame, s, split, Clamp::Interior)?;
-        self.pending.truncate(pend0);
         if let Some(rec) = self.hooks.recorder() {
             rec.record_span(EventKind::Overlap, t0, Instant::now());
         }
-        self.hooks.finish_split(m, frame)?;
+        let finished = self.hooks.finish_split(m, frame);
+        self.begin_compute();
+        finished?;
         self.exec_chunk(m, frame, s, split, Clamp::Low)?;
         self.exec_chunk(m, frame, s, split, Clamp::High)?;
         self.finalize_split_var(m, frame, s, split)
@@ -833,9 +797,7 @@ impl<'p, H: Hooks> Exec<'p, H> {
                     Clamp::High => KernelClamp::High,
                 };
                 if let Some(ready) = k.begin(frame, Some((split, kc))) {
-                    let mark = self.span_enter();
                     k.run(ks, ready, m, frame, false)?;
-                    self.span_exit(mark);
                     return Ok(());
                 }
             }
@@ -960,7 +922,6 @@ impl<'p, H: Hooks> Exec<'p, H> {
                     (f, t, step)
                 };
                 let trips = ((t - f + step) / step).max(0);
-                let mark = self.span_enter();
                 let mut iv = f;
                 let mut flow = Flow::Normal;
                 for _ in 0..trips {
@@ -983,7 +944,6 @@ impl<'p, H: Hooks> Exec<'p, H> {
                 if flow == Flow::Normal {
                     frame.set_scalar(var, Value::Int(iv))?;
                 }
-                self.span_exit(mark);
                 Ok(flow)
             }
             StmtKind::If {
@@ -1476,8 +1436,7 @@ mod tests {
             program: file,
             hooks: &mut NoHooks,
             depth: 0,
-            pending: Vec::new(),
-            hook_calls: 0,
+            since: None,
             cursor: Vec::new(),
             track: false,
             kernels,

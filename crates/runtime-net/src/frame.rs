@@ -216,22 +216,102 @@ impl std::error::Error for DecodeError {}
 
 /// Encode a frame to its wire bytes.
 pub fn encode(frame: &Frame) -> Vec<u8> {
+    encode_parts(frame.kind, frame.from, frame.tag, frame.seq, &frame.payload)
+}
+
+/// Encode a frame from its fields without building a [`Frame`]: the
+/// header and the payload go straight into one buffer of the final size,
+/// so a sender never copies its payload into an owned `Vec` first.
+pub(crate) fn encode_parts(
+    kind: FrameKind,
+    from: u32,
+    tag: u64,
+    seq: u64,
+    payload: &[f64],
+) -> Vec<u8> {
     assert!(
-        frame.payload.len() <= MAX_PAYLOAD_ELEMS as usize,
+        payload.len() <= MAX_PAYLOAD_ELEMS as usize,
         "payload of {} elements exceeds the wire limit",
-        frame.payload.len()
+        payload.len()
     );
-    let mut buf = Vec::with_capacity(frame.encoded_len());
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() * 8);
     buf.put_u32(MAGIC);
-    buf.put_u8(frame.kind.to_wire());
-    buf.put_u32(frame.from);
-    buf.put_u64(frame.tag);
-    buf.put_u64(frame.seq);
-    buf.put_u32(frame.payload.len() as u32);
-    for &v in &frame.payload {
-        buf.put_f64(v);
+    buf.put_u8(kind.to_wire());
+    buf.put_u32(from);
+    buf.put_u64(tag);
+    buf.put_u64(seq);
+    buf.put_u32(payload.len() as u32);
+    buf.resize(HEADER_LEN + payload.len() * 8, 0);
+    for (word, v) in buf[HEADER_LEN..].chunks_exact_mut(8).zip(payload) {
+        word.copy_from_slice(&v.to_bits().to_be_bytes());
     }
     buf
+}
+
+/// A validated header: everything but the payload.
+struct Header {
+    kind: FrameKind,
+    from: u32,
+    tag: u64,
+    seq: u64,
+    len: usize,
+}
+
+impl Header {
+    /// Parse and check the first [`HEADER_LEN`] bytes of `buf` (which
+    /// must hold at least that many): magic, kind, and the length cap,
+    /// all before anything is allocated for the payload.
+    fn parse(mut buf: &[u8]) -> Result<Header, DecodeError> {
+        let magic = buf.get_u32();
+        if magic != MAGIC {
+            return Err(DecodeError::Malformed(format!(
+                "bad magic {magic:#010x} (expected {MAGIC:#010x})"
+            )));
+        }
+        let kind_byte = buf.get_u8();
+        let kind = FrameKind::from_wire(kind_byte)
+            .ok_or_else(|| DecodeError::Malformed(format!("unknown frame kind {kind_byte}")))?;
+        let from = buf.get_u32();
+        let tag = buf.get_u64();
+        let seq = buf.get_u64();
+        let len = buf.get_u32();
+        if len > MAX_PAYLOAD_ELEMS {
+            return Err(DecodeError::Malformed(format!(
+                "payload length {len} exceeds the wire limit"
+            )));
+        }
+        Ok(Header {
+            kind,
+            from,
+            tag,
+            seq,
+            len: len as usize,
+        })
+    }
+
+    /// Wire size of the whole frame.
+    fn total(&self) -> usize {
+        HEADER_LEN + self.len * 8
+    }
+
+    /// The frame, its payload decoded from `bytes` (exactly `8 * len`
+    /// big-endian words) in one pass.
+    fn into_frame(self, bytes: &[u8]) -> Frame {
+        Frame {
+            kind: self.kind,
+            from: self.from,
+            tag: self.tag,
+            seq: self.seq,
+            payload: bytes
+                .chunks_exact(8)
+                .map(|w| {
+                    let mut word = [0u8; 8];
+                    word.copy_from_slice(w);
+                    f64::from_bits(u64::from_be_bytes(word))
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Decode one frame from the front of `buf`. Returns the frame and the
@@ -242,43 +322,12 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), DecodeError> {
     if buf.len() < HEADER_LEN {
         return Err(DecodeError::Incomplete { needed: HEADER_LEN });
     }
-    let mut cur = buf;
-    let magic = cur.get_u32();
-    if magic != MAGIC {
-        return Err(DecodeError::Malformed(format!(
-            "bad magic {magic:#010x} (expected {MAGIC:#010x})"
-        )));
-    }
-    let kind_byte = cur.get_u8();
-    let kind = FrameKind::from_wire(kind_byte)
-        .ok_or_else(|| DecodeError::Malformed(format!("unknown frame kind {kind_byte}")))?;
-    let from = cur.get_u32();
-    let tag = cur.get_u64();
-    let seq = cur.get_u64();
-    let len = cur.get_u32();
-    if len > MAX_PAYLOAD_ELEMS {
-        return Err(DecodeError::Malformed(format!(
-            "payload length {len} exceeds the wire limit"
-        )));
-    }
-    let total = HEADER_LEN + len as usize * 8;
+    let header = Header::parse(buf)?;
+    let total = header.total();
     if buf.len() < total {
         return Err(DecodeError::Incomplete { needed: total });
     }
-    let mut payload = Vec::with_capacity(len as usize);
-    for _ in 0..len {
-        payload.push(cur.get_f64());
-    }
-    Ok((
-        Frame {
-            kind,
-            from,
-            tag,
-            seq,
-            payload,
-        },
-        total,
-    ))
+    Ok((header.into_frame(&buf[HEADER_LEN..total]), total))
 }
 
 /// Read exactly one frame from a byte stream, blocking. Returns the
@@ -302,26 +351,15 @@ pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<(Frame, 
             k => got += k,
         }
     }
-    let needed = match decode(&header) {
-        Ok((frame, consumed)) => return Ok(Some((frame, consumed))),
-        Err(DecodeError::Incomplete { needed }) => needed,
-        Err(e @ DecodeError::Malformed(_)) => {
-            return Err(Error::new(ErrorKind::InvalidData, e.to_string()))
-        }
-    };
-    let mut buf = header.to_vec();
-    buf.resize(needed, 0);
-    r.read_exact(&mut buf[HEADER_LEN..])
-        .map_err(|e| match e.kind() {
-            ErrorKind::UnexpectedEof => {
-                Error::new(ErrorKind::UnexpectedEof, "eof mid-frame (payload)")
-            }
-            _ => e,
-        })?;
-    match decode(&buf) {
-        Ok((frame, consumed)) => Ok(Some((frame, consumed))),
-        Err(e) => Err(Error::new(ErrorKind::InvalidData, e.to_string())),
-    }
+    let header =
+        Header::parse(&header).map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?;
+    let total = header.total();
+    let mut payload = vec![0u8; total - HEADER_LEN];
+    r.read_exact(&mut payload).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => Error::new(ErrorKind::UnexpectedEof, "eof mid-frame (payload)"),
+        _ => e,
+    })?;
+    Ok(Some((header.into_frame(&payload), total)))
 }
 
 #[cfg(test)]
@@ -383,17 +421,56 @@ mod tests {
     #[test]
     fn absurd_length_is_malformed_not_oom() {
         let mut wire = encode(&Frame::data(0, 0, vec![]));
-        // corrupt the length field to u32::MAX
-        wire[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(matches!(decode(&wire), Err(DecodeError::Malformed(_))));
+        // corrupt the length field; no payload bytes follow, so the cap
+        // must be judged from the header, before asking for (or
+        // allocating) the claimed length
+        for len in [u32::MAX, MAX_PAYLOAD_ELEMS + 1] {
+            wire[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+            assert!(matches!(decode(&wire), Err(DecodeError::Malformed(_))));
+            let err = read_frame(&mut wire.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("exceeds the wire limit"), "{err}");
+        }
+        // at the cap itself the header is fine and the decoder asks for more
+        wire[HEADER_LEN - 4..].copy_from_slice(&MAX_PAYLOAD_ELEMS.to_be_bytes());
+        assert!(matches!(decode(&wire), Err(DecodeError::Incomplete { .. })));
     }
 
     #[test]
     fn nan_bits_survive() {
-        let weird = f64::from_bits(0x7ff8_dead_beef_0001);
-        let wire = encode(&Frame::data(0, 0, vec![weird]));
+        let payload = [
+            f64::from_bits(0x7ff8_dead_beef_0001), // quiet NaN with payload
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::from_bits(0xfff4_0000_dead_beef), // negative signalling NaN
+            -0.0,
+            f64::from_bits(1),                     // smallest subnormal
+            f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let wire = encode_parts(FrameKind::Data, 0, 0, 0, &payload);
         let (f, _) = decode(&wire).unwrap();
-        assert_eq!(f.payload[0].to_bits(), weird.to_bits());
+        assert_eq!(bits(&f.payload), bits(&payload));
+        let (g, _) = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+        assert_eq!(bits(&g.payload), bits(&payload));
+    }
+
+    #[test]
+    fn slice_encoder_matches_frame_encoder() {
+        for payload in [
+            vec![],
+            vec![1.5],
+            (0..129).map(|i| i as f64 * -0.25).collect(),
+        ] {
+            let f = Frame::data(7, 99, payload).with_seq(3);
+            assert_eq!(
+                encode_parts(FrameKind::Data, 7, 99, 3, &f.payload),
+                encode(&f)
+            );
+        }
     }
 
     #[test]
@@ -460,10 +537,13 @@ mod tests {
         let (f, n) = read_frame(&mut c).unwrap().unwrap();
         assert_eq!((f.from, f.tag, n), (2, 5, wire.len()));
         assert!(read_frame(&mut c).unwrap().is_none());
-        // truncated: EOF mid-frame is an error, not a None
-        let mut t = Cursor::new(wire[..wire.len() - 3].to_vec());
-        let err = read_frame(&mut t).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        // truncated: EOF mid-frame is an error, not a None, and names
+        // the part that ended early
+        for (cut, part) in [(HEADER_LEN - 1, "header"), (wire.len() - 3, "payload")] {
+            let err = read_frame(&mut &wire[..cut]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+            assert_eq!(err.to_string(), format!("eof mid-frame ({part})"));
+        }
     }
 }
 

@@ -296,6 +296,108 @@ mod tests {
     }
 
     #[test]
+    fn back_to_back_small_frames_do_not_wait_for_delayed_acks() {
+        // the combined-sync pattern: a halo frame, then a reduce value,
+        // then wait for the reply. With Nagle on, the second frame sits
+        // in the kernel until the peer's delayed ACK (~40 ms a round)
+        let rounds = 50;
+        let results = run_spmd_tcp(2, T, |comm| {
+            let t0 = Instant::now();
+            for _ in 0..rounds {
+                if comm.rank() == 1 {
+                    comm.send(0, 1, &[1.0; 16]).unwrap();
+                    comm.send(0, 2, &[2.0]).unwrap();
+                    comm.recv(0, 3).unwrap();
+                } else {
+                    comm.recv(1, 1).unwrap();
+                    comm.recv(1, 2).unwrap();
+                    comm.send(1, 3, &[3.0]).unwrap();
+                }
+            }
+            t0.elapsed()
+        })
+        .unwrap();
+        assert!(
+            results[1] < Duration::from_millis(500),
+            "{rounds} rounds took {:?}",
+            results[1]
+        );
+    }
+
+    #[test]
+    fn mesh_launch_and_teardown_take_no_fixed_sleeps() {
+        // one exchange, not an empty closure: the heartbeat thread must
+        // be running when the endpoint shuts down
+        let best = (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                run_spmd_tcp(2, T, |comm| {
+                    let peer = 1 - comm.rank();
+                    comm.send(peer, 5, &[1.0]).unwrap();
+                    comm.recv(peer, 5).unwrap()
+                })
+                .unwrap();
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(best < Duration::from_millis(10), "best launch {best:?}");
+    }
+
+    #[test]
+    fn mesh_join_fails_typed_within_setup_timeout_when_a_peer_never_dials() {
+        use crate::frame::{encode, read_frame, Frame, FrameKind};
+        use std::io::Write;
+
+        let rv = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let cfg = MeshConfig {
+            rendezvous: rv.local_addr().unwrap(),
+            setup_timeout: Duration::from_millis(600),
+        };
+        let setup_timeout = cfg.setup_timeout;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            let res = TcpTransport::join(&cfg);
+            let _ = tx.send((res.map(|_| ()), t0.elapsed()));
+        });
+
+        // play the rendezvous: the worker becomes rank 0 of 2, so it
+        // waits for rank 1's dial — and rank 1 never dials
+        let (mut s, _) = rv.accept().unwrap();
+        let hello = read_frame(&mut s).unwrap().unwrap().0;
+        for (kind, payload) in [
+            (FrameKind::Welcome, vec![]),
+            // rank 0 dials no one, so rank 1's port is never used
+            (FrameKind::Peers, vec![hello.tag as f64; 2]),
+        ] {
+            s.write_all(&encode(&Frame {
+                kind,
+                from: 0,
+                tag: 2,
+                seq: 0,
+                payload,
+            }))
+            .unwrap();
+        }
+
+        // watchdog: a join that ignores its deadline never answers
+        let (res, took) = rx
+            .recv_timeout(4 * setup_timeout)
+            .expect("join still blocked long after its setup timeout");
+        worker.join().unwrap();
+        let err = res.unwrap_err();
+        assert!(took < 2 * setup_timeout, "join took {took:?}");
+        assert!(matches!(err.kind, CommErrorKind::Protocol(_)), "{err}");
+        assert_eq!(err.rank, 0);
+        assert!(
+            err.to_string()
+                .contains("0/1 higher-rank peers connected, 1 missing"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn rendezvous_times_out_when_workers_missing() {
         let rv = Rendezvous::bind(3, Duration::from_millis(200)).unwrap();
         let addr = rv.local_addr();

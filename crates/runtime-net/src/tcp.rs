@@ -4,7 +4,9 @@
 //! ranks to connecting workers in arrival order and tells everyone
 //! everyone else's data port; the workers then build a full mesh of TCP
 //! connections (rank `r` dials every lower rank, accepts from every
-//! higher one). Each peer connection gets two I/O threads:
+//! higher one). Every stream is `TCP_NODELAY`, and every blocking setup
+//! step (accept, Hello, Welcome, Peers) waits only for what is left of
+//! the one setup deadline. Each peer connection gets two I/O threads:
 //!
 //! * a **writer** draining a bounded queue of encoded frames onto the
 //!   socket — `send` enqueues and returns, so the deadlock-avoiding
@@ -34,16 +36,16 @@
 //!   supervisor should resume from a checkpoint rather than declare the
 //!   run dead.
 
-use crate::frame::{encode, read_frame, Frame, FrameKind};
+use crate::frame::{encode, encode_parts, read_frame, Frame, FrameKind};
 use autocfd_runtime::{
     CommError, InboxMsg, MatchingInbox, RecvRequest, SendRequest, Transport, WireStats,
 };
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -83,6 +85,72 @@ fn io_err(rank: usize, peer: usize, e: &std::io::Error) -> CommError {
     CommError::io(rank, peer, e.to_string())
 }
 
+/// Turn off Nagle's algorithm on a mesh or handshake stream. Every
+/// exchange here is write-write-read with small frames (halo, reduce
+/// value, then wait for the broadcast; Welcome, Peers, then the mesh),
+/// which Nagle would hold back until the peer's delayed ACK — ~40 ms a
+/// round.
+fn nodelay(s: TcpStream, rank: usize, peer: usize) -> Result<TcpStream, CommError> {
+    s.set_nodelay(true).map_err(|e| io_err(rank, peer, &e))?;
+    Ok(s)
+}
+
+/// Time left before `deadline`, at least a millisecond (a zero socket
+/// timeout means "none").
+fn time_left(deadline: Instant) -> Duration {
+    deadline
+        .saturating_duration_since(Instant::now())
+        .max(Duration::from_millis(1))
+}
+
+/// Accept one connection before `deadline` (`Ok(None)` once it passes).
+/// The listener is polled without blocking; the idle wait starts at
+/// 20 µs and doubles up to 2 ms, so a dial already in flight is taken
+/// almost at once and a peer that never dials cannot hold setup past the
+/// deadline. The stream comes back blocking, with nodelay set.
+fn accept_until(
+    listener: &TcpListener,
+    deadline: Instant,
+    rank: usize,
+) -> Result<Option<TcpStream>, CommError> {
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| io_err(rank, 0, &e))?;
+    let mut idle = Duration::from_micros(20);
+    loop {
+        match listener.accept() {
+            Ok((s, _)) => {
+                s.set_nonblocking(false).map_err(|e| io_err(rank, 0, &e))?;
+                return nodelay(s, rank, 0).map(Some);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Ok(None);
+                }
+                std::thread::sleep(idle.min(deadline - now));
+                idle = (idle * 2).min(Duration::from_millis(2));
+            }
+            Err(e) => return Err(io_err(rank, 0, &e)),
+        }
+    }
+}
+
+/// Read the `Hello` that opens every accepted connection, waiting no
+/// longer than what is left of the setup deadline.
+fn read_hello(s: &mut TcpStream, deadline: Instant, rank: usize) -> Result<Frame, CommError> {
+    s.set_read_timeout(Some(time_left(deadline)))
+        .map_err(|e| io_err(rank, 0, &e))?;
+    let hello = read_frame(s)
+        .map_err(|e| io_err(rank, 0, &e))?
+        .ok_or_else(|| proto(rank, "peer closed before Hello"))?
+        .0;
+    if hello.kind != FrameKind::Hello {
+        return Err(proto(rank, format!("expected Hello, got {:?}", hello.kind)));
+    }
+    Ok(hello)
+}
+
 /// The rendezvous point: accepts `n` workers, assigns ranks in arrival
 /// order, and distributes the port map. Run by the launcher (or by the
 /// test harness) before any worker starts.
@@ -115,55 +183,31 @@ impl Rendezvous {
     /// everyone has arrived.
     pub fn serve(self) -> Result<(), CommError> {
         let deadline = Instant::now() + self.timeout;
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| io_err(0, 0, &e))?;
         let mut workers: Vec<(TcpStream, u16)> = Vec::with_capacity(self.n);
         while workers.len() < self.n {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream
-                        .set_nonblocking(false)
-                        .map_err(|e| io_err(0, 0, &e))?;
-                    stream
-                        .set_read_timeout(Some(self.timeout))
-                        .map_err(|e| io_err(0, 0, &e))?;
-                    let mut s = stream;
-                    let hello = read_frame(&mut s)
-                        .map_err(|e| io_err(0, 0, &e))?
-                        .ok_or_else(|| proto(0, "worker closed before Hello"))?
-                        .0;
-                    if hello.kind != FrameKind::Hello {
-                        return Err(proto(0, format!("expected Hello, got {:?}", hello.kind)));
-                    }
-                    let port = u16::try_from(hello.tag)
-                        .map_err(|_| proto(0, format!("bad data port {}", hello.tag)))?;
-                    let rank = workers.len() as u32;
-                    s.write_all(&encode(&Frame {
-                        kind: FrameKind::Welcome,
-                        from: rank,
-                        tag: self.n as u64,
-                        seq: 0,
-                        payload: vec![],
-                    }))
-                    .map_err(|e| io_err(0, rank as usize, &e))?;
-                    workers.push((s, port));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        return Err(proto(
-                            0,
-                            format!(
-                                "rendezvous timeout: {}/{} workers arrived",
-                                workers.len(),
-                                self.n
-                            ),
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(io_err(0, 0, &e)),
-            }
+            let Some(mut s) = accept_until(&self.listener, deadline, 0)? else {
+                return Err(proto(
+                    0,
+                    format!(
+                        "rendezvous timeout: {}/{} workers arrived",
+                        workers.len(),
+                        self.n
+                    ),
+                ));
+            };
+            let hello = read_hello(&mut s, deadline, 0)?;
+            let port = u16::try_from(hello.tag)
+                .map_err(|_| proto(0, format!("bad data port {}", hello.tag)))?;
+            let rank = workers.len() as u32;
+            s.write_all(&encode(&Frame {
+                kind: FrameKind::Welcome,
+                from: rank,
+                tag: self.n as u64,
+                seq: 0,
+                payload: vec![],
+            }))
+            .map_err(|e| io_err(0, rank as usize, &e))?;
+            workers.push((s, port));
         }
         let ports: Vec<f64> = workers.iter().map(|&(_, p)| f64::from(p)).collect();
         let peers = encode(&Frame {
@@ -202,8 +246,8 @@ pub struct TcpTransport {
     /// last decoded *any* frame (data or heartbeat); slot 0 at mesh-up.
     last_seen: Arc<Vec<AtomicU64>>,
     liveness_epoch: Instant,
-    hb_stop: Arc<AtomicBool>,
-    hb_handle: Mutex<Option<JoinHandle<()>>>,
+    /// The heartbeat thread and the sender whose drop stops it.
+    heartbeat: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
     /// Monotonic causality stamp for outgoing data frames (first = 1).
     send_seq: AtomicU64,
     msgs_sent: AtomicU64,
@@ -225,9 +269,10 @@ impl TcpTransport {
 
         // ---- rendezvous handshake (a dead rendezvous is a launcher
         // failure, not a restarting peer — keep the plain I/O error)
-        let mut rv = connect_with_backoff(cfg.rendezvous, deadline, u64::from(my_port))
+        let rv = connect_with_backoff(cfg.rendezvous, deadline, u64::from(my_port))
             .map_err(|e| io_err(0, 0, &e))?;
-        rv.set_read_timeout(Some(cfg.setup_timeout))
+        let mut rv = nodelay(rv, 0, 0)?;
+        rv.set_read_timeout(Some(time_left(deadline)))
             .map_err(|e| io_err(0, 0, &e))?;
         rv.write_all(&encode(&Frame {
             kind: FrameKind::Hello,
@@ -253,6 +298,10 @@ impl TcpTransport {
         if size == 0 || rank >= size {
             return Err(proto(rank, format!("rank {rank} out of range for {size}")));
         }
+        // Peers comes once every worker has arrived: wait out the rest
+        // of the setup deadline, not a fresh timeout
+        rv.set_read_timeout(Some(time_left(deadline)))
+            .map_err(|e| io_err(rank, 0, &e))?;
         let peers_frame = read_frame(&mut rv)
             .map_err(|e| io_err(rank, 0, &e))?
             .ok_or_else(|| proto(rank, "rendezvous closed before Peers"))?
@@ -277,19 +326,19 @@ impl TcpTransport {
         let mut streams: HashMap<usize, TcpStream> = HashMap::new();
         for (peer, &port) in ports.iter().enumerate().take(rank) {
             let seed = ((rank as u64) << 16) | peer as u64;
-            let mut s =
-                connect_with_backoff(SocketAddr::from(([127, 0, 0, 1], port)), deadline, seed)
-                    .map_err(|e| {
-                        // the peer claimed this port at the rendezvous, so a
-                        // worker *was* there: refusing connections through
-                        // the whole backoff window reads as a restart in
-                        // progress, not a vanished peer
-                        CommError::peer_restarting(
-                            rank,
-                            peer,
-                            format!("data port {port} refused through backoff window: {e}"),
-                        )
-                    })?;
+            let s = connect_with_backoff(SocketAddr::from(([127, 0, 0, 1], port)), deadline, seed)
+                .map_err(|e| {
+                    // the peer claimed this port at the rendezvous, so a
+                    // worker *was* there: refusing connections through
+                    // the whole backoff window reads as a restart in
+                    // progress, not a vanished peer
+                    CommError::peer_restarting(
+                        rank,
+                        peer,
+                        format!("data port {port} refused through backoff window: {e}"),
+                    )
+                })?;
+            let mut s = nodelay(s, rank, peer)?;
             s.write_all(&encode(&Frame {
                 kind: FrameKind::Hello,
                 from: rank as u32,
@@ -301,19 +350,18 @@ impl TcpTransport {
             streams.insert(peer, s);
         }
         while streams.len() < size - 1 {
-            let (stream, _) = listener.accept().map_err(|e| io_err(rank, 0, &e))?;
-            stream
-                .set_read_timeout(Some(cfg.setup_timeout))
-                .map_err(|e| io_err(rank, 0, &e))?;
-            let mut s = stream;
-            let hello = read_frame(&mut s)
-                .map_err(|e| io_err(rank, 0, &e))?
-                .ok_or_else(|| proto(rank, "peer closed before Hello"))?
-                .0;
-            if hello.kind != FrameKind::Hello {
-                return Err(proto(rank, format!("expected Hello, got {:?}", hello.kind)));
-            }
-            let peer = hello.from as usize;
+            let Some(mut s) = accept_until(&listener, deadline, rank)? else {
+                let higher = size - 1 - rank;
+                let arrived = streams.len() - rank;
+                return Err(proto(
+                    rank,
+                    format!(
+                        "mesh setup timeout: {arrived}/{higher} higher-rank peers connected, {} missing",
+                        higher - arrived
+                    ),
+                ));
+            };
+            let peer = read_hello(&mut s, deadline, rank)?.from as usize;
             if peer <= rank || peer >= size || streams.contains_key(&peer) {
                 return Err(proto(
                     rank,
@@ -358,10 +406,8 @@ impl TcpTransport {
         // other side keep their last-seen clocks fresh even when the
         // program computes for a long time between exchanges
         let writers = Arc::new(Mutex::new(writers));
-        let hb_stop = Arc::new(AtomicBool::new(false));
-        let hb_handle = if size > 1 {
+        let heartbeat = if size > 1 {
             let writers = Arc::clone(&writers);
-            let stop = Arc::clone(&hb_stop);
             let beat = encode(&Frame {
                 kind: FrameKind::Heartbeat,
                 from: rank as u32,
@@ -369,24 +415,20 @@ impl TcpTransport {
                 seq: 0,
                 payload: vec![],
             });
-            Some(std::thread::spawn(move || {
-                // short ticks so shutdown never waits a full interval
-                let tick = Duration::from_millis(25);
-                let mut since_beat = Duration::ZERO;
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    since_beat += tick;
-                    if since_beat < HEARTBEAT_INTERVAL {
-                        continue;
-                    }
-                    since_beat = Duration::ZERO;
+            // one interruptible wait per interval: shutdown drops the
+            // stop sender, which ends the wait at once
+            let (stop, stopped) = bounded::<()>(1);
+            let handle = std::thread::spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(HEARTBEAT_INTERVAL)
+                {
                     for w in writers.lock().iter().flatten() {
                         // a full queue means data frames are in flight,
                         // which proves liveness better than a heartbeat
                         let _ = w.try_send(beat.clone());
                     }
                 }
-            }))
+            });
+            Some((stop, handle))
         } else {
             None
         };
@@ -399,8 +441,7 @@ impl TcpTransport {
             inbox: MatchingInbox::new(rank, inbox_rx),
             last_seen,
             liveness_epoch,
-            hb_stop,
-            hb_handle: Mutex::new(hb_handle),
+            heartbeat: Mutex::new(heartbeat),
             send_seq: AtomicU64::new(0),
             msgs_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
@@ -535,8 +576,7 @@ impl Transport for TcpTransport {
 
     fn isend(&self, to: usize, tag: u64, payload: &[f64]) -> Result<SendRequest, CommError> {
         let seq = self.send_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let frame = Frame::data(self.rank as u32, tag, payload.to_vec()).with_seq(seq);
-        let wire = encode(&frame);
+        let wire = encode_parts(FrameKind::Data, self.rank as u32, tag, seq, payload);
         let wire_bytes = wire.len();
         let tx = {
             let writers = self.writers.lock();
@@ -605,9 +645,10 @@ impl Transport for TcpTransport {
     }
 
     fn shutdown(&self) {
-        // stop the heartbeat first so it cannot race the queue teardown
-        self.hb_stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.hb_handle.lock().take() {
+        // stop the heartbeat first so it cannot race the queue teardown;
+        // dropping its stop sender wakes it, so this join does not wait
+        if let Some((stop, h)) = self.heartbeat.lock().take() {
+            drop(stop);
             let _ = h.join();
         }
         // dropping the queue senders makes each writer flush its backlog,
