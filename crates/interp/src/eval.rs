@@ -1,55 +1,163 @@
 //! Expression evaluation and intrinsic functions.
 
 use crate::exec::{Exec, Hooks};
-use crate::machine::{Frame, Machine, RunError};
+use crate::machine::{Frame, Machine, Names, RunError};
 use crate::value::Value;
+use autocfd_fortran::ast::{SourceFile, Unit};
 use autocfd_fortran::{BinOp, Expr, UnOp};
 
+/// An expression with every name resolved to a slot of its unit's
+/// [`Names`], borrowing the rest from the program.
+#[derive(Debug, Clone)]
+pub(crate) enum RExpr<'p> {
+    Int(i64),
+    Real(f64),
+    Logical(bool),
+    /// A character literal outside a `write` item: evaluating it fails.
+    Str(&'p str),
+    Var(u32, &'p str),
+    /// `name(args)`: an array element when the frame binds an array to
+    /// `slot`, else an intrinsic or a user function.
+    Index {
+        slot: u32,
+        name: &'p str,
+        args: Box<[RExpr<'p>]>,
+        callee: Callee<'p>,
+    },
+    /// A binary operator; `.and.` / `.or.` evaluate their right side
+    /// only when needed.
+    Bin(BinOp, Box<[RExpr<'p>; 2]>),
+    Neg(Box<RExpr<'p>>),
+    Not(Box<RExpr<'p>>),
+}
+
+/// What `name(args)` calls when `name` is not an array.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Callee<'p> {
+    Intrinsic,
+    /// A unit of the program, if one has the name.
+    Unit(Option<(usize, &'p Unit)>),
+}
+
+/// The program unit named `name`, with its index.
+pub(crate) fn find_unit<'p>(file: &'p SourceFile, name: &str) -> Option<(usize, &'p Unit)> {
+    file.units.iter().enumerate().find(|(_, u)| u.name == name)
+}
+
+impl<'p> RExpr<'p> {
+    /// Resolve `e` against `names`, the table of the unit it occurs in.
+    pub(crate) fn new(file: &'p SourceFile, names: &Names, e: &'p Expr) -> RExpr<'p> {
+        let list = |es: &'p [Expr]| es.iter().map(|x| RExpr::new(file, names, x)).collect();
+        match e {
+            Expr::IntLit(v) => RExpr::Int(*v),
+            Expr::RealLit(v) => RExpr::Real(*v),
+            Expr::StrLit(s) => RExpr::Str(s),
+            Expr::LogicalLit(b) => RExpr::Logical(*b),
+            Expr::Var(name) => RExpr::Var(names.mentioned(name), name),
+            Expr::Index { name, indices } => RExpr::Index {
+                slot: names.mentioned(name),
+                name,
+                args: list(indices),
+                callee: if is_intrinsic_name(name) {
+                    Callee::Intrinsic
+                } else {
+                    Callee::Unit(find_unit(file, name))
+                },
+            },
+            Expr::Bin { op, lhs, rhs } => RExpr::Bin(
+                *op,
+                Box::new([RExpr::new(file, names, lhs), RExpr::new(file, names, rhs)]),
+            ),
+            Expr::Un { op, expr } => {
+                let x = Box::new(RExpr::new(file, names, expr));
+                match op {
+                    UnOp::Neg => RExpr::Neg(x),
+                    UnOp::Not => RExpr::Not(x),
+                }
+            }
+        }
+    }
+}
+
+/// Evaluated operands of one subscript list or intrinsic call: on the
+/// stack for lists of up to eight, the common case.
+pub(crate) enum Operands<T> {
+    Stack([T; 8], usize),
+    Heap(Vec<T>),
+}
+
+impl<T: Copy> Operands<T> {
+    /// Evaluate `args` in order with `f`, stopping at the first error.
+    #[inline(always)]
+    fn collect<'a, 'p: 'a>(
+        args: &'a [RExpr<'p>],
+        fill: T,
+        mut f: impl FnMut(&'a RExpr<'p>) -> Result<T, Failed>,
+    ) -> Result<Self, Failed> {
+        if args.len() <= 8 {
+            let mut buf = [fill; 8];
+            for (b, a) in buf.iter_mut().zip(args) {
+                *b = f(a)?;
+            }
+            Ok(Operands::Stack(buf, args.len()))
+        } else {
+            args.iter()
+                .map(f)
+                .collect::<Result<_, _>>()
+                .map(Operands::Heap)
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Operands<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match self {
+            Operands::Stack(buf, n) => &buf[..*n],
+            Operands::Heap(v) => v,
+        }
+    }
+}
+
 impl<'p, H: Hooks> Exec<'p, H> {
-    /// Evaluate an expression in the given frame.
-    pub fn eval(
+    /// Evaluate a resolved expression in the given frame.
+    pub(crate) fn eval(
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        e: &Expr,
-    ) -> Result<Value, RunError> {
+        e: &RExpr<'p>,
+    ) -> Result<Value, Failed> {
         match e {
-            Expr::IntLit(v) => Ok(Value::Int(*v)),
-            Expr::RealLit(v) => Ok(Value::Real(*v)),
-            Expr::StrLit(s) => Ok(Value::Str(s.clone())),
-            Expr::LogicalLit(b) => Ok(Value::Logical(*b)),
-            Expr::Var(name) => {
-                if frame.arrays.contains_key(name) {
-                    return Err(RunError::new(format!(
-                        "array `{name}` used as a scalar value"
-                    )));
-                }
-                Ok(frame.get_scalar(name))
-            }
-            Expr::Index { name, indices } => {
-                if let Some(&id) = frame.arrays.get(name) {
-                    let mut idx = Vec::with_capacity(indices.len());
-                    for ix in indices {
-                        idx.push(self.eval(m, frame, ix)?.as_i64()?);
-                    }
+            RExpr::Int(v) => Ok(Value::Int(*v)),
+            RExpr::Real(v) => Ok(Value::Real(*v)),
+            RExpr::Logical(b) => Ok(Value::Logical(*b)),
+            RExpr::Var(slot, name) => match frame.array(*slot) {
+                None => Ok(frame.scalar(*slot)),
+                Some(_) => Err(fail(format_args!("array `{name}` used as a scalar value"))),
+            },
+            RExpr::Index {
+                slot,
+                name,
+                args,
+                callee,
+            } => match frame.array(*slot) {
+                Some(id) => {
+                    let idx = self.subscripts(m, frame, args)?;
                     m.ops.loads += 1;
-                    let v = m.array(id).get(&idx)?;
-                    return Ok(if m.array(id).is_int {
+                    let a = m.array(id);
+                    let v = a.get(&idx)?;
+                    Ok(if a.is_int {
                         Value::Int(v as i64)
                     } else {
                         Value::Real(v)
-                    });
+                    })
                 }
-                if is_intrinsic_name(name) {
-                    let mut vals = Vec::with_capacity(indices.len());
-                    for ix in indices {
-                        vals.push(self.eval(m, frame, ix)?);
-                    }
-                    return apply_intrinsic(m, name, &vals);
-                }
-                self.call_function(m, frame, name, indices)
-            }
-            Expr::Bin { op, lhs, rhs } => {
+                None => self.call(m, frame, name, args, callee),
+            },
+            RExpr::Bin(op, sides) => {
+                let [lhs, rhs] = &**sides;
                 // short-circuit logicals
                 if *op == BinOp::And {
                     let l = self.eval(m, frame, lhs)?.as_bool()?;
@@ -67,21 +175,62 @@ impl<'p, H: Hooks> Exec<'p, H> {
                 }
                 let l = self.eval(m, frame, lhs)?;
                 let r = self.eval(m, frame, rhs)?;
-                binop(m, *op, l, r)
+                Ok(binop(m, *op, l, r)?)
             }
-            Expr::Un { op, expr } => {
-                let v = self.eval(m, frame, expr)?;
-                match op {
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Real(r) => Ok(Value::Real(-r)),
-                        _ => Err(RunError::new("negation of non-numeric value")),
-                    },
-                    UnOp::Not => Ok(Value::Logical(!v.as_bool()?)),
-                }
-            }
+            RExpr::Neg(x) => match self.eval(m, frame, x)? {
+                Value::Int(i) => Ok(Value::Int(-i)),
+                Value::Real(r) => Ok(Value::Real(-r)),
+                _ => Err(fail(format_args!("negation of non-numeric value"))),
+            },
+            RExpr::Not(x) => Ok(Value::Logical(!self.eval(m, frame, x)?.as_bool()?)),
+            RExpr::Str(s) => Err(fail(format_args!(
+                "character literal '{s}' is only allowed as a `write` item"
+            ))),
         }
     }
+
+    /// `name(args)` where `name` is not an array in the frame: an
+    /// intrinsic or a user function. Kept out of [`Exec::eval`] so the
+    /// array and arithmetic paths stay small.
+    #[inline(never)]
+    fn call(
+        &mut self,
+        m: &mut Machine,
+        frame: &mut Frame,
+        name: &str,
+        args: &[RExpr<'p>],
+        callee: &Callee<'p>,
+    ) -> Result<Value, Failed> {
+        match callee {
+            Callee::Intrinsic => {
+                let vals = Operands::collect(args, Value::Int(0), |a| self.eval(m, frame, a))?;
+                Ok(apply_intrinsic(m, name, &vals)?)
+            }
+            Callee::Unit(unit) => Ok(self.call_function(m, frame, name, *unit, args)?),
+        }
+    }
+
+    /// Evaluate a subscript list to integers.
+    #[inline]
+    pub(crate) fn subscripts(
+        &mut self,
+        m: &mut Machine,
+        frame: &mut Frame,
+        args: &[RExpr<'p>],
+    ) -> Result<Operands<i64>, Failed> {
+        Operands::collect(args, 0, |a| Ok(self.eval(m, frame, a)?.as_i64()?))
+    }
+}
+
+/// An evaluation error, boxed so that [`Exec::eval`]'s result fits in
+/// two registers.
+pub(crate) type Failed = Box<RunError>;
+
+/// An evaluation error, built out of line.
+#[cold]
+#[inline(never)]
+fn fail(message: std::fmt::Arguments<'_>) -> Failed {
+    Box::new(RunError::new(message.to_string()))
 }
 
 /// Apply a numeric/relational binary operator with Fortran promotion

@@ -1,11 +1,16 @@
 //! Statement execution and program driving.
 
+use crate::eval::{find_unit, RExpr};
 use crate::kernel::{KernelClamp, KernelSet};
-use crate::machine::{build_frame, ArrayId, Binding, Frame, Machine, RunError};
+use crate::machine::{build_frame, Binding, Frame, Machine, Names, RunError, OWN_NAME};
 use crate::value::Value;
-use autocfd_fortran::ast::{LValue, SourceFile, Stmt, StmtId, StmtKind, UnitKind};
+use autocfd_fortran::ast::{
+    walk_stmts, Expr, LValue, SourceFile, Stmt, StmtId, StmtKind, Unit, UnitKind,
+};
 use autocfd_runtime::{DoProgress, EventKind, Recorder};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::cell::OnceCell;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Control flow outcome of executing a statement (list).
@@ -101,15 +106,156 @@ impl Hooks for NoHooks {
     }
 }
 
-/// The execution engine: a program plus its hook set.
-pub struct Exec<'p, H: Hooks> {
-    /// The program being interpreted.
-    pub program: &'p SourceFile,
-    /// Runtime hooks.
-    pub hooks: &'p mut H,
-    /// Current call depth (Fortran 77 forbids recursion; a cycle in the
-    /// call graph is reported instead of overflowing the stack).
-    pub depth: u32,
+/// What the tree walk resolves once per run: each unit's [`Names`], on
+/// the unit's first entry, and each statement's expressions in slot form
+/// ([`RStmt`]), on the statement's first tree-walk execution. Nests the
+/// kernels run are never resolved.
+pub(crate) struct Code<'p> {
+    file: &'p SourceFile,
+    /// By unit index.
+    names: Vec<OnceCell<Arc<Names>>>,
+    /// By `StmtId`, with the statement each was resolved from.
+    stmts: Vec<OnceCell<(&'p Stmt, RStmt<'p>)>>,
+}
+
+impl<'p> Code<'p> {
+    fn new(file: &'p SourceFile) -> Self {
+        let mut ids = 0;
+        for u in &file.units {
+            walk_stmts(&u.body, &mut |s| ids = ids.max(s.id.0 as usize + 1));
+        }
+        Code {
+            file,
+            names: file.units.iter().map(|_| OnceCell::new()).collect(),
+            stmts: (0..ids).map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// The name table of unit `unit` (an index into the file's units).
+    fn names(&self, unit: usize) -> &Arc<Names> {
+        self.names[unit].get_or_init(|| Arc::new(Names::of(&self.file.units[unit])))
+    }
+
+    /// `s` resolved against `names`, the table of its unit. Cached by id;
+    /// a statement whose id another statement already holds (parsed and
+    /// restructured files never repeat one) is resolved afresh.
+    fn stmt(&self, s: &'p Stmt, names: &Names) -> Cow<'_, RStmt<'p>> {
+        if let Some(cell) = self.stmts.get(s.id.0 as usize) {
+            let (at, r) = cell.get_or_init(|| (s, RStmt::new(self.file, names, s)));
+            if std::ptr::eq(*at, s) {
+                return Cow::Borrowed(r);
+            }
+        }
+        Cow::Owned(RStmt::new(self.file, names, s))
+    }
+}
+
+/// A statement's expressions with their names resolved to slots. The
+/// statement lists nested in it stay the AST.
+#[derive(Debug, Clone)]
+enum RStmt<'p> {
+    Assign {
+        target: RLValue<'p>,
+        value: RExpr<'p>,
+    },
+    /// The conditions of a block `if` (then its `else if`s) or of a
+    /// logical `if`.
+    Conds(Box<[RExpr<'p>]>),
+    Do {
+        var: u32,
+        from: RExpr<'p>,
+        to: RExpr<'p>,
+        step: Option<RExpr<'p>>,
+    },
+    While(RExpr<'p>),
+    Call {
+        unit: Option<(usize, &'p Unit)>,
+        args: Box<[RExpr<'p>]>,
+    },
+    Read(Box<[RLValue<'p>]>),
+    Write(Box<[RItem<'p>]>),
+    /// `goto`, `continue`, `return`, `stop`: nothing to resolve.
+    Plain,
+}
+
+/// An assignment target by slot.
+#[derive(Debug, Clone)]
+struct RLValue<'p> {
+    slot: u32,
+    name: &'p str,
+    indices: Box<[RExpr<'p>]>,
+}
+
+/// A `write` item: character literals print as they are.
+#[derive(Debug, Clone)]
+enum RItem<'p> {
+    Text(&'p str),
+    Value(RExpr<'p>),
+}
+
+impl<'p> RStmt<'p> {
+    fn new(file: &'p SourceFile, names: &Names, s: &'p Stmt) -> RStmt<'p> {
+        let expr = |e: &'p Expr| RExpr::new(file, names, e);
+        let list = |es: &'p [Expr]| es.iter().map(expr).collect();
+        let slot = |n: &str| names.mentioned(n);
+        let lvalue = |lv: &'p LValue| RLValue {
+            slot: slot(&lv.name),
+            name: &lv.name,
+            indices: list(&lv.indices),
+        };
+        match &s.kind {
+            StmtKind::Assign { target, value } => RStmt::Assign {
+                target: lvalue(target),
+                value: expr(value),
+            },
+            StmtKind::If { cond, else_ifs, .. } => RStmt::Conds(
+                std::iter::once(cond)
+                    .chain(else_ifs.iter().map(|(c, _)| c))
+                    .map(expr)
+                    .collect(),
+            ),
+            StmtKind::LogicalIf { cond, .. } => RStmt::Conds(Box::new([expr(cond)])),
+            StmtKind::Do {
+                var,
+                from,
+                to,
+                step,
+                ..
+            } => RStmt::Do {
+                var: slot(var),
+                from: expr(from),
+                to: expr(to),
+                step: step.as_ref().map(expr),
+            },
+            StmtKind::DoWhile { cond, .. } => RStmt::While(expr(cond)),
+            StmtKind::Call { name, args } => RStmt::Call {
+                unit: find_unit(file, name),
+                args: list(args),
+            },
+            StmtKind::Read { items, .. } => RStmt::Read(items.iter().map(lvalue).collect()),
+            StmtKind::Write { items, .. } => RStmt::Write(
+                items
+                    .iter()
+                    .map(|e| match e {
+                        Expr::StrLit(t) => RItem::Text(t),
+                        e => RItem::Value(expr(e)),
+                    })
+                    .collect(),
+            ),
+            StmtKind::Goto { .. } | StmtKind::Continue | StmtKind::Return | StmtKind::Stop => {
+                RStmt::Plain
+            }
+        }
+    }
+}
+
+/// The execution engine: a program's resolved forms plus its hook set.
+pub(crate) struct Exec<'p, H: Hooks> {
+    code: &'p Code<'p>,
+    hooks: &'p mut H,
+    // Current call depth (Fortran 77 forbids recursion; a cycle in the
+    // call graph is reported instead of overflowing the stack).
+    depth: u32,
     // Start of the compute span in progress. Everything the engine does
     // between two communicator calls — loop nests, subroutine calls, the
     // statements between them — is one span, closed before every `acf_*`
@@ -128,8 +274,8 @@ pub struct Exec<'p, H: Hooks> {
     kernels: Option<&'p KernelSet>,
 }
 
-/// Scalar copy-out obligations after a call: `(dummy, caller variable)`.
-type CopyBacks = Vec<(String, String)>;
+/// Scalar copy-out obligations after a call: `(dummy slot, caller slot)`.
+type CopyBacks = Vec<(u32, u32)>;
 
 /// Run the program's `program` unit to completion sequentially.
 pub fn run_program(file: &SourceFile, input: Vec<f64>) -> Result<Machine, RunError> {
@@ -170,24 +316,13 @@ pub fn run_program_capture_with<H: Hooks>(
     stmt_limit: u64,
     kernels: Option<&KernelSet>,
 ) -> Result<(Machine, Frame), RunError> {
-    let main = file
-        .main_unit()
-        .ok_or_else(|| RunError::new("no `program` unit"))?;
+    let code = Code::new(file);
+    let main = main_unit(file)?;
     let mut m = Machine::new(input);
     m.stmt_limit = stmt_limit;
-    let track = hooks.wants_cursor();
-    let since = hooks.recorder().map(|_| Instant::now());
-    let mut exec = Exec {
-        program: file,
-        hooks,
-        depth: 0,
-        since,
-        cursor: Vec::new(),
-        track,
-        kernels,
-    };
-    let mut frame = build_frame(&mut m, main, HashMap::new())?;
-    let flow = exec.exec_stmts(&mut m, &mut frame, &main.body)?;
+    let mut exec = Exec::new(&code, hooks, kernels);
+    let mut frame = build_frame(&mut m, &file.units[main], code.names(main), Vec::new())?;
+    let flow = exec.exec_stmts(&mut m, &mut frame, &file.units[main].body)?;
     exec.end_compute();
     if let Flow::Goto(l) = flow {
         return Err(RunError::new(format!("unresolved goto {l} at top level")));
@@ -237,30 +372,26 @@ pub fn run_program_capture_from_with<H: Hooks>(
     seed: impl FnOnce(&mut Machine, &mut Frame) -> Result<(), RunError>,
     kernels: Option<&KernelSet>,
 ) -> Result<(Machine, Frame), RunError> {
-    let main = file
-        .main_unit()
-        .ok_or_else(|| RunError::new("no `program` unit"))?;
+    let code = Code::new(file);
+    let main = main_unit(file)?;
     let mut m = Machine::new(input);
     m.stmt_limit = stmt_limit;
-    let track = hooks.wants_cursor();
-    let since = hooks.recorder().map(|_| Instant::now());
-    let mut exec = Exec {
-        program: file,
-        hooks,
-        depth: 0,
-        since,
-        cursor: Vec::new(),
-        track,
-        kernels,
-    };
-    let mut frame = build_frame(&mut m, main, HashMap::new())?;
+    let mut exec = Exec::new(&code, hooks, kernels);
+    let mut frame = build_frame(&mut m, &file.units[main], code.names(main), Vec::new())?;
     seed(&mut m, &mut frame)?;
-    let flow = exec.resume_stmts(&mut m, &mut frame, &main.body, target, dos)?;
+    let flow = exec.resume_stmts(&mut m, &mut frame, &file.units[main].body, target, dos)?;
     exec.end_compute();
     if let Flow::Goto(l) = flow {
         return Err(RunError::new(format!("unresolved goto {l} at top level")));
     }
     Ok((m, frame))
+}
+
+/// Index of the `program` unit.
+fn main_unit(file: &SourceFile) -> Result<usize, RunError> {
+    (file.units.iter())
+        .position(|u| u.kind == UnitKind::Program)
+        .ok_or_else(|| RunError::new("no `program` unit"))
 }
 
 /// Whether `target` is `s` or lives anywhere inside its nested bodies.
@@ -326,6 +457,18 @@ fn ensure_normal(flow: Flow, line: u32) -> Result<(), RunError> {
 }
 
 impl<'p, H: Hooks> Exec<'p, H> {
+    fn new(code: &'p Code<'p>, hooks: &'p mut H, kernels: Option<&'p KernelSet>) -> Self {
+        Exec {
+            code,
+            track: hooks.wants_cursor(),
+            since: hooks.recorder().map(|_| Instant::now()),
+            hooks,
+            depth: 0,
+            cursor: Vec::new(),
+            kernels,
+        }
+    }
+
     /// Close the compute span in progress and hand it to the recorder.
     fn end_compute(&mut self) {
         if let (Some(start), Some(rec)) = (self.since.take(), self.hooks.recorder()) {
@@ -340,13 +483,18 @@ impl<'p, H: Hooks> Exec<'p, H> {
         }
     }
 
+    /// `s`'s resolved form, for the frame of its unit.
+    fn resolved(&self, frame: &Frame, s: &'p Stmt) -> Cow<'p, RStmt<'p>> {
+        self.code.stmt(s, frame.names())
+    }
+
     /// Execute a statement list, resolving `goto`s whose target label is
     /// in this list.
-    pub fn exec_stmts(
+    fn exec_stmts(
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        stmts: &[Stmt],
+        stmts: &'p [Stmt],
     ) -> Result<Flow, RunError> {
         let mut i = 0usize;
         while i < stmts.len() {
@@ -370,7 +518,7 @@ impl<'p, H: Hooks> Exec<'p, H> {
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        stmts: &[Stmt],
+        stmts: &'p [Stmt],
         target: StmtId,
         dos: &[DoProgress],
     ) -> Result<Flow, RunError> {
@@ -410,7 +558,7 @@ impl<'p, H: Hooks> Exec<'p, H> {
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        s: &Stmt,
+        s: &'p Stmt,
         target: StmtId,
         dos: &[DoProgress],
     ) -> Result<Flow, RunError> {
@@ -439,11 +587,14 @@ impl<'p, H: Hooks> Exec<'p, H> {
                     ))
                     .at(s.line));
                 }
+                let RStmt::Do { var: slot, .. } = *self.resolved(frame, s) else {
+                    unreachable!("a `do` resolves to `RStmt::Do`")
+                };
                 let track = self.track && self.depth == 0;
                 if track {
                     self.cursor.push(d.clone());
                 }
-                let res = self.resume_do(m, frame, var, body, target, d, rest, track);
+                let res = self.resume_do(m, frame, slot, body, target, d, rest, track);
                 if track {
                     self.cursor.pop();
                 }
@@ -475,28 +626,16 @@ impl<'p, H: Hooks> Exec<'p, H> {
                 Err(RunError::new("resume target vanished inside `if`").at(s.line))
             }
             StmtKind::LogicalIf { stmt, .. } => self.resume_stmt(m, frame, stmt, target, dos),
-            StmtKind::DoWhile { cond, body } => {
+            StmtKind::DoWhile { body, .. } => {
+                let r = self.resolved(frame, s);
+                let RStmt::While(cond) = &*r else {
+                    unreachable!("a `do while` resolves to `RStmt::While`")
+                };
                 // no saved state: finish the interrupted iteration from
                 // the target onward, then let the condition drive the rest
                 let mut flow = self.resume_stmts(m, frame, body, target, dos)?;
                 if flow == Flow::Normal {
-                    loop {
-                        m.tick().map_err(|e| e.at(s.line))?;
-                        if !self
-                            .eval(m, frame, cond)?
-                            .as_bool()
-                            .map_err(|e| e.at(s.line))?
-                        {
-                            break;
-                        }
-                        match self.exec_stmts(m, frame, body)? {
-                            Flow::Normal => {}
-                            other => {
-                                flow = other;
-                                break;
-                            }
-                        }
-                    }
+                    flow = self.exec_while(m, frame, cond, body, s.line)?;
                 }
                 Ok(flow)
             }
@@ -514,14 +653,14 @@ impl<'p, H: Hooks> Exec<'p, H> {
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        var: &str,
-        body: &[Stmt],
+        var: u32,
+        body: &'p [Stmt],
         target: StmtId,
         d: &DoProgress,
         rest: &[DoProgress],
         track: bool,
     ) -> Result<Flow, RunError> {
-        frame.set_scalar(var, Value::Int(d.iv))?;
+        frame.store(var, Value::Int(d.iv))?;
         let mut iv = d.iv;
         let mut flow = self.resume_stmts(m, frame, body, target, rest)?;
         if flow == Flow::Normal {
@@ -535,7 +674,7 @@ impl<'p, H: Hooks> Exec<'p, H> {
                     c.iv = iv;
                     c.remaining = d.remaining - 1 - k;
                 }
-                frame.set_scalar(var, Value::Int(iv))?;
+                frame.store(var, Value::Int(iv))?;
                 match self.exec_stmts(m, frame, body)? {
                     Flow::Normal => {}
                     other => {
@@ -547,100 +686,156 @@ impl<'p, H: Hooks> Exec<'p, H> {
             }
         }
         if flow == Flow::Normal {
-            frame.set_scalar(var, Value::Int(iv))?;
+            frame.store(var, Value::Int(iv))?;
         }
         Ok(flow)
+    }
+
+    /// Evaluate an `if` or `do while` condition; its errors carry the
+    /// statement's line.
+    fn cond(
+        &mut self,
+        m: &mut Machine,
+        frame: &mut Frame,
+        c: &RExpr<'p>,
+        line: u32,
+    ) -> Result<bool, RunError> {
+        let v = self.eval(m, frame, c).map_err(|e| e.at(line))?;
+        v.as_bool().map_err(|e| e.at(line))
+    }
+
+    /// Evaluate a `do` bound or step; its errors carry the statement's line.
+    fn bound(
+        &mut self,
+        m: &mut Machine,
+        frame: &mut Frame,
+        e: &RExpr<'p>,
+        line: u32,
+    ) -> Result<i64, RunError> {
+        let v = self.eval(m, frame, e).map_err(|e| e.at(line))?;
+        v.as_i64().map_err(|e| e.at(line))
+    }
+
+    /// A `do` statement's evaluated `(from, to, step)`.
+    fn do_range(
+        &mut self,
+        m: &mut Machine,
+        frame: &mut Frame,
+        r: &RStmt<'p>,
+        line: u32,
+    ) -> Result<(i64, i64, i64), RunError> {
+        let RStmt::Do { from, to, step, .. } = r else {
+            unreachable!("a `do` resolves to `RStmt::Do`")
+        };
+        let from = self.bound(m, frame, from, line)?;
+        let to = self.bound(m, frame, to, line)?;
+        let step = match step {
+            Some(e) => self.bound(m, frame, e, line)?,
+            None => 1,
+        };
+        if step == 0 {
+            return Err(RunError::new("zero do-loop step").at(line));
+        }
+        Ok((from, to, step))
+    }
+
+    /// A `do while` loop from its condition on: one tick per test.
+    fn exec_while(
+        &mut self,
+        m: &mut Machine,
+        frame: &mut Frame,
+        cond: &RExpr<'p>,
+        body: &'p [Stmt],
+        line: u32,
+    ) -> Result<Flow, RunError> {
+        loop {
+            m.tick().map_err(|e| e.at(line))?;
+            if !self.cond(m, frame, cond, line)? {
+                return Ok(Flow::Normal);
+            }
+            match self.exec_stmts(m, frame, body)? {
+                Flow::Normal => {}
+                other => return Ok(other),
+            }
+        }
+    }
+
+    /// Run `s` as its compiled kernel when there is one and its entry
+    /// check passes; `false` leaves the tree walk an identical state
+    /// (`begin` is side-effect free). The unsplit path has charged the
+    /// statement's tick already; a split chunk's kernel charges its own,
+    /// exactly like [`Exec::exec_stmt_clamped`] does per chunk.
+    fn run_kernel(
+        &mut self,
+        m: &mut Machine,
+        frame: &mut Frame,
+        s: &Stmt,
+        clamp: Option<(&LoopSplit, KernelClamp)>,
+    ) -> Result<bool, RunError> {
+        let Some(ks) = self.kernels else {
+            return Ok(false);
+        };
+        let Some(k) = ks.get(s.id) else {
+            return Ok(false);
+        };
+        let Some(ready) = k.begin(frame, clamp) else {
+            return Ok(false);
+        };
+        k.run(ks, ready, m, frame, clamp.is_none())?;
+        Ok(true)
     }
 
     fn exec_stmt(
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        s: &Stmt,
+        s: &'p Stmt,
     ) -> Result<Flow, RunError> {
         m.tick().map_err(|e| e.at(s.line))?;
-        match &s.kind {
-            StmtKind::Assign { target, value } => {
+        if let StmtKind::Do { .. } = s.kind {
+            if let Some(split) = self.hooks.split_loop(m, s)? {
+                return self.exec_split_do(m, frame, s, &split);
+            }
+            if self.run_kernel(m, frame, s, None)? {
+                return Ok(Flow::Normal);
+            }
+        }
+        let r = self.resolved(frame, s);
+        match (&s.kind, &*r) {
+            (StmtKind::Assign { .. }, RStmt::Assign { target, value }) => {
                 let v = self.eval(m, frame, value).map_err(|e| e.at(s.line))?;
                 self.assign(m, frame, target, v).map_err(|e| e.at(s.line))?;
                 Ok(Flow::Normal)
             }
-            StmtKind::If {
-                cond,
-                then,
-                else_ifs,
-                els,
-            } => {
-                if self
-                    .eval(m, frame, cond)?
-                    .as_bool()
-                    .map_err(|e| e.at(s.line))?
-                {
-                    return self.exec_stmts(m, frame, then);
-                }
-                for (c, body) in else_ifs {
-                    if self
-                        .eval(m, frame, c)?
-                        .as_bool()
-                        .map_err(|e| e.at(s.line))?
-                    {
+            (
+                StmtKind::If {
+                    then,
+                    else_ifs,
+                    els,
+                    ..
+                },
+                RStmt::Conds(conds),
+            ) => {
+                let arms = std::iter::once(then).chain(else_ifs.iter().map(|(_, b)| b));
+                for (c, body) in conds.iter().zip(arms) {
+                    if self.cond(m, frame, c, s.line)? {
                         return self.exec_stmts(m, frame, body);
                     }
                 }
-                if let Some(body) = els {
-                    return self.exec_stmts(m, frame, body);
+                match els {
+                    Some(body) => self.exec_stmts(m, frame, body),
+                    None => Ok(Flow::Normal),
                 }
-                Ok(Flow::Normal)
             }
-            StmtKind::LogicalIf { cond, stmt } => {
-                if self
-                    .eval(m, frame, cond)?
-                    .as_bool()
-                    .map_err(|e| e.at(s.line))?
-                {
+            (StmtKind::LogicalIf { stmt, .. }, RStmt::Conds(conds)) => {
+                if self.cond(m, frame, &conds[0], s.line)? {
                     self.exec_stmt(m, frame, stmt)
                 } else {
                     Ok(Flow::Normal)
                 }
             }
-            StmtKind::Do {
-                var,
-                from,
-                to,
-                step,
-                body,
-                ..
-            } => {
-                if let Some(split) = self.hooks.split_loop(m, s)? {
-                    return self.exec_split_do(m, frame, s, &split);
-                }
-                // Compiled-kernel fast path: `begin` is side-effect
-                // free, so a `None` (unsupported runtime state) falls
-                // through to the tree walk from an identical state.
-                // The statement's own tick was already charged above.
-                if let Some(ks) = self.kernels {
-                    if let Some(k) = ks.get(s.id) {
-                        if let Some(ready) = k.begin(frame, None) {
-                            k.run(ks, ready, m, frame, true)?;
-                            return Ok(Flow::Normal);
-                        }
-                    }
-                }
-                let from = self
-                    .eval(m, frame, from)?
-                    .as_i64()
-                    .map_err(|e| e.at(s.line))?;
-                let to = self
-                    .eval(m, frame, to)?
-                    .as_i64()
-                    .map_err(|e| e.at(s.line))?;
-                let step = match step {
-                    Some(e) => self.eval(m, frame, e)?.as_i64().map_err(|e| e.at(s.line))?,
-                    None => 1,
-                };
-                if step == 0 {
-                    return Err(RunError::new("zero do-loop step").at(s.line));
-                }
+            (StmtKind::Do { var, body, .. }, RStmt::Do { var: slot, .. }) => {
+                let (from, to, step) = self.do_range(m, frame, &r, s.line)?;
                 // Fortran trip count semantics
                 let trips = ((to - from + step) / step).max(0);
                 let track = self.track && self.depth == 0;
@@ -660,7 +855,7 @@ impl<'p, H: Hooks> Exec<'p, H> {
                         d.iv = iv;
                         d.remaining = (trips - 1 - k) as u64;
                     }
-                    frame.set_scalar(var, Value::Int(iv))?;
+                    frame.store(*slot, Value::Int(iv))?;
                     match self.exec_stmts(m, frame, body)? {
                         Flow::Normal => {}
                         other => {
@@ -675,36 +870,18 @@ impl<'p, H: Hooks> Exec<'p, H> {
                 }
                 if flow == Flow::Normal {
                     // Fortran leaves the loop variable one past the last value
-                    frame.set_scalar(var, Value::Int(iv))?;
+                    frame.store(*slot, Value::Int(iv))?;
                 }
                 Ok(flow)
             }
-            StmtKind::DoWhile { cond, body } => {
-                let mut flow = Flow::Normal;
-                loop {
-                    m.tick().map_err(|e| e.at(s.line))?;
-                    if !self
-                        .eval(m, frame, cond)?
-                        .as_bool()
-                        .map_err(|e| e.at(s.line))?
-                    {
-                        break;
-                    }
-                    match self.exec_stmts(m, frame, body)? {
-                        Flow::Normal => {}
-                        other => {
-                            flow = other;
-                            break;
-                        }
-                    }
-                }
-                Ok(flow)
+            (StmtKind::DoWhile { body, .. }, RStmt::While(cond)) => {
+                self.exec_while(m, frame, cond, body, s.line)
             }
-            StmtKind::Goto { target } => Ok(Flow::Goto(*target)),
-            StmtKind::Continue => Ok(Flow::Normal),
-            StmtKind::Return => Ok(Flow::Return),
-            StmtKind::Stop => Ok(Flow::Stop),
-            StmtKind::Call { name, args } => {
+            (StmtKind::Goto { target }, _) => Ok(Flow::Goto(*target)),
+            (StmtKind::Continue, _) => Ok(Flow::Normal),
+            (StmtKind::Return, _) => Ok(Flow::Return),
+            (StmtKind::Stop, _) => Ok(Flow::Stop),
+            (StmtKind::Call { name, .. }, RStmt::Call { unit, args }) => {
                 if name.starts_with("acf_") {
                     self.end_compute();
                     if self.track && self.depth == 0 {
@@ -716,12 +893,12 @@ impl<'p, H: Hooks> Exec<'p, H> {
                         return Ok(Flow::Normal);
                     }
                 }
-                self.call_subroutine(m, frame, name, args)
+                self.call_subroutine(m, frame, name, *unit, args)
                     .map_err(|e| e.at(s.line))?;
                 Ok(Flow::Normal)
             }
-            StmtKind::Read { items, .. } => {
-                for lv in items {
+            (StmtKind::Read { .. }, RStmt::Read(items)) => {
+                for lv in items.iter() {
                     let v = m
                         .input
                         .pop_front()
@@ -731,21 +908,25 @@ impl<'p, H: Hooks> Exec<'p, H> {
                 }
                 Ok(Flow::Normal)
             }
-            StmtKind::Write { items, .. } => {
+            (StmtKind::Write { .. }, RStmt::Write(items)) => {
                 let mut parts = Vec::with_capacity(items.len());
-                for e in items {
-                    let v = self.eval(m, frame, e).map_err(|err| err.at(s.line))?;
-                    parts.push(match v {
-                        Value::Int(i) => i.to_string(),
-                        Value::Real(r) => format!("{r:.6}"),
-                        Value::Logical(b) => if b { "T" } else { "F" }.to_string(),
-                        Value::Str(st) => st,
+                for item in items.iter() {
+                    parts.push(match item {
+                        RItem::Text(t) => t.to_string(),
+                        RItem::Value(e) => {
+                            match self.eval(m, frame, e).map_err(|e| e.at(s.line))? {
+                                Value::Int(i) => i.to_string(),
+                                Value::Real(r) => format!("{r:.6}"),
+                                Value::Logical(b) => if b { "T" } else { "F" }.to_string(),
+                            }
+                        }
                     });
                 }
                 // unit selection: all output is captured together
                 m.output.push(parts.join(" "));
                 Ok(Flow::Normal)
             }
+            _ => unreachable!("a statement resolves to the form of its kind"),
         }
     }
 
@@ -759,7 +940,7 @@ impl<'p, H: Hooks> Exec<'p, H> {
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        s: &Stmt,
+        s: &'p Stmt,
         split: &LoopSplit,
     ) -> Result<Flow, RunError> {
         self.end_compute();
@@ -779,28 +960,22 @@ impl<'p, H: Hooks> Exec<'p, H> {
     /// One chunk of a split loop: through the compiled kernel when one
     /// is available and its entry check passes (the kernel re-enters
     /// per chunk — boundary scalars differ between chunks), else the
-    /// clamped tree walk. The kernel charges the root statement's tick
-    /// itself, exactly like [`Exec::exec_stmt_clamped`] does per chunk.
+    /// clamped tree walk.
     fn exec_chunk(
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        s: &Stmt,
+        s: &'p Stmt,
         split: &LoopSplit,
         mode: Clamp,
     ) -> Result<(), RunError> {
-        if let Some(ks) = self.kernels {
-            if let Some(k) = ks.get(s.id) {
-                let kc = match mode {
-                    Clamp::Interior => KernelClamp::Interior,
-                    Clamp::Low => KernelClamp::Low,
-                    Clamp::High => KernelClamp::High,
-                };
-                if let Some(ready) = k.begin(frame, Some((split, kc))) {
-                    k.run(ks, ready, m, frame, false)?;
-                    return Ok(());
-                }
-            }
+        let kc = match mode {
+            Clamp::Interior => KernelClamp::Interior,
+            Clamp::Low => KernelClamp::Low,
+            Clamp::High => KernelClamp::High,
+        };
+        if self.run_kernel(m, frame, s, Some((split, kc)))? {
+            return Ok(());
         }
         let flow = self.exec_stmt_clamped(m, frame, s, split, mode)?;
         ensure_normal(flow, s.line)
@@ -816,31 +991,22 @@ impl<'p, H: Hooks> Exec<'p, H> {
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        s: &Stmt,
+        s: &'p Stmt,
         split: &LoopSplit,
     ) -> Result<Flow, RunError> {
         let mut cur = s;
         loop {
-            let StmtKind::Do {
-                var,
-                from,
-                to,
-                body,
-                ..
-            } = &cur.kind
-            else {
+            let StmtKind::Do { var, body, .. } = &cur.kind else {
                 return Err(RunError::new("split loop's perfect-nest prefix is broken").at(s.line));
             };
             if *var == split.var {
-                let f = self
-                    .eval(m, frame, from)?
-                    .as_i64()
-                    .map_err(|e| e.at(cur.line))?;
-                let t = self
-                    .eval(m, frame, to)?
-                    .as_i64()
-                    .map_err(|e| e.at(cur.line))?;
-                frame.set_scalar(var, Value::Int(f + (t - f + 1).max(0)))?;
+                let r = self.resolved(frame, cur);
+                let RStmt::Do { var, from, to, .. } = &*r else {
+                    unreachable!("a `do` resolves to `RStmt::Do`")
+                };
+                let f = self.bound(m, frame, from, cur.line)?;
+                let t = self.bound(m, frame, to, cur.line)?;
+                frame.store(*var, Value::Int(f + (t - f + 1).max(0)))?;
                 return Ok(Flow::Normal);
             }
             let [inner] = body.as_slice() else {
@@ -856,7 +1022,7 @@ impl<'p, H: Hooks> Exec<'p, H> {
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        stmts: &[Stmt],
+        stmts: &'p [Stmt],
         split: &LoopSplit,
         mode: Clamp,
     ) -> Result<Flow, RunError> {
@@ -882,35 +1048,21 @@ impl<'p, H: Hooks> Exec<'p, H> {
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        s: &Stmt,
+        s: &'p Stmt,
         split: &LoopSplit,
         mode: Clamp,
     ) -> Result<Flow, RunError> {
-        match &s.kind {
-            StmtKind::Do {
-                var,
-                from,
-                to,
-                step,
-                body,
-                ..
-            } => {
-                m.tick().map_err(|e| e.at(s.line))?;
-                let f = self
-                    .eval(m, frame, from)?
-                    .as_i64()
-                    .map_err(|e| e.at(s.line))?;
-                let t = self
-                    .eval(m, frame, to)?
-                    .as_i64()
-                    .map_err(|e| e.at(s.line))?;
-                let step = match step {
-                    Some(e) => self.eval(m, frame, e)?.as_i64().map_err(|e| e.at(s.line))?,
-                    None => 1,
-                };
-                if step == 0 {
-                    return Err(RunError::new("zero do-loop step").at(s.line));
-                }
+        if !matches!(
+            s.kind,
+            StmtKind::Do { .. } | StmtKind::If { .. } | StmtKind::LogicalIf { .. }
+        ) {
+            return self.exec_stmt(m, frame, s);
+        }
+        m.tick().map_err(|e| e.at(s.line))?;
+        let r = self.resolved(frame, s);
+        match (&s.kind, &*r) {
+            (StmtKind::Do { var, body, .. }, RStmt::Do { var: slot, .. }) => {
+                let (f, t, step) = self.do_range(m, frame, &r, s.line)?;
                 let clamped = *var == split.var;
                 let (f, t, step) = if clamped {
                     if step != 1 {
@@ -925,7 +1077,7 @@ impl<'p, H: Hooks> Exec<'p, H> {
                 let mut iv = f;
                 let mut flow = Flow::Normal;
                 for _ in 0..trips {
-                    frame.set_scalar(var, Value::Int(iv))?;
+                    frame.store(*slot, Value::Int(iv))?;
                     // below the clamped loop the body runs unmodified
                     let r = if clamped {
                         self.exec_stmts(m, frame, body)?
@@ -942,100 +1094,84 @@ impl<'p, H: Hooks> Exec<'p, H> {
                     iv += step;
                 }
                 if flow == Flow::Normal {
-                    frame.set_scalar(var, Value::Int(iv))?;
+                    frame.store(*slot, Value::Int(iv))?;
                 }
                 Ok(flow)
             }
-            StmtKind::If {
-                cond,
-                then,
-                else_ifs,
-                els,
-            } => {
-                m.tick().map_err(|e| e.at(s.line))?;
-                if self
-                    .eval(m, frame, cond)?
-                    .as_bool()
-                    .map_err(|e| e.at(s.line))?
-                {
-                    return self.exec_stmts_clamped(m, frame, then, split, mode);
-                }
-                for (c, body) in else_ifs {
-                    if self
-                        .eval(m, frame, c)?
-                        .as_bool()
-                        .map_err(|e| e.at(s.line))?
-                    {
+            (
+                StmtKind::If {
+                    then,
+                    else_ifs,
+                    els,
+                    ..
+                },
+                RStmt::Conds(conds),
+            ) => {
+                let arms = std::iter::once(then).chain(else_ifs.iter().map(|(_, b)| b));
+                for (c, body) in conds.iter().zip(arms) {
+                    if self.cond(m, frame, c, s.line)? {
                         return self.exec_stmts_clamped(m, frame, body, split, mode);
                     }
                 }
-                if let Some(body) = els {
-                    return self.exec_stmts_clamped(m, frame, body, split, mode);
+                match els {
+                    Some(body) => self.exec_stmts_clamped(m, frame, body, split, mode),
+                    None => Ok(Flow::Normal),
                 }
-                Ok(Flow::Normal)
             }
-            StmtKind::LogicalIf { cond, stmt } => {
-                m.tick().map_err(|e| e.at(s.line))?;
-                if self
-                    .eval(m, frame, cond)?
-                    .as_bool()
-                    .map_err(|e| e.at(s.line))?
-                {
+            (StmtKind::LogicalIf { stmt, .. }, RStmt::Conds(conds)) => {
+                if self.cond(m, frame, &conds[0], s.line)? {
                     self.exec_stmt_clamped(m, frame, stmt, split, mode)
                 } else {
                     Ok(Flow::Normal)
                 }
             }
-            _ => self.exec_stmt(m, frame, s),
+            _ => unreachable!("a statement resolves to the form of its kind"),
         }
     }
 
     /// Assign `v` to a scalar or array element.
-    pub fn assign(
+    fn assign(
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        lv: &LValue,
+        lv: &RLValue<'p>,
         v: Value,
     ) -> Result<(), RunError> {
         if lv.indices.is_empty() {
-            if frame.arrays.contains_key(&lv.name) {
+            if frame.array(lv.slot).is_some() {
                 return Err(RunError::new(format!(
                     "whole-array assignment to `{}` is not supported",
                     lv.name
                 )));
             }
-            frame.set_scalar(&lv.name, v)
+            frame.store(lv.slot, v)
         } else {
-            let id = *frame.arrays.get(&lv.name).ok_or_else(|| {
+            let id = frame.array(lv.slot).ok_or_else(|| {
                 RunError::new(format!("`{}` subscripted but not an array", lv.name))
             })?;
-            let mut idx = Vec::with_capacity(lv.indices.len());
-            for e in &lv.indices {
-                idx.push(self.eval(m, frame, e)?.as_i64()?);
-            }
+            let idx = self.subscripts(m, frame, &lv.indices)?;
             m.ops.stores += 1;
             m.array_mut(id).set(&idx, v.as_f64()?)
         }
     }
 
-    /// Call a user subroutine by name.
+    /// Call a user subroutine.
     fn call_subroutine(
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
         name: &str,
-        args: &[autocfd_fortran::Expr],
+        unit: Option<(usize, &'p Unit)>,
+        args: &[RExpr<'p>],
     ) -> Result<(), RunError> {
-        let unit = self
-            .program
-            .unit(name)
-            .ok_or_else(|| RunError::new(format!("unknown subroutine `{name}`")))?;
+        let (ix, unit) =
+            unit.ok_or_else(|| RunError::new(format!("unknown subroutine `{name}`")))?;
         if unit.kind != UnitKind::Subroutine {
             return Err(RunError::new(format!("`{name}` is not a subroutine")));
         }
-        let (bindings, copy_backs) = self.make_bindings(m, frame, unit, args)?;
-        let mut callee = build_frame(m, unit, bindings)?;
+        let names = self.code.names(ix);
+        let (bound, copy_backs) = self.make_bindings(m, frame, unit, names, args)?;
+        let mut callee = build_frame(m, unit, names, bound)?;
         self.enter_call(name)?;
         let flow = self.exec_stmts(m, &mut callee, &unit.body)?;
         self.depth -= 1;
@@ -1045,30 +1181,29 @@ impl<'p, H: Hooks> Exec<'p, H> {
         if flow == Flow::Stop {
             return Err(RunError::new("stop inside subroutine"));
         }
-        for (dummy, caller_name) in copy_backs {
-            let v = callee.get_scalar(&dummy);
-            frame.set_scalar(&caller_name, v)?;
+        for (dummy, caller) in copy_backs {
+            frame.store(caller, callee.scalar(dummy))?;
         }
         Ok(())
     }
 
-    /// Call a user function by name (from expression context).
+    /// Call a user function (from expression context).
     pub(crate) fn call_function(
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
         name: &str,
-        args: &[autocfd_fortran::Expr],
+        unit: Option<(usize, &'p Unit)>,
+        args: &[RExpr<'p>],
     ) -> Result<Value, RunError> {
-        let unit = self
-            .program
-            .unit(name)
-            .ok_or_else(|| RunError::new(format!("unknown array or function `{name}`")))?;
+        let (ix, unit) =
+            unit.ok_or_else(|| RunError::new(format!("unknown array or function `{name}`")))?;
         if unit.kind != UnitKind::Function {
             return Err(RunError::new(format!("`{name}` is not a function")));
         }
-        let (bindings, _) = self.make_bindings(m, frame, unit, args)?;
-        let mut callee = build_frame(m, unit, bindings)?;
+        let names = self.code.names(ix);
+        let (bound, _) = self.make_bindings(m, frame, unit, names, args)?;
+        let mut callee = build_frame(m, unit, names, bound)?;
         self.enter_call(name)?;
         let flow = self.exec_stmts(m, &mut callee, &unit.body)?;
         self.depth -= 1;
@@ -1076,7 +1211,7 @@ impl<'p, H: Hooks> Exec<'p, H> {
             return Err(RunError::new(format!("unresolved goto {l} in `{name}`")));
         }
         // the function's return value is the final value of its own name
-        Ok(callee.get_scalar(name))
+        Ok(callee.scalar(OWN_NAME))
     }
 
     fn enter_call(&mut self, name: &str) -> Result<(), RunError> {
@@ -1089,13 +1224,17 @@ impl<'p, H: Hooks> Exec<'p, H> {
         Ok(())
     }
 
+    /// Bind actual arguments to `unit`'s dummies: a variable naming an
+    /// array passes it by reference, any other variable by value with a
+    /// copy-back, any other expression by value.
     fn make_bindings(
         &mut self,
         m: &mut Machine,
         frame: &mut Frame,
-        unit: &autocfd_fortran::Unit,
-        args: &[autocfd_fortran::Expr],
-    ) -> Result<(HashMap<String, Binding>, CopyBacks), RunError> {
+        unit: &Unit,
+        names: &Names,
+        args: &[RExpr<'p>],
+    ) -> Result<(Vec<(u32, Binding)>, CopyBacks), RunError> {
         if args.len() != unit.params.len() {
             return Err(RunError::new(format!(
                 "`{}` expects {} arguments, got {}",
@@ -1104,27 +1243,22 @@ impl<'p, H: Hooks> Exec<'p, H> {
                 args.len()
             )));
         }
-        let mut bindings = HashMap::new();
+        let mut bound = Vec::with_capacity(args.len());
         let mut copy_backs = Vec::new();
-        for (param, actual) in unit.params.iter().zip(args) {
-            use autocfd_fortran::Expr;
-            match actual {
-                Expr::Var(n) if frame.arrays.contains_key(n) => {
-                    // status-array naming convention check (see lib docs)
-                    let id: ArrayId = frame.arrays[n];
-                    bindings.insert(param.clone(), Binding::Array(id));
-                }
-                Expr::Var(n) => {
-                    bindings.insert(param.clone(), Binding::Scalar(frame.get_scalar(n)));
-                    copy_backs.push((param.clone(), n.clone()));
-                }
-                other => {
-                    let v = self.eval(m, frame, other)?;
-                    bindings.insert(param.clone(), Binding::Scalar(v));
-                }
-            }
+        for (&param, actual) in names.params().iter().zip(args) {
+            let b = match actual {
+                RExpr::Var(slot, _) => match frame.array(*slot) {
+                    Some(id) => Binding::Array(id),
+                    None => {
+                        copy_backs.push((param, *slot));
+                        Binding::Scalar(frame.scalar(*slot))
+                    }
+                },
+                other => Binding::Scalar(self.eval(m, frame, other)?),
+            };
+            bound.push((param, b));
         }
-        Ok((bindings, copy_backs))
+        Ok((bound, copy_backs))
     }
 }
 
@@ -1430,18 +1564,13 @@ mod tests {
     ) -> (Result<(), RunError>, Machine) {
         let mut m = Machine::new(vec![]);
         m.stmt_limit = limit;
-        let main = file.main_unit().unwrap();
-        let mut frame = build_frame(&mut m, main, HashMap::new()).unwrap();
-        let mut exec = Exec {
-            program: file,
-            hooks: &mut NoHooks,
-            depth: 0,
-            since: None,
-            cursor: Vec::new(),
-            track: false,
-            kernels,
-        };
-        let res = exec.exec_stmts(&mut m, &mut frame, &main.body).map(|_| ());
+        let code = Code::new(file);
+        let main = main_unit(file).unwrap();
+        let unit = &file.units[main];
+        let mut frame = build_frame(&mut m, unit, code.names(main), Vec::new()).unwrap();
+        let mut hooks = NoHooks;
+        let mut exec = Exec::new(&code, &mut hooks, kernels);
+        let res = exec.exec_stmts(&mut m, &mut frame, &unit.body).map(|_| ());
         (res, m)
     }
 
@@ -1505,6 +1634,146 @@ mod tests {
 ",
             [0, 30, 1000].into_iter(),
         );
+    }
+
+    /// `src`'s error text under the tree walk, after checking the kernel
+    /// engine reports the identical text.
+    fn error_on_both_engines(src: &str, kernel_nests: bool) -> String {
+        let file = parse(src).unwrap();
+        let set = KernelSet::build(&file, None, 1);
+        assert_eq!(!set.is_empty(), kernel_nests, "kernel nests of\n{src}");
+        let (tree, _) = run_keeping_state(&file, 0, None);
+        let (kernel, _) = run_keeping_state(&file, 0, Some(&set));
+        let tree = tree.unwrap_err().to_string();
+        assert_eq!(
+            tree,
+            kernel.unwrap_err().to_string(),
+            "engines differ on\n{src}"
+        );
+        tree
+    }
+
+    #[test]
+    fn condition_and_bound_errors_carry_their_statements_line() {
+        let cases = [
+            (
+                "      program p
+      integer n
+      n = 0
+      if (1/n .eq. 0) x = 1.0
+      end
+",
+                false,
+                "runtime error at line 4: integer division by zero",
+            ),
+            (
+                "      program p
+      real v(3)
+      n = 0
+      do i = 1, 3/n
+        v(i) = 1.0
+      end do
+      end
+",
+                true,
+                "runtime error at line 4: integer division by zero",
+            ),
+            (
+                "      program p
+      real v(3)
+      n = 5
+      do while (v(n) .lt. 1.0)
+        v(1) = 2.0
+      end do
+      end
+",
+                false,
+                "runtime error at line 4: subscript 5 out of bounds 1:3 in dimension 1",
+            ),
+            // not the line of the call that entered the subroutine
+            (
+                "      program p
+      real v(3)
+      n = 5
+      call s(v, n)
+      end
+      subroutine s(v, n)
+      real v(3)
+      if (v(n) .gt. 0.0) v(1) = 1.0
+      return
+      end
+",
+                false,
+                "runtime error at line 8: subscript 5 out of bounds 1:3 in dimension 1",
+            ),
+            // inside a compiled nest: a logical `if`, and the `else if`
+            // of a block `if`, which belongs to the `if` statement
+            (
+                "      program p
+      real v(3)
+      do i = 1, 3
+        if (v(i+4) .gt. 0.0) v(i) = 1.0
+      end do
+      end
+",
+                true,
+                "runtime error at line 4: subscript 5 out of bounds 1:3 in dimension 1",
+            ),
+            (
+                "      program p
+      real v(3)
+      do i = 1, 3
+        if (v(i) .gt. 1.0) then
+          v(i) = 0.0
+        else if (v(i+4) .gt. 0.0) then
+          v(i) = 1.0
+        end if
+      end do
+      end
+",
+                true,
+                "runtime error at line 4: subscript 5 out of bounds 1:3 in dimension 1",
+            ),
+        ];
+        for (src, kernel_nests, want) in cases {
+            assert_eq!(error_on_both_engines(src, kernel_nests), want, "{src}");
+        }
+    }
+
+    #[test]
+    fn character_literals_are_only_write_items() {
+        let m = run("      program p\n      write(*,*) 'abc', 1\n      end\n");
+        assert_eq!(m.output, vec!["abc 1"]);
+        let want =
+            "runtime error at line 3: character literal 'abc' is only allowed as a `write` item";
+        for stmt in [
+            "i = 'abc'",
+            "x = 'abc'",
+            "x = 'abc' + 1.0",
+            "if ('abc' .gt. 1.0) x = 1.0",
+            "call s('abc')",
+            "write(*,*) 'abc' + 1",
+        ] {
+            let src = format!(
+                "      program p\n      x = 0.0\n      {stmt}\n      end\n      subroutine s(a)\n      return\n      end\n"
+            );
+            let e = run_program(&parse(&src).unwrap(), vec![]).unwrap_err();
+            assert_eq!(e.to_string(), want, "{stmt}");
+        }
+    }
+
+    #[test]
+    fn statements_sharing_an_id_each_run_as_written() {
+        // `SourceFile` is plain data: a hand-built one may repeat an id
+        // the parser would never repeat
+        let mut file = parse(
+            "      program p\n      x = 1.0\n      y = 2.0\n      write(*,*) x, y\n      end\n",
+        )
+        .unwrap();
+        let body = &mut file.units[0].body;
+        body[1].id = body[0].id;
+        let m = run_program(&file, vec![]).unwrap();
+        assert_eq!(m.output, vec!["1.000000 2.000000"]);
     }
 
     #[test]

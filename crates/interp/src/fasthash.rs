@@ -1,8 +1,8 @@
 //! A fast, non-cryptographic hasher for the interpreter's variable maps.
 //!
-//! The interpreter resolves scalar and array names through `HashMap`s on
-//! every expression evaluation; the standard SipHash hasher dominates
-//! profiles there. This is the classic FNV-1a-with-multiply mix (the
+//! The interpreter resolves scalar and array names through `HashMap`s
+//! wherever it goes by name: each unit's name table, and every kernel
+//! entry and hook call against it. This is the classic FNV-1a-with-multiply mix (the
 //! rustc "Fx" construction): excellent for short identifier keys, not
 //! HashDoS-resistant — which is irrelevant for interpreting trusted
 //! Fortran sources. Only the allowed dependency set is used (none).

@@ -14,12 +14,12 @@
 //! (declarations and `parameter` constants are evaluated; no statement
 //! runs), exactly as the interpreter itself would.
 
-use crate::machine::{build_frame, Machine, RunError};
+use crate::machine::{build_frame, Machine, Names, RunError};
 use crate::spmd::{ghost_region, owned_region, region_len};
 use autocfd_codegen::SpmdPlan;
 use autocfd_fortran::SourceFile;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Per-visit message traffic of one rank in one communication phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,7 +91,7 @@ pub fn forecast(file: &SourceFile, plan: &SpmdPlan) -> Result<Vec<PhaseForecast>
         .main_unit()
         .ok_or_else(|| RunError::new("no `program` unit"))?;
     let mut m = Machine::new(vec![]);
-    let frame = build_frame(&mut m, main, HashMap::new())?;
+    let frame = build_frame(&mut m, main, &Arc::new(Names::of(main)), Vec::new())?;
     let mut bounds: BTreeMap<&str, Vec<(i64, i64)>> = BTreeMap::new();
     for name in plan.dim_axis.keys() {
         let id = frame.arrays.get(name).ok_or_else(|| {

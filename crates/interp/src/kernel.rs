@@ -1,6 +1,6 @@
 //! Compiled kernels for comm-free loop nests.
 //!
-//! The tree-walk interpreter re-resolves every scalar by name and boxes
+//! The tree-walk interpreter visits every expression node and carries
 //! every intermediate in a [`Value`] on each iteration of a stencil
 //! loop. This module lowers eligible `do` nests once, at plan time,
 //! straight from the AST into one flat register program — `Op`s
@@ -32,9 +32,9 @@
 //!   so `flops/loads/stores/stmts` match the tree walk exactly,
 //!   including per-chunk re-ticks of overlap-split roots;
 //! * runtime errors reproduce the tree walk's messages and source-line
-//!   attribution (evaluation errors carry line 0 unless the statement
-//!   arm would have attached one); a row that could fail is never
-//!   formed, so partial stores and counters at the error match too;
+//!   attribution (every evaluation error carries its statement's line);
+//!   a row that could fail is never formed, so partial stores and
+//!   counters at the error match too;
 //! * scalars are written back through [`Frame::set_scalar`] only for
 //!   names the nest statically assigns, preserving the `Int`-vs-`Real`
 //!   representation of everything else for checkpoint snapshots.
@@ -105,11 +105,9 @@ const TEMP: Reg = 2 << 30;
 /// one flop, the ones before it none — the tree walk's accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd)]
 enum Code {
-    /// Statement tick (`imm` = line); evaluation errors of the statement
-    /// carry no line (`if` conditions, `do` bounds).
+    /// Statement tick (`imm` = line, which the statement's evaluation
+    /// errors carry).
     Tick,
-    /// Statement tick whose evaluation errors carry the line (assignments).
-    TickAt,
     /// `pc ← imm`.
     Jmp,
     /// `pc ← imm` unless `i[a]`.
@@ -725,7 +723,7 @@ impl<'u> Compiler<'u> {
     }
 
     fn assign(&mut self, lv: &'u LValue, value: &'u Expr, line: u32) -> Option<()> {
-        self.emit(Code::TickAt, NONE, NONE, NONE, line);
+        self.emit(Code::Tick, NONE, NONE, NONE, line);
         let rhs = self.expr(value)?;
         if lv.indices.is_empty() {
             let slot = self.slot(&lv.name)?;
@@ -1061,7 +1059,7 @@ impl Kernel {
             for op in &mut self.ops[lp.start..lp.end] {
                 cost.flops += op.code.flops();
                 match op.code {
-                    Tick | TickAt => cost.stmts += 1,
+                    Tick => cost.stmts += 1,
                     Do => return Some(PointWise::InnerLoop),
                     Jmp | BrF | BrT | Eq | Ne | Lt | Le | Gt | Ge | Not => {
                         return Some(PointWise::Branch)
@@ -1257,7 +1255,9 @@ impl Kernel {
         root_ticked: bool,
     ) -> Result<(), RunError> {
         let root = &self.loops[0];
-        // ops[0] is the root's own tick; its bounds follow.
+        // ops[0] is the root's own tick; its bounds follow, their errors
+        // at the root's line even when the tick was charged outside.
+        ctx.line = root.line;
         ctx.run(self, root_ticked as usize, root.start - 1)?;
         let (f, step, trips, clamped) = ctx.bounds(&self.ops[root.start - 1], root)?;
         if clamped {
@@ -1477,8 +1477,8 @@ impl<'k> Vm<'k> {
             let op = &k.ops[pc];
             pc += 1;
             match op.code {
-                Code::Tick | Code::TickAt => {
-                    self.line = if op.code == Code::TickAt { op.imm } else { 0 };
+                Code::Tick => {
+                    self.line = op.imm;
                     self.tick(op.imm)?;
                 }
                 Code::Jmp => pc = op.imm as usize,
@@ -1707,7 +1707,7 @@ impl<'k> Vm<'k> {
             }
             for (i, op) in ops.iter().enumerate() {
                 match op.code {
-                    Code::Tick | Code::TickAt => self.gather(k, &ops[i + 1..], s0, len),
+                    Code::Tick => self.gather(k, &ops[i + 1..], s0, len),
                     Code::LoadR | Code::LoadI => {} // its statement's gather took it
                     Code::Store => {
                         let (arr, first, stride) = self.strip_of(k, op, s0);
@@ -1780,9 +1780,7 @@ impl<'k> Vm<'k> {
         let t0 = k.t0();
         let mut sites = std::mem::take(&mut self.gathered);
         sites.clear();
-        let stmt = ops
-            .iter()
-            .take_while(|op| !matches!(op.code, Code::Tick | Code::TickAt));
+        let stmt = ops.iter().take_while(|op| op.code != Code::Tick);
         for op in stmt.filter(|op| matches!(op.code, Code::LoadR | Code::LoadI)) {
             let (arr, first, stride) = self.strip_of(k, op, s0);
             sites.push(Gathered {
@@ -2246,7 +2244,7 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "array data must be bit-exact");
             }
         }
-        for (name, v) in &ft.scalars {
+        for (name, v) in ft.scalars.iter() {
             assert_eq!(Some(v), fk.scalars.get(name), "scalar `{name}` differs");
         }
         assert_eq!(ft.scalars.len(), fk.scalars.len());

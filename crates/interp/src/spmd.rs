@@ -294,7 +294,7 @@ impl SpmdHooks<'_> {
             RunError::new(format!(
                 "status array `{array}` is not bound in unit `{}` at a communication \
                  point (status arrays must keep their names across units)",
-                frame.unit
+                frame.unit()
             ))
         })
     }
@@ -455,20 +455,6 @@ impl SpmdHooks<'_> {
             .map(|(name, id)| array_snap(name, m.array(*id)))
             .collect();
         arrays.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut scalars: Vec<(String, ScalarSnap)> = frame
-            .scalars
-            .iter()
-            .map(|(name, v)| {
-                let s = match v {
-                    Value::Int(i) => ScalarSnap::Int(*i),
-                    Value::Real(r) => ScalarSnap::Real(r.to_bits()),
-                    Value::Logical(b) => ScalarSnap::Logical(*b),
-                    Value::Str(s) => ScalarSnap::Str(s.clone()),
-                };
-                (name.clone(), s)
-            })
-            .collect();
-        scalars.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(Snapshot {
             rank: self.comm.rank(),
             ranks: self.comm.size(),
@@ -489,7 +475,7 @@ impl SpmdHooks<'_> {
             }),
             arrays,
             commons,
-            scalars,
+            scalars: scalar_snaps(frame),
             input: m.input.iter().map(|v| v.to_bits()).collect(),
             output: m.output.clone(),
             ops: OpsSnap {
@@ -1007,6 +993,24 @@ impl RankRun {
     }
 }
 
+/// Every scalar bound in `frame`, by name, bit-exact.
+fn scalar_snaps(frame: &Frame) -> Vec<(String, ScalarSnap)> {
+    let mut scalars: Vec<(String, ScalarSnap)> = frame
+        .scalars
+        .iter()
+        .map(|(name, v)| {
+            let s = match *v {
+                Value::Int(i) => ScalarSnap::Int(i),
+                Value::Real(r) => ScalarSnap::Real(r.to_bits()),
+                Value::Logical(b) => ScalarSnap::Logical(b),
+            };
+            (name.to_string(), s)
+        })
+        .collect();
+    scalars.sort_by(|a, b| a.0.cmp(&b.0));
+    scalars
+}
+
 /// Overwrite a freshly built main-program machine/frame with a
 /// snapshot's state: common-block arrays, main-frame local arrays,
 /// scalars, the I/O queues, and the op counters. Every array the
@@ -1045,7 +1049,11 @@ pub fn restore_into(m: &mut Machine, frame: &mut Frame, snap: &Snapshot) -> Resu
             ScalarSnap::Int(i) => Value::Int(*i),
             ScalarSnap::Real(bits) => Value::Real(f64::from_bits(*bits)),
             ScalarSnap::Logical(b) => Value::Logical(*b),
-            ScalarSnap::Str(t) => Value::Str(t.clone()),
+            ScalarSnap::Str(_) => {
+                return Err(RunError::new(format!(
+                    "checkpoint mismatch: scalar `{name}` holds a character value"
+                )))
+            }
         };
         frame.set_scalar(name, v)?;
     }
@@ -1212,6 +1220,72 @@ pub fn verify_owned_regions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::{build_frame, Names};
+    use std::sync::Arc;
+
+    /// The main frame of `src` and its machine, freshly built.
+    fn main_frame(src: &str) -> (Machine, Frame) {
+        let file = autocfd_fortran::parse(src).unwrap();
+        let main = file.main_unit().unwrap();
+        let mut m = Machine::default();
+        let frame = build_frame(&mut m, main, &Arc::new(Names::of(main)), Vec::new()).unwrap();
+        (m, frame)
+    }
+
+    fn snapshot_of(scalars: Vec<(String, ScalarSnap)>) -> Snapshot {
+        Snapshot {
+            rank: 0,
+            ranks: 1,
+            parts: vec![1],
+            epoch: 1,
+            sync_id: 0,
+            cursor: Cursor {
+                stmt: 0,
+                dos: Vec::new(),
+            },
+            cut: None,
+            arrays: Vec::new(),
+            commons: Vec::new(),
+            scalars,
+            input: Vec::new(),
+            output: Vec::new(),
+            ops: OpsSnap::default(),
+        }
+    }
+
+    const SRC: &str = "      program p\n      x = 1.5\n      y = 2.0\n      end\n";
+
+    #[test]
+    fn unmentioned_hook_scalar_survives_snapshot_and_restore() {
+        // the rank's init hook sets bounds of every axis; a unit that
+        // never mentions one keeps it beside its slots (implicitly real)
+        let (_, mut frame) = main_frame(SRC);
+        frame.set_scalar("acfhi2", Value::Int(7)).unwrap();
+        frame.set_scalar("x", Value::Real(1.5)).unwrap();
+        let snaps = scalar_snaps(&frame);
+        assert_eq!(
+            snaps,
+            vec![
+                ("acfhi2".to_string(), ScalarSnap::Real(7f64.to_bits())),
+                ("x".to_string(), ScalarSnap::Real(1.5f64.to_bits())),
+            ]
+        );
+        let (mut m, mut fresh) = main_frame(SRC);
+        restore_into(&mut m, &mut fresh, &snapshot_of(snaps.clone())).unwrap();
+        assert_eq!(fresh.get_scalar("acfhi2"), Value::Real(7.0));
+        assert_eq!(scalar_snaps(&fresh), snaps);
+    }
+
+    #[test]
+    fn restore_refuses_a_character_scalar() {
+        let (mut m, mut frame) = main_frame(SRC);
+        let snap = snapshot_of(vec![("x".into(), ScalarSnap::Str("abc".into()))]);
+        let e = restore_into(&mut m, &mut frame, &snap).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "runtime error: checkpoint mismatch: scalar `x` holds a character value"
+        );
+    }
 
     #[test]
     fn advance_odometer() {

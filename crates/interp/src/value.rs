@@ -2,8 +2,9 @@
 
 use crate::machine::RunError;
 
-/// A scalar runtime value.
-#[derive(Debug, Clone, PartialEq)]
+/// A scalar runtime value. Character literals are not values: they are
+/// legal only as `write` items, which print them directly.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Fortran `integer`.
     Int(i64),
@@ -11,43 +12,41 @@ pub enum Value {
     Real(f64),
     /// Fortran `logical`.
     Logical(bool),
-    /// Character value (only flows into `write`).
-    Str(String),
 }
 
 impl Value {
     /// Coerce to f64 (Fortran numeric context).
-    pub fn as_f64(&self) -> Result<f64, RunError> {
+    #[inline]
+    pub fn as_f64(self) -> Result<f64, RunError> {
         match self {
-            Value::Int(v) => Ok(*v as f64),
-            Value::Real(v) => Ok(*v),
-            Value::Logical(_) | Value::Str(_) => {
-                Err(RunError::new("logical/character used in numeric context"))
-            }
+            Value::Int(v) => Ok(v as f64),
+            Value::Real(v) => Ok(v),
+            Value::Logical(_) => Err(RunError::new("logical/character used in numeric context")),
         }
     }
 
     /// Coerce to i64 (subscript / loop-bound context; reals truncate like
     /// Fortran assignment to integer).
-    pub fn as_i64(&self) -> Result<i64, RunError> {
+    #[inline]
+    pub fn as_i64(self) -> Result<i64, RunError> {
         match self {
-            Value::Int(v) => Ok(*v),
-            Value::Real(v) => Ok(*v as i64),
-            Value::Logical(_) | Value::Str(_) => {
-                Err(RunError::new("logical/character used in integer context"))
-            }
+            Value::Int(v) => Ok(v),
+            Value::Real(v) => Ok(v as i64),
+            Value::Logical(_) => Err(RunError::new("logical/character used in integer context")),
         }
     }
 
     /// Coerce to logical.
-    pub fn as_bool(&self) -> Result<bool, RunError> {
+    #[inline]
+    pub fn as_bool(self) -> Result<bool, RunError> {
         match self {
-            Value::Logical(b) => Ok(*b),
+            Value::Logical(b) => Ok(b),
             _ => Err(RunError::new("numeric value used in logical context")),
         }
     }
 
     /// True if this is an integer value.
+    #[inline]
     pub fn is_int(&self) -> bool {
         matches!(self, Value::Int(_))
     }
@@ -106,6 +105,7 @@ impl ArrayVal {
     }
 
     /// Column-major linear offset of `idx`, bounds-checked.
+    #[inline]
     pub fn offset(&self, idx: &[i64]) -> Result<usize, RunError> {
         if idx.len() != self.bounds.len() {
             return Err(RunError::new(format!(
@@ -130,6 +130,7 @@ impl ArrayVal {
     }
 
     /// Load element at `idx`.
+    #[inline]
     pub fn get(&self, idx: &[i64]) -> Result<f64, RunError> {
         let off = self.offset(idx)?;
         let v = self.data[off];
@@ -137,6 +138,7 @@ impl ArrayVal {
     }
 
     /// Store element at `idx`.
+    #[inline]
     pub fn set(&mut self, idx: &[i64], v: f64) -> Result<(), RunError> {
         let off = self.offset(idx)?;
         self.data[off] = if self.is_int { v.trunc() } else { v };

@@ -103,6 +103,41 @@ fn sprayer_kernel_engine_bit_exact_on_table1_partitions() {
     }
 }
 
+/// The tree walk's absolute op counts and output on the original case
+/// studies, pinned, and the kernel engine's equal to them: a faster tree
+/// walk must still count every flop, load, store and statement.
+#[test]
+fn tree_walk_counts_and_output_are_pinned_on_the_original_case_studies() {
+    let cases = [
+        (
+            sprayer_program(&CaseParams::sprayer_small()),
+            [20304, 17990, 5976, 7428],
+            ["err 0.066821", "probe 0.095885 0.086576"],
+        ),
+        (
+            aerofoil_program(&CaseParams::aerofoil_small()),
+            [125739, 99458, 37788, 49346],
+            ["err 0.072394", "probe 0.025971 0.240000"],
+        ),
+    ];
+    for (src, [flops, loads, stores, stmts], output) in cases {
+        let c = compile(&src, &CompileOptions::with_procs(2)).unwrap();
+        let (tree, _) = c.run_sequential(vec![]).unwrap();
+        let (kern, _) = RunConfig::new(&c.ir.file)
+            .engine(EnginePref::Kernel)
+            .run_sequential()
+            .unwrap();
+        for (engine, m) in [("tree", &tree), ("kernel", &kern)] {
+            assert_eq!(
+                [m.ops.flops, m.ops.loads, m.ops.stores, m.ops.stmts],
+                [flops, loads, stores, stmts],
+                "{engine}"
+            );
+            assert_eq!(m.output, output, "{engine}");
+        }
+    }
+}
+
 #[test]
 fn kernel_engine_is_deterministic_across_thread_counts() {
     // splitting the interior across workers must not change a single

@@ -336,11 +336,7 @@ fn same(what: &str, tree: &Outcome, kernel: &Outcome) -> Result<(), String> {
                 }
             }
             let sorted = |f: &Frame| {
-                let mut v: Vec<_> = f
-                    .scalars
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
+                let mut v: Vec<_> = f.scalars.iter().map(|(k, v)| (k.clone(), *v)).collect();
                 v.sort_by(|a, b| a.0.cmp(&b.0));
                 v
             };
