@@ -44,18 +44,6 @@ pub fn loop_axis(ir: &ProgramIr, unit: &UnitIr, id: LoopId) -> Option<usize> {
     }
 }
 
-/// The constant sign of a loop's step (+1 / −1), if known.
-pub fn loop_step_sign(step: Option<&Expr>) -> i64 {
-    match step {
-        None => 1,
-        Some(e) => match e.const_int(&|_| None) {
-            Some(v) if v < 0 => -1,
-            Some(_) => 1,
-            None => 1, // unknown step: assume ascending (documented)
-        },
-    }
-}
-
 /// Kind of recognized reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReduceOpKind {
@@ -320,19 +308,5 @@ mod tests {
         .unwrap();
         let u = &ir.units[0];
         assert_eq!(loop_axis(&ir, u, LoopId(0)), None);
-    }
-
-    #[test]
-    fn step_sign() {
-        use autocfd_fortran::Expr;
-        assert_eq!(loop_step_sign(None), 1);
-        assert_eq!(loop_step_sign(Some(&Expr::IntLit(2))), 1);
-        assert_eq!(
-            loop_step_sign(Some(&Expr::Un {
-                op: autocfd_fortran::UnOp::Neg,
-                expr: Box::new(Expr::IntLit(1))
-            })),
-            -1
-        );
     }
 }

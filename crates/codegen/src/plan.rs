@@ -5,16 +5,7 @@ use autocfd_grid::Partition;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// One boundary-slab transfer obligation of a self-dependent loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipeStep {
-    /// Grid axis of the transfer.
-    pub axis: usize,
-    /// Where the incoming data comes from: −1 = lower neighbor, +1 = upper.
-    pub dir: i32,
-    /// Slab width in grid layers.
-    pub width: u64,
-}
+pub use autocfd_depend::PipeStep;
 
 /// Ghost requirements of one array at a synchronization point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

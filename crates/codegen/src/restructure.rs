@@ -1,12 +1,11 @@
 //! The restructuring pass: sequential AST → parallel SPMD AST + plan.
 
-use crate::analyze::{detect_reductions, loop_axis, loop_step_sign, ReduceOpKind};
+use crate::analyze::{detect_reductions, loop_axis, ReduceOpKind};
 use crate::plan::{
-    OverlapSpec, PipeStep, ReduceSpec, SelfArraySpec, SelfLoopSpec, SpmdPlan, SyncArray, SyncSpec,
+    OverlapSpec, ReduceSpec, SelfArraySpec, SelfLoopSpec, SpmdPlan, SyncArray, SyncSpec,
 };
-use autocfd_depend::selfdep::{classify_self_dependence, SelfDepClass};
-use autocfd_depend::stencil::loop_stencil;
-use autocfd_fortran::ast::{Expr, SourceFile, Stmt, StmtId, StmtKind};
+use autocfd_depend::{loop_stencil, mirror_decompose, DecomposeError};
+use autocfd_fortran::ast::{Expr, SourceFile, Stmt, StmtId, StmtKind, Unit};
 use autocfd_fortran::BinOp;
 use autocfd_grid::Partition;
 use autocfd_ir::{LoopId, ProgramIr, UnitIr};
@@ -22,6 +21,31 @@ pub enum TransformError {
         unit: String,
         /// Source line of the loop.
         line: u32,
+    },
+    /// A self-dependent loop crosses a cut axis along which its nest is
+    /// not localized (the loop over that axis has a step that does not
+    /// fold to a constant, or no loop spans that axis alone): its sweep
+    /// direction is unknown and it would run over the whole grid on every
+    /// rank.
+    UnlocalizedSweep {
+        /// Unit name.
+        unit: String,
+        /// Source line of the unlocalized loop.
+        line: u32,
+        /// Its loop variable.
+        var: String,
+    },
+    /// A self-dependent loop nest sweeps a cut axis in both directions
+    /// (e.g. a forward and a backward substitution in one nest): one
+    /// pipeline direction cannot serve both sweeps.
+    OpposedSweeps {
+        /// Unit name.
+        unit: String,
+        /// Source line of the first loop running against the nest's first
+        /// sweep over that axis.
+        line: u32,
+        /// Its loop variable.
+        var: String,
     },
     /// A sum reduction in a loop nest not localized on every cut axis
     /// (the partial sums would double-count).
@@ -52,6 +76,18 @@ impl std::fmt::Display for TransformError {
                 f,
                 "cannot parallelize self-dependent loop with undecodable subscripts \
                  (unit `{unit}`, line {line})"
+            ),
+            TransformError::UnlocalizedSweep { unit, line, var } => write!(
+                f,
+                "cannot parallelize self-dependent loop: the `{var}` loop crosses a \
+                 partition cut but is not localized, so its sweep direction is unknown \
+                 (unit `{unit}`, line {line}); give it a literal or `parameter` step"
+            ),
+            TransformError::OpposedSweeps { unit, line, var } => write!(
+                f,
+                "cannot parallelize self-dependent loop nest: the `{var}` loop sweeps a \
+                 partitioned axis against an earlier loop of the same nest (unit `{unit}`, \
+                 line {line}); split the two sweeps into separate nests"
             ),
             TransformError::UnlocalizedSum { unit, var } => write!(
                 f,
@@ -111,10 +147,32 @@ pub fn transform(
         );
     }
 
+    // ---- localization: loops whose variable spans a cut axis ------------
+    let axis_loops: Vec<BTreeMap<LoopId, AxisLoop>> = ir
+        .file
+        .units
+        .iter()
+        .zip(&ir.units)
+        .map(|(uast, u)| axis_loops(ir, uast, u, &cut_axes))
+        .collect();
+    let mut units_with_localized: Vec<String> = Vec::new();
+    for (u, loops) in ir.units.iter().zip(&axis_loops) {
+        let mut any = false;
+        for (&id, al) in loops {
+            if let Some(step) = al.step {
+                edit.localize(&u.name, u.loop_info(id).stmt, al.axis, step);
+                any = true;
+            }
+        }
+        if any {
+            units_with_localized.push(u.name.clone());
+        }
+    }
+
     // ---- self-dependent loops → acf_pre/post_<k> ------------------------
     let mut self_loops = BTreeMap::new();
     let mut next_self = 0u32;
-    for u in &ir.units {
+    for (u, loops) in ir.units.iter().zip(&axis_loops) {
         for pair in plan
             .self_pairs
             .get(&u.name)
@@ -123,51 +181,27 @@ pub fn transform(
         {
             let l = pair.l_a;
             let info = u.loop_info(l);
+            let sweep = |axis| nest_sweep(u, loops, l, axis).ok();
             let mut arrays = Vec::new();
             for array in pair.deps.keys() {
                 let st = loop_stencil(ir, u, l, array);
-                if st.has_opaque {
-                    return Err(TransformError::OpaqueSelfDependence {
-                        unit: u.name.clone(),
-                        line: info.line_start,
-                    });
-                }
-                if classify_self_dependence(&st, &cut_axes) == SelfDepClass::NoCrossDependence {
-                    continue;
-                }
-                let mut forward = Vec::new();
-                let mut mirror = Vec::new();
-                for &axis in &cut_axes {
-                    let sign = axis_iteration_sign(ir, u, l, axis);
-                    let [mut low, mut high] = st.ghost(axis);
-                    if sign < 0 {
-                        std::mem::swap(&mut low, &mut high);
-                    }
-                    // reads "behind" the sweep are forward (pipeline)
-                    // dependences; reads "ahead" are mirror (old-value).
-                    // With an ascending sweep, behind = lower neighbor.
-                    let (pipe_dir, old_dir) = if sign >= 0 { (-1, 1) } else { (1, -1) };
-                    if low > 0 {
-                        forward.push(PipeStep {
-                            axis,
-                            dir: pipe_dir,
-                            width: low,
-                        });
-                    }
-                    if high > 0 {
-                        mirror.push(PipeStep {
-                            axis,
-                            dir: old_dir,
-                            width: high,
-                        });
-                    }
-                }
-                if !forward.is_empty() || !mirror.is_empty() {
-                    arrays.push(SelfArraySpec {
+                match mirror_decompose(&st, &cut_axes, sweep) {
+                    Ok(Some(d)) => arrays.push(SelfArraySpec {
                         array: array.clone(),
-                        forward,
-                        mirror,
-                    });
+                        forward: d.forward,
+                        mirror: d.mirror,
+                    }),
+                    Ok(None) => {}
+                    Err(DecomposeError::Opaque) => {
+                        return Err(TransformError::OpaqueSelfDependence {
+                            unit: u.name.clone(),
+                            line: info.line_start,
+                        })
+                    }
+                    Err(DecomposeError::UnknownSweep { axis }) => {
+                        return Err(nest_sweep(u, loops, l, axis)
+                            .expect_err("mirror_decompose asks only for missing sweeps"))
+                    }
                 }
             }
             if arrays.is_empty() {
@@ -185,26 +219,9 @@ pub fn transform(
         }
     }
 
-    // ---- localization: loops whose variable spans a cut axis ------------
-    let mut units_with_localized: Vec<String> = Vec::new();
-    for u in &ir.units {
-        let mut any = false;
-        for l in &u.loops {
-            if let Some(axis) = loop_axis(ir, u, l.id) {
-                if cut_axes.contains(&axis) {
-                    edit.localize(&u.name, l.stmt, axis);
-                    any = true;
-                }
-            }
-        }
-        if any {
-            units_with_localized.push(u.name.clone());
-        }
-    }
-
     // ---- reductions ------------------------------------------------------
     let mut reduces = Vec::new();
-    for (uast, u) in ir.file.units.iter().zip(&ir.units) {
+    for ((uast, u), loops) in ir.file.units.iter().zip(&ir.units).zip(&axis_loops) {
         for root in u.field_roots() {
             let body =
                 find_loop_body(&uast.body, root.stmt).expect("field root loop exists in AST");
@@ -215,7 +232,11 @@ pub fn transform(
             let localized_axes: Vec<usize> = cut_axes
                 .iter()
                 .copied()
-                .filter(|&a| nest_localized_on(ir, u, root.id, a))
+                .filter(|&a| {
+                    loops.iter().any(|(&id, al)| {
+                        al.axis == a && al.step.is_some() && u.is_in_loop(id, root.id)
+                    })
+                })
                 .collect();
             if localized_axes.is_empty() {
                 continue; // loop runs redundantly on all ranks: no reduce
@@ -794,38 +815,77 @@ fn overlap_spec(
     })
 }
 
-/// True if the nest rooted at `root` contains a loop localized on `axis`.
-fn nest_localized_on(ir: &ProgramIr, u: &UnitIr, root: LoopId, axis: usize) -> bool {
-    u.loops
-        .iter()
-        .any(|l| u.is_in_loop(l.id, root) && loop_axis(ir, u, l.id) == Some(axis))
+/// A loop whose variable spans a cut axis.
+struct AxisLoop {
+    axis: usize,
+    /// The step folded through the unit's `parameter` constants (1 when
+    /// omitted). `None` when it does not fold to a nonzero constant: the
+    /// loop then stays global, every rank running all of its iterations.
+    /// That is safe for a loop whose owned points come out right from
+    /// exchanged data, which is every loop but a self-dependent one
+    /// crossing the cut (refused as [`TransformError::UnlocalizedSweep`]);
+    /// a sum reduction in a partly global nest is refused as
+    /// [`TransformError::UnlocalizedSum`].
+    step: Option<i64>,
 }
 
-/// The iteration direction (+1/−1) of the loop in `root`'s nest whose
-/// variable spans `axis`.
-fn axis_iteration_sign(ir: &ProgramIr, u: &UnitIr, root: LoopId, axis: usize) -> i64 {
-    for l in &u.loops {
-        if u.is_in_loop(l.id, root) && loop_axis(ir, u, l.id) == Some(axis) {
-            // find the Do statement's step in the AST
-            if let Some(step_sign) = find_step_sign(ir, &u.name, l.stmt) {
-                return step_sign;
-            }
+/// The direction (±1) in which the nest of `root` sweeps cut `axis`, or
+/// why it has none: a loop over `axis` that is not localized, or two that
+/// run opposite ways.
+fn nest_sweep(
+    u: &UnitIr,
+    loops: &BTreeMap<LoopId, AxisLoop>,
+    root: LoopId,
+    axis: usize,
+) -> Result<i64, TransformError> {
+    let refuse = |id: LoopId, opposed: bool| {
+        let l = u.loop_info(id);
+        let (unit, line, var) = (u.name.clone(), l.line_start, l.var.clone());
+        if opposed {
+            TransformError::OpposedSweeps { unit, line, var }
+        } else {
+            TransformError::UnlocalizedSweep { unit, line, var }
+        }
+    };
+    let mut sign = None;
+    for (&id, al) in loops {
+        if al.axis != axis || !u.is_in_loop(id, root) {
+            continue;
+        }
+        let s = al.step.ok_or_else(|| refuse(id, false))?.signum();
+        if *sign.get_or_insert(s) != s {
+            return Err(refuse(id, true));
         }
     }
-    1
+    sign.ok_or_else(|| refuse(root, false))
 }
 
-fn find_step_sign(ir: &ProgramIr, unit: &str, stmt: StmtId) -> Option<i64> {
-    let uast = ir.file.unit(unit)?;
-    let mut sign = None;
+/// The loops of unit `u` whose variable spans one of `cut_axes`.
+fn axis_loops(
+    ir: &ProgramIr,
+    uast: &Unit,
+    u: &UnitIr,
+    cut_axes: &[usize],
+) -> BTreeMap<LoopId, AxisLoop> {
+    let params = uast.int_parameters();
+    let mut steps: HashMap<StmtId, Option<i64>> = HashMap::new();
     autocfd_fortran::ast::walk_stmts(&uast.body, &mut |s| {
-        if s.id == stmt {
-            if let StmtKind::Do { step, .. } = &s.kind {
-                sign = Some(loop_step_sign(step.as_ref()));
-            }
+        if let StmtKind::Do { step, .. } = &s.kind {
+            let folded = match step {
+                None => Some(1),
+                Some(e) => e.const_int(&|n| params.get(n).copied()),
+            };
+            steps.insert(s.id, folded.filter(|&v| v != 0));
         }
     });
-    sign
+    u.loops
+        .iter()
+        .filter_map(|l| {
+            let axis = loop_axis(ir, u, l.id).filter(|a| cut_axes.contains(a))?;
+            let step = steps.get(&l.stmt).copied().flatten();
+            Some((l.id, AxisLoop { axis, step }))
+        })
+        .collect()
 }
 
 fn find_loop_body(stmts: &[Stmt], id: StmtId) -> Option<&[Stmt]> {
@@ -851,7 +911,7 @@ fn call_stmt(name: &str) -> StmtKind {
     }
 }
 
-/// Localized loop bounds for a constant `step`, preserving the stride
+/// Localized loop bounds for a nonzero constant `step`, preserving the stride
 /// *phase*: the first executed index must stay congruent to the original
 /// `from` modulo the step. For |step| = 1 this is the classic
 /// `max(from, acflo)` / `min(to, acfhi)`; for larger strides the lower
@@ -861,21 +921,9 @@ fn call_stmt(name: &str) -> StmtKind {
 /// from' = from + ((max(0, acflo - from) + s - 1) / s) * s     (s > 0)
 /// from' = from - ((max(0, from - acfhi) + s - 1) / s) * s     (s < 0, s = |step|)
 /// ```
-///
-/// Returns `None` when the step is not a compile-time constant (the loop
-/// is then left global).
-fn localized_bounds(
-    from: &Expr,
-    to: &Expr,
-    step: Option<i64>,
-    axis: usize,
-) -> Option<(Expr, Expr)> {
+fn localized_bounds(from: &Expr, to: &Expr, step: i64, axis: usize) -> (Expr, Expr) {
     let lo = Expr::Var(format!("acflo{}", axis + 1));
     let hi = Expr::Var(format!("acfhi{}", axis + 1));
-    let step = step?;
-    if step == 0 {
-        return None;
-    }
     let mag = step.unsigned_abs() as i64;
     if step > 0 {
         let new_from = if mag == 1 {
@@ -907,7 +955,7 @@ fn localized_bounds(
             name: "min".into(),
             indices: vec![to.clone(), hi],
         };
-        Some((new_from, new_to))
+        (new_from, new_to)
     } else {
         let new_from = if mag == 1 {
             Expr::Index {
@@ -938,7 +986,7 @@ fn localized_bounds(
             name: "max".into(),
             indices: vec![to.clone(), lo],
         };
-        Some((new_from, new_to))
+        (new_from, new_to)
     }
 }
 
@@ -951,8 +999,8 @@ struct Edits {
     inserts: BTreeMap<(String, ListKey), ListInserts>,
     /// `(unit, do-stmt) → (pre, post)` wrappers.
     wraps: HashMap<(String, StmtId), (StmtKind, StmtKind)>,
-    /// `(unit, do-stmt) → axis` bound localization.
-    localized: HashMap<(String, StmtId), usize>,
+    /// `(unit, do-stmt) → (axis, step)` bound localization.
+    localized: HashMap<(String, StmtId), (usize, i64)>,
     /// Gap-after-stmt inserts resolved lazily: `(unit, stmt) → kinds`.
     after_stmt: BTreeMap<(String, StmtId), Vec<StmtKind>>,
     /// Gap-before-stmt inserts resolved lazily.
@@ -1010,8 +1058,9 @@ impl Edits {
         self.wraps.insert((unit.to_string(), stmt), (pre, post));
     }
 
-    fn localize(&mut self, unit: &str, stmt: StmtId, axis: usize) {
-        self.localized.insert((unit.to_string(), stmt), axis);
+    fn localize(&mut self, unit: &str, stmt: StmtId, axis: usize, step: i64) {
+        self.localized
+            .insert((unit.to_string(), stmt), (axis, step));
     }
 
     fn declare_bounds(&mut self, unit: &str, rank: usize) {
@@ -1120,23 +1169,12 @@ impl Edits {
             StmtKind::Do {
                 from,
                 to,
-                step,
                 body,
                 term_label,
                 ..
             } => {
-                if let Some(&axis) = self.localized.get(&(unit.to_string(), s.id)) {
-                    let step_val = match step {
-                        None => Some(1i64),
-                        Some(e) => e.const_int(&|_| None),
-                    };
-                    if let Some(new_bounds) = localized_bounds(from, to, step_val, axis) {
-                        *from = new_bounds.0;
-                        *to = new_bounds.1;
-                    }
-                    // non-constant step: leave the loop global (it runs
-                    // redundantly on every rank, which is safe — owned
-                    // points are computed from exchanged data)
+                if let Some(&(axis, step)) = self.localized.get(&(unit.to_string(), s.id)) {
+                    (*from, *to) = localized_bounds(from, to, step, axis);
                 }
                 let inner = body.clone();
                 let mut rebuilt = self.rebuild_list(unit, ListKey::DoBody(s.id), &inner, cut_axes);
@@ -1238,13 +1276,8 @@ mod localized_bounds_tests {
                     let (f0, t0) = if step > 0 { (from, to) } else { (to, from) };
                     for lo in 1..=10i64 {
                         for hi in lo..=14 {
-                            let (nf, nt) = localized_bounds(
-                                &Expr::IntLit(f0),
-                                &Expr::IntLit(t0),
-                                Some(step),
-                                0,
-                            )
-                            .unwrap();
+                            let (nf, nt) =
+                                localized_bounds(&Expr::IntLit(f0), &Expr::IntLit(t0), step, 0);
                             let got = trip(eval(&nf, lo, hi), eval(&nt, lo, hi), step);
                             let want: Vec<i64> = trip(f0, t0, step)
                                 .into_iter()
@@ -1258,9 +1291,40 @@ mod localized_bounds_tests {
         }
     }
 
+    /// Steps fold through the unit's `parameter`s; a step that does not
+    /// fold to a nonzero constant leaves its loop global.
     #[test]
     fn non_constant_step_is_not_localized() {
-        assert!(localized_bounds(&Expr::IntLit(1), &Expr::IntLit(9), None, 0).is_none());
-        assert!(localized_bounds(&Expr::IntLit(1), &Expr::IntLit(9), Some(0), 0).is_none());
+        let ir = autocfd_ir::build_ir(
+            autocfd_fortran::parse(
+                "
+!$acf grid(40, 40)
+!$acf status v
+      program p
+      real v(40,40)
+      integer i, j, k, down
+      parameter (down = -2)
+      k = 1
+      do i = 40, 1, down
+        v(i,1) = 1.0
+      end do
+      do i = 1, 40, k
+        v(i,2) = 1.0
+      end do
+      do i = 1, 40, down + 2
+        v(i,3) = 1.0
+      end do
+      do j = 1, 40
+        v(1,j) = 1.0
+      end do
+      end
+",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let loops = axis_loops(&ir, &ir.file.units[0], &ir.units[0], &[0, 1]);
+        let got: Vec<_> = loops.values().map(|l| (l.axis, l.step)).collect();
+        assert_eq!(got, [(0, Some(-2)), (0, None), (0, None), (1, Some(1))]);
     }
 }

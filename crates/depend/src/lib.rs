@@ -8,37 +8,26 @@
 //! implements:
 //!
 //! * [`stencil`] — per-(field loop, status array) stencil extraction:
-//!   the set of reference offsets per grid axis, 5-point / 9-point /
-//!   one-dimensional / one-directional shapes (§4.2 case 2), dependency
-//!   distances possibly > 1 (§4.2 case 5), and packed-dimension handling
-//!   (§4.2 case 4);
+//!   the set of reference offsets per grid axis, whatever their shape —
+//!   regular or not, one dimension or one direction only (§4.2 case 2) —
+//!   dependency distances possibly > 1 (§4.2 case 5), and packed-dimension
+//!   handling (§4.2 case 4);
 //! * [`sldp`] — construction of the set of field-loop dependency pairs
 //!   `S_LDP`: every (A-type loop, R-type loop) pair over a shared status
 //!   array whose references cross a cut axis, merged with ghost-width
 //!   requirements (§4.2: "dependent pairs in S_LDP consist of the
-//!   complete dependent information");
-//! * [`selfdep`] — detection and classification of *self-dependent field
-//!   loops* (Figure 3): loops that are both A-type and R-type for the
-//!   same array. Loops with only lexicographically-forward dependences
-//!   are wavefront/pipeline-parallelizable (Fig 3a); loops with both
-//!   directions (Fig 3b) need mirror-image decomposition;
-//! * [`mirror`] — **mirror-image decomposition** (Figure 4): splitting a
-//!   dependence graph into a forward subgraph and its mirror image, each
-//!   of which is pipelinable, plus an explicit dependence-graph model
-//!   used to validate acyclicity of the two subgraphs;
-//! * [`skew`] — loop skewing and wavefront scheduling for Fig 3(a)
-//!   loops (the paper's citation \[22\]): legality, minimal skew factors,
-//!   and validated wavefront level assignments.
+//!   complete dependent information"); a pair whose two loops are the
+//!   same loop is a *self-dependent field loop* (Figure 3);
+//! * [`mirror`] — **mirror-image decomposition** (Figures 3–4) of a
+//!   self-dependent loop: per crossed cut axis and sweep direction, the
+//!   reads behind the sweep become a forward pipeline and the reads ahead
+//!   of it an old-value exchange.
 
-pub mod graph;
 pub mod mirror;
-pub mod selfdep;
-pub mod skew;
+mod selfdep;
 pub mod sldp;
 pub mod stencil;
 
-pub use mirror::{mirror_decompose, MirrorDecomposition};
-pub use selfdep::{classify_self_dependence, SelfDepClass};
-pub use skew::{min_skew_factor, wavefront_schedule, WavefrontSchedule};
+pub use mirror::{mirror_decompose, DecomposeError, MirrorDecomposition, PipeStep};
 pub use sldp::{analyze_unit, ArrayDep, LoopDepPair, Sldp};
-pub use stencil::{loop_stencil, Stencil, StencilShape};
+pub use stencil::{loop_stencil, Stencil};

@@ -1,87 +1,40 @@
-//! Self-dependent field loops — §4.2 and Figure 3 of the paper.
-//!
-//! "When a pair of dependent field loops (an A-type and an R-type)
-//! happens to be the same loop, the loop is called a *self-dependent
-//! field loop*."
-//!
-//! Figure 3(a) shows a loop whose dependences are all in the
-//! lexicographic order (reads `v(i-1,j)`, `v(i,j-1)`): it can be
-//! parallelized with a wavefront / loop-skewing technique. Figure 3(b)
-//! shows a Gauss–Seidel-style loop with dependences in *both* directions:
-//! "not parallelizable by traditional methods" — this is what the
-//! mirror-image decomposition (see [`crate::mirror`]) is for.
-
-use crate::stencil::Stencil;
-use serde::{Deserialize, Serialize};
-
-/// Classification of a self-dependent field loop over the cut axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SelfDepClass {
-    /// No reference offset crosses any cut axis: the loop is embarrassingly
-    /// parallel across the partition despite self-dependence inside a
-    /// subgrid.
-    NoCrossDependence,
-    /// All cross-partition dependences are lexicographically forward
-    /// (Fig 3a): wavefront / forward pipeline.
-    Forward,
-    /// All cross-partition dependences are lexicographically backward:
-    /// reverse pipeline (e.g. a back-substitution sweep).
-    Backward,
-    /// Dependences in both directions (Fig 3b): requires mirror-image
-    /// decomposition.
-    Mirror,
-    /// Undecodable accesses: must serialize conservatively.
-    Opaque,
-}
-
-/// Classify the self-dependence of a loop from its own reference
-/// [`Stencil`] restricted to `cut_axes`.
-///
-/// A reference at offset `o` induces a dependence distance of `-o` in
-/// iteration space: reading `v(i-1,…)` (offset −1) consumes the value
-/// produced one iteration *earlier* — a forward (lexicographically
-/// positive) dependence.
-pub fn classify_self_dependence(stencil: &Stencil, cut_axes: &[usize]) -> SelfDepClass {
-    if stencil.has_opaque {
-        return SelfDepClass::Opaque;
-    }
-    let mut any_fwd = false;
-    let mut any_bwd = false;
-    for &a in cut_axes {
-        for d in stencil.dependence_distances(a) {
-            if d > 0 {
-                any_fwd = true;
-            } else if d < 0 {
-                any_bwd = true;
-            }
-        }
-    }
-    match (any_fwd, any_bwd) {
-        (false, false) => SelfDepClass::NoCrossDependence,
-        (true, false) => SelfDepClass::Forward,
-        (false, true) => SelfDepClass::Backward,
-        (true, true) => SelfDepClass::Mirror,
-    }
-}
+//! Self-dependent field loops of Figure 3, end to end from Fortran source:
+//! `S_LDP` finds the loop as a self-pair exactly when its reads cross a
+//! cut, and [`mirror_decompose`](crate::mirror_decompose) splits that
+//! loop's stencil into its forward and mirror halves.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{analyze_unit, loop_stencil, mirror_decompose, PipeStep};
     use autocfd_fortran::parse;
-    use autocfd_ir::{build_ir, ProgramIr};
+    use autocfd_ir::build_ir;
 
-    fn stencil_of(src: &str, array: &str) -> Stencil {
-        let ir: ProgramIr = build_ir(parse(src).unwrap()).unwrap();
+    type Halves = (Vec<PipeStep>, Vec<PipeStep>);
+
+    /// For the program's one field loop over `v`, cut on `cut_axes` and
+    /// swept in direction `sign`: `None` when `S_LDP` holds no pair for it,
+    /// else its `(forward, mirror)` steps. Asserts that `S_LDP` and the
+    /// decomposition agree on whether the loop crosses a cut at all.
+    fn self_dependence(src: &str, cut_axes: &[usize], sign: i64) -> Option<Halves> {
+        let ir = build_ir(parse(src).unwrap()).unwrap();
         let u = &ir.units[0];
         let root = u.field_roots().next().expect("field root").id;
-        crate::stencil::loop_stencil(&ir, u, root, array)
+        let sldp = analyze_unit(&ir, u, cut_axes, 1);
+        let st = loop_stencil(&ir, u, root, "v");
+        let d = mirror_decompose(&st, cut_axes, |_| Some(sign)).unwrap();
+        assert_eq!(sldp.pairs.len(), usize::from(d.is_some()));
+        assert_eq!(sldp.self_pairs().count(), sldp.pairs.len());
+        d.map(|d| (d.forward, d.mirror))
     }
 
-    /// Figure 3(a): forward-only self-dependence → wavefront-able.
+    fn step(axis: usize, dir: i32, width: u64) -> PipeStep {
+        PipeStep { axis, dir, width }
+    }
+
+    /// Figure 3(a): forward-only self-dependence — a pipeline, no mirror.
     #[test]
     fn selfdep_fig3a_wavefront() {
-        let st = stencil_of(
-            "
+        let src = "
 !$acf grid(40,40)
 !$acf status v
       program f3a
@@ -93,21 +46,21 @@ mod tests {
         end do
       end do
       end
-",
-            "v",
+";
+        assert_eq!(
+            self_dependence(src, &[0, 1], 1),
+            Some((vec![step(0, -1, 1), step(1, -1, 1)], vec![]))
         );
         assert_eq!(
-            classify_self_dependence(&st, &[0, 1]),
-            SelfDepClass::Forward
+            self_dependence(src, &[0], 1),
+            Some((vec![step(0, -1, 1)], vec![]))
         );
-        assert_eq!(classify_self_dependence(&st, &[0]), SelfDepClass::Forward);
     }
 
-    /// Figure 3(b): both directions → mirror-image decomposition needed.
+    /// Figure 3(b): reads on both sides of every cut — both halves.
     #[test]
     fn selfdep_fig3b_mirror() {
-        let st = stencil_of(
-            "
+        let src = "
 !$acf grid(40,40)
 !$acf status v
       program f3b
@@ -119,17 +72,26 @@ mod tests {
         end do
       end do
       end
-",
-            "v",
+";
+        assert_eq!(
+            self_dependence(src, &[0], 1),
+            Some((vec![step(0, -1, 1)], vec![step(0, 1, 1)]))
         );
-        assert_eq!(classify_self_dependence(&st, &[0]), SelfDepClass::Mirror);
-        assert_eq!(classify_self_dependence(&st, &[0, 1]), SelfDepClass::Mirror);
+        assert_eq!(
+            self_dependence(src, &[0, 1], 1),
+            Some((
+                vec![step(0, -1, 1), step(1, -1, 1)],
+                vec![step(0, 1, 1), step(1, 1, 1)]
+            ))
+        );
     }
 
+    /// A loop reading only ahead of its ascending sweep needs old values
+    /// alone; the reverse sweep turns the same reads into a pipeline from
+    /// the upper neighbour.
     #[test]
     fn backward_only_reverse_sweep() {
-        let st = stencil_of(
-            "
+        let src = "
 !$acf grid(40,40)
 !$acf status v
       program back
@@ -141,18 +103,22 @@ mod tests {
         end do
       end do
       end
-",
-            "v",
+";
+        assert_eq!(
+            self_dependence(src, &[0], 1),
+            Some((vec![], vec![step(0, 1, 1)]))
         );
-        assert_eq!(classify_self_dependence(&st, &[0]), SelfDepClass::Backward);
+        assert_eq!(
+            self_dependence(src, &[0], -1),
+            Some((vec![step(0, 1, 1)], vec![]))
+        );
     }
 
+    /// Self-dependence only along axis 1: with only axis 0 cut the loop is
+    /// no self-pair at all — partitioning first makes it free.
     #[test]
     fn uncut_axis_dependences_are_invisible() {
-        // Self-dependence only along axis 1; if only axis 0 is cut, the
-        // loop is NoCrossDependence — partitioning first makes this free.
-        let st = stencil_of(
-            "
+        let src = "
 !$acf grid(40,40)
 !$acf status v
       program p
@@ -164,59 +130,11 @@ mod tests {
         end do
       end do
       end
-",
-            "v",
-        );
+";
+        assert_eq!(self_dependence(src, &[0], 1), None);
         assert_eq!(
-            classify_self_dependence(&st, &[0]),
-            SelfDepClass::NoCrossDependence
+            self_dependence(src, &[1], 1),
+            Some((vec![step(1, -1, 1)], vec![]))
         );
-        assert_eq!(classify_self_dependence(&st, &[1]), SelfDepClass::Forward);
-    }
-
-    #[test]
-    fn mixed_axes_directions_is_mirror() {
-        // forward on axis 0, backward on axis 1 → still needs both sweeps
-        let st = stencil_of(
-            "
-!$acf grid(40,40)
-!$acf status v
-      program p
-      real v(40,40)
-      integer i, j
-      do i = 2, 40
-        do j = 1, 39
-          v(i,j) = v(i-1,j) + v(i,j+1)
-        end do
-      end do
-      end
-",
-            "v",
-        );
-        assert_eq!(classify_self_dependence(&st, &[0, 1]), SelfDepClass::Mirror);
-        // but per single axis it is one-directional
-        assert_eq!(classify_self_dependence(&st, &[0]), SelfDepClass::Forward);
-        assert_eq!(classify_self_dependence(&st, &[1]), SelfDepClass::Backward);
-    }
-
-    #[test]
-    fn opaque_self_dep() {
-        let st = stencil_of(
-            "
-!$acf grid(40,40)
-!$acf status v
-      program p
-      real v(40,40)
-      integer i, j, m
-      do i = 1, 40
-        do j = 1, 40
-          v(i,j) = v(m,j)
-        end do
-      end do
-      end
-",
-            "v",
-        );
-        assert_eq!(classify_self_dependence(&st, &[0]), SelfDepClass::Opaque);
     }
 }

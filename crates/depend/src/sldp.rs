@@ -33,11 +33,6 @@ impl ArrayDep {
             g[1] = g[1].max(o[1]);
         }
     }
-
-    /// Total ghost layers on `axis` (both directions).
-    pub fn width(&self, axis: usize) -> u64 {
-        self.ghost.get(axis).map(|g| g[0] + g[1]).unwrap_or(0)
-    }
 }
 
 /// One element of `S_LDP`: a dependent (A-type, R-type) field-loop pair.
@@ -78,7 +73,7 @@ impl Sldp {
         self.pairs.iter().filter(|p| !p.is_self_dependent())
     }
 
-    /// Self-dependent pairs (handled by wavefront / mirror-image, §4.2).
+    /// Self-dependent pairs (handled by mirror-image decomposition, §4.2).
     pub fn self_pairs(&self) -> impl Iterator<Item = &LoopDepPair> {
         self.pairs.iter().filter(|p| p.is_self_dependent())
     }
@@ -399,6 +394,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.ghost, vec![[1, 2], [1, 1]]);
         assert!(a.opaque);
-        assert_eq!(a.width(0), 3);
     }
 }

@@ -10,24 +10,6 @@ use autocfd_ir::{ArrayAccess, IndexPattern, LoopId, ProgramIr, UnitIr};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Named stencil shapes (for reporting; the analysis works from raw
-/// offsets and never *requires* a regular shape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StencilShape {
-    /// Only the center point (offset 0 on every axis).
-    Point,
-    /// The classic 5-point stencil (2-D: center + 4 axis neighbors).
-    FivePoint,
-    /// The 9-point stencil (2-D: the full 3×3 neighborhood).
-    NinePoint,
-    /// Offsets confined to a single axis (§4.2 case 2).
-    OneDimensional,
-    /// Offsets confined to a single direction of a single axis.
-    OneDirectional,
-    /// Anything else.
-    General,
-}
-
 /// The reference pattern of one status array within one field loop.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Stencil {
@@ -41,29 +23,9 @@ pub struct Stencil {
     /// Whether any access had a constant subscript in a status dimension
     /// (boundary code, §4.2 case 3).
     pub has_boundary: bool,
-    /// Whether some single access had nonzero offsets on two axes at once
-    /// (a diagonal neighbor — distinguishes 9-point from 5-point).
-    pub has_diagonal: bool,
 }
 
 impl Stencil {
-    /// Dependency distance per axis: the maximum |offset|.
-    pub fn distance(&self, axis: usize) -> u64 {
-        self.offsets
-            .get(axis)
-            .map(|s| s.iter().map(|o| o.unsigned_abs()).max().unwrap_or(0))
-            .unwrap_or(0)
-    }
-
-    /// Maximum dependency distance over all axes.
-    #[cfg(test)]
-    fn max_distance(&self) -> u64 {
-        (0..self.offsets.len())
-            .map(|a| self.distance(a))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Ghost width needed per axis and direction:
     /// `ghost(axis)[0]` = layers needed from the lower neighbor
     /// (negative offsets), `[1]` = from the upper neighbor.
@@ -93,67 +55,12 @@ impl Stencil {
         self.has_opaque || self.ghost(axis) != [0, 0]
     }
 
-    /// Classify the shape (for reports and the `ir`-level taxonomy).
-    pub fn shape(&self) -> StencilShape {
-        if self.has_opaque {
-            return StencilShape::General;
-        }
-        let rank = self.offsets.len();
-        let active: Vec<usize> = (0..rank)
-            .filter(|&a| self.offsets[a].iter().any(|&o| o != 0))
-            .collect();
-        if active.is_empty() {
-            return StencilShape::Point;
-        }
-        if active.len() == 1 {
-            let a = active[0];
-            let has_neg = self.offsets[a].iter().any(|&o| o < 0);
-            let has_pos = self.offsets[a].iter().any(|&o| o > 0);
-            return if has_neg != has_pos {
-                StencilShape::OneDirectional
-            } else {
-                StencilShape::OneDimensional
-            };
-        }
-        if rank == 2 && active.len() == 2 {
-            let unit = |a: usize| self.offsets[a].iter().all(|&o| o.abs() <= 1);
-            if unit(0) && unit(1) {
-                // Distinguish 5-point (no diagonal use) from 9-point by the
-                // per-access record: we approximate from per-axis sets — a
-                // loop reading i±1 and j±1 *in separate accesses* is
-                // 5-point; with diagonals it would also be recorded, so we
-                // report the denser 9-point only when diagonal pairs exist.
-                return if self.has_diagonal {
-                    StencilShape::NinePoint
-                } else {
-                    StencilShape::FivePoint
-                };
-            }
-        }
-        StencilShape::General
-    }
-
-    /// Signed dependence "distance vectors" induced by this stencil over
-    /// the cut axes, for self-dependence classification: a reference at
-    /// offset `o` creates a dependence of distance `-o` in iteration
-    /// space (reading `i-1` depends on the iteration one *earlier*, i.e.
-    /// a lexicographically-forward dependence of +1).
-    pub fn dependence_distances(&self, axis: usize) -> BTreeSet<i64> {
-        self.offsets
-            .get(axis)
-            .map(|s| s.iter().filter(|&&o| o != 0).map(|o| -o).collect())
-            .unwrap_or_default()
-    }
-}
-
-impl Stencil {
     fn new(array: &str, rank: usize) -> Self {
         Self {
             array: array.to_string(),
             offsets: vec![BTreeSet::new(); rank],
             has_opaque: false,
             has_boundary: false,
-            has_diagonal: false,
         }
     }
 }
@@ -178,7 +85,6 @@ pub fn loop_stencil(ir: &ProgramIr, unit: &UnitIr, id: LoopId, array: &str) -> S
 }
 
 fn accumulate(st: &mut Stencil, acc: &ArrayAccess, info: &autocfd_ir::StatusArrayInfo) {
-    let mut this_access_axes_nonzero = 0usize;
     for (d, pat) in acc.patterns.iter().enumerate() {
         let axis = match info.dim_axis.get(d).copied().flatten() {
             Some(a) => a,
@@ -187,9 +93,6 @@ fn accumulate(st: &mut Stencil, acc: &ArrayAccess, info: &autocfd_ir::StatusArra
         match pat {
             IndexPattern::LoopVar { offset, .. } => {
                 st.offsets[axis].insert(*offset);
-                if *offset != 0 {
-                    this_access_axes_nonzero += 1;
-                }
             }
             IndexPattern::Constant(_) => {
                 st.has_boundary = true;
@@ -198,9 +101,6 @@ fn accumulate(st: &mut Stencil, acc: &ArrayAccess, info: &autocfd_ir::StatusArra
                 st.has_opaque = true;
             }
         }
-    }
-    if this_access_axes_nonzero >= 2 {
-        st.has_diagonal = true;
     }
 }
 
@@ -238,8 +138,6 @@ mod tests {
         );
         let (ui, l) = first_field_root(&ir);
         let st = loop_stencil(&ir, &ir.units[ui], l, "v");
-        assert_eq!(st.shape(), StencilShape::FivePoint);
-        assert_eq!(st.distance(0), 1);
         assert_eq!(st.ghost(0), [1, 1]);
         assert!(st.crosses(0) && st.crosses(1));
     }
@@ -264,7 +162,9 @@ mod tests {
         );
         let (ui, l) = first_field_root(&ir);
         let st = loop_stencil(&ir, &ir.units[ui], l, "v");
-        assert_eq!(st.shape(), StencilShape::NinePoint);
+        assert_eq!(st.offsets, vec![BTreeSet::from([-1, 0, 1]); 2]);
+        assert_eq!(st.ghost(0), [1, 1]);
+        assert_eq!(st.ghost(1), [1, 1]);
     }
 
     #[test]
@@ -287,7 +187,6 @@ mod tests {
         );
         let (ui, l) = first_field_root(&ir);
         let st = loop_stencil(&ir, &ir.units[ui], l, "v");
-        assert_eq!(st.shape(), StencilShape::OneDirectional);
         assert_eq!(st.ghost(0), [1, 0]);
         assert_eq!(st.ghost(1), [0, 0]);
         assert!(st.crosses(0));
@@ -313,7 +212,8 @@ mod tests {
         );
         let (ui, l) = first_field_root(&ir);
         let st = loop_stencil(&ir, &ir.units[ui], l, "v");
-        assert_eq!(st.shape(), StencilShape::OneDimensional);
+        assert_eq!(st.ghost(0), [1, 1]);
+        assert!(!st.crosses(1));
     }
 
     #[test]
@@ -336,9 +236,7 @@ mod tests {
         );
         let (ui, l) = first_field_root(&ir);
         let st = loop_stencil(&ir, &ir.units[ui], l, "v");
-        assert_eq!(st.distance(0), 2);
         assert_eq!(st.ghost(0), [2, 2]);
-        assert_eq!(st.max_distance(), 2);
     }
 
     #[test]
@@ -414,29 +312,5 @@ mod tests {
         let st = loop_stencil(&ir, u, root, "v");
         assert!(st.has_opaque);
         assert!(st.crosses(0) && st.crosses(1));
-        assert_eq!(st.shape(), StencilShape::General);
-    }
-
-    #[test]
-    fn dependence_distances_negate_offsets() {
-        let ir = ir_of(
-            "
-!$acf grid(30, 30)
-!$acf status v
-      program p
-      real v(30,30)
-      integer i, j
-      do i = 2, 29
-        do j = 1, 30
-          v(i,j) = v(i-1,j) + v(i+1,j)
-        end do
-      end do
-      end
-",
-        );
-        let u = &ir.units[0];
-        let root = u.field_roots().next().unwrap().id;
-        let st = loop_stencil(&ir, u, root, "v");
-        assert_eq!(st.dependence_distances(0), BTreeSet::from([-1, 1]));
     }
 }

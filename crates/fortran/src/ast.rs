@@ -14,6 +14,7 @@
 //!   (`do 10 i=...` … `10 continue`) forms both parse into the same tree.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Stable identifier of a statement within a parsed [`SourceFile`].
 ///
@@ -117,6 +118,19 @@ impl Unit {
                 _ => &[],
             })
             .map(|(n, e)| (n.as_str(), e))
+    }
+
+    /// The `parameter` constants that fold to an integer, each folded
+    /// with the constants declared before it in scope (as the
+    /// interpreter binds them).
+    pub fn int_parameters(&self) -> BTreeMap<&str, i64> {
+        let mut out = BTreeMap::new();
+        for (name, expr) in self.parameters() {
+            if let Some(v) = expr.const_int(&|n| out.get(n).copied()) {
+                out.insert(name, v);
+            }
+        }
+        out
     }
 }
 
@@ -602,5 +616,21 @@ mod tests {
         let mut seen = vec![];
         s.walk(&mut |st| seen.push(st.id.0));
         assert_eq!(seen, vec![0, 1]);
+    }
+
+    #[test]
+    fn int_parameters_fold_in_declaration_order() {
+        let file = crate::parse(
+            "      program p
+      parameter (n = 40, m = n - 1, istep = -1, h = 0.5, k = j + 1)
+      end
+",
+        )
+        .unwrap();
+        let params = file.units[0].int_parameters();
+        assert_eq!(
+            params.into_iter().collect::<Vec<_>>(),
+            vec![("istep", -1), ("m", 39), ("n", 40)]
+        );
     }
 }

@@ -334,11 +334,6 @@ impl DirectiveSet {
         }
         Ok(set)
     }
-
-    /// Names of all declared status arrays.
-    pub fn status_names(&self) -> Vec<&str> {
-        self.status.iter().map(|a| a.name.as_str()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -467,7 +462,8 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(ds.grid, Some(vec![300, 100]));
-        assert_eq!(ds.status_names(), vec!["v", "u", "w"]);
+        let names: Vec<&str> = ds.status.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, vec!["v", "u", "w"]);
         assert_eq!(ds.partition, Some(vec![2, 2]));
     }
 

@@ -52,10 +52,7 @@ pub fn build_ir(file: SourceFile) -> Result<ProgramIr> {
             FortranError::directive(0, format!("status array `{}` is never declared", decl.name))
         })?;
 
-        let params: BTreeMap<&str, i64> = unit
-            .parameters()
-            .filter_map(|(n, e)| e.const_int(&|_| None).map(|v| (n, v)))
-            .collect();
+        let params = unit.int_parameters();
         let lookup = |n: &str| params.get(n).copied();
 
         let extents: Vec<Option<i64>> = vd

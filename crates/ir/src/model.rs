@@ -125,16 +125,6 @@ pub struct StatusArrayInfo {
 }
 
 impl StatusArrayInfo {
-    /// The array dimension that spans grid `axis`, if any.
-    pub fn dim_of_axis(&self, axis: usize) -> Option<usize> {
-        self.dim_axis.iter().position(|a| *a == Some(axis))
-    }
-
-    /// Number of status (grid-mapped) dimensions.
-    pub fn status_dim_count(&self) -> usize {
-        self.dim_axis.iter().filter(|a| a.is_some()).count()
-    }
-
     /// Build the default in-order mapping for an array of `ndims`
     /// dimensions against a `grid_rank`-dimensional flow field.
     pub fn default_mapping(ndims: usize, grid_rank: usize) -> Vec<Option<usize>> {
@@ -285,19 +275,5 @@ mod tests {
             ]),
             vec![None, Some(0), Some(1)]
         );
-    }
-
-    #[test]
-    fn dim_of_axis() {
-        let info = StatusArrayInfo {
-            name: "q".into(),
-            extents: vec![Some(5), Some(100), Some(40)],
-            lower_bounds: vec![1, 1, 1],
-            dim_axis: vec![None, Some(0), Some(1)],
-        };
-        assert_eq!(info.dim_of_axis(0), Some(1));
-        assert_eq!(info.dim_of_axis(1), Some(2));
-        assert_eq!(info.dim_of_axis(2), None);
-        assert_eq!(info.status_dim_count(), 2);
     }
 }

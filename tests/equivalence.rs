@@ -7,6 +7,7 @@
 //! sync optimization → restructuring → SPMD execution with halo
 //! exchanges, pipelines and reductions) at once.
 
+use autocfd::codegen::EnginePref;
 use autocfd::{compile, CompileOptions};
 use proptest::prelude::*;
 
@@ -255,6 +256,58 @@ fn descending_loops_exact() {
     for parts in [[2u32, 1], [4, 1]] {
         let c = compile(src, &CompileOptions::with_partition(&parts)).unwrap();
         assert_eq!(c.verify(vec![], 0.0).unwrap(), 0.0, "{parts:?}");
+    }
+
+    // a Gauss–Seidel sweep whose step is a `parameter` constant: the step
+    // must fold for localization and for the sweep direction alike, on
+    // both engines, with and without overlap
+    for (step, i_loop, pipe_dir) in [(-1, "39, 2, istep", 1), (1, "2, 39, istep", -1)] {
+        let src = format!(
+            "
+!$acf grid(40,40)
+!$acf status v
+      program gs
+      real v(40,40)
+      integer i, j, it, istep
+      parameter (istep = {step})
+      do i = 1, 40
+        do j = 1, 40
+          v(i,j) = 0.01*i + 0.02*j
+        end do
+      end do
+      do it = 1, 3
+        do i = {i_loop}
+          do j = 2, 39
+            v(i,j) = 0.25*(v(i-1,j) + v(i+1,j) + v(i,j-1) + v(i,j+1))
+          end do
+        end do
+      end do
+      write(*,*) 'center', v(20,20)
+      end
+"
+        );
+        for parts in [[2u32, 1], [4, 1], [1, 2], [2, 2]] {
+            for engine in [EnginePref::Tree, EnginePref::Kernel] {
+                let opts = CompileOptions {
+                    engine,
+                    ..CompileOptions::with_partition(&parts)
+                };
+                let c = compile(&src, &opts).unwrap();
+                if parts[0] > 1 {
+                    let spec = &c.spmd_plan.self_loops[&0].arrays[0];
+                    assert!(
+                        spec.forward
+                            .iter()
+                            .any(|s| s.axis == 0 && s.dir == pipe_dir),
+                        "step {step} {parts:?}: {spec:?}"
+                    );
+                }
+                for overlap in [false, true] {
+                    let diff = c.verify_opts(vec![], 0.0, overlap).unwrap();
+                    assert_eq!(diff, 0.0, "step {step} {parts:?} {engine:?} {overlap}");
+                }
+            }
+        }
     }
 }
 

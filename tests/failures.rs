@@ -1,6 +1,7 @@
 //! Failure injection: the system must *diagnose* bad inputs and runtime
 //! misbehavior, never hang or silently corrupt.
 
+use autocfd::codegen::TransformError;
 use autocfd::interp::{verify_owned_regions, RunConfig};
 use autocfd::runtime_net::run_spmd_tcp;
 use autocfd::{compile, CompileError, CompileOptions};
@@ -97,6 +98,99 @@ fn opaque_self_dependence_rejected_at_compile_time() {
         matches!(e, CompileError::Transform(_)),
         "opaque self-dependence must fail loudly, got {e:?}"
     );
+}
+
+#[test]
+fn unlocalized_self_dependent_sweep_rejected_at_compile_time() {
+    // the sweep's step is set by an assignment, so the `i` loop cannot be
+    // localized and its direction is unknown: pipelining it would be wrong
+    for (step, i_loop) in [(-1, "39, 2, istep"), (1, "2, 39, istep")] {
+        let src = format!(
+            "
+!$acf grid(40,40)
+!$acf status v
+      program gs
+      real v(40,40)
+      integer i, j, it, istep
+      do i = 1, 40
+        do j = 1, 40
+          v(i,j) = 0.01*i + 0.02*j
+        end do
+      end do
+      istep = {step}
+      do it = 1, 3
+        do i = {i_loop}
+          do j = 2, 39
+            v(i,j) = 0.25*(v(i-1,j) + v(i+1,j) + v(i,j-1) + v(i,j+1))
+          end do
+        end do
+      end do
+      write(*,*) 'center', v(20,20)
+      end
+"
+        );
+        for parts in [[2u32, 1], [4, 1], [2, 2]] {
+            let e = compile(&src, &CompileOptions::with_partition(&parts)).unwrap_err();
+            assert_eq!(
+                e,
+                CompileError::Transform(TransformError::UnlocalizedSweep {
+                    unit: "gs".into(),
+                    line: 14,
+                    var: "i".into(),
+                }),
+                "step {step} {parts:?}"
+            );
+            assert!(e.to_string().contains("line 14"), "{e}");
+        }
+        // the sweep axis uncut: nothing crosses along `i`, so it compiles
+        // and stays bit-exact
+        let c = compile(&src, &CompileOptions::with_partition(&[1, 2])).unwrap();
+        assert_eq!(c.verify(vec![], 0.0).unwrap(), 0.0, "step {step}");
+    }
+}
+
+#[test]
+fn opposed_sweeps_in_one_nest_rejected_at_compile_time() {
+    // a forward and a backward substitution along `i` in one nest: no one
+    // pipeline direction serves both, so a cut along `i` is refused
+    let src = "
+!$acf grid(40,40)
+!$acf status v
+      program ab
+      real v(40,40)
+      integer i, j, it
+      do i = 1, 40
+        do j = 1, 40
+          v(i,j) = 0.01*i*i + 0.02*j
+        end do
+      end do
+      do it = 1, 3
+        do j = 2, 39
+          do i = 2, 39
+            v(i,j) = 0.5*(v(i-1,j) + v(i,j))
+          end do
+          do i = 39, 2, -1
+            v(i,j) = 0.5*(v(i+1,j) + v(i,j))
+          end do
+        end do
+      end do
+      write(*,*) 'center', v(20,20)
+      end
+";
+    for parts in [[2u32, 1], [4, 1]] {
+        let e = compile(src, &CompileOptions::with_partition(&parts)).unwrap_err();
+        assert_eq!(
+            e,
+            CompileError::Transform(TransformError::OpposedSweeps {
+                unit: "ab".into(),
+                line: 17,
+                var: "i".into(),
+            }),
+            "{parts:?}"
+        );
+    }
+    let c = compile(src, &CompileOptions::with_partition(&[1, 2])).unwrap();
+    assert_eq!(c.verify(vec![], 0.0).unwrap(), 0.0);
 }
 
 #[test]
