@@ -386,9 +386,6 @@ fn run_resume(args: &Args) -> Result<(), Error> {
     }
     // Execution-knob overrides: a non-default CLI flag beats the
     // manifest; everything else resumes exactly as launched.
-    if cli.compile.engine != autocfd::codegen::EnginePref::Tree {
-        manifest.engine = cli.compile.engine.name().into();
-    }
     if cli.compile.threads != 1 {
         manifest.threads = cli.compile.threads.into();
     }
@@ -409,7 +406,7 @@ fn run_resume(args: &Args) -> Result<(), Error> {
         "acfc: resuming from checkpoint epoch {epoch} in {}",
         dir.display()
     );
-    let mut d = cli.overlay(dir, &manifest, epoch)?;
+    let mut d = cli.overlay(dir, &manifest, epoch);
     // `--trace-dir` journals the resumed run, so `acfc stats --check`
     // can validate a post-recovery execution like any other
     if let Some(t) = &d.trace_dir {
@@ -453,7 +450,7 @@ fn elastic_recover(args: &Args, mut err: Error) -> Result<(), Error> {
              (partition {}), resuming epoch {epoch}",
             spec.display(),
         );
-        let d = args.common.overlay(dir, &manifest, epoch)?;
+        let d = args.common.overlay(dir, &manifest, epoch);
         match relaunch(&d, dir, &compiled) {
             Ok(()) => {
                 eprintln!("acfc: elastic: recovered on {survivors} rank(s)");
@@ -724,7 +721,7 @@ fn apply_advice(args: &Args, advice: &advisor::Advice) -> Result<(), Error> {
          {} rank(s) (predicted wall {:+.1}%)",
         manifest.ranks, best.wall_delta_pct
     );
-    let mut d = args.common.overlay(dir, &manifest, epoch)?;
+    let mut d = args.common.overlay(dir, &manifest, epoch);
     // the checkpointed run was a worker mesh; it is relaunched as one
     d.transport = TransportKind::Tcp;
     relaunch(&d, dir, &compiled)

@@ -26,7 +26,6 @@
 //! state machine every relaunch of a checkpoint directory goes through.
 
 use crate::{compile, obs, planio, CompileOptions, Compiled, Error};
-use autocfd_codegen::EnginePref;
 use autocfd_grid::PartitionSpec;
 use autocfd_interp::{verify_rank_owned_region, CheckpointOpts, RankRun, RunConfig, RunError};
 use autocfd_runtime::checkpoint::{self, RunManifest};
@@ -51,7 +50,7 @@ pub enum TransportKind {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommonOpts {
     /// Compilation options accumulated from `--procs`, `--partition`,
-    /// `--distance`, `--no-optimize`, `--engine`, `--threads`.
+    /// `--distance`, `--no-optimize`, `--threads`.
     pub compile: CompileOptions,
     /// `--transport inproc|tcp`.
     pub transport: TransportKind,
@@ -147,11 +146,6 @@ impl CommonOpts {
                 self.compile.partition = Some(parts.map_err(|_| format!("bad partition `{v}`"))?);
             }
             "--distance" => self.compile.distance = Some(num(&value("a value")?, "distance")?),
-            "--engine" => {
-                let v = value("`tree` or `kernel`")?;
-                self.compile.engine = EnginePref::parse(&v)
-                    .ok_or_else(|| format!("unknown engine `{v}` (expected `tree` or `kernel`)"))?;
-            }
             "--threads" => {
                 let v = value("a value")?;
                 self.compile.threads = num(&v, "thread count")
@@ -238,12 +232,10 @@ impl CommonOpts {
                 out.extend([flag.to_string(), v]);
             }
         };
-        let tree = c.engine == EnginePref::Tree;
         let parts = c.partition.as_deref().map(PartitionSpec::new);
         value("--partition", parts.map(|p| p.display()));
         value("--distance", c.distance.map(|d| d.to_string()));
-        // tree x 1 thread are the parser's defaults
-        value("--engine", (!tree).then(|| c.engine.name().to_string()));
+        // 1 thread is the parser's default
         value("--threads", (c.threads != 1).then(|| c.threads.to_string()));
         value("--timeout-ms", self.timeout_ms.map(|v| v.to_string()));
         value("--trace-dir", self.trace_dir.clone());
@@ -279,19 +271,14 @@ impl CommonOpts {
 
     /// The launch description of a relaunch of the checkpointed run in
     /// `dir` from `epoch`: what is compiled and how it executes comes
-    /// from the manifest (geometry, distance, optimization, engine,
-    /// threads, overlap, timeout, cadence), how the launch is carried
+    /// from the manifest (geometry, distance, optimization, threads,
+    /// overlap, timeout, cadence), how the launch is carried
     /// out and observed comes from `self`, the relaunching command's
     /// flags (transport, verification, profile, telemetry, trace
     /// directory).
-    pub fn overlay(
-        &self,
-        dir: &Path,
-        manifest: &RunManifest,
-        epoch: u64,
-    ) -> Result<CommonOpts, Error> {
-        Ok(CommonOpts {
-            compile: manifest_compile(manifest)?,
+    pub fn overlay(&self, dir: &Path, manifest: &RunManifest, epoch: u64) -> CommonOpts {
+        CommonOpts {
+            compile: manifest_compile(manifest),
             ranks: None,
             timeout_ms: Some(manifest.timeout_ms),
             overlap: manifest.overlap,
@@ -303,7 +290,7 @@ impl CommonOpts {
             plan: None,
             chaos_abort_after: None,
             ..self.clone()
-        })
+        }
     }
 
     /// With checkpointing on, record how to relaunch this fresh launch:
@@ -329,7 +316,6 @@ impl CommonOpts {
             overlap: self.overlap,
             checkpoint_every: every,
             timeout_ms: self.timeout().as_millis() as u64,
-            engine: self.compile.engine.name().into(),
             threads: self.compile.threads.into(),
         };
         checkpoint::write_manifest(Path::new(dir), &manifest)
@@ -348,9 +334,9 @@ impl CommonOpts {
     }
 
     /// The one `RunConfig` assembly, for a whole in-process mesh and for
-    /// a single worker rank alike. The plan carries the engine/thread
-    /// selection (local compile or `--plan` artifact), so every process
-    /// of a mesh executes on the same engine.
+    /// a single worker rank alike. The plan carries the thread count and
+    /// kernel nests (local compile or `--plan` artifact), so every
+    /// process of a mesh compiles the same kernels.
     fn run_config<'a>(&self, compiled: &'a Compiled) -> RunConfig<'a> {
         let mut cfg = compiled.run_config().overlap(self.overlap);
         let ckpt = self.checkpointing();
@@ -509,24 +495,16 @@ impl CommonOpts {
     }
 }
 
-/// The compile a manifest records. The only reader of
-/// `manifest.engine`: an engine this build does not know is refused,
-/// never defaulted.
-fn manifest_compile(manifest: &RunManifest) -> Result<CompileOptions, Error> {
-    let engine = EnginePref::parse(&manifest.engine).ok_or_else(|| {
-        Error::Validation(format!(
-            "manifest names unknown engine `{}`",
-            manifest.engine
-        ))
-    })?;
-    Ok(CompileOptions {
+/// The compile a manifest records.
+fn manifest_compile(manifest: &RunManifest) -> CompileOptions {
+    CompileOptions {
         procs: None,
         partition: Some(manifest.parts.clone()),
         distance: Some(manifest.distance as u64),
         optimize: manifest.optimize,
-        engine,
         threads: manifest.threads.clamp(1, u64::from(u32::MAX)) as u32,
-    })
+        ..Default::default()
+    }
 }
 
 /// The state machine every relaunch of a checkpoint directory goes
@@ -550,7 +528,7 @@ pub fn retarget(
     parts: Vec<u32>,
 ) -> Result<(RunManifest, u64, Compiled), Error> {
     manifest.parts = parts;
-    let opts = manifest_compile(&manifest)?;
+    let opts = manifest_compile(&manifest);
     let epoch = checkpoint::latest_consistent_epoch(dir).ok_or_else(|| {
         runtime_err(format!(
             "no consistent checkpoint epoch under `{}` (need all rank snapshots \
@@ -628,14 +606,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_parses_and_defaults() {
+    fn threads_flag_parses_and_defaults() {
         let (opts, _) = parse(&[]).unwrap();
-        assert_eq!(opts.compile.engine, EnginePref::Tree);
         assert_eq!(opts.compile.threads, 1);
-        let (opts, _) = parse(&["--engine", "kernel", "--threads", "8"]).unwrap();
-        assert_eq!(opts.compile.engine, EnginePref::Kernel);
+        let (opts, _) = parse(&["--threads", "8"]).unwrap();
         assert_eq!(opts.compile.threads, 8);
-        assert!(parse(&["--engine", "warp"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--threads", "many"]).is_err());
     }
@@ -689,8 +664,6 @@ mod tests {
             "--distance",
             "2",
             "--no-optimize",
-            "--engine",
-            "kernel",
             "--threads",
             "4",
             "--timeout-ms",
@@ -725,7 +698,7 @@ mod tests {
                     partition: Some(_),
                     distance: Some(_),
                     optimize: false,
-                    engine: EnginePref::Kernel,
+                    engine: _,
                     threads: 4,
                 },
             transport: TransportKind::Inproc,
@@ -778,7 +751,6 @@ mod tests {
             overlap: true,
             checkpoint_every: 4,
             timeout_ms: 700,
-            engine: "kernel".into(),
             threads: 2,
         };
         let (cli, _) = parse(&[
@@ -800,7 +772,7 @@ mod tests {
             "7",
         ])
         .unwrap();
-        let d = cli.overlay(Path::new("ck"), &manifest, 6).unwrap();
+        let d = cli.overlay(Path::new("ck"), &manifest, 6);
         assert_eq!(
             d.compile.partition,
             Some(vec![3, 1]),
@@ -808,7 +780,6 @@ mod tests {
         );
         assert_eq!(d.compile.distance, Some(2));
         assert!(!d.compile.optimize && d.overlap);
-        assert_eq!(d.compile.engine, EnginePref::Kernel);
         assert_eq!((d.compile.threads, d.timeout_ms), (2, Some(700)));
         assert_eq!(d.checkpointing(), Some((4, "ck")));
         assert_eq!((d.resume_epoch, d.ranks), (Some(6), None));
@@ -819,12 +790,5 @@ mod tests {
             (d.telemetry_ms, d.trace_dir.as_deref()),
             (Some(5), Some("t"))
         );
-
-        let unknown = RunManifest {
-            engine: "warp".into(),
-            ..manifest
-        };
-        let err = cli.overlay(Path::new("ck"), &unknown, 6).unwrap_err();
-        assert_eq!(err.exit_code(), 4, "{err}");
     }
 }

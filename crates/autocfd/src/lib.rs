@@ -109,11 +109,12 @@ pub struct CompileOptions {
     /// off in `Default`). `false` keeps one synchronization per writer
     /// loop — the paper's "before optimization" configuration.
     pub optimize: bool,
-    /// Execution engine recorded in the emitted plan (default tree):
-    /// `Kernel` makes runs of this compile execute eligible comm-free
-    /// loop nests as fused compiled kernels, bit-exactly.
+    /// Compatibility shim, neither recorded nor read: every run
+    /// executes eligible comm-free loop nests as fused compiled kernels.
+    /// Removed with ROADMAP item 1's `[benchmark]` PR.
+    #[doc(hidden)]
     pub engine: EnginePref,
-    /// Kernel-engine worker threads recorded in the plan (default 1).
+    /// Worker threads per rank recorded in the plan (default 1).
     pub threads: u32,
 }
 
@@ -124,7 +125,7 @@ impl Default for CompileOptions {
             partition: None,
             distance: None,
             optimize: false,
-            engine: EnginePref::Tree,
+            engine: EnginePref::Kernel,
             threads: 1,
         }
     }
@@ -288,16 +289,18 @@ impl Compiled {
         autocfd_fortran::print(&self.parallel_file)
     }
 
-    /// Run the *original sequential* program on the reference tree-walk
-    /// engine — the ground truth every parallel/kernel execution is
-    /// verified against.
+    /// Run the *original sequential* program on the reference tree walk
+    /// — the ground truth every parallel execution is verified against.
     pub fn run_sequential(&self, input: Vec<f64>) -> Result<(Machine, Frame), RunError> {
-        RunConfig::new(&self.ir.file).input(input).run_sequential()
+        RunConfig::new(&self.ir.file)
+            .reference()
+            .input(input)
+            .run_sequential()
     }
 
     /// A [`RunConfig`] for the transformed parallel program, plan
-    /// attached: the plan's engine/thread selection applies, and every
-    /// execution knob (overlap, checkpointing, engine override) is a
+    /// attached: the plan's thread count and kernel nests apply, and
+    /// every execution knob (overlap, checkpointing, threads) is a
     /// builder call away.
     pub fn run_config(&self) -> RunConfig<'_> {
         RunConfig::new(&self.parallel_file).plan(&self.spmd_plan)
@@ -399,15 +402,10 @@ pub fn compile(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileE
     let sync_plan = plan_program(&ir, &cut_axes, distance, opts.optimize);
     let (parallel_file, mut spmd_plan) = transform(&ir, &part, &sync_plan, distance)?;
 
-    // The plan carries the execution-engine choice so plan artifacts
-    // replay with the engine the submitter picked. Eligibility runs over
-    // the *transformed* program — the one that executes — so a `--plan`
-    // run compiles the same nests.
-    spmd_plan.engine = opts.engine;
+    // Eligibility runs over the *transformed* program — the one that
+    // executes — so a `--plan` run compiles the same nests.
     spmd_plan.threads = opts.threads.max(1);
-    if opts.engine == EnginePref::Kernel {
-        spmd_plan.kernel_nests = autocfd_interp::kernel_nests(&parallel_file);
-    }
+    spmd_plan.kernel_nests = autocfd_interp::kernel_nests(&parallel_file);
 
     Ok(Compiled {
         ir,

@@ -79,8 +79,7 @@ pub fn write_rank_run(
         transport: transport.into(),
         epoch_unix_ns: run.epoch_unix_ns,
     };
-    journal::write_rank_journal(dir, &header, &run.trace, &run.phases, &run.engine)
-        .map_err(|e| e.to_string())
+    journal::write_rank_journal(dir, &header, &run.trace, &run.phases).map_err(|e| e.to_string())
 }
 
 /// Reload a trace directory and merge the rank journals onto one
@@ -535,7 +534,7 @@ mod tests {
             comm_us: 5,
             peers: vec![],
             checkpoint_epoch: 3,
-            engine: "tree".into(),
+            engine: "kernel".into(),
             queue_depth: 0,
             dropped: 0,
         };

@@ -31,12 +31,9 @@ pub use crate::obs::{
     render_report, write_rank_run, PhaseCheck,
 };
 pub use crate::{compile, CompileError, CompileOptions, Compiled, Error};
-pub use autocfd_codegen::{EnginePref, SpmdPlan};
+pub use autocfd_codegen::SpmdPlan;
 pub use autocfd_grid::{GridShape, Partition, PartitionSpec};
-pub use autocfd_interp::{
-    repartition, CheckpointOpts, Engine, KernelEngine, RankResult, RankRun, RunConfig, RunError,
-    TreeEngine,
-};
+pub use autocfd_interp::{repartition, CheckpointOpts, RankResult, RankRun, RunConfig, RunError};
 pub use autocfd_runtime::checkpoint::{
     latest_consistent_epoch, load_epoch, load_manifest, write_manifest, RunManifest, Snapshot,
 };

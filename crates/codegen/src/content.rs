@@ -66,11 +66,7 @@ pub struct PlanKey {
     pub distance: Option<usize>,
     /// Whether redundant-sync elimination ran.
     pub optimize: bool,
-    /// Requested execution engine. The emitted plan JSON embeds it, so
-    /// two compiles that differ only here must not share a cache entry.
-    pub engine: EnginePref,
-    /// Requested kernel-engine worker threads (embedded in the plan
-    /// JSON like `engine`).
+    /// Requested worker threads per rank (embedded in the plan JSON).
     pub threads: u32,
     /// [`PLAN_SCHEMA_VERSION`] at key construction time.
     pub schema_version: i64,
@@ -79,13 +75,14 @@ pub struct PlanKey {
 impl PlanKey {
     /// Build the key for `source` compiled with the given options. The
     /// source is canonicalized first (see [`canonicalize_source`]).
-    #[allow(clippy::too_many_arguments)]
+    /// `_engine` is a compatibility shim the key ignores, removed with
+    /// ROADMAP item 1's `[benchmark]` PR.
     pub fn new(
         source: &str,
         parts: &[usize],
         distance: Option<usize>,
         optimize: bool,
-        engine: EnginePref,
+        _engine: EnginePref,
         threads: u32,
     ) -> PlanKey {
         PlanKey {
@@ -93,7 +90,6 @@ impl PlanKey {
             parts: parts.to_vec(),
             distance,
             optimize,
-            engine,
             threads,
             schema_version: PLAN_SCHEMA_VERSION,
         }
@@ -104,7 +100,7 @@ impl PlanKey {
     /// and wire-safe; used as the cache entry name.
     pub fn digest(&self) -> String {
         let mut material = String::new();
-        material.push_str("acfd-plan-key:v2\n");
+        material.push_str("acfd-plan-key:v3\n");
         material.push_str(&format!("source:{:032x}\n", self.source_digest));
         material.push_str("parts:");
         for (i, p) in self.parts.iter().enumerate() {
@@ -119,7 +115,6 @@ impl PlanKey {
             None => material.push_str("distance:default\n"),
         }
         material.push_str(&format!("optimize:{}\n", self.optimize));
-        material.push_str(&format!("engine:{}\n", self.engine.name()));
         material.push_str(&format!("threads:{}\n", self.threads));
         material.push_str(&format!("schema:{}\n", self.schema_version));
         format!("{:032x}", stable_hash_128(material.as_bytes()))
@@ -157,18 +152,18 @@ mod tests {
         let dos = "program t\r\n  x = 1\r\nend\r\n";
         let mac = "program t\r  x = 1\rend\r";
         let trailing = "program t   \n  x = 1\t\nend\n";
-        let a = PlanKey::new(unix, &[2, 2], Some(1), true, EnginePref::Tree, 1);
+        let a = PlanKey::new(unix, &[2, 2], Some(1), true, EnginePref::Kernel, 1);
         assert_eq!(
             a,
-            PlanKey::new(dos, &[2, 2], Some(1), true, EnginePref::Tree, 1)
+            PlanKey::new(dos, &[2, 2], Some(1), true, EnginePref::Kernel, 1)
         );
         assert_eq!(
             a,
-            PlanKey::new(mac, &[2, 2], Some(1), true, EnginePref::Tree, 1)
+            PlanKey::new(mac, &[2, 2], Some(1), true, EnginePref::Kernel, 1)
         );
         assert_eq!(
             a,
-            PlanKey::new(trailing, &[2, 2], Some(1), true, EnginePref::Tree, 1)
+            PlanKey::new(trailing, &[2, 2], Some(1), true, EnginePref::Kernel, 1)
         );
         // ...but real edits change the key
         assert_ne!(
@@ -178,7 +173,7 @@ mod tests {
                 &[2, 2],
                 Some(1),
                 true,
-                EnginePref::Tree,
+                EnginePref::Kernel,
                 1
             )
         );
@@ -187,28 +182,23 @@ mod tests {
     #[test]
     fn every_option_is_key_material() {
         let src = "program t\nend\n";
-        let base = PlanKey::new(src, &[2, 2], Some(1), true, EnginePref::Tree, 1);
+        let base = PlanKey::new(src, &[2, 2], Some(1), true, EnginePref::Kernel, 1);
         assert_ne!(
             base.digest(),
-            PlanKey::new(src, &[4, 1], Some(1), true, EnginePref::Tree, 1).digest()
+            PlanKey::new(src, &[4, 1], Some(1), true, EnginePref::Kernel, 1).digest()
         );
         assert_ne!(
             base.digest(),
-            PlanKey::new(src, &[2, 2], Some(2), true, EnginePref::Tree, 1).digest()
+            PlanKey::new(src, &[2, 2], Some(2), true, EnginePref::Kernel, 1).digest()
         );
         assert_ne!(
             base.digest(),
-            PlanKey::new(src, &[2, 2], Some(1), false, EnginePref::Tree, 1).digest()
+            PlanKey::new(src, &[2, 2], Some(1), false, EnginePref::Kernel, 1).digest()
         );
         assert_ne!(
             base.digest(),
-            PlanKey::new(src, &[2, 2], None, true, EnginePref::Tree, 1).digest(),
+            PlanKey::new(src, &[2, 2], None, true, EnginePref::Kernel, 1).digest(),
             "an explicit override of 1 and `no override` are distinct keys"
-        );
-        assert_ne!(
-            base.digest(),
-            PlanKey::new(src, &[2, 2], Some(1), true, EnginePref::Kernel, 1).digest(),
-            "engine selection is key material (the plan JSON embeds it)"
         );
         assert_ne!(
             PlanKey::new(src, &[2, 2], Some(1), true, EnginePref::Kernel, 1).digest(),
@@ -225,12 +215,12 @@ mod tests {
         let src = "program t\nend\n";
         // [12] vs [1,2] must not collide through string concatenation
         assert_ne!(
-            PlanKey::new(src, &[12], Some(1), true, EnginePref::Tree, 1).digest(),
-            PlanKey::new(src, &[1, 2], Some(1), true, EnginePref::Tree, 1).digest()
+            PlanKey::new(src, &[12], Some(1), true, EnginePref::Kernel, 1).digest(),
+            PlanKey::new(src, &[1, 2], Some(1), true, EnginePref::Kernel, 1).digest()
         );
         assert_ne!(
-            PlanKey::new(src, &[2, 1], Some(1), true, EnginePref::Tree, 1).digest(),
-            PlanKey::new(src, &[1, 2], Some(1), true, EnginePref::Tree, 1).digest()
+            PlanKey::new(src, &[2, 1], Some(1), true, EnginePref::Kernel, 1).digest(),
+            PlanKey::new(src, &[1, 2], Some(1), true, EnginePref::Kernel, 1).digest()
         );
     }
 
@@ -239,16 +229,15 @@ mod tests {
         // A golden digest proves cross-process determinism: any
         // process-random seed, map-order dependence, or host-path leak
         // would break it. If this fails after an intentional key-material
-        // change, bump "acfd-plan-key:v2" and re-pin.
+        // change, bump "acfd-plan-key:v3" and re-pin.
         let key = PlanKey {
             source_digest: stable_hash_128(b"program t\nend\n"),
             parts: vec![2, 2],
             distance: Some(1),
             optimize: true,
-            engine: EnginePref::Kernel,
             threads: 4,
-            schema_version: 2,
+            schema_version: 3,
         };
-        assert_eq!(key.digest(), "15c8eb707959bdb3972a124441a28153");
+        assert_eq!(key.digest(), "5cba1db14289ebb2d02dbdeabdb2f954");
     }
 }

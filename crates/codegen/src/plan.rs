@@ -88,42 +88,17 @@ pub struct OverlapSpec {
     pub high_width: u64,
 }
 
-/// Which interpreter backend executes the plan — carried in the plan
-/// (and its JSON artifact) so a remote run selects the same engine the
-/// submitting client did.
+/// Compatibility shim: the one execution engine, named by the benchmark
+/// crate's `CompileOptions`/`SpmdPlan` literals. Every run executes
+/// eligible comm-free loop nests as compiled kernels and tree-walks the
+/// rest; nothing reads this value. Removed with ROADMAP item 1's
+/// `[benchmark]` PR.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum EnginePref {
-    /// Tree-walk every statement (the reference engine).
+    /// The compiled-kernel executor (the only one).
     #[default]
-    Tree,
-    /// Compiled fused kernels for eligible comm-free loop nests,
-    /// tree-walk for everything else. Bit-exact with `Tree`.
     Kernel,
-}
-
-impl EnginePref {
-    /// Stable lower-case name (CLI flag value, plan JSON, trace tag).
-    pub fn name(self) -> &'static str {
-        match self {
-            EnginePref::Tree => "tree",
-            EnginePref::Kernel => "kernel",
-        }
-    }
-
-    /// Parse a [`EnginePref::name`] back; `None` for unknown names.
-    pub fn parse(s: &str) -> Option<EnginePref> {
-        match s {
-            "tree" => Some(EnginePref::Tree),
-            "kernel" => Some(EnginePref::Kernel),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for EnginePref {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Plan-independent source coordinates of a sync insertion gap: which
@@ -188,16 +163,17 @@ pub struct SpmdPlan {
     pub sync_before: u64,
     /// See [`SpmdPlan::sync_before`].
     pub sync_after: u64,
-    /// Which execution engine should run this plan. Serialized with the
-    /// plan so a `--plan` run uses the engine the plan was compiled for.
+    /// Compatibility shim, neither serialized nor read. Removed with
+    /// ROADMAP item 1's `[benchmark]` PR.
+    #[doc(hidden)]
     pub engine: EnginePref,
-    /// Worker threads for the kernel engine's interior split (1 =
-    /// sequential kernels). Ignored by the tree engine.
+    /// Worker threads per rank for the compiled kernels' interior split
+    /// (1 = sequential kernels).
     pub threads: u32,
     /// Statement ids of outermost comm-free loop nests in the
     /// *transformed* program that the kernel compiler proved eligible.
-    /// The kernel engine compiles exactly these; an empty list with
-    /// `engine == Kernel` means "discover at load time".
+    /// Runs compile exactly these; an empty list means "discover at
+    /// load time".
     pub kernel_nests: Vec<StmtId>,
 }
 
@@ -240,7 +216,7 @@ mod tests {
             checkpoint_sites: BTreeMap::new(),
             sync_before: 0,
             sync_after: 0,
-            engine: EnginePref::Tree,
+            engine: Default::default(),
             threads: 1,
             kernel_nests: vec![],
         };
@@ -293,7 +269,7 @@ mod tests {
             )]),
             sync_before: 5,
             sync_after: 1,
-            engine: EnginePref::Kernel,
+            engine: Default::default(),
             threads: 4,
             kernel_nests: vec![StmtId(7)],
         };

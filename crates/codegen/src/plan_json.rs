@@ -13,8 +13,8 @@
 //! `i128` — nothing round-trips through `f64`.
 
 use crate::plan::{
-    CutSite, EnginePref, OverlapSpec, PipeStep, ReduceSpec, SelfArraySpec, SelfLoopSpec, SpmdPlan,
-    SyncArray, SyncSpec,
+    CutSite, OverlapSpec, PipeStep, ReduceSpec, SelfArraySpec, SelfLoopSpec, SpmdPlan, SyncArray,
+    SyncSpec,
 };
 use autocfd_fortran::ast::StmtId;
 use autocfd_grid::{partition, GridShape, PartitionSpec};
@@ -24,9 +24,9 @@ use std::collections::BTreeMap;
 /// Version of the plan JSON schema. Bump on any incompatible change;
 /// the loader rejects mismatches instead of guessing.
 ///
-/// v2 added `engine`, `threads` and `kernel_nests` (compiled-kernel
-/// engine selection travels with the plan).
-pub const PLAN_SCHEMA_VERSION: i64 = 2;
+/// v2 added `engine`, `threads` and `kernel_nests`; v3 dropped `engine`
+/// (every run takes the compiled-kernel path).
+pub const PLAN_SCHEMA_VERSION: i64 = 3;
 
 fn ints<T: Copy + Into<i128>>(vs: &[T]) -> Value {
     Value::Arr(vs.iter().map(|&v| Value::Int(v.into())).collect())
@@ -208,7 +208,6 @@ pub fn to_json(plan: &SpmdPlan) -> String {
         ("checkpoint_sites", checkpoint_sites),
         ("sync_before", Value::Int(plan.sync_before.into())),
         ("sync_after", Value::Int(plan.sync_after.into())),
-        ("engine", Value::Str(plan.engine.name().to_string())),
         ("threads", Value::Int(plan.threads.into())),
         (
             "kernel_nests",
@@ -412,10 +411,7 @@ pub fn from_json(text: &str, expect_ranks: Option<u32>) -> Result<SpmdPlan, Stri
         checkpoint_sites,
         sync_before: v.int("sync_before")?,
         sync_after: v.int("sync_after")?,
-        engine: {
-            let name = v.str("engine")?;
-            EnginePref::parse(&name).ok_or_else(|| format!("{CTX}: unknown engine `{name}`"))?
-        },
+        engine: Default::default(),
         threads: v.int::<u32>("threads")?.max(1),
         kernel_nests: v
             .ints::<u32>("kernel_nests")?
@@ -492,7 +488,7 @@ mod tests {
             )]),
             sync_before: 5,
             sync_after: 1,
-            engine: EnginePref::Kernel,
+            engine: Default::default(),
             threads: 4,
             kernel_nests: vec![StmtId(7), StmtId(12)],
         };
@@ -519,28 +515,30 @@ mod tests {
             checkpoint_sites: BTreeMap::new(),
             sync_before: 0,
             sync_after: 0,
-            engine: EnginePref::Tree,
+            engine: Default::default(),
             threads: 1,
             kernel_nests: vec![],
         };
-        let text = to_json(&plan).replace("\"version\":2", "\"version\":99");
+        let text = to_json(&plan).replace("\"version\":3", "\"version\":99");
         let err = from_json(&text, None).unwrap_err();
         assert!(err.contains("schema version 99"), "{err}");
-        // v1 artifacts (pre-engine) are stale too
-        let old = to_json(&plan).replace("\"version\":2", "\"version\":1");
-        let err = from_json(&old, None).unwrap_err();
-        assert!(err.contains("schema version 1"), "{err}");
+        // v1 (pre-engine) and v2 (engine-selecting) artifacts are stale too
+        for old in [1, 2] {
+            let text = to_json(&plan).replace("\"version\":3", &format!("\"version\":{old}"));
+            let err = from_json(&text, None).unwrap_err();
+            assert!(err.contains(&format!("schema version {old}")), "{err}");
+        }
     }
 
     #[test]
     fn invalid_partition_rejected_not_panicking() {
         // 8 parts on an extent-4 axis would make `partition()` panic;
         // the loader must reject it as a parse error instead
-        let text = r#"{"version":2,"partition":{"extents":[4,4],"parts":[8,1]},
+        let text = r#"{"version":3,"partition":{"extents":[4,4],"parts":[8,1]},
             "dim_axis":[],"syncs":[],"overlaps":[],"self_loops":[],
             "reduces":[],"fills":[],"checkpoint_syncs":[],
             "sync_before":0,"sync_after":0,
-            "engine":"tree","threads":1,"kernel_nests":[]}"#;
+            "threads":1,"kernel_nests":[]}"#;
         let err = from_json(text, None).unwrap_err();
         assert!(err.contains("cannot be split"), "{err}");
     }
@@ -549,11 +547,11 @@ mod tests {
     fn oversized_rank_counts_are_refused_before_any_subgrid_is_built() {
         let text = |n: u32| {
             format!(
-                r#"{{"version":2,"partition":{{"extents":[{n},{n}],"parts":[{n},{n}]}},
+                r#"{{"version":3,"partition":{{"extents":[{n},{n}],"parts":[{n},{n}]}},
                 "dim_axis":[],"syncs":[],"overlaps":[],"self_loops":[],
                 "reduces":[],"fills":[],"checkpoint_syncs":[],"checkpoint_sites":[],
                 "sync_before":0,"sync_after":0,
-                "engine":"tree","threads":1,"kernel_nests":[]}}"#
+                "threads":1,"kernel_nests":[]}}"#
             )
         };
         // 65536 × 65536 ranks overflow u32
@@ -576,7 +574,7 @@ mod tests {
             .unwrap_err()
             .contains("parse error"));
         assert!(from_json("{}", None).unwrap_err().contains("version"));
-        let err = from_json(r#"{"version":2}"#, None).unwrap_err();
+        let err = from_json(r#"{"version":3}"#, None).unwrap_err();
         assert!(err.contains("partition"), "{err}");
     }
 }

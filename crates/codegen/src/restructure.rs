@@ -398,10 +398,10 @@ pub fn transform(
         checkpoint_sites,
         sync_before: plan.stats.before,
         sync_after: plan.stats.after,
-        // Engine selection is a front-end concern: the driver overwrites
-        // these from its options (and fills `kernel_nests` by running the
-        // kernel compiler over the transformed program).
-        engine: crate::plan::EnginePref::default(),
+        // The driver overwrites `threads` from its options and fills
+        // `kernel_nests` by running the kernel compiler over the
+        // transformed program.
+        engine: Default::default(),
         threads: 1,
         kernel_nests: Vec::new(),
     };

@@ -41,10 +41,12 @@ pub struct CompileReq {
     pub distance: Option<usize>,
     /// Run redundant-sync elimination.
     pub optimize: bool,
-    /// Requested execution engine, embedded in the returned plan.
-    /// Requests that omit the field read as [`EnginePref::Tree`].
+    /// Compatibility shim, neither sent nor read: every request reads
+    /// as [`EnginePref::Kernel`]. Removed with ROADMAP item 1's
+    /// `[benchmark]` PR.
+    #[doc(hidden)]
     pub engine: EnginePref,
-    /// Kernel-engine worker threads (≥ 1); omitted reads as 1.
+    /// Worker threads per rank (≥ 1); omitted reads as 1.
     pub threads: u32,
 }
 
@@ -130,7 +132,6 @@ fn compile_fields(c: &CompileReq) -> Vec<(&'static str, Value)> {
             },
         ),
         ("optimize", Value::Bool(c.optimize)),
-        ("engine", Value::Str(c.engine.name().into())),
         ("threads", Value::Int(c.threads.into())),
     ]
 }
@@ -198,16 +199,9 @@ impl Request {
                 Some(Value::Bool(b)) => *b,
                 _ => return Err(bad("request: missing `optimize`".into())),
             };
-            // `engine`/`threads` arrived with proto-compatible lenient
-            // parsing: absent fields read as the tree-walk defaults so
-            // requests from older clients stay valid.
-            let engine = match v.get("engine") {
-                None | Some(Value::Null) => EnginePref::Tree,
-                Some(val) => val
-                    .as_str()
-                    .and_then(EnginePref::parse)
-                    .ok_or_else(|| bad(format!("request: unknown engine `{val}`")))?,
-            };
+            // `threads` arrived with proto-compatible lenient parsing:
+            // absent reads as 1 so requests from older clients stay
+            // valid. An `engine` key from such a client is ignored.
             let threads = match v.get("threads") {
                 None | Some(Value::Null) => 1,
                 Some(val) => val
@@ -221,7 +215,7 @@ impl Request {
                 parts,
                 distance,
                 optimize,
-                engine,
+                engine: EnginePref::Kernel,
                 threads,
             })
         };
@@ -287,21 +281,20 @@ mod tests {
             parts: vec![2, 2],
             distance: Some(1),
             optimize: true,
-            engine: EnginePref::Tree,
+            engine: EnginePref::Kernel,
             threads: 1,
         }
     }
 
     #[test]
     fn requests_roundtrip() {
-        let kernel = CompileReq {
-            engine: EnginePref::Kernel,
+        let threaded = CompileReq {
             threads: 4,
             ..req()
         };
         for r in [
             Request::Compile(req()),
-            Request::Compile(kernel),
+            Request::Compile(threaded),
             Request::Stats,
         ] {
             assert_eq!(Request::from_json(&r.to_json()).unwrap(), r);
@@ -310,22 +303,18 @@ mod tests {
 
     #[test]
     fn engine_fields_default_when_absent() {
-        // a pre-engine client's request (no `engine`/`threads` keys)
+        // a pre-engine client's request (no `engine`/`threads` keys) and
+        // an engine-selecting one both read as the one engine
         let text = "{\"proto\":1,\"type\":\"compile\",\"source\":\"x\",\
                     \"parts\":[2],\"distance\":null,\"optimize\":true}";
         let Request::Compile(c) = Request::from_json(text).unwrap() else {
             panic!("not a compile request");
         };
-        assert_eq!(c.engine, EnginePref::Tree);
+        assert_eq!(c.engine, EnginePref::Kernel);
         assert_eq!(c.threads, 1);
-        // but garbage values are rejected, not defaulted
-        let bad = "{\"proto\":1,\"type\":\"compile\",\"source\":\"x\",\
-                   \"parts\":[2],\"distance\":null,\"optimize\":true,\
-                   \"engine\":\"warp\"}";
-        assert_eq!(
-            Request::from_json(bad).unwrap_err().class,
-            ErrorClass::BadRequest
-        );
+        let tree = text.replace("}", ",\"engine\":\"tree\"}");
+        assert_eq!(Request::from_json(&tree).unwrap(), Request::Compile(c));
+        // but a garbage thread count is rejected, not defaulted
         let bad = "{\"proto\":1,\"type\":\"compile\",\"source\":\"x\",\
                    \"parts\":[2],\"distance\":null,\"optimize\":true,\
                    \"threads\":0}";

@@ -1,133 +1,54 @@
-//! The unified execution API: [`Engine`] backends driven by a
-//! [`RunConfig`] builder.
+//! The execution API: one [`RunConfig`] builder for every way of
+//! running a compiled program.
 //!
-//! Every way of executing a compiled program — sequential reference run,
-//! one rank over an existing communicator, a whole in-process mesh,
-//! checkpointed or resumed — goes through one [`RunConfig`]. The config
-//! collects the knobs that used to be positional parameters (plan,
-//! input, statement budget, overlap, checkpoint cadence) plus the engine
-//! selection, builds the chosen [`Engine`] once, and shares it across
-//! every rank thread of a parallel run.
+//! Every execution — sequential run, one rank over an existing
+//! communicator, a whole in-process mesh, checkpointed or resumed — goes
+//! through one [`RunConfig`]. The config collects the knobs (plan,
+//! input, statement budget, overlap, worker threads, checkpoint cadence,
+//! telemetry, resume directory), compiles the program's [`KernelSet`]
+//! once, and shares it across every rank thread of a parallel run.
 //!
-//! Two engines exist, and they are bit-exact with each other:
-//!
-//! * [`TreeEngine`] — the reference tree-walk over the AST
-//!   ([`crate::exec`]); always correct, never surprising.
-//! * [`KernelEngine`] — comm-free loop nests the kernel compiler proved
-//!   eligible ([`crate::kernel`]) run as fused compiled kernels with
-//!   pre-resolved strides, optionally split across worker threads;
-//!   everything else falls back to the tree walk mid-run with no
-//!   observable difference (op counters, error text and line
-//!   attribution, trace span structure all match).
-//!
-//! Which engine runs is an [`EnginePref`] carried in the
-//! [`SpmdPlan`] itself, so a plan artifact executed remotely uses the
-//! engine the submitting client chose; [`RunConfig::engine`] overrides
-//! it per run.
+//! Comm-free loop nests the kernel compiler proves eligible
+//! ([`crate::kernel`]) run as fused compiled kernels with pre-resolved
+//! strides, optionally split across worker threads. Every other
+//! statement is tree-walked ([`crate::exec`]) mid-run with no observable
+//! difference: op counters, error text and line attribution, and trace
+//! span structure all match. The tree walk alone is the reference the
+//! tests and `--verify` compare against ([`RunConfig::reference`]).
 
 use std::path::PathBuf;
 
 use crate::elastic::repartition;
-use crate::exec::{run_program_capture_with, NoHooks};
-use crate::kernel::{eligible_nests, KernelSet};
+use crate::exec::{run_program, NoHooks};
+use crate::kernel::KernelSet;
 use crate::machine::{Frame, Machine, RunError};
 use crate::spmd::{run_rank_traced_impl, CheckpointOpts, RankResult, RankRun};
 use autocfd_codegen::{EnginePref, SpmdPlan};
-use autocfd_fortran::ast::StmtId;
 use autocfd_fortran::SourceFile;
 use autocfd_runtime::checkpoint::{latest_consistent_epoch, load_epoch, Snapshot};
 use autocfd_runtime::{run_spmd, Comm, TelemetryConfig};
-
-/// An execution backend. Both implementations produce bit-identical
-/// machines, frames, op counters, errors, and trace span structure; the
-/// trait exists so callers can hold either without caring which.
-pub trait Engine: Send + Sync {
-    /// Which backend this is (the value recorded in plans and traces).
-    fn kind(&self) -> EnginePref;
-
-    /// The compiled kernel set, when this engine has one. `None` makes
-    /// the executor tree-walk everything.
-    fn kernels(&self) -> Option<&KernelSet>;
-}
-
-/// The reference tree-walk engine: statement dispatch over the AST.
-#[derive(Debug, Default)]
-pub struct TreeEngine;
-
-impl Engine for TreeEngine {
-    fn kind(&self) -> EnginePref {
-        EnginePref::Tree
-    }
-
-    fn kernels(&self) -> Option<&KernelSet> {
-        None
-    }
-}
-
-/// The compiled-kernel engine: eligible comm-free loop nests run as
-/// fused kernels (threaded across `threads` workers when the nest is
-/// provably race-free); everything else tree-walks.
-pub struct KernelEngine {
-    set: KernelSet,
-}
-
-impl KernelEngine {
-    /// Compile kernels for `file`'s eligible nests. `hints` restricts
-    /// compilation to the listed outermost `do` statements (a plan's
-    /// `kernel_nests`); `None` discovers eligibility by walking the
-    /// whole program. `threads` > 1 adds a worker pool for the interior
-    /// split.
-    pub fn compile(file: &SourceFile, hints: Option<&[StmtId]>, threads: u32) -> KernelEngine {
-        KernelEngine {
-            set: KernelSet::build(file, hints, threads as usize),
-        }
-    }
-
-    /// The compiled kernel set (mainly for introspection in tests).
-    pub fn set(&self) -> &KernelSet {
-        &self.set
-    }
-}
-
-impl Engine for KernelEngine {
-    fn kind(&self) -> EnginePref {
-        EnginePref::Kernel
-    }
-
-    fn kernels(&self) -> Option<&KernelSet> {
-        Some(&self.set)
-    }
-}
 
 /// Builder for one execution of a (transformed or sequential) program.
 ///
 /// ```
 /// use autocfd_interp::engine::RunConfig;
-/// use autocfd_codegen::EnginePref;
 /// # let src = "      program t\n      x = 1.0\n      end\n";
 /// let file = autocfd_fortran::parse(src).unwrap();
-/// let (m, frame) = RunConfig::new(&file)
-///     .engine(EnginePref::Kernel)
-///     .threads(4)
-///     .run_sequential()
-///     .unwrap();
+/// let (m, frame) = RunConfig::new(&file).threads(4).run_sequential().unwrap();
 /// assert_eq!(frame.get_scalar("x"), autocfd_interp::Value::Real(1.0));
 /// # let _ = m;
 /// ```
 ///
-/// Engine resolution, weakest to strongest: the default ([`Tree`]), the
-/// attached plan's `engine`/`threads` fields, then explicit
-/// [`RunConfig::engine`] / [`RunConfig::threads`] calls.
-///
-/// [`Tree`]: EnginePref::Tree
+/// The worker-thread count resolves weakest to strongest: 1, the
+/// attached plan's `threads`, then an explicit [`RunConfig::threads`].
 pub struct RunConfig<'a> {
     file: &'a SourceFile,
     plan: Option<&'a SpmdPlan>,
     input: Vec<f64>,
     stmt_limit: u64,
     overlap: bool,
-    engine: Option<EnginePref>,
     threads: Option<u32>,
+    reference: bool,
     ckpt: Option<CheckpointOpts>,
     resume_dir: Option<PathBuf>,
     resume_epoch: Option<u64>,
@@ -136,7 +57,7 @@ pub struct RunConfig<'a> {
 
 impl<'a> RunConfig<'a> {
     /// A fresh config for `file`: no plan, empty input, unlimited
-    /// statements, overlap off, tree engine.
+    /// statements, overlap off, one worker thread per rank.
     pub fn new(file: &'a SourceFile) -> RunConfig<'a> {
         RunConfig {
             file,
@@ -144,8 +65,8 @@ impl<'a> RunConfig<'a> {
             input: Vec::new(),
             stmt_limit: 0,
             overlap: false,
-            engine: None,
             threads: None,
+            reference: false,
             ckpt: None,
             resume_dir: None,
             resume_epoch: None,
@@ -154,9 +75,9 @@ impl<'a> RunConfig<'a> {
     }
 
     /// Attach the SPMD plan (required for the parallel executors). The
-    /// plan's `engine`/`threads`/`kernel_nests` become the defaults for
-    /// this run; explicit [`RunConfig::engine`]/[`RunConfig::threads`]
-    /// calls override them regardless of call order.
+    /// plan's `threads` becomes this run's default, which an explicit
+    /// [`RunConfig::threads`] call overrides regardless of call order,
+    /// and its `kernel_nests` name the nests compiled.
     pub fn plan(mut self, plan: &'a SpmdPlan) -> Self {
         self.plan = Some(plan);
         self
@@ -181,14 +102,25 @@ impl<'a> RunConfig<'a> {
         self
     }
 
-    /// Select the execution engine explicitly, overriding the plan.
-    pub fn engine(mut self, kind: EnginePref) -> Self {
-        self.engine = Some(kind);
+    /// Compatibility shim that changes nothing: every run takes the
+    /// compiled-kernel path. Removed with ROADMAP item 1's `[benchmark]`
+    /// PR.
+    #[doc(hidden)]
+    pub fn engine(self, _kind: EnginePref) -> Self {
         self
     }
 
-    /// Kernel-engine worker threads (≥ 1), overriding the plan. Ignored
-    /// by the tree engine.
+    /// Tree-walk every statement, sequential and parallel runs alike:
+    /// the reference executor tests compare the compiled kernels
+    /// against.
+    #[doc(hidden)]
+    pub fn reference(mut self) -> Self {
+        self.reference = true;
+        self
+    }
+
+    /// Worker threads per rank (≥ 1) for the compiled kernels' interior
+    /// split, overriding the plan.
     pub fn threads(mut self, n: u32) -> Self {
         self.threads = Some(n);
         self
@@ -204,9 +136,7 @@ impl<'a> RunConfig<'a> {
     /// [`autocfd_runtime::telemetry`]): each rank aggregates its trace
     /// spans into periodic frames published over the transport and, when
     /// the config names a spool directory, to
-    /// `telemetry-rank-<r>.jsonl` files `acfc top DIR` tails. The
-    /// config's `engine` label is overwritten with the engine this run
-    /// resolves to.
+    /// `telemetry-rank-<r>.jsonl` files `acfc top DIR` tails.
     pub fn telemetry(mut self, config: TelemetryConfig) -> Self {
         self.telemetry = Some(config);
         self
@@ -263,53 +193,43 @@ impl<'a> RunConfig<'a> {
             .map_err(|e| RunError::new(format!("resume: {e}")))
     }
 
-    /// The engine this config resolves to (explicit > plan > tree).
-    pub fn resolved_engine(&self) -> EnginePref {
-        self.engine
-            .or(self.plan.map(|p| p.engine))
-            .unwrap_or_default()
-    }
-
     /// The thread count this config resolves to (explicit > plan > 1).
-    pub fn resolved_threads(&self) -> u32 {
+    fn resolved_threads(&self) -> u32 {
         self.threads
             .or(self.plan.map(|p| p.threads))
             .unwrap_or(1)
             .max(1)
     }
 
-    /// Build the resolved engine for this config's file. Kernel
-    /// compilation honors the plan's `kernel_nests` hints when present
-    /// (the transformed program's proven-eligible nests); without a plan
-    /// the whole program is walked for eligibility.
-    pub fn build_engine(&self) -> Box<dyn Engine> {
-        match self.resolved_engine() {
-            EnginePref::Tree => Box::new(TreeEngine),
-            EnginePref::Kernel => {
-                let hints = self
-                    .plan
-                    .map(|p| p.kernel_nests.as_slice())
-                    .filter(|h| !h.is_empty());
-                Box::new(KernelEngine::compile(
-                    self.file,
-                    hints,
-                    self.resolved_threads(),
-                ))
-            }
-        }
+    /// Compile this config's [`KernelSet`], honoring the plan's
+    /// `kernel_nests` hints when present (the transformed program's
+    /// proven-eligible nests); without a plan the whole program is
+    /// walked for eligibility. The one place a run's kernels are built;
+    /// the name is a compatibility shim, removed with ROADMAP item 1's
+    /// `[benchmark]` PR.
+    #[doc(hidden)]
+    pub fn build_engine(&self) -> KernelSet {
+        let hints = self
+            .plan
+            .map(|p| p.kernel_nests.as_slice())
+            .filter(|h| !h.is_empty());
+        KernelSet::build(self.file, hints, self.resolved_threads() as usize)
     }
 
-    /// Run the program sequentially (no hooks, no plan required) on the
-    /// resolved engine.
+    /// The kernels this run executes with: none for a
+    /// [`RunConfig::reference`] run.
+    fn kernels(&self) -> Option<KernelSet> {
+        (!self.reference).then(|| self.build_engine())
+    }
+
+    /// Run the program sequentially (no hooks, no plan required).
     pub fn run_sequential(&self) -> Result<(Machine, Frame), RunError> {
-        let engine = self.build_engine();
-        let mut hooks = NoHooks;
-        run_program_capture_with(
+        run_program(
             self.file,
             self.input.clone(),
-            &mut hooks,
+            &mut NoHooks,
             self.stmt_limit,
-            engine.kernels(),
+            self.kernels().as_ref(),
         )
     }
 
@@ -319,13 +239,10 @@ impl<'a> RunConfig<'a> {
         })
     }
 
-    /// Attach this config's telemetry sink (if any) to `comm`, stamping
-    /// the frames with the engine the run resolved to.
-    fn attach_telemetry(&self, comm: &Comm, kernels: bool) {
+    /// Attach this config's telemetry sink (if any) to `comm`.
+    fn attach_telemetry(&self, comm: &Comm) {
         if let Some(config) = &self.telemetry {
-            let mut config = config.clone();
-            config.engine = if kernels { "kernel" } else { "tree" }.to_string();
-            comm.enable_telemetry(config);
+            comm.enable_telemetry(config.clone());
         }
     }
 
@@ -348,7 +265,6 @@ impl<'a> RunConfig<'a> {
             wire_stats: comm.wire_stats(),
             phases: comm.phase_names(),
             trace: comm.take_trace(),
-            engine: "tree".to_string(),
             epoch_unix_ns: autocfd_runtime::epoch_unix_ns(comm.epoch()),
         };
         let plan = match self.plan_or_err() {
@@ -359,8 +275,8 @@ impl<'a> RunConfig<'a> {
             Ok(s) => s,
             Err(e) => return fail(e),
         };
-        let engine = self.build_engine();
-        self.attach_telemetry(comm, engine.kernels().is_some());
+        let kernels = self.kernels();
+        self.attach_telemetry(comm);
         run_rank_traced_impl(
             self.file,
             plan,
@@ -370,12 +286,12 @@ impl<'a> RunConfig<'a> {
             self.overlap,
             self.ckpt.clone(),
             snaps.as_ref().map(|s| &s[comm.rank()]),
-            engine.kernels(),
+            kernels.as_ref(),
         )
     }
 
     /// Run the plan's full mesh on `plan.ranks()` in-process rank
-    /// threads. The engine is built once and shared by every rank (one
+    /// threads. The kernels are built once and shared by every rank (one
     /// kernel compilation, one worker pool); likewise any resume
     /// snapshots are loaded and repartitioned once.
     pub fn run_parallel(&self) -> Result<Vec<RankResult>, RunError> {
@@ -396,7 +312,6 @@ impl<'a> RunConfig<'a> {
                 wire_stats: Default::default(),
                 phases: Vec::new(),
                 trace: Vec::new(),
-                engine: "tree".to_string(),
                 epoch_unix_ns: 0,
             }]
         };
@@ -408,11 +323,10 @@ impl<'a> RunConfig<'a> {
             Ok(s) => s,
             Err(e) => return dead(e),
         };
-        let engine = self.build_engine();
-        let kernels = engine.kernels();
+        let kernels = self.kernels();
         let n = plan.ranks() as usize;
         run_spmd(n, |comm| {
-            self.attach_telemetry(&comm, kernels.is_some());
+            self.attach_telemetry(&comm);
             run_rank_traced_impl(
                 self.file,
                 plan,
@@ -422,23 +336,16 @@ impl<'a> RunConfig<'a> {
                 self.overlap,
                 self.ckpt.clone(),
                 snaps.as_ref().map(|s| &s[comm.rank()]),
-                kernels,
+                kernels.as_ref(),
             )
         })
     }
 }
 
-/// Statement ids of the outermost comm-free loop nests in `file` the
-/// kernel compiler accepts — what a driver stores into a plan's
-/// `kernel_nests` so remote executions compile the same set. Re-exported
-/// from [`crate::kernel::eligible_nests`].
-pub fn kernel_nests(file: &SourceFile) -> Vec<StmtId> {
-    eligible_nests(file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::kernel_nests;
 
     fn parse(src: &str) -> SourceFile {
         autocfd_fortran::parse(src).unwrap()
@@ -465,12 +372,8 @@ mod tests {
     #[test]
     fn tree_and_kernel_sequential_runs_are_bit_identical() {
         let file = parse(STENCIL);
-        let (mt, ft) = RunConfig::new(&file).run_sequential().unwrap();
-        let (mk, fk) = RunConfig::new(&file)
-            .engine(EnginePref::Kernel)
-            .threads(4)
-            .run_sequential()
-            .unwrap();
+        let (mt, ft) = RunConfig::new(&file).reference().run_sequential().unwrap();
+        let (mk, fk) = RunConfig::new(&file).threads(4).run_sequential().unwrap();
         assert_eq!(mt.ops, mk.ops);
         assert_eq!(mt.output, mk.output);
         assert_eq!(ft.scalars.len(), fk.scalars.len());
@@ -480,11 +383,8 @@ mod tests {
     fn resolution_order_is_explicit_over_plan_over_default() {
         let file = parse(STENCIL);
         let cfg = RunConfig::new(&file);
-        assert_eq!(cfg.resolved_engine(), EnginePref::Tree);
         assert_eq!(cfg.resolved_threads(), 1);
-        let cfg = cfg.engine(EnginePref::Kernel).threads(3);
-        assert_eq!(cfg.resolved_engine(), EnginePref::Kernel);
-        assert_eq!(cfg.resolved_threads(), 3);
+        assert_eq!(cfg.threads(3).resolved_threads(), 3);
     }
 
     #[test]
@@ -499,9 +399,9 @@ mod tests {
         let file = parse(STENCIL);
         let all = kernel_nests(&file);
         assert_eq!(all.len(), 2, "both nests are eligible");
-        let eng = KernelEngine::compile(&file, Some(&all[..1]), 2);
-        assert_eq!(eng.set().len(), 1, "hints restrict compilation");
-        assert_eq!(eng.kind(), EnginePref::Kernel);
-        assert!(eng.kernels().is_some());
+        assert_eq!(RunConfig::new(&file).build_engine().len(), 2);
+        let set = KernelSet::build(&file, Some(&all[..1]), 2);
+        assert_eq!(set.len(), 1, "hints restrict compilation");
+        assert!(RunConfig::new(&file).reference().kernels().is_none());
     }
 }

@@ -438,18 +438,18 @@ pub fn apply_intrinsic(m: &mut Machine, name: &str, args: &[Value]) -> Result<Va
 #[cfg(test)]
 mod tests {
 
-    use crate::exec::run_program;
+    use crate::exec::tree_walk;
     use autocfd_fortran::parse;
 
     fn eval_str(expr: &str) -> String {
         let src = format!("      program p\n      r = {expr}\n      write(*,*) r\n      end\n");
-        let m = run_program(&parse(&src).unwrap(), vec![]).unwrap();
+        let m = tree_walk(&parse(&src).unwrap(), vec![]).unwrap();
         m.output.last().unwrap().clone()
     }
 
     fn eval_int(expr: &str) -> String {
         let src = format!("      program p\n      i = {expr}\n      write(*,*) i\n      end\n");
-        let m = run_program(&parse(&src).unwrap(), vec![]).unwrap();
+        let m = tree_walk(&parse(&src).unwrap(), vec![]).unwrap();
         m.output.last().unwrap().clone()
     }
 
@@ -508,7 +508,7 @@ mod tests {
       end if
       end
 ";
-        let m = run_program(&parse(src).unwrap(), vec![]).unwrap();
+        let m = tree_walk(&parse(src).unwrap(), vec![]).unwrap();
         assert_eq!(m.output, vec!["no"]);
     }
 
@@ -523,7 +523,7 @@ mod tests {
       end if
       end
 ";
-        let m = run_program(&parse(src).unwrap(), vec![]).unwrap();
+        let m = tree_walk(&parse(src).unwrap(), vec![]).unwrap();
         assert_eq!(m.output, vec!["yes"]);
     }
 
@@ -536,22 +536,22 @@ mod tests {
       end if
       end
 ";
-        let m = run_program(&parse(src).unwrap(), vec![]).unwrap();
+        let m = tree_walk(&parse(src).unwrap(), vec![]).unwrap();
         assert_eq!(m.output, vec!["ok"]);
     }
 
     #[test]
     fn division_by_zero_errors() {
         let src = "      program p\n      i = 1 / 0\n      end\n";
-        assert!(run_program(&parse(src).unwrap(), vec![]).is_err());
+        assert!(tree_walk(&parse(src).unwrap(), vec![]).is_err());
         let src = "      program p\n      x = sqrt(-1.0)\n      end\n";
-        assert!(run_program(&parse(src).unwrap(), vec![]).is_err());
+        assert!(tree_walk(&parse(src).unwrap(), vec![]).is_err());
     }
 
     #[test]
     fn array_as_scalar_errors() {
         let src = "      program p\n      real v(5)\n      x = v + 1.0\n      end\n";
-        let e = run_program(&parse(src).unwrap(), vec![]).unwrap_err();
+        let e = tree_walk(&parse(src).unwrap(), vec![]).unwrap_err();
         assert!(e.message.contains("used as a scalar"));
     }
 }

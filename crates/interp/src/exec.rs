@@ -267,7 +267,7 @@ pub(crate) struct Exec<'p, H: Hooks> {
     // maintained when `track` is set — sequential runs pay nothing.
     cursor: Vec<DoProgress>,
     track: bool,
-    // Compiled kernels for eligible loop nests (the kernel engine).
+    // Compiled kernels for eligible loop nests.
     // `None` tree-walks everything. A `do` statement with a compiled
     // kernel whose entry check passes runs fused; otherwise it falls
     // back to the tree walk from an identical state.
@@ -277,98 +277,46 @@ pub(crate) struct Exec<'p, H: Hooks> {
 /// Scalar copy-out obligations after a call: `(dummy slot, caller slot)`.
 type CopyBacks = Vec<(u32, u32)>;
 
-/// Run the program's `program` unit to completion sequentially.
-pub fn run_program(file: &SourceFile, input: Vec<f64>) -> Result<Machine, RunError> {
-    let mut hooks = NoHooks;
-    run_program_with_hooks(file, input, &mut hooks, 0)
-}
-
-/// Run with hooks and a statement budget (0 = unlimited).
-pub fn run_program_with_hooks<H: Hooks>(
-    file: &SourceFile,
-    input: Vec<f64>,
-    hooks: &mut H,
-    stmt_limit: u64,
-) -> Result<Machine, RunError> {
-    run_program_capture(file, input, hooks, stmt_limit).map(|(m, _)| m)
-}
-
-/// Like [`run_program_with_hooks`], but also returns the main program's
-/// final frame so callers can inspect named arrays and scalars (used by
-/// the sequential-vs-parallel equivalence checks).
-pub fn run_program_capture<H: Hooks>(
-    file: &SourceFile,
-    input: Vec<f64>,
-    hooks: &mut H,
-    stmt_limit: u64,
-) -> Result<(Machine, Frame), RunError> {
-    run_program_capture_with(file, input, hooks, stmt_limit, None)
-}
-
-/// [`run_program_capture`] with an optional compiled-kernel set: `do`
-/// nests with a compiled kernel execute fused (and possibly threaded)
-/// instead of tree-walked, bit-exactly. This is the full-surface entry
-/// the [`crate::engine`] backends drive.
-pub fn run_program_capture_with<H: Hooks>(
+/// Run the program's `program` unit to completion with `hooks` and a
+/// statement budget (0 = unlimited), returning the machine and the main
+/// program's final frame (so callers can inspect named arrays and
+/// scalars). `do` nests with a compiled kernel in `kernels` execute
+/// fused (and possibly threaded) instead of tree-walked, bit-exactly;
+/// `None` tree-walks everything. [`crate::engine::RunConfig`] is the
+/// public way in.
+pub fn run_program<H: Hooks>(
     file: &SourceFile,
     input: Vec<f64>,
     hooks: &mut H,
     stmt_limit: u64,
     kernels: Option<&KernelSet>,
 ) -> Result<(Machine, Frame), RunError> {
-    let code = Code::new(file);
-    let main = main_unit(file)?;
-    let mut m = Machine::new(input);
-    m.stmt_limit = stmt_limit;
-    let mut exec = Exec::new(&code, hooks, kernels);
-    let mut frame = build_frame(&mut m, &file.units[main], code.names(main), Vec::new())?;
-    let flow = exec.exec_stmts(&mut m, &mut frame, &file.units[main].body)?;
-    exec.end_compute();
-    if let Flow::Goto(l) = flow {
-        return Err(RunError::new(format!("unresolved goto {l} at top level")));
-    }
-    Ok((m, frame))
+    run_program_from(file, input, hooks, stmt_limit, None, |_, _| Ok(()), kernels)
 }
 
-/// Resume a program at a checkpointed execution point instead of from
-/// the top: build the main frame, let `seed` overwrite it with restored
-/// state, then walk the *static* path from the main body to the
-/// statement `target` (the checkpoint-safe `acf_sync_*` call the
+/// [`run_program`] resumed at a checkpointed execution point instead of
+/// from the top: build the main frame, let `seed` overwrite it with
+/// restored state, then walk the *static* path from the main body to
+/// the statement `at.0` (the checkpoint-safe `acf_sync_*` call the
 /// snapshot was taken at), re-entering each enclosing top-level `do`
-/// loop mid-flight per `dos` (outermost first). Execution re-runs the
+/// loop mid-flight per `at.1` (outermost first). Execution re-runs the
 /// target statement itself — the checkpoint was written *before* its
 /// exchange, so re-executing it regenerates all communication — and
-/// continues normally from there.
+/// continues normally from there. `at = None` starts from the top.
 ///
 /// Control flow below the target needs no saved state: `if` arms are
 /// re-derived from restored scalars, and a `do while` re-evaluates its
 /// condition. Only counted `do` loops carry hidden position (the trips
-/// already run), which is exactly what `dos` supplies.
-pub fn run_program_capture_from<H: Hooks>(
+/// already run), which is exactly what `at.1` supplies. Resume targets
+/// are checkpoint-safe sync calls, which never sit inside a
+/// kernel-eligible nest, so `kernels` only accelerate the re-executed
+/// remainder.
+pub fn run_program_from<H: Hooks>(
     file: &SourceFile,
     input: Vec<f64>,
     hooks: &mut H,
     stmt_limit: u64,
-    target: StmtId,
-    dos: &[DoProgress],
-    seed: impl FnOnce(&mut Machine, &mut Frame) -> Result<(), RunError>,
-) -> Result<(Machine, Frame), RunError> {
-    run_program_capture_from_with(file, input, hooks, stmt_limit, target, dos, seed, None)
-}
-
-/// [`run_program_capture_from`] with an optional compiled-kernel set
-/// (see [`run_program_capture_with`]). Resume targets are
-/// checkpoint-safe sync calls, which can never sit inside a
-/// kernel-eligible nest, so the resume walk itself is unaffected;
-/// kernels only accelerate the re-executed remainder.
-#[allow(clippy::too_many_arguments)]
-pub fn run_program_capture_from_with<H: Hooks>(
-    file: &SourceFile,
-    input: Vec<f64>,
-    hooks: &mut H,
-    stmt_limit: u64,
-    target: StmtId,
-    dos: &[DoProgress],
+    at: Option<(StmtId, &[DoProgress])>,
     seed: impl FnOnce(&mut Machine, &mut Frame) -> Result<(), RunError>,
     kernels: Option<&KernelSet>,
 ) -> Result<(Machine, Frame), RunError> {
@@ -379,7 +327,11 @@ pub fn run_program_capture_from_with<H: Hooks>(
     let mut exec = Exec::new(&code, hooks, kernels);
     let mut frame = build_frame(&mut m, &file.units[main], code.names(main), Vec::new())?;
     seed(&mut m, &mut frame)?;
-    let flow = exec.resume_stmts(&mut m, &mut frame, &file.units[main].body, target, dos)?;
+    let body = &file.units[main].body;
+    let flow = match at {
+        None => exec.exec_stmts(&mut m, &mut frame, body)?,
+        Some((target, dos)) => exec.resume_stmts(&mut m, &mut frame, body, target, dos)?,
+    };
     exec.end_compute();
     if let Flow::Goto(l) = flow {
         return Err(RunError::new(format!("unresolved goto {l} at top level")));
@@ -1262,17 +1214,24 @@ impl<'p, H: Hooks> Exec<'p, H> {
     }
 }
 
+/// Tree-walk `file`'s main program to completion with no hooks and no
+/// statement budget (test shorthand for [`run_program`]).
+#[cfg(test)]
+pub(crate) fn tree_walk(file: &SourceFile, input: Vec<f64>) -> Result<Machine, RunError> {
+    run_program(file, input, &mut NoHooks, 0, None).map(|(m, _)| m)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use autocfd_fortran::parse;
 
     fn run(src: &str) -> Machine {
-        run_program(&parse(src).unwrap(), vec![]).unwrap()
+        tree_walk(&parse(src).unwrap(), vec![]).unwrap()
     }
 
     fn run_with_input(src: &str, input: Vec<f64>) -> Machine {
-        run_program(&parse(src).unwrap(), input).unwrap()
+        tree_walk(&parse(src).unwrap(), input).unwrap()
     }
 
     fn last_output(m: &Machine) -> &str {
@@ -1481,7 +1440,7 @@ mod tests {
 
     #[test]
     fn input_exhausted_errors() {
-        let r = run_program(
+        let r = tree_walk(
             &parse("      program p\n      read *, x\n      end\n").unwrap(),
             vec![],
         );
@@ -1537,7 +1496,7 @@ mod tests {
 
     #[test]
     fn statement_budget_stops_runaway() {
-        let r = run_program_with_hooks(
+        let r = run_program(
             &parse(
                 "      program p
       x = 0.0
@@ -1551,6 +1510,7 @@ mod tests {
             vec![],
             &mut NoHooks,
             10_000,
+            None,
         );
         assert!(r.is_err());
     }
@@ -1757,7 +1717,7 @@ mod tests {
             let src = format!(
                 "      program p\n      x = 0.0\n      {stmt}\n      end\n      subroutine s(a)\n      return\n      end\n"
             );
-            let e = run_program(&parse(&src).unwrap(), vec![]).unwrap_err();
+            let e = tree_walk(&parse(&src).unwrap(), vec![]).unwrap_err();
             assert_eq!(e.to_string(), want, "{stmt}");
         }
     }
@@ -1772,13 +1732,13 @@ mod tests {
         .unwrap();
         let body = &mut file.units[0].body;
         body[1].id = body[0].id;
-        let m = run_program(&file, vec![]).unwrap();
+        let m = tree_walk(&file, vec![]).unwrap();
         assert_eq!(m.output, vec!["1.000000 2.000000"]);
     }
 
     #[test]
     fn out_of_bounds_reports_line() {
-        let err = run_program(
+        let err = tree_walk(
             &parse(
                 "      program p
       real v(5)
@@ -1834,7 +1794,7 @@ mod tests {
             }
         }
         let mut h = CountHook(0);
-        let m = run_program_with_hooks(
+        let m = run_program(
             &parse(
                 "      program p
       do i = 1, 3
@@ -1848,8 +1808,10 @@ mod tests {
             vec![],
             &mut h,
             0,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(h.0, 3);
         assert_eq!(last_output(&m), "42.000000");
     }
@@ -1913,7 +1875,7 @@ mod tests {
             splits: 0,
             finishes: 0,
         };
-        let m = run_program_with_hooks(
+        let m = run_program(
             &parse(
                 "      program p
       real v(10), w(10)
@@ -1932,8 +1894,10 @@ mod tests {
             vec![],
             &mut h,
             0,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(h.splits, 1);
         assert_eq!(h.finishes, 1);
         assert_eq!(last_output(&m), "4.000000 10.000000 18.000000 10");
@@ -1941,7 +1905,7 @@ mod tests {
 
     #[test]
     fn unknown_subroutine_errors() {
-        let r = run_program(
+        let r = tree_walk(
             &parse("      program p\n      call nosuch(1)\n      end\n").unwrap(),
             vec![],
         );
@@ -1950,7 +1914,7 @@ mod tests {
 
     #[test]
     fn wrong_arity_errors() {
-        let r = run_program(
+        let r = tree_walk(
             &parse(
                 "      program p
       call s(1, 2)
@@ -1975,7 +1939,7 @@ mod common_tests {
 
     #[test]
     fn common_block_arrays_are_shared_across_units() {
-        let m = run_program(
+        let m = tree_walk(
             &parse(
                 "      program p
       common /flow/ v(10)
@@ -2000,7 +1964,7 @@ mod common_tests {
 
     #[test]
     fn distinct_common_blocks_are_distinct_storage() {
-        let m = run_program(
+        let m = tree_walk(
             &parse(
                 "      program p
       common /a/ x(3)
@@ -2020,7 +1984,7 @@ mod common_tests {
 
     #[test]
     fn common_scalars_rejected_with_clear_error() {
-        let e = run_program(
+        let e = tree_walk(
             &parse(
                 "      program p
       common /blk/ s
@@ -2043,7 +2007,7 @@ mod recursion_tests {
 
     #[test]
     fn direct_recursion_reported() {
-        let e = run_program(
+        let e = tree_walk(
             &parse(
                 "      program p
       call s(1.0)
@@ -2064,7 +2028,7 @@ mod recursion_tests {
 
     #[test]
     fn mutual_recursion_reported() {
-        let e = run_program(
+        let e = tree_walk(
             &parse(
                 "      program p
       call a(1.0)
@@ -2091,7 +2055,7 @@ mod recursion_tests {
     #[test]
     fn deep_but_finite_call_chains_allowed() {
         // 3 levels of calls is fine
-        let m = run_program(
+        let m = tree_walk(
             &parse(
                 "      program p
       call a()

@@ -371,6 +371,13 @@ impl KernelSet {
         self.kernels.is_empty()
     }
 
+    /// Compatibility shim: the engine every run executes as. Removed
+    /// with ROADMAP item 1's `[benchmark]` PR.
+    #[doc(hidden)]
+    pub fn kind(&self) -> autocfd_codegen::EnginePref {
+        autocfd_codegen::EnginePref::Kernel
+    }
+
     /// The row analysis's verdict on every `do` loop of every compiled
     /// nest, as `(source line, verdict)` in line order.
     pub fn row_verdicts(&self) -> Vec<(u32, RowVerdict)> {
@@ -386,9 +393,9 @@ impl KernelSet {
 
 /// Ids of every kernel-eligible outermost `do` nest in `file`, in
 /// source order. This is the marking the compiler records in the plan
-/// (`SpmdPlan::kernel_nests`) so remote executions compile the same
-/// kernels as local ones.
-pub fn eligible_nests(file: &SourceFile) -> Vec<StmtId> {
+/// (`SpmdPlan::kernel_nests`) so `--plan` runs and every worker process
+/// compile the same kernels.
+pub fn kernel_nests(file: &SourceFile) -> Vec<StmtId> {
     let mut out = Vec::new();
     for unit in &file.units {
         let mut sink = |s: &Stmt, k: Option<Kernel>| {
@@ -1968,7 +1975,7 @@ mod tests {
     }
 
     fn nest_ids(src: &str) -> Vec<StmtId> {
-        eligible_nests(&parse(src))
+        kernel_nests(&parse(src))
     }
 
     const STENCIL: &str = "      program p
@@ -1990,7 +1997,7 @@ mod tests {
     #[test]
     fn stencil_nests_are_eligible_and_threadable() {
         let file = parse(STENCIL);
-        let ids = eligible_nests(&file);
+        let ids = kernel_nests(&file);
         assert_eq!(ids.len(), 2, "both outermost nests compile");
         let set = KernelSet::build(&file, None, 4);
         assert_eq!(set.len(), 2);
@@ -2061,7 +2068,7 @@ mod tests {
     #[test]
     fn hints_filter_compiled_nests() {
         let file = parse(STENCIL);
-        let ids = eligible_nests(&file);
+        let ids = kernel_nests(&file);
         let set = KernelSet::build(&file, Some(&ids[..1]), 1);
         assert_eq!(set.len(), 1);
         assert!(set.get(ids[0]).is_some());
@@ -2128,7 +2135,7 @@ mod tests {
       end
 ",
         );
-        let ids = eligible_nests(&file);
+        let ids = kernel_nests(&file);
         assert_eq!(ids.len(), 1);
         let set = KernelSet::build(&file, None, 4);
         assert!(set.get(ids[0]).unwrap().threadable);
@@ -2146,7 +2153,7 @@ mod tests {
       end
 ",
         );
-        let ids = eligible_nests(&file);
+        let ids = kernel_nests(&file);
         assert_eq!(ids.len(), 1);
         let set = KernelSet::build(&file, None, 4);
         assert!(!set.get(ids[0]).unwrap().threadable);
@@ -2196,7 +2203,7 @@ mod tests {
       end
 ",
         );
-        let ids = eligible_nests(&file);
+        let ids = kernel_nests(&file);
         assert_eq!(ids.len(), 1, "reduction still compiles sequentially");
         let set = KernelSet::build(&file, None, 4);
         assert!(!set.get(ids[0]).unwrap().threadable);
@@ -2218,7 +2225,7 @@ mod tests {
       end
 ",
         );
-        let ids = eligible_nests(&file);
+        let ids = kernel_nests(&file);
         assert_eq!(ids.len(), 1);
         let set = KernelSet::build(&file, None, 4);
         // a(5,5) has no j dependence in any dimension ⇒ two outer
@@ -2230,12 +2237,12 @@ mod tests {
         let file = parse(src);
         let mut h1 = crate::exec::NoHooks;
         let (mt, ft) =
-            crate::exec::run_program_capture(&file, vec![], &mut h1, 0).expect("tree runs");
+            crate::exec::run_program(&file, vec![], &mut h1, 0, None).expect("tree runs");
         let set = KernelSet::build(&file, None, threads);
         assert!(!set.is_empty(), "at least one nest must compile");
         let mut h2 = crate::exec::NoHooks;
-        let (mk, fk) = crate::exec::run_program_capture_with(&file, vec![], &mut h2, 0, Some(&set))
-            .expect("kernel runs");
+        let (mk, fk) =
+            crate::exec::run_program(&file, vec![], &mut h2, 0, Some(&set)).expect("kernel runs");
         assert_eq!(mt.ops, mk.ops, "op counters must match bit-for-bit");
         assert_eq!(mt.arrays.len(), mk.arrays.len());
         for (a, b) in mt.arrays.iter().zip(&mk.arrays) {
@@ -2341,12 +2348,12 @@ mod tests {
 ";
         let file = parse(src);
         let mut h1 = crate::exec::NoHooks;
-        let te = crate::exec::run_program_capture(&file, vec![], &mut h1, 0)
+        let te = crate::exec::run_program(&file, vec![], &mut h1, 0, None)
             .expect_err("tree walk must report out-of-bounds");
         let set = KernelSet::build(&file, None, 1);
         assert!(!set.is_empty());
         let mut h2 = crate::exec::NoHooks;
-        let ke = crate::exec::run_program_capture_with(&file, vec![], &mut h2, 0, Some(&set))
+        let ke = crate::exec::run_program(&file, vec![], &mut h2, 0, Some(&set))
             .expect_err("kernel must report out-of-bounds");
         assert_eq!(
             format!("{te}"),
@@ -2368,11 +2375,10 @@ mod tests {
         let file = parse(src);
         for limit in [1u64, 10, 25, 51, 52, 1000] {
             let mut h1 = crate::exec::NoHooks;
-            let tr = crate::exec::run_program_capture(&file, vec![], &mut h1, limit);
+            let tr = crate::exec::run_program(&file, vec![], &mut h1, limit, None);
             let set = KernelSet::build(&file, None, 1);
             let mut h2 = crate::exec::NoHooks;
-            let kr =
-                crate::exec::run_program_capture_with(&file, vec![], &mut h2, limit, Some(&set));
+            let kr = crate::exec::run_program(&file, vec![], &mut h2, limit, Some(&set));
             match (tr, kr) {
                 (Ok((mt, _)), Ok((mk, _))) => assert_eq!(mt.ops, mk.ops),
                 (Err(a), Err(b)) => assert_eq!(format!("{a}"), format!("{b}")),

@@ -14,9 +14,14 @@
 //!   operation counters used by benchmarks;
 //! * [`eval`] — expression evaluation including the standard intrinsics
 //!   (`abs`, `max`, `min`, `sqrt`, `mod`, …) and user function calls;
-//! * [`exec`] — statement execution with `do`/`do while`, block and
-//!   logical `if`, `goto` (resolved against enclosing statement lists),
-//!   subroutine calls with by-reference arrays and copy-back scalars;
+//! * [`exec`] — the tree walk: statement execution with `do`/`do while`,
+//!   block and logical `if`, `goto` (resolved against enclosing statement
+//!   lists), subroutine calls with by-reference arrays and copy-back
+//!   scalars;
+//! * [`kernel`] — comm-free loop nests compiled to fused kernels that
+//!   every run executes in place of the tree walk, bit-exactly;
+//! * [`RunConfig`] — the one way to run a program, sequential or
+//!   parallel, fresh or resumed;
 //! * [`Hooks`] — an escape hatch for the SPMD runtime: `call acf_*`
 //!   statements inserted by the restructurer are routed to a hook that
 //!   performs halo exchanges / reductions through
@@ -38,10 +43,10 @@ pub mod spmd;
 pub mod value;
 
 pub use elastic::repartition;
-pub use engine::{kernel_nests, Engine, KernelEngine, RunConfig, TreeEngine};
+pub use engine::RunConfig;
 pub use exec::{Hooks, LoopSplit, NoHooks};
 pub use forecast::{forecast, PhaseForecast, RankTraffic};
-pub use kernel::{eligible_nests, KernelSet};
+pub use kernel::{kernel_nests, KernelSet};
 pub use machine::{ArrayId, Binding, Frame, Machine, OpCounts, RunError};
 pub use spmd::{
     ghost_region, owned_region, region_len, restore_into, verify_owned_regions,
@@ -49,12 +54,3 @@ pub use spmd::{
 };
 pub use value::ArrayVal;
 pub use value::Value;
-
-// Tree-walking executor internals, exposed for the test suite and the
-// codegen round-trip checks. Application code should build a
-// [`engine::RunConfig`] instead — it is the one surface that carries
-// engine selection and resume.
-#[doc(hidden)]
-pub use exec::{
-    run_program, run_program_capture, run_program_capture_from, run_program_with_hooks,
-};

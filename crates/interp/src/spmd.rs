@@ -30,7 +30,7 @@
 //! so its interior runs while the messages travel, completes the
 //! receives, and finishes with the two boundary strips.
 
-use crate::exec::{run_program_capture_from_with, run_program_capture_with, Hooks, LoopSplit};
+use crate::exec::{run_program, run_program_from, Hooks, LoopSplit};
 use crate::kernel::KernelSet;
 use crate::machine::{ArrayId, Frame, Machine, RunError};
 use crate::value::{ArrayVal, Value};
@@ -966,11 +966,6 @@ pub struct RankRun {
     pub phases: Vec<String>,
     /// The rank's full trace: communication events *and* compute spans.
     pub trace: Vec<TraceEvent>,
-    /// Which engine executed this rank's compute spans: `"kernel"` when
-    /// a compiled-kernel set was attached, `"tree"` otherwise. Journal
-    /// events carry this tag so traces from different engines stay
-    /// distinguishable after the run.
-    pub engine: String,
     /// The communicator epoch as unix nanoseconds — journal headers
     /// carry it so the merger can align ranks that ran in different
     /// processes.
@@ -1068,8 +1063,8 @@ pub fn restore_into(m: &mut Machine, frame: &mut Frame, snap: &Snapshot) -> Resu
 
 /// The full-featured rank runner: trace + statistics plus checkpointing
 /// (`ckpt`), restart (`resume`), and an optional compiled-kernel set
-/// (when `kernels` is `Some`, eligible comm-free loop nests execute
-/// through the kernel engine, bit-exact with the tree walk).
+/// (when `kernels` is `Some`, eligible comm-free loop nests execute as
+/// compiled kernels, bit-exact with the tree walk).
 ///
 /// With `resume` set, the program does not start from the top: the
 /// machine is rebuilt, overwritten from the snapshot, and execution
@@ -1080,7 +1075,7 @@ pub fn restore_into(m: &mut Machine, frame: &mut Frame, snap: &Snapshot) -> Resu
 /// never interrupted (every rank must resume from the *same* epoch).
 ///
 /// The [`crate::engine::RunConfig`] executors are the public way in;
-/// this stays crate-internal so engine selection and resume have
+/// this stays crate-internal so kernel compilation and resume have
 /// exactly one surface.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_rank_traced_impl(
@@ -1097,7 +1092,7 @@ pub(crate) fn run_rank_traced_impl(
     let mut hooks = SpmdHooks::new(plan, comm, overlap);
     hooks.ckpt = ckpt;
     let mut outcome = match resume {
-        None => run_program_capture_with(file, input, &mut hooks, stmt_limit, kernels),
+        None => run_program(file, input, &mut hooks, stmt_limit, kernels),
         Some(snap) => {
             hooks.visits = snap.epoch;
             // After an elastic repartition the cursor may have been
@@ -1115,13 +1110,12 @@ pub(crate) fn run_rank_traced_impl(
                     chaos_abort_after: None,
                 });
             }
-            run_program_capture_from_with(
+            run_program_from(
                 file,
                 input,
                 &mut hooks,
                 stmt_limit,
-                StmtId(snap.cursor.stmt),
-                &snap.cursor.dos,
+                Some((StmtId(snap.cursor.stmt), &snap.cursor.dos)),
                 |m, frame| restore_into(m, frame, snap),
                 kernels,
             )
@@ -1143,7 +1137,6 @@ pub(crate) fn run_rank_traced_impl(
         wire_stats: comm.wire_stats(),
         phases: comm.phase_names(),
         trace: comm.take_trace(),
-        engine: if kernels.is_some() { "kernel" } else { "tree" }.to_string(),
         epoch_unix_ns: autocfd_runtime::epoch_unix_ns(comm.epoch()),
     }
 }

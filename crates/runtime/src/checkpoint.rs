@@ -43,8 +43,9 @@ use std::path::{Path, PathBuf};
 /// the `parts` its owned regions were cut for, and the manifest records
 /// the global grid extents — together they make a checkpoint directory
 /// self-describing enough to re-decompose onto a different rank count.
-/// Any other version is refused with an error naming both.
-pub const CHECKPOINT_SCHEMA_VERSION: i64 = 2;
+/// Version 3 dropped the manifest's `engine` field. Any other version
+/// is refused with an error naming both.
+pub const CHECKPOINT_SCHEMA_VERSION: i64 = 3;
 
 /// Progress of one active `do` loop on the path from the top of the
 /// main unit to the checkpoint statement, outermost first.
@@ -193,11 +194,8 @@ pub struct RunManifest {
     pub checkpoint_every: u64,
     /// Receive timeout in milliseconds.
     pub timeout_ms: u64,
-    /// Execution engine name (`"tree"` or `"kernel"`) the run used —
-    /// a plain string here because this crate sits below the planner.
-    pub engine: String,
-    /// Kernel-engine worker threads (1 for sequential kernels and for
-    /// the tree engine).
+    /// Worker threads per rank for the compiled kernels (1 for
+    /// sequential kernels).
     pub threads: u64,
 }
 
@@ -506,7 +504,6 @@ pub fn manifest_to_json(m: &RunManifest) -> String {
             Value::Int(i128::from(m.checkpoint_every)),
         ),
         ("timeout_ms", Value::Int(i128::from(m.timeout_ms))),
-        ("engine", Value::Str(m.engine.clone())),
         ("threads", Value::Int(i128::from(m.threads))),
     ])
     .to_string()
@@ -526,7 +523,6 @@ pub fn manifest_from_json(text: &str) -> Result<RunManifest, String> {
         overlap: v.bool("overlap")?,
         checkpoint_every: v.int("checkpoint_every")?,
         timeout_ms: v.int("timeout_ms")?,
-        engine: v.str("engine")?,
         threads: v.int("threads")?,
     })
 }
@@ -861,7 +857,6 @@ mod tests {
             overlap: false,
             checkpoint_every: 5,
             timeout_ms: 30_000,
-            engine: "kernel".into(),
             threads: 4,
         };
         let back = manifest_from_json(&manifest_to_json(&m)).unwrap();
@@ -869,18 +864,17 @@ mod tests {
     }
 
     #[test]
-    fn manifest_engine_fields_are_required() {
-        // schema 2 always writes both: a manifest without them, or with
-        // a value of the wrong type or sign, is an error, not a default
+    fn manifest_threads_field_is_required() {
+        // the schema always writes it: a manifest without it, or with a
+        // value of the wrong type or sign, is an error, not a default
         let text = manifest_to_json(&sample_manifest(2));
         for (written, doctored, complaint) in [
-            (",\"engine\":\"tree\"", "", "missing `engine`"),
-            (
-                "\"engine\":\"tree\"",
-                "\"engine\":7",
-                "`engine` is not a string",
-            ),
             (",\"threads\":1", "", "missing `threads`"),
+            (
+                "\"threads\":1",
+                "\"threads\":\"1\"",
+                "`threads` is not an integer",
+            ),
             ("\"threads\":1", "\"threads\":-3", "`threads` out of range"),
         ] {
             assert!(text.contains(written), "{text}");
@@ -892,24 +886,25 @@ mod tests {
     #[test]
     fn version_mismatch_rejected() {
         let text =
-            snapshot_to_json(&sample_snapshot(0, 0)).replace("\"version\":2", "\"version\":9");
+            snapshot_to_json(&sample_snapshot(0, 0)).replace("\"version\":3", "\"version\":9");
         assert!(snapshot_from_json(&text).unwrap_err().contains("version 9"));
     }
 
     #[test]
     fn older_schema_is_refused_never_panics() {
         let snap = snapshot_to_json(&sample_snapshot(1, 3))
-            .replace("\"version\":2", "\"version\":1")
+            .replace("\"version\":3", "\"version\":1")
             .replace(",\"parts\":[2,1]", "");
         let err = snapshot_from_json(&snap).unwrap_err();
         assert!(
-            err.contains("version 1") && err.contains("reads 2"),
+            err.contains("version 1") && err.contains("reads 3"),
             "{err}"
         );
-        let manifest =
-            manifest_to_json(&sample_manifest(2)).replace("\"version\":2", "\"version\":1");
+        // v2 manifests still carry the `engine` field this build dropped
+        let manifest = manifest_to_json(&sample_manifest(2))
+            .replace("\"version\":3", "\"version\":2,\"engine\":\"tree\"");
         let err = manifest_from_json(&manifest).unwrap_err();
-        assert!(err.starts_with("run manifest: schema version 1"), "{err}");
+        assert!(err.starts_with("run manifest: schema version 2"), "{err}");
         // a current-version snapshot that lost its geometry is an error too
         let no_parts = snapshot_to_json(&sample_snapshot(1, 3)).replace(",\"parts\":[2,1]", "");
         assert!(snapshot_from_json(&no_parts)
@@ -928,7 +923,6 @@ mod tests {
             overlap: false,
             checkpoint_every: 1,
             timeout_ms: 1000,
-            engine: "tree".into(),
             threads: 1,
         }
     }

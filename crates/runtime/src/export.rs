@@ -549,7 +549,6 @@ mod tests {
             elems: if kind == EventKind::Send { 8 } else { 0 },
             bytes: if kind == EventKind::Send { 64 } else { 0 },
             phase: phase.into(),
-            engine: "tree".into(),
             seq: None,
         };
         crate::journal::merge(&[
@@ -635,7 +634,6 @@ mod tests {
             elems: 8,
             bytes: 64,
             phase: "sync_0".into(),
-            engine: "tree".into(),
             seq: Some(seq),
         };
         let merged = crate::journal::merge(&[
@@ -723,7 +721,6 @@ mod tests {
                     elems: 0,
                     bytes: 0,
                     phase: "sync_0".into(),
-                    engine: "tree".into(),
                     seq: None,
                 },
                 JournalEvent {
@@ -734,7 +731,6 @@ mod tests {
                     elems: 4,
                     bytes: 32,
                     phase: "sync_0".into(),
-                    engine: "tree".into(),
                     seq: Some(1),
                 },
             ],

@@ -1,6 +1,6 @@
 //! Structured per-rank execution journal (JSONL).
 //!
-//! Every rank of a traced run streams its events to
+//! After a traced run, every rank's in-memory trace is dumped to
 //! `rank-<r>.jsonl` inside a per-run trace directory. Each line is one
 //! self-contained JSON record:
 //!
@@ -23,7 +23,7 @@
 use crate::trace::{phase_label, EventKind, TraceEvent};
 use serde::json::{self, Fields, Value};
 use std::fmt;
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -33,8 +33,8 @@ use std::time::{Duration, Instant, SystemTime};
 /// forward-compatibly: unknown record types, unknown event kinds, and
 /// extra fields are *skipped and counted* (see [`RankJournal::skipped`])
 /// instead of erroring, so a journal written by a newer build still
-/// merges on an older one.
-pub const SCHEMA_VERSION: i64 = 3;
+/// merges on an older one. v4 dropped the per-event `engine` tag.
+pub const SCHEMA_VERSION: i64 = 4;
 
 /// Run-level metadata opening each rank's journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,9 +70,6 @@ pub struct JournalEvent {
     pub bytes: usize,
     /// Program phase name.
     pub phase: String,
-    /// Engine that executed the run this span belongs to: `"tree"` or
-    /// `"kernel"`.
-    pub engine: String,
     /// Per-endpoint message sequence number — the causality stamp that
     /// pairs a recv with the exact send that produced it (`(peer, seq)`
     /// is unique per sender). `None` for collectives and compute spans.
@@ -142,12 +139,12 @@ pub fn rank_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("rank-{rank}.jsonl"))
 }
 
-/// An open, streaming journal for one rank. The header is written on
+/// One rank's journal, written as a post-run dump: the header on
 /// creation, events as they are appended, and the footer by
-/// [`JournalWriter::finish`]; every line is flushed immediately so a
-/// crashed rank leaves a truncated-but-parseable journal behind.
+/// [`JournalWriter::finish`]. Lines are buffered and reach the file when
+/// `finish` flushes them.
 pub struct JournalWriter {
-    file: std::fs::File,
+    file: BufWriter<std::fs::File>,
     events: usize,
 }
 
@@ -156,7 +153,7 @@ impl JournalWriter {
     /// and write the header line.
     pub fn create(dir: &Path, header: &JournalHeader) -> Result<JournalWriter, JournalError> {
         std::fs::create_dir_all(dir)?;
-        let mut file = std::fs::File::create(rank_path(dir, header.rank))?;
+        let mut file = BufWriter::new(std::fs::File::create(rank_path(dir, header.rank))?);
         let line = Value::obj(vec![
             ("type", Value::Str("header".into())),
             ("version", Value::Int(header.version as i128)),
@@ -166,7 +163,6 @@ impl JournalWriter {
             ("epoch_unix_ns", Value::Int(header.epoch_unix_ns)),
         ]);
         writeln!(file, "{line}")?;
-        file.flush()?;
         Ok(JournalWriter { file, events: 0 })
     }
 
@@ -185,19 +181,18 @@ impl JournalWriter {
             ("elems", Value::Int(ev.elems as i128)),
             ("bytes", Value::Int(ev.bytes as i128)),
             ("phase", Value::Str(ev.phase.clone())),
-            ("engine", Value::Str(ev.engine.clone())),
         ];
         if let Some(seq) = ev.seq {
             fields.push(("seq", Value::Int(seq as i128)));
         }
         let line = Value::obj(fields);
         writeln!(self.file, "{line}")?;
-        self.file.flush()?;
         self.events += 1;
         Ok(())
     }
 
-    /// Write the footer line and close the journal.
+    /// Write the footer line, flush every buffered line to the file and
+    /// close the journal.
     pub fn finish(mut self) -> Result<(), JournalError> {
         let line = Value::obj(vec![
             ("type", Value::Str("footer".into())),
@@ -210,9 +205,8 @@ impl JournalWriter {
 }
 
 /// Resolve a rank's raw trace to journal events (phase indices become
-/// names; unknown indices render as `phase_<i>`), tagging every event
-/// with the engine (`"tree"` or `"kernel"`) that executed the run.
-fn resolve_events(trace: &[TraceEvent], phase_names: &[String], engine: &str) -> Vec<JournalEvent> {
+/// names; unknown indices render as `phase_<i>`).
+fn resolve_events(trace: &[TraceEvent], phase_names: &[String]) -> Vec<JournalEvent> {
     trace
         .iter()
         .map(|e| JournalEvent {
@@ -223,24 +217,21 @@ fn resolve_events(trace: &[TraceEvent], phase_names: &[String], engine: &str) ->
             elems: e.elems,
             bytes: e.bytes,
             phase: phase_label(phase_names, e.phase),
-            engine: engine.to_string(),
             seq: e.seq,
         })
         .collect()
 }
 
 /// Write one rank's complete journal (header, every event, footer) to
-/// `dir/rank-<r>.jsonl`, returning the path. `engine` is the per-event
-/// engine tag (`"tree"` or `"kernel"`).
+/// `dir/rank-<r>.jsonl`, returning the path.
 pub fn write_rank_journal(
     dir: &Path,
     header: &JournalHeader,
     trace: &[TraceEvent],
     phase_names: &[String],
-    engine: &str,
 ) -> Result<PathBuf, JournalError> {
     let mut w = JournalWriter::create(dir, header)?;
-    for ev in resolve_events(trace, phase_names, engine) {
+    for ev in resolve_events(trace, phase_names) {
         w.append(&ev)?;
     }
     w.finish()?;
@@ -322,7 +313,6 @@ fn parse_record(line: Fields<'_>, ctx: &str) -> Result<JournalRecord, String> {
                 elems: line.int("elems")?,
                 bytes: line.int("bytes")?,
                 phase: line.str("phase")?,
-                engine: line.str("engine")?,
                 // absent on collectives and compute spans
                 seq: match line.get("seq") {
                     Err(_) => None,
@@ -575,7 +565,6 @@ mod tests {
             elems: 4,
             bytes: 32,
             phase: phase.into(),
-            engine: "tree".into(),
             seq: match kind {
                 EventKind::Send | EventKind::Recv => Some(1),
                 _ => None,
@@ -610,13 +599,12 @@ mod tests {
         ];
         let names = vec!["main".to_string(), "sync_0".to_string()];
         let h = header(0, 1_722_000_000_123_456_789);
-        let path = write_rank_journal(&dir, &h, &trace, &names, "kernel").unwrap();
+        let path = write_rank_journal(&dir, &h, &trace, &names).unwrap();
         let parsed = parse_rank_journal(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(parsed.complete);
         assert_eq!(parsed.skipped, 0);
         assert_eq!(parsed.header, h);
-        assert_eq!(parsed.events, resolve_events(&trace, &names, "kernel"));
-        assert!(parsed.events.iter().all(|e| e.engine == "kernel"));
+        assert_eq!(parsed.events, resolve_events(&trace, &names));
         assert_eq!(parsed.events[1].seq, Some(7), "causality stamp survives");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -634,8 +622,7 @@ mod tests {
             phase: 0,
             seq: Some(1),
         }];
-        let path =
-            write_rank_journal(&dir, &header(0, 1), &trace, &["main".to_string()], "tree").unwrap();
+        let path = write_rank_journal(&dir, &header(0, 1), &trace, &["main".to_string()]).unwrap();
         let full = std::fs::read_to_string(&path).unwrap();
         // drop the footer, as a crash mid-run would
         let cut: String = full.lines().take(2).map(|l| format!("{l}\n")).collect();
@@ -673,10 +660,10 @@ mod tests {
 
     #[test]
     fn negative_numbers_are_typed_errors_not_wrapped_values() {
-        let header = r#"{"type":"header","version":3,"rank":-1,"ranks":1,"transport":"inproc","epoch_unix_ns":0}"#;
+        let header = r#"{"type":"header","version":4,"rank":-1,"ranks":1,"transport":"inproc","epoch_unix_ns":0}"#;
         let e = parse_rank_journal(header).unwrap_err();
         assert!(e.message.contains("`rank` out of range"), "{e}");
-        let event = r#"{"type":"event","kind":"recv","start_ns":-5,"end_ns":10,"peer":2,"elems":1,"bytes":8,"phase":"main","engine":"tree","seq":1}"#;
+        let event = r#"{"type":"event","kind":"recv","start_ns":-5,"end_ns":10,"peer":2,"elems":1,"bytes":8,"phase":"main","seq":1}"#;
         let e = parse_line(event, 2).unwrap_err();
         assert!(e.message.contains("line 2: `start_ns` out of range"), "{e}");
         for field in ["peer", "elems", "bytes", "seq"] {
@@ -694,8 +681,8 @@ mod tests {
         // the other two are counted, and the footer (which counts all
         // three writer-side lines) still marks the journal complete
         let future = r#"{"type":"header","version":99,"rank":0,"ranks":1,"transport":"inproc","epoch_unix_ns":0}
-{"type":"event","kind":"compute","start_ns":0,"end_ns":10,"peer":null,"elems":0,"bytes":0,"phase":"main","engine":"tree","novel_field":42}
-{"type":"event","kind":"teleport","start_ns":10,"end_ns":20,"peer":null,"elems":0,"bytes":0,"phase":"main","engine":"tree"}
+{"type":"event","kind":"compute","start_ns":0,"end_ns":10,"peer":null,"elems":0,"bytes":0,"phase":"main","novel_field":42}
+{"type":"event","kind":"teleport","start_ns":10,"end_ns":20,"peer":null,"elems":0,"bytes":0,"phase":"main"}
 {"type":"gpu_counter","value":7}
 {"type":"footer","events":3}"#;
         let parsed = parse_rank_journal(future).unwrap();
@@ -814,7 +801,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("acf-dir-{}", std::process::id()));
         // write rank 1 before rank 0; loading must come back rank-ordered
         for rank in [1usize, 0] {
-            write_rank_journal(&dir, &header(rank, rank as i128), &[], &[], "tree").unwrap();
+            write_rank_journal(&dir, &header(rank, rank as i128), &[], &[]).unwrap();
         }
         let js = load_trace_dir(&dir).unwrap();
         assert_eq!(js.len(), 2);
@@ -875,7 +862,6 @@ mod proptests {
                             elems: i,
                             bytes: i * 8,
                             phase: format!("phase_{}", phases[i]),
-                            engine: "tree".into(),
                             seq: None,
                         })
                         .collect(),

@@ -72,7 +72,7 @@ pub struct StatFrame {
     pub peers: Vec<PeerTraffic>,
     /// Last checkpoint epoch the rank completed (0 = none yet).
     pub checkpoint_epoch: u64,
-    /// Engine executing the run (`"tree"` or `"kernel"`).
+    /// Engine executing the run (`"kernel"`).
     pub engine: String,
     /// Reserved; written as 0 and ignored by readers.
     pub queue_depth: u64,
@@ -173,7 +173,8 @@ pub struct TelemetryConfig {
     /// Spool file directory (`telemetry-rank-<r>.jsonl` is created in
     /// it); `None` writes no spool.
     pub spool_dir: Option<PathBuf>,
-    /// Engine label stamped into frames (`"tree"` or `"kernel"`).
+    /// Engine label stamped into frames (`"kernel"`: every run takes
+    /// the compiled-kernel path).
     pub engine: String,
 }
 
@@ -182,7 +183,7 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             interval: DEFAULT_TELEMETRY_INTERVAL,
             spool_dir: None,
-            engine: "tree".into(),
+            engine: "kernel".into(),
         }
     }
 }
@@ -403,7 +404,7 @@ mod tests {
         let sink = TelemetrySink::new(TelemetryConfig {
             interval: Duration::ZERO,
             spool_dir: Some(dir.clone()),
-            engine: "tree".into(),
+            engine: "kernel".into(),
         });
         let span = |kind, start_us: u64, end_us: u64| TraceEvent {
             kind,

@@ -35,7 +35,6 @@ fn compute(start: Duration, end: Duration, phase: &str) -> JournalEvent {
         elems: 0,
         bytes: 0,
         phase: phase.into(),
-        engine: "tree".into(),
         seq: None,
     }
 }
@@ -49,7 +48,6 @@ fn recv(start: Duration, end: Duration, peer: usize, elems: usize, phase: &str) 
         elems,
         bytes: elems * 8,
         phase: phase.into(),
-        engine: "tree".into(),
         seq: Some(1),
     }
 }
@@ -76,7 +74,6 @@ fn skewed_journals() -> Vec<RankJournal> {
                     elems: 1,
                     bytes: 8,
                     phase: "reduce_res".into(),
-                    engine: "tree".into(),
                     seq: None,
                 },
             ];

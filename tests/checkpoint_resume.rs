@@ -38,7 +38,6 @@ fn write_run_manifest(c: &Compiled, src: &str, dir: &Path) {
             overlap: false,
             checkpoint_every: 2,
             timeout_ms: 2000,
-            engine: "tree".into(),
             threads: 1,
         },
     )
@@ -271,7 +270,6 @@ fn acfc_resume_reports_missing_checkpoints() {
         overlap: false,
         checkpoint_every: 2,
         timeout_ms: 2000,
-        engine: "tree".into(),
         threads: 1,
     };
     write_manifest(&dir, &m).unwrap();

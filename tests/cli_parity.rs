@@ -160,16 +160,16 @@ fn a_resume_is_a_fresh_launch_with_an_epoch() {
         );
     }
 
-    // an engine this build does not know is refused (validation, 4)
-    // before anything is launched or the directory is touched
+    // a manifest of the engine-selecting schema 2 is refused before
+    // anything is launched or the directory is touched
     let manifest = Path::new(&ck).join("run.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
-    assert!(text.contains("\"engine\":\"tree\""), "{text}");
-    let doctored = text.replace("\"engine\":\"tree\"", "\"engine\":\"warp\"");
+    assert!(!text.contains("engine"), "{text}");
+    let doctored = text.replace("\"version\":3", "\"version\":2,\"engine\":\"tree\"");
     std::fs::write(&manifest, &doctored).unwrap();
     let (out, err) = run(&["resume", &ck, "--transport", "tcp"]);
-    assert_eq!(out.status.code(), Some(4), "{err}");
-    assert!(err.contains("unknown engine `warp`"), "{err}");
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("schema version 2"), "{err}");
     assert!(!err.contains("spawning"), "no worker may start:\n{err}");
     assert_eq!(std::fs::read_to_string(&manifest).unwrap(), doctored);
     let _ = std::fs::remove_dir_all(&dir);
@@ -186,7 +186,7 @@ fn help_is_not_a_failure() {
         assert!(out.stderr.is_empty(), "{exe}: usage goes to stdout");
         let usage = String::from_utf8_lossy(&out.stdout);
         // every launch option both binaries share is in both texts
-        for flag in ["--engine", "--threads", "--telemetry-ms", "--verify-exact"] {
+        for flag in ["--threads", "--telemetry-ms", "--verify-exact"] {
             assert!(
                 usage.contains(flag),
                 "{exe}: `{flag}` missing from\n{usage}"
@@ -197,6 +197,37 @@ fn help_is_not_a_failure() {
     let (out, err) = run(&["run", "x.f", "--resume-epoch", "3"]);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.contains("unknown argument `--resume-epoch`"), "{err}");
+}
+
+/// Every run takes the compiled-kernel path: a plain `acfc plan` records
+/// the kernel nests, and neither an engine flag nor an engine-selecting
+/// (schema 2) plan artifact is accepted.
+#[test]
+fn the_one_engine_leaves_nothing_to_select() {
+    let (dir, src) = scratch("engine");
+    let plan = dir.join("plan.json").to_string_lossy().into_owned();
+    let (out, err) = run(&["plan", &src, "--partition", "2x2", "-o", &plan]);
+    assert!(out.status.success(), "{err}");
+    let text = std::fs::read_to_string(&plan).unwrap();
+    assert!(text.starts_with("{\"version\":3,"), "{text}");
+    assert!(!text.contains("\"kernel_nests\":[]"), "{text}");
+    assert!(!text.contains("engine"), "{text}");
+
+    let stale = dir.join("v2.json").to_string_lossy().into_owned();
+    let v2 = text.replace("\"version\":3", "\"version\":2,\"engine\":\"tree\"");
+    std::fs::write(&stale, v2).unwrap();
+    let (out, err) = run(&["run", &src, "--partition", "2x2", "--plan", &stale]);
+    assert_eq!(out.status.code(), Some(4), "{err}");
+    assert!(err.contains("schema version 2"), "{err}");
+
+    // the flag that chose an engine is as unknown as any other word
+    let [engine, bogus] = ["engine", "bogus"].map(|name| format!("--{name}"));
+    let (out, bogus_err) = run(&["run", &src, &bogus]);
+    assert_eq!(out.status.code(), Some(1), "{bogus_err}");
+    let (out, err) = run(&["run", &src, &engine, "kernel"]);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(err, bogus_err.replace(&bogus, &engine));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -24,7 +24,7 @@ fn sprayer_req() -> CompileReq {
         parts: vec![2, 2],
         distance: None,
         optimize: true,
-        engine: autocfd::codegen::EnginePref::Tree,
+        engine: autocfd::codegen::EnginePref::Kernel,
         threads: 1,
     }
 }
@@ -35,7 +35,7 @@ fn aerofoil_req() -> CompileReq {
         parts: vec![2, 1, 1],
         distance: None,
         optimize: true,
-        engine: autocfd::codegen::EnginePref::Tree,
+        engine: autocfd::codegen::EnginePref::Kernel,
         threads: 1,
     }
 }
@@ -144,7 +144,7 @@ fn malformed_source_is_typed_error_and_connection_survives() {
         parts: vec![2, 2],
         distance: None,
         optimize: true,
-        engine: autocfd::codegen::EnginePref::Tree,
+        engine: autocfd::codegen::EnginePref::Kernel,
         threads: 1,
     };
     let err = client

@@ -1,10 +1,9 @@
 //! Elastic repartitioning: regather→scatter must be the identity at
 //! `M == N` (property-tested over every epoch of checkpointed runs of
 //! both case studies), and an N-rank cut resumed onto M ranks — both
-//! shrinking and growing, on both engines — must finish bit-identical
-//! to an uninterrupted M-rank run.
+//! shrinking and growing, at one and two kernel threads per rank — must
+//! finish bit-identical to an uninterrupted M-rank run.
 
-use autocfd::codegen::EnginePref;
 use autocfd::interp::{
     owned_region, repartition, verify_owned_regions, CheckpointOpts, RankResult,
 };
@@ -25,14 +24,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn kernel_opts(parts: &[u32], threads: u32) -> CompileOptions {
-    CompileOptions {
-        engine: EnginePref::Kernel,
-        threads,
-        ..CompileOptions::with_partition(parts)
-    }
-}
-
 /// The relaunch manifest an `acfc run` launch would have left next to
 /// the snapshots — epoch consistency is judged against its rank count.
 fn write_run_manifest(c: &Compiled, src: &str, dir: &Path) {
@@ -48,7 +39,6 @@ fn write_run_manifest(c: &Compiled, src: &str, dir: &Path) {
             overlap: false,
             checkpoint_every: 2,
             timeout_ms: 2000,
-            engine: "tree".into(),
             threads: 1,
         },
     )
@@ -211,15 +201,12 @@ fn check_elastic_resume(
     old_parts: &[u32],
     new_parts: &[u32],
     chaos_at: u64,
-    kernel: bool,
+    threads: u32,
     tag: &str,
 ) {
-    let opts = |parts: &[u32]| {
-        if kernel {
-            kernel_opts(parts, 2)
-        } else {
-            CompileOptions::with_partition(parts)
-        }
+    let opts = |parts: &[u32]| CompileOptions {
+        threads,
+        ..CompileOptions::with_partition(parts)
     };
     let old_c = compile(src, &opts(old_parts)).unwrap();
     let new_c = compile(src, &opts(new_parts)).unwrap();
@@ -258,9 +245,6 @@ fn check_elastic_resume(
     .into_iter()
     .enumerate()
     .map(|(r, run)| {
-        if kernel {
-            assert_eq!(run.engine, "kernel", "rank {r} resumed on the wrong engine");
-        }
         run.into_result()
             .unwrap_or_else(|e| panic!("resumed rank {r} failed: {e}"))
     })
@@ -281,32 +265,32 @@ fn check_elastic_resume(
 #[test]
 fn sprayer_shrinks_from_4_to_2_ranks_bit_exact() {
     let src = sprayer_program(&CaseParams::sprayer_small());
-    check_elastic_resume(&src, &[2, 2], &[2, 1], 7, false, "s4to2");
+    check_elastic_resume(&src, &[2, 2], &[2, 1], 7, 1, "s4to2");
 }
 
 #[test]
 fn sprayer_grows_from_2_to_4_ranks_bit_exact() {
     let src = sprayer_program(&CaseParams::sprayer_small());
-    check_elastic_resume(&src, &[2, 1], &[2, 2], 7, false, "s2to4");
+    check_elastic_resume(&src, &[2, 1], &[2, 2], 7, 1, "s2to4");
 }
 
 #[test]
 fn aerofoil_grows_from_2_to_3_ranks_bit_exact() {
     let src = aerofoil_program(&CaseParams::aerofoil_small());
-    check_elastic_resume(&src, &[2, 1, 1], &[3, 1, 1], 9, false, "a2to3");
+    check_elastic_resume(&src, &[2, 1, 1], &[3, 1, 1], 9, 1, "a2to3");
 }
 
 #[test]
 fn aerofoil_shrinks_from_4_to_2_ranks_bit_exact() {
     let src = aerofoil_program(&CaseParams::aerofoil_small());
-    check_elastic_resume(&src, &[2, 2, 1], &[1, 2, 1], 9, false, "a4to2");
+    check_elastic_resume(&src, &[2, 2, 1], &[1, 2, 1], 9, 1, "a4to2");
 }
 
 #[test]
 fn kernel_engine_elastic_resume_both_directions() {
     let src = sprayer_program(&CaseParams::sprayer_small());
-    check_elastic_resume(&src, &[2, 2], &[2, 1], 7, true, "k4to2");
-    check_elastic_resume(&src, &[2, 1], &[2, 2], 7, true, "k2to4");
+    check_elastic_resume(&src, &[2, 2], &[2, 1], 7, 2, "k4to2");
+    check_elastic_resume(&src, &[2, 1], &[2, 2], 7, 2, "k2to4");
 }
 
 #[test]

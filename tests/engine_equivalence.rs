@@ -1,13 +1,13 @@
-//! Engine equivalence: the compiled-kernel engine must be bit-exact
-//! with the tree walk across the whole execution matrix — {tree, kernel}
-//! × {overlap off, on} × {inproc, tcp} — against the sequential original
-//! on both case studies, across the Table-1 partitions. Also covers the
-//! ineligible-nest fallback, multi-thread determinism, the per-run
-//! engine tag, and kernel-engine checkpoint/resume.
+//! Reference vs production: every run executes eligible comm-free loop
+//! nests as compiled kernels, and must be bit-exact with the reference
+//! tree walk (`RunConfig::reference`) across the whole execution matrix
+//! — {reference, production} × {overlap off, on} × {inproc, tcp} —
+//! against the sequential original on both case studies, across the
+//! Table-1 partitions. Also covers the ineligible-nest fallback,
+//! multi-thread determinism, compute spans, and checkpoint/resume.
 
-use autocfd::codegen::EnginePref;
 use autocfd::interp::{
-    eligible_nests, verify_owned_regions, CheckpointOpts, RankResult, RunConfig,
+    kernel_nests, verify_owned_regions, CheckpointOpts, RankResult, RankRun, RunConfig,
 };
 use autocfd::runtime::checkpoint::{latest_consistent_epoch, write_manifest, RunManifest};
 use autocfd::runtime_net::run_spmd_tcp;
@@ -17,9 +17,8 @@ use autocfd_fortran::parse;
 use std::path::PathBuf;
 use std::time::Duration;
 
-fn kernel_opts(parts: &[u32], threads: u32) -> CompileOptions {
+fn threaded(parts: &[u32], threads: u32) -> CompileOptions {
     CompileOptions {
-        engine: EnginePref::Kernel,
         threads,
         ..CompileOptions::with_partition(parts)
     }
@@ -38,32 +37,30 @@ fn run_over_tcp(c: &Compiled, overlap: bool) -> Vec<RankResult> {
     .expect("rank execution")
 }
 
-/// Every cell of the engine matrix must be bit-exact against the
-/// sequential original, and the kernel engine must agree with the tree
-/// walk on everything observable: fields, output, op counters, traffic,
-/// and phase structure.
+/// Every cell of the execution matrix must be bit-exact against the
+/// sequential original, and the compiled kernels must agree with the
+/// reference tree walk on everything observable: fields, output, op
+/// counters, traffic, and phase structure.
 fn check_engines_agree(src: &str, parts: &[u32]) {
-    let tree = compile(src, &CompileOptions::with_partition(parts))
-        .unwrap_or_else(|e| panic!("{parts:?}: {e}"));
-    let kern = compile(src, &kernel_opts(parts, 4)).unwrap_or_else(|e| panic!("{parts:?}: {e}"));
-    assert_eq!(kern.spmd_plan.engine, EnginePref::Kernel);
+    let c = compile(src, &threaded(parts, 4)).unwrap_or_else(|e| panic!("{parts:?}: {e}"));
     assert!(
-        !kern.spmd_plan.kernel_nests.is_empty(),
+        !c.spmd_plan.kernel_nests.is_empty(),
         "{parts:?}: the transformed program exposes no kernel-eligible nests"
     );
-    let seq = tree.run_sequential(vec![]).unwrap();
+    let seq = c.run_sequential(vec![]).unwrap();
 
     for overlap in [false, true] {
-        let t_in = tree.run_parallel_opts(vec![], overlap).unwrap();
-        let k_in = kern.run_parallel_opts(vec![], overlap).unwrap();
-        let k_tcp = run_over_tcp(&kern, overlap);
+        let reference = c.run_config().reference().overlap(overlap);
+        let t_in = reference.run_parallel().unwrap();
+        let k_in = c.run_parallel_opts(vec![], overlap).unwrap();
+        let k_tcp = run_over_tcp(&c, overlap);
 
         for (label, runs) in [
-            ("tree inproc", &t_in),
+            ("reference inproc", &t_in),
             ("kernel inproc", &k_in),
             ("kernel tcp", &k_tcp),
         ] {
-            let d = verify_owned_regions(&seq, runs, &tree.spmd_plan, 0.0).unwrap();
+            let d = verify_owned_regions(&seq, runs, &c.spmd_plan, 0.0).unwrap();
             assert_eq!(d, 0.0, "{parts:?} {label} overlap={overlap}");
             assert_eq!(
                 seq.0.output, runs[0].machine.output,
@@ -71,9 +68,9 @@ fn check_engines_agree(src: &str, parts: &[u32]) {
             );
         }
         for (r, (t, k)) in t_in.iter().zip(&k_in).enumerate() {
-            // bit-exactness is stronger than equal fields: the kernel
-            // engine charges the same op counters, takes the same
-            // communication path, and visits the same phases
+            // bit-exactness is stronger than equal fields: the kernels
+            // charge the same op counters, take the same communication
+            // path, and visit the same phases
             assert_eq!(
                 t.machine.ops, k.machine.ops,
                 "{parts:?} rank {r} overlap={overlap}: engines disagree on op counts"
@@ -104,8 +101,9 @@ fn sprayer_kernel_engine_bit_exact_on_table1_partitions() {
 }
 
 /// The tree walk's absolute op counts and output on the original case
-/// studies, pinned, and the kernel engine's equal to them: a faster tree
-/// walk must still count every flop, load, store and statement.
+/// studies, pinned, and the compiled kernels' equal to them: a faster
+/// tree walk must still count every flop, load, store and statement. A
+/// default compile records the kernel nests every run compiles.
 #[test]
 fn tree_walk_counts_and_output_are_pinned_on_the_original_case_studies() {
     let cases = [
@@ -122,11 +120,9 @@ fn tree_walk_counts_and_output_are_pinned_on_the_original_case_studies() {
     ];
     for (src, [flops, loads, stores, stmts], output) in cases {
         let c = compile(&src, &CompileOptions::with_procs(2)).unwrap();
+        assert!(!c.spmd_plan.kernel_nests.is_empty());
         let (tree, _) = c.run_sequential(vec![]).unwrap();
-        let (kern, _) = RunConfig::new(&c.ir.file)
-            .engine(EnginePref::Kernel)
-            .run_sequential()
-            .unwrap();
+        let (kern, _) = RunConfig::new(&c.ir.file).run_sequential().unwrap();
         for (engine, m) in [("tree", &tree), ("kernel", &kern)] {
             assert_eq!(
                 [m.ops.flops, m.ops.loads, m.ops.stores, m.ops.stmts],
@@ -143,14 +139,11 @@ fn kernel_engine_is_deterministic_across_thread_counts() {
     // splitting the interior across workers must not change a single
     // bit: same fields, same output, same op counters at 1 and 4 threads
     let src = sprayer_program(&CaseParams::sprayer_small());
-    let seq = {
-        let c = compile(&src, &CompileOptions::with_partition(&[2, 2])).unwrap();
-        c.run_sequential(vec![]).unwrap()
-    };
+    let c = compile(&src, &CompileOptions::with_partition(&[2, 2])).unwrap();
+    let seq = c.run_sequential(vec![]).unwrap();
     let mut runs = Vec::new();
     for threads in [1u32, 4] {
-        let c = compile(&src, &kernel_opts(&[2, 2], threads)).unwrap();
-        let rs = c.run_parallel_opts(vec![], false).unwrap();
+        let rs = c.run_config().threads(threads).run_parallel().unwrap();
         assert_eq!(
             verify_owned_regions(&seq, &rs, &c.spmd_plan, 0.0).unwrap(),
             0.0,
@@ -166,9 +159,9 @@ fn kernel_engine_is_deterministic_across_thread_counts() {
 
 #[test]
 fn ineligible_nest_falls_back_to_tree_walk() {
-    // the goto escaping the loop makes the nest kernel-ineligible; the
-    // kernel engine must silently tree-walk it and still match the tree
-    // engine bit-for-bit
+    // the goto escaping the loop makes the nest kernel-ineligible; a run
+    // must silently tree-walk it and still match the reference
+    // bit-for-bit
     let src = "
       program fallback
       real v(8)
@@ -183,35 +176,26 @@ fn ineligible_nest_falls_back_to_tree_walk() {
 ";
     let file = parse(src).unwrap();
     assert!(
-        eligible_nests(&file).is_empty(),
+        kernel_nests(&file).is_empty(),
         "the escaping goto must make this nest ineligible"
     );
-    let tree = RunConfig::new(&file).run_sequential().unwrap();
-    let kern = RunConfig::new(&file)
-        .engine(EnginePref::Kernel)
-        .threads(4)
-        .run_sequential()
-        .unwrap();
+    let tree = RunConfig::new(&file).reference().run_sequential().unwrap();
+    let kern = RunConfig::new(&file).threads(4).run_sequential().unwrap();
     assert_eq!(tree.0.output, kern.0.output);
     assert_eq!(tree.0.ops, kern.0.ops);
 }
 
 #[test]
-fn kernel_runs_tag_their_traces_and_keep_compute_spans() {
-    // the engine tag rides in the RankRun (and from there into every
-    // journal event); kernel execution still records compute spans
-    // through the same recorder, so trace structure survives the engine
-    // swap
+fn kernel_runs_keep_compute_spans() {
+    // kernel execution records compute spans through the same recorder
+    // as the tree walk, so trace structure is the reference's
     let src = sprayer_program(&CaseParams::sprayer_small());
-    let kern = compile(&src, &kernel_opts(&[2, 2], 4)).unwrap();
-    let tree = compile(&src, &CompileOptions::with_partition(&[2, 2])).unwrap();
-    let k_runs = kern.run_parallel_traced(vec![]);
-    let t_runs = tree.run_parallel_traced(vec![]);
+    let c = compile(&src, &threaded(&[2, 2], 4)).unwrap();
+    let k_runs = c.run_config().run_parallel_traced();
+    let t_runs = c.run_config().reference().run_parallel_traced();
     for (r, (k, t)) in k_runs.iter().zip(&t_runs).enumerate() {
         assert!(k.outcome.is_ok(), "rank {r}");
-        assert_eq!(k.engine, "kernel", "rank {r}");
-        assert_eq!(t.engine, "tree", "rank {r}");
-        let computes = |run: &autocfd::interp::RankRun| {
+        let computes = |run: &RankRun| {
             run.trace
                 .iter()
                 .filter(|e| matches!(e.kind.name(), "compute" | "overlap"))
@@ -227,11 +211,10 @@ fn kernel_runs_tag_their_traces_and_keep_compute_spans() {
 
 #[test]
 fn kernel_engine_kill_and_resume_stays_bit_exact() {
-    // checkpoint under the kernel engine, crash a rank, resume with the
-    // kernel engine on both sides: fields must match the sequential
-    // original exactly
+    // checkpoint a threaded kernel run, crash a rank, resume: fields
+    // must match the sequential original exactly
     let src = sprayer_program(&CaseParams::sprayer_small());
-    let c = compile(&src, &kernel_opts(&[2, 2], 2)).unwrap();
+    let c = compile(&src, &threaded(&[2, 2], 2)).unwrap();
     let n = c.spmd_plan.ranks() as usize;
     let seq = c.run_sequential(vec![]).unwrap();
     let dir = std::env::temp_dir().join(format!("acfd-kern-ckpt-{}", std::process::id()));
@@ -266,7 +249,6 @@ fn kernel_engine_kill_and_resume_stays_bit_exact() {
             overlap: false,
             checkpoint_every: 2,
             timeout_ms: 2000,
-            engine: "kernel".into(),
             threads: 2,
         },
     )
@@ -282,13 +264,12 @@ fn kernel_engine_kill_and_resume_stays_bit_exact() {
     .into_iter()
     .enumerate()
     .map(|(r, run)| {
-        assert_eq!(run.engine, "kernel", "rank {r} resumed on the wrong engine");
         run.into_result()
             .unwrap_or_else(|e| panic!("resumed rank {r} failed: {e}"))
     })
     .collect();
     let d = verify_owned_regions(&seq, &resumed, &c.spmd_plan, 0.0).unwrap();
-    assert_eq!(d, 0.0, "kernel-engine resume diverged");
+    assert_eq!(d, 0.0, "kernel resume diverged");
     assert_eq!(seq.0.output, resumed[0].machine.output);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,7 +7,7 @@
 //! sync optimization → restructuring → SPMD execution with halo
 //! exchanges, pipelines and reductions) at once.
 
-use autocfd::codegen::EnginePref;
+use autocfd::interp::verify_owned_regions;
 use autocfd::{compile, CompileOptions};
 use proptest::prelude::*;
 
@@ -260,7 +260,8 @@ fn descending_loops_exact() {
 
     // a Gauss–Seidel sweep whose step is a `parameter` constant: the step
     // must fold for localization and for the sweep direction alike, on
-    // both engines, with and without overlap
+    // the reference tree walk and the compiled kernels, with and without
+    // overlap
     for (step, i_loop, pipe_dir) in [(-1, "39, 2, istep", 1), (1, "2, 39, istep", -1)] {
         let src = format!(
             "
@@ -287,24 +288,24 @@ fn descending_loops_exact() {
 "
         );
         for parts in [[2u32, 1], [4, 1], [1, 2], [2, 2]] {
-            for engine in [EnginePref::Tree, EnginePref::Kernel] {
-                let opts = CompileOptions {
-                    engine,
-                    ..CompileOptions::with_partition(&parts)
-                };
-                let c = compile(&src, &opts).unwrap();
-                if parts[0] > 1 {
-                    let spec = &c.spmd_plan.self_loops[&0].arrays[0];
-                    assert!(
-                        spec.forward
-                            .iter()
-                            .any(|s| s.axis == 0 && s.dir == pipe_dir),
-                        "step {step} {parts:?}: {spec:?}"
-                    );
-                }
+            let c = compile(&src, &CompileOptions::with_partition(&parts)).unwrap();
+            if parts[0] > 1 {
+                let spec = &c.spmd_plan.self_loops[&0].arrays[0];
+                assert!(
+                    spec.forward
+                        .iter()
+                        .any(|s| s.axis == 0 && s.dir == pipe_dir),
+                    "step {step} {parts:?}: {spec:?}"
+                );
+            }
+            let seq = c.run_sequential(vec![]).unwrap();
+            for reference in [true, false] {
                 for overlap in [false, true] {
-                    let diff = c.verify_opts(vec![], 0.0, overlap).unwrap();
-                    assert_eq!(diff, 0.0, "step {step} {parts:?} {engine:?} {overlap}");
+                    let cfg = c.run_config().overlap(overlap);
+                    let cfg = if reference { cfg.reference() } else { cfg };
+                    let par = cfg.run_parallel().unwrap();
+                    let diff = verify_owned_regions(&seq, &par, &c.spmd_plan, 0.0).unwrap();
+                    assert_eq!(diff, 0.0, "step {step} {parts:?} {reference} {overlap}");
                 }
             }
         }

@@ -18,7 +18,6 @@
 //! A failing case prints its program; once shrunk by hand it belongs in
 //! `tests/regressions/`, which this test replays first.
 
-use autocfd::codegen::EnginePref;
 use autocfd::interp::kernel::{PointWise, RowVerdict};
 use autocfd::interp::{Frame, KernelSet, Machine, RunConfig, RunError};
 use autocfd_fortran::{parse, SourceFile};
@@ -304,15 +303,19 @@ fn program(seed: u64) -> String {
 
 type Outcome = Result<(Machine, Frame), RunError>;
 
-fn run(file: &SourceFile, engine: EnginePref, threads: u32, limit: u64) -> Outcome {
-    RunConfig::new(file)
-        .engine(engine)
-        .threads(threads)
-        .stmt_limit(limit)
-        .run_sequential()
+/// The compiled kernels on `threads` worker threads, or the reference
+/// tree walk for `None`.
+fn run(file: &SourceFile, threads: Option<u32>, limit: u64) -> Outcome {
+    let cfg = RunConfig::new(file).stmt_limit(limit);
+    match threads {
+        Some(n) => cfg.threads(n),
+        None => cfg.reference(),
+    }
+    .run_sequential()
 }
 
-/// Everything a run exposes, compared between two engines.
+/// Everything a run exposes, compared between the tree walk and the
+/// compiled kernels.
 fn same(what: &str, tree: &Outcome, kernel: &Outcome) -> Result<(), String> {
     match (tree, kernel) {
         (Err(t), Err(k)) if t == k => Ok(()),
@@ -356,12 +359,12 @@ fn same(what: &str, tree: &Outcome, kernel: &Outcome) -> Result<(), String> {
 /// statement budget and with budgets that run out part-way.
 fn check(src: &str) -> Result<(), String> {
     let file = parse(src).map_err(|e| format!("generated program does not parse: {e}"))?;
-    let tree = run(&file, EnginePref::Tree, 1, 0);
+    let tree = run(&file, None, 0);
     let total = tree.as_ref().map_or(4000, |(m, _)| m.ops.stmts);
     for limit in [0, total / 3, total / 2 + 1, total.saturating_sub(1).max(1)] {
-        let tree = run(&file, EnginePref::Tree, 1, limit);
+        let tree = run(&file, None, limit);
         for threads in [1, 4] {
-            let kernel = run(&file, EnginePref::Kernel, threads, limit);
+            let kernel = run(&file, Some(threads), limit);
             same(
                 &format!("budget {limit}, {threads} thread(s)"),
                 &tree,

@@ -6,7 +6,6 @@
 //! programs the pre-compiler actually emits at `2x1` / `2x1x1`, under the
 //! plan's own kernel-nest marking.
 
-use autocfd::codegen::EnginePref;
 use autocfd::interp::kernel::{PointWise, RowVerdict};
 use autocfd::interp::KernelSet;
 use autocfd::{compile, CompileOptions};
@@ -94,15 +93,19 @@ fn original_case_studies_take_the_pinned_paths() {
 /// one piece: the verdict tables are the original programs'.
 #[test]
 fn restructured_case_studies_take_the_pinned_paths() {
-    let kernel = |parts: &[u32]| CompileOptions {
-        engine: EnginePref::Kernel,
-        ..CompileOptions::with_partition(parts)
-    };
     let (s, a) = (CaseParams::sprayer_small(), CaseParams::aerofoil_small());
-    let c = compile(&sprayer_program(&s), &kernel(&[2, 1])).unwrap();
+    let c = compile(
+        &sprayer_program(&s),
+        &CompileOptions::with_partition(&[2, 1]),
+    )
+    .unwrap();
     let hints = Some(c.spmd_plan.kernel_nests.as_slice());
     assert_eq!(paths(&c.parallel_file, hints), sprayer_table(s.width));
-    let c = compile(&aerofoil_program(&a), &kernel(&[2, 1, 1])).unwrap();
+    let c = compile(
+        &aerofoil_program(&a),
+        &CompileOptions::with_partition(&[2, 1, 1]),
+    )
+    .unwrap();
     let hints = Some(c.spmd_plan.kernel_nests.as_slice());
     assert_eq!(paths(&c.parallel_file, hints), aerofoil_table(a.width));
 }

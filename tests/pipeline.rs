@@ -181,7 +181,6 @@ fn combined_sync_traffic_is_pinned_per_case_and_partition() {
     // f64s shipped, barriers and reductions across all ranks, plus the
     // sync points before/after optimization. Traffic is deterministic,
     // so any change here is a change to what the optimizer saves.
-    use autocfd::codegen::EnginePref;
     let aerofoil = aerofoil_program(&CaseParams::aerofoil_bench());
     let sprayer = sprayer_program(&CaseParams::sprayer_bench());
     // (source, partition, [msgs, f64s, barriers, reduces], syncs before → after)
@@ -192,11 +191,7 @@ fn combined_sync_traffic_is_pinned_per_case_and_partition() {
         (&sprayer, &[2, 2], [328, 122_928, 0, 48], (36, 9)),
     ];
     for (src, parts, traffic, syncs) in rows {
-        let opts = CompileOptions {
-            engine: EnginePref::Kernel,
-            ..CompileOptions::with_partition(parts)
-        };
-        let c = compile(src, &opts).unwrap();
+        let c = compile(src, &CompileOptions::with_partition(parts)).unwrap();
         let mut sum = [0u64; 4];
         for rank in c.run_parallel(vec![]).unwrap() {
             let (m, e, b, r) = rank.comm_stats;

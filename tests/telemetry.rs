@@ -202,7 +202,7 @@ fn telemetry_run_spools_healthy_frames_per_rank() {
         assert_eq!(row.rank, i);
         assert!(row.frames >= 1);
         assert_eq!(row.latest.rank, i);
-        assert_eq!(row.latest.engine, "tree");
+        assert_eq!(row.latest.engine, "kernel");
         assert!(row.latest.busy_us() > 0, "rank {i} reported no work");
         assert!(
             !row.latest.peers.is_empty(),
