@@ -75,10 +75,11 @@ use autocfd_codegen::{transform, EnginePref, SpmdPlan, TransformError};
 use autocfd_fortran::{FortranError, SourceFile};
 use autocfd_grid::{choose_partition, partition, GridShape, Partition, PartitionSpec};
 use autocfd_interp::spmd::{verify_owned_regions, RankResult};
-use autocfd_interp::{Frame, Machine, RunConfig, RunError};
+use autocfd_interp::{Frame, KernelSet, Machine, RunConfig, RunError};
 use autocfd_ir::{build_ir, ProgramIr};
 use autocfd_runtime::CommError;
 use autocfd_syncopt::{plan_program, SyncPlan};
+use std::sync::Arc;
 
 pub use autocfd_advisor as advisor;
 pub use autocfd_codegen as codegen;
@@ -280,6 +281,9 @@ pub struct Compiled {
     pub parallel_file: SourceFile,
     /// The executable plan behind the inserted `acf_*` calls.
     pub spmd_plan: SpmdPlan,
+    /// Every kernel-eligible nest of `parallel_file`, compiled once here
+    /// and reused by every run of [`Compiled::run_config`].
+    kernels: Arc<KernelSet>,
 }
 
 impl Compiled {
@@ -303,7 +307,9 @@ impl Compiled {
     /// every execution knob (overlap, checkpointing, threads) is a
     /// builder call away.
     pub fn run_config(&self) -> RunConfig<'_> {
-        RunConfig::new(&self.parallel_file).plan(&self.spmd_plan)
+        RunConfig::new(&self.parallel_file)
+            .plan(&self.spmd_plan)
+            .kernel_set(&self.kernels)
     }
 
     /// Run the transformed program on `partition.tasks()` rank-threads.
@@ -405,7 +411,8 @@ pub fn compile(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileE
     // Eligibility runs over the *transformed* program — the one that
     // executes — so a `--plan` run compiles the same nests.
     spmd_plan.threads = opts.threads.max(1);
-    spmd_plan.kernel_nests = autocfd_interp::kernel_nests(&parallel_file);
+    let kernels = Arc::new(KernelSet::build(&parallel_file, None, 1));
+    spmd_plan.kernel_nests = kernels.nests().to_vec();
 
     Ok(Compiled {
         ir,
@@ -413,6 +420,7 @@ pub fn compile(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileE
         sync_plan,
         parallel_file,
         spmd_plan,
+        kernels,
     })
 }
 
@@ -530,6 +538,22 @@ mod tests {
         let seq = c.run_sequential(vec![]).unwrap();
         let par = c.run_parallel(vec![]).unwrap();
         assert_eq!(seq.0.output, par[0].machine.output);
+    }
+
+    #[test]
+    fn runs_reuse_the_kernels_the_compile_built() {
+        let mut c = compile(JACOBI, &CompileOptions::with_partition(&[2, 1])).unwrap();
+        let nests = c.spmd_plan.kernel_nests.clone();
+        assert!(nests.len() > 1, "{nests:?}");
+        let one = c.run_config().build_engine();
+        let two = c.run_config().threads(2).build_engine();
+        for &id in &nests {
+            let (a, b) = (one.get(id).unwrap(), two.get(id).unwrap());
+            assert!(std::ptr::eq(a, b), "nest {id:?} compiled twice");
+        }
+        // a substituted plan's marking still selects
+        c.spmd_plan.kernel_nests.truncate(1);
+        assert_eq!(c.run_config().build_engine().nests(), &nests[..1]);
     }
 
     #[test]

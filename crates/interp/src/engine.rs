@@ -6,7 +6,8 @@
 //! through one [`RunConfig`]. The config collects the knobs (plan,
 //! input, statement budget, overlap, worker threads, checkpoint cadence,
 //! telemetry, resume directory), compiles the program's [`KernelSet`]
-//! once, and shares it across every rank thread of a parallel run.
+//! once (or selects from the set a compile kept), and shares it across
+//! every rank thread of a parallel run.
 //!
 //! Comm-free loop nests the kernel compiler proves eligible
 //! ([`crate::kernel`]) run as fused compiled kernels with pre-resolved
@@ -49,6 +50,7 @@ pub struct RunConfig<'a> {
     overlap: bool,
     threads: Option<u32>,
     reference: bool,
+    kernel_set: Option<&'a KernelSet>,
     ckpt: Option<CheckpointOpts>,
     resume_dir: Option<PathBuf>,
     resume_epoch: Option<u64>,
@@ -67,6 +69,7 @@ impl<'a> RunConfig<'a> {
             overlap: false,
             threads: None,
             reference: false,
+            kernel_set: None,
             ckpt: None,
             resume_dir: None,
             resume_epoch: None,
@@ -116,6 +119,13 @@ impl<'a> RunConfig<'a> {
     #[doc(hidden)]
     pub fn reference(mut self) -> Self {
         self.reference = true;
+        self
+    }
+
+    /// Run with kernels already compiled from this config's file (the
+    /// set `autocfd::compile` keeps), instead of compiling them again.
+    pub fn kernel_set(mut self, set: &'a KernelSet) -> Self {
+        self.kernel_set = Some(set);
         self
     }
 
@@ -204,7 +214,8 @@ impl<'a> RunConfig<'a> {
     /// Compile this config's [`KernelSet`], honoring the plan's
     /// `kernel_nests` hints when present (the transformed program's
     /// proven-eligible nests); without a plan the whole program is
-    /// walked for eligibility. The one place a run's kernels are built;
+    /// walked for eligibility. A [`RunConfig::kernel_set`] is selected
+    /// from, not compiled again. The one place a run's kernels are built;
     /// the name is a compatibility shim, removed with ROADMAP item 1's
     /// `[benchmark]` PR.
     #[doc(hidden)]
@@ -213,7 +224,11 @@ impl<'a> RunConfig<'a> {
             .plan
             .map(|p| p.kernel_nests.as_slice())
             .filter(|h| !h.is_empty());
-        KernelSet::build(self.file, hints, self.resolved_threads() as usize)
+        let threads = self.resolved_threads() as usize;
+        match self.kernel_set {
+            Some(set) => set.select(hints, threads),
+            None => KernelSet::build(self.file, hints, threads),
+        }
     }
 
     /// The kernels this run executes with: none for a
@@ -399,9 +414,9 @@ mod tests {
         let file = parse(STENCIL);
         let all = kernel_nests(&file);
         assert_eq!(all.len(), 2, "both nests are eligible");
-        assert_eq!(RunConfig::new(&file).build_engine().len(), 2);
+        assert_eq!(RunConfig::new(&file).build_engine().nests().len(), 2);
         let set = KernelSet::build(&file, Some(&all[..1]), 2);
-        assert_eq!(set.len(), 1, "hints restrict compilation");
+        assert_eq!(set.nests().len(), 1, "hints restrict compilation");
         assert!(RunConfig::new(&file).reference().kernels().is_none());
     }
 }

@@ -1540,7 +1540,7 @@ mod tests {
     fn assert_failures_match(src: &str, limits: impl Iterator<Item = u64>) {
         let file = parse(src).unwrap();
         let set = KernelSet::build(&file, None, 1);
-        assert!(!set.is_empty(), "the nest must run as a kernel");
+        assert!(!set.nests().is_empty(), "the nest must run as a kernel");
         for limit in limits {
             let (tr, tm) = run_keeping_state(&file, limit, None);
             let (kr, km) = run_keeping_state(&file, limit, Some(&set));
@@ -1601,7 +1601,11 @@ mod tests {
     fn error_on_both_engines(src: &str, kernel_nests: bool) -> String {
         let file = parse(src).unwrap();
         let set = KernelSet::build(&file, None, 1);
-        assert_eq!(!set.is_empty(), kernel_nests, "kernel nests of\n{src}");
+        assert_eq!(
+            !set.nests().is_empty(),
+            kernel_nests,
+            "kernel nests of\n{src}"
+        );
         let (tree, _) = run_keeping_state(&file, 0, None);
         let (kernel, _) = run_keeping_state(&file, 0, Some(&set));
         let tree = tree.unwrap_err().to_string();

@@ -8,41 +8,30 @@
 //! `c`/`i`/`i±c` subscript resolved to a `(register, offset)` pair at
 //! emit time — and runs it with two drivers over the same ops:
 //!
-//! * **a row at a time** for an innermost loop whose body nothing can
-//!   fail in or carry state through ([`RowVerdict::Row`]): every array
-//!   access of the row is proven in bounds once, from its two end
-//!   points, and resolved to `(base, stride)`; then each op runs as one
-//!   tight loop over temp rows, so dispatch amortises over the trip
-//!   count and the arithmetic vectorises;
-//! * **point-wise** for everything else, and for any row whose proof
-//!   fails at run time — one op at a time over the registers, with the
-//!   tree walk's per-element checks.
+//! * **as rows** for an innermost loop whose body nothing can fail in
+//!   or carry state through: one op runs over a whole row of trips, so
+//!   dispatch amortises over the row and the arithmetic vectorises. Rows
+//!   run along the nest's loop that subscripts the lowest store dimension
+//!   when any loop order of the nest is provably equivalent
+//!   ([`RowVerdict::Interchanged`]: `do i/do j/do k` rows along the unit
+//!   stride), else along the innermost loop ([`RowVerdict::Row`]); the
+//!   whole nest is proven in bounds once, at its corners;
+//! * **point-wise** for everything else, and for any nest whose proof
+//!   fails at run time — one op at a time over the registers, in source
+//!   order, with the tree walk's per-element checks.
 //!
 //! When a nest is provably data-parallel in its outermost loop its
 //! trips are also split across the vendored `rayon` thread pool.
 //!
 //! Everything observable is kept bit-exact with the tree walk:
-//!
-//! * arithmetic follows `eval::binop`/`apply_intrinsic` to the letter
-//!   (integer ops wrap and count no flops, any real operand promotes
-//!   through `f64` and counts one flop, intrinsics count one flop
-//!   before their domain checks);
-//! * [`OpCounts`] are accumulated locally — per op point-wise, `trips ×`
-//!   the body's static cost per row — and flushed to the [`Machine`],
-//!   so `flops/loads/stores/stmts` match the tree walk exactly,
-//!   including per-chunk re-ticks of overlap-split roots;
-//! * runtime errors reproduce the tree walk's messages and source-line
-//!   attribution (every evaluation error carries its statement's line);
-//!   a row that could fail is never formed, so partial stores and
-//!   counters at the error match too;
-//! * scalars are written back through [`Frame::set_scalar`] only for
-//!   names the nest statically assigns, preserving the `Int`-vs-`Real`
-//!   representation of everything else for checkpoint snapshots.
-//!
-//! A nest that cannot be proven equivalent is simply not compiled (or
-//! not *runnable* for the current frame), and the caller falls back to
-//! the tree walk — eligibility is a pure optimization boundary, never
-//! a semantics change.
+//! arithmetic follows `eval::binop`/`apply_intrinsic` to the letter;
+//! [`OpCounts`] are charged per op point-wise and from each row's static
+//! cost, matching the tree walk's exactly; runtime errors carry its
+//! messages and lines, and since a nest that could fail never forms rows,
+//! partial stores and counters at the error match too; scalars are
+//! written back through [`Frame::set_scalar`] only for names the nest
+//! assigns. A nest that cannot be proven equivalent is not compiled (or
+//! not *runnable* for the current frame), and the caller tree-walks it.
 
 use crate::machine::{ArrayId, Frame, Machine, OpCounts, RunError};
 use crate::value::Value;
@@ -50,7 +39,8 @@ use autocfd_fortran::ast::{
     BinOp, Expr, LValue, SourceFile, Stmt, StmtId, StmtKind, Type, UnOp, Unit,
 };
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 /// Which chunk of an overlap-split loop a kernel invocation covers.
 /// Mirrors the interpreter's private clamp modes; geometry is
@@ -200,8 +190,9 @@ impl Code {
 struct Op {
     code: Code,
     /// Row-driver operand shapes, set by the row analysis: bit 0 = `a`
-    /// varies along the row, bit 1 = `b` does. A pure op with neither
-    /// bit is uniform and runs once per row on the register file.
+    /// varies along the row, bit 1 = `b` does (bits 2 and 3: see
+    /// [`marks_shift`]). A pure op with neither bit is uniform and runs
+    /// once per row on the register file.
     row: u8,
     dst: Reg,
     a: Reg,
@@ -230,14 +221,20 @@ struct Site {
 
 /// Which driver the trips of one `do` loop of a compiled nest take.
 /// The verdict is the row analysis's own result, decided once at
-/// compile time; a `Row` loop still runs point-wise whenever its
-/// run-time proof (bounds at both end points, rank, no aliased names,
-/// statement budget) fails.
+/// compile time; rows still run point-wise, in source order, whenever
+/// their run-time proof (bounds at the corner points, rank, no aliased
+/// names, statement budget, trip counts) fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowVerdict {
     /// Straight-line element stores over loads, constants, invariant
     /// scalars and infallible arithmetic: one op runs a whole row.
     Row,
+    /// As `Row`, but along an enclosing loop of the perfect nest (or this
+    /// loop, when it can row and is longer at run time), the rest around.
+    Interchanged {
+        /// The row loop's depth in the nest (0 = its outermost loop).
+        axis: u32,
+    },
     /// One trip at a time, for the stated reason.
     PointWise(PointWise),
 }
@@ -271,10 +268,12 @@ struct Loop {
     /// Sites created by the body (`sites[lo..hi]`).
     sites: (usize, usize),
     verdict: RowVerdict,
-    /// `Row` only: what one trip of the body charges.
+    /// Innermost rowed loops only: what one trip of the body charges.
     cost: OpCounts,
-    /// `Row` only: the body reads the loop variable as a value.
-    iota: bool,
+    /// Innermost rowed loops only: the body reads the row variable, by [`marks_shift`] / 2.
+    iota: [bool; 2],
+    /// On a rowed nest's outermost loop: `(row loop, innermost loop)`.
+    rows: Option<(usize, usize)>,
 }
 
 /// One scalar register of a kernel.
@@ -306,9 +305,6 @@ pub struct Kernel {
     consts: Vec<Value>,
     ntemps: usize,
     arrays: Vec<ArrInfo>,
-    /// Slots the nest statically assigns (targets and loop variables);
-    /// only these are written back to the frame.
-    assigned: Vec<Reg>,
     /// Whether outer-loop trips may be split across threads.
     threadable: bool,
 }
@@ -325,50 +321,52 @@ impl Kernel {
 }
 
 /// The compiled kernels of one program plus the shared thread pool.
+#[derive(Debug, Default)]
 pub struct KernelSet {
-    kernels: HashMap<u32, Kernel>,
+    kernels: HashMap<u32, Arc<Kernel>>,
+    /// The compiled nests' ids in source order.
+    nests: Vec<StmtId>,
     pool: Option<rayon::ThreadPool>,
 }
 
 impl KernelSet {
-    /// Compile every eligible nest of `file`. When `hints` is given
-    /// (the plan's kernel-nest marking), only listed nests are
-    /// compiled; hinted-but-ineligible ids are silently skipped so a
-    /// stale or optimistic plan can never change semantics. `threads`
-    /// is the worker count for data-parallel nests (1 = sequential).
+    /// Compile every eligible nest of `file`, then [`KernelSet::select`].
     pub fn build(file: &SourceFile, hints: Option<&[StmtId]>, threads: usize) -> KernelSet {
-        let mut kernels = HashMap::new();
+        let mut all = KernelSet::default();
         for unit in &file.units {
-            let mut sink = |s: &Stmt, k: Option<Kernel>| {
-                if let Some(k) = k {
-                    if hints.is_none_or(|h| h.contains(&s.id)) {
-                        kernels.insert(s.id.0, k);
-                    }
-                }
-            };
-            walk_nests(unit, &unit.body, &mut sink);
+            walk_nests(unit, &unit.body, &mut |k| {
+                all.nests.push(k.id);
+                all.kernels.insert(k.id.0, Arc::new(k));
+            });
         }
-        let pool = if threads > 1 && kernels.values().any(|k| k.threadable) {
-            Some(rayon::ThreadPool::new(threads))
-        } else {
-            None
-        };
-        KernelSet { kernels, pool }
+        all.select(hints, threads)
+    }
+
+    /// The kernels a run uses, shared: those `hints` (the plan's marking)
+    /// list, if any, with a pool of `threads` workers (1 = sequential).
+    pub fn select(&self, hints: Option<&[StmtId]>, threads: usize) -> KernelSet {
+        let mut set = KernelSet::default();
+        for &id in self
+            .nests
+            .iter()
+            .filter(|id| hints.is_none_or(|h| h.contains(id)))
+        {
+            set.nests.push(id);
+            set.kernels.insert(id.0, self.kernels[&id.0].clone());
+        }
+        set.pool = (threads > 1 && set.kernels.values().any(|k| k.threadable))
+            .then(|| rayon::ThreadPool::new(threads));
+        set
     }
 
     /// The kernel compiled for a root `do` statement, if any.
     pub fn get(&self, id: StmtId) -> Option<&Kernel> {
-        self.kernels.get(&id.0)
+        self.kernels.get(&id.0).map(|k| &**k)
     }
 
-    /// Number of compiled kernels.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// True when no nest was compiled.
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
+    /// The ids of the compiled nests, in source order.
+    pub fn nests(&self) -> &[StmtId] {
+        &self.nests
     }
 
     /// Compatibility shim: the engine every run executes as. Removed
@@ -396,27 +394,16 @@ impl KernelSet {
 /// (`SpmdPlan::kernel_nests`) so `--plan` runs and every worker process
 /// compile the same kernels.
 pub fn kernel_nests(file: &SourceFile) -> Vec<StmtId> {
-    let mut out = Vec::new();
-    for unit in &file.units {
-        let mut sink = |s: &Stmt, k: Option<Kernel>| {
-            if k.is_some() {
-                out.push(s.id);
-            }
-        };
-        walk_nests(unit, &unit.body, &mut sink);
-    }
-    out
+    KernelSet::build(file, None, 1).nests
 }
 
 /// Walk statements, attempting compilation at every outermost `do`;
 /// descend into the bodies of everything that did not compile.
-fn walk_nests<'u>(unit: &'u Unit, stmts: &'u [Stmt], sink: &mut impl FnMut(&Stmt, Option<Kernel>)) {
+fn walk_nests<'u>(unit: &'u Unit, stmts: &'u [Stmt], sink: &mut impl FnMut(Kernel)) {
     for s in stmts {
         if matches!(s.kind, StmtKind::Do { .. }) {
-            let k = Compiler::compile(unit, s);
-            let compiled = k.is_some();
-            sink(s, k);
-            if compiled {
+            if let Some(k) = Compiler::compile(unit, s) {
+                sink(k);
                 continue;
             }
         }
@@ -479,7 +466,6 @@ impl<'u> Compiler<'u> {
             consts: Vec::new(),
             ntemps: 0,
             arrays: Vec::new(),
-            assigned: Vec::new(),
             threadable: false,
         };
         Compiler {
@@ -514,11 +500,13 @@ impl<'u> Compiler<'u> {
             rel(&mut op.b);
         }
         k.subs.iter_mut().for_each(|s| rel(&mut s.reg));
-        k.assigned.sort_unstable();
-        k.assigned.dedup();
+        // a compile keeps its kernels for every run: no growth slack
+        k.ops.shrink_to_fit();
+        k.subs.shrink_to_fit();
+        k.loops.shrink_to_fit();
         k.threadable = k.prove_store_disjointness();
         for li in 0..k.loops.len() {
-            k.analyse_rows(li);
+            k.choose_rows(li);
         }
         Some(k)
     }
@@ -647,7 +635,6 @@ impl<'u> Compiler<'u> {
         if !self.k.slots[vslot as usize].is_int {
             return None; // real loop variables stay on the tree walk
         }
-        self.k.assigned.push(vslot);
         self.emit(Code::Tick, NONE, NONE, NONE, s.line);
         let from = self.expr(from).and_then(|v| self.index(v))?;
         let to = self.expr(to).and_then(|v| self.index(v))?;
@@ -665,7 +652,8 @@ impl<'u> Compiler<'u> {
             sites: (self.k.sites.len(), 0),
             verdict: RowVerdict::PointWise(PointWise::InnerLoop),
             cost: OpCounts::default(),
-            iota: false,
+            iota: [false; 2],
+            rows: None,
         });
         self.stmts(body)?;
         self.k.loops[li].end = self.k.ops.len();
@@ -734,7 +722,6 @@ impl<'u> Compiler<'u> {
         let rhs = self.expr(value)?;
         if lv.indices.is_empty() {
             let slot = self.slot(&lv.name)?;
-            self.k.assigned.push(slot);
             // `set_scalar` coerces to the declared type.
             let code = match (self.k.slots[slot as usize].is_int, rhs.0) {
                 (true, Ty::I) => Code::MovI,
@@ -980,14 +967,11 @@ impl<'u> Compiler<'u> {
 }
 
 impl Kernel {
-    /// The site of every store (or of every load) of the nest.
-    fn accesses(&self, stores: bool) -> impl Iterator<Item = &Site> {
-        let wanted = move |c: Code| match c {
-            Code::Store => stores,
-            Code::LoadR | Code::LoadI => !stores,
-            _ => false,
-        };
-        (self.ops.iter().filter(move |op| wanted(op.code))).map(|op| &self.sites[op.imm as usize])
+    /// The site of every load and store of `ops`, and whether it stores.
+    fn accesses(&self, ops: Range<usize>) -> impl Iterator<Item = (&Site, bool)> {
+        let access = |op: &&Op| matches!(op.code, Code::LoadR | Code::LoadI | Code::Store);
+        (self.ops[ops].iter().filter(access))
+            .map(|op| (&self.sites[op.imm as usize], op.code == Code::Store))
     }
 
     /// Prove that splitting the root loop's trips across threads can
@@ -1010,7 +994,7 @@ impl Kernel {
         let elsewhere = |s: &Aff| s.reg != rv && (s.reg == NONE || s.reg < t0);
         // (array → (dim, offset)) of the root variable, agreed across sites
         let mut owners: HashMap<u32, (usize, i64)> = HashMap::new();
-        for site in self.accesses(true) {
+        for (site, _) in self.accesses(0..self.ops.len()).filter(|a| a.1) {
             let subs = self.subs_of(site);
             let Some(d) = subs.iter().position(|s| s.reg == rv) else {
                 return false;
@@ -1027,23 +1011,121 @@ impl Kernel {
         // A nest with no stores mutates nothing; threading it is
         // pointless.
         !owners.is_empty()
-            && self.accesses(false).all(|site| {
-                let Some(&(d, add)) = owners.get(&site.arr) else {
-                    return true; // read-only array: any subscript is fine
-                };
-                let subs = self.subs_of(site);
-                subs.get(d) == Some(&Aff { reg: rv, add })
-                    && subs
-                        .iter()
-                        .enumerate()
-                        .all(|(d2, s)| d2 == d || elsewhere(s))
-            })
+            && self
+                .accesses(0..self.ops.len())
+                .filter(|a| !a.1)
+                .all(|(site, _)| {
+                    let Some(&(d, add)) = owners.get(&site.arr) else {
+                        return true; // read-only array: any subscript is fine
+                    };
+                    let subs = self.subs_of(site);
+                    subs.get(d) == Some(&Aff { reg: rv, add })
+                        && subs
+                            .iter()
+                            .enumerate()
+                            .all(|(d2, s)| d2 == d || elsewhere(s))
+                })
     }
 
-    /// The row analysis of loop `li`: decide its [`RowVerdict`] and, for
-    /// a `Row`, record the body's per-trip cost and mark which operands
-    /// vary along the row. A row runs each op over all trips before the
-    /// next op, so it is only formed when that reordering is invisible:
+    /// The legality test for innermost loop `li`. Its nest: the enclosing
+    /// loops whose bodies are one `do` with pure bounds reading no nest
+    /// loop variable (a box), from the outermost [`Kernel::permutable`]
+    /// one. Its rows: along the first loop, by lowest store dimension, to
+    /// pass [`Kernel::analyse_rows`] (a sweep carried along the unit stride
+    /// takes the next axis), else along `li`.
+    fn choose_rows(&mut self, li: usize) {
+        let body = self.loops[li].start..self.loops[li].end;
+        if self.loops.get(li + 1).is_some_and(|l| l.start < body.end) {
+            return; // holds another loop: `InnerLoop`
+        }
+        // the bound ops and `Do` of loop `c`, whose tick opens its parent's body
+        let header = |c: usize| &self.ops[self.loops[c - 1].start + 1..self.loops[c].start];
+        // what `pure` runs, and the `Do` that ends a header
+        use Code::*;
+        let fallible = |c: Code| matches!(c, DivI | PowI | ModI | Sqrt | Log);
+        let pure = |c: Code| c >= Do && !(Eq..=Store).contains(&c) && !fallible(c);
+        let mut top = li;
+        while top > 0 {
+            let vars: Vec<Reg> = self.loops[top - 1..=li].iter().map(|l| l.var).collect();
+            let rectangular = (top..=li).all(|d| {
+                header(d).iter().all(|op| {
+                    pure(op.code) && ![op.a, op.b, op.dst].iter().any(|r| vars.contains(r))
+                })
+            });
+            if self.loops[top - 1].end != body.end || !rectangular || vars[1..].contains(&vars[0]) {
+                break;
+            }
+            top -= 1;
+        }
+        let head = (top..li).find(|&h| self.permutable(h, li)).unwrap_or(li);
+        // candidate row loops by the lowest store dimension they subscript,
+        // and last the innermost loop itself, whose failure is the verdict
+        let dim = |r: usize| {
+            let (var, stores) = (self.loops[r].var, self.accesses(body.clone()));
+            let subs = stores.filter(|a| a.1).map(|(s, _)| self.subs_of(s));
+            subs.filter_map(|ss| ss.iter().position(|x| x.reg == var))
+                .min()
+        };
+        let mut axes: Vec<usize> = (head..=li).rev().collect();
+        axes.sort_by_key(|&r| dim(r).unwrap_or(usize::MAX));
+        axes.push(li);
+        let mut why = PointWise::InnerLoop;
+        for r in axes {
+            match self.analyse_rows(li, self.loops[r].var) {
+                Err(w) => why = w,
+                Ok((cost, iota)) => {
+                    let (head, verdict) = match (r - head) as u32 {
+                        _ if r == li => (li, RowVerdict::Row),
+                        axis => (head, RowVerdict::Interchanged { axis }),
+                    };
+                    self.loops[head].rows = Some((r, li));
+                    let lp = &mut self.loops[li];
+                    (lp.verdict, lp.cost, lp.iota[0]) = (verdict, cost, iota);
+                    // and the innermost loop's own row, for when it is longer
+                    let var = lp.var;
+                    if let Some(Ok((_, iota))) = (r != li).then(|| self.analyse_rows(li, var)) {
+                        (self.loops[li].rows, self.loops[li].iota[1]) = (Some((li, li)), iota);
+                    }
+                    return;
+                }
+            }
+        }
+        self.loops[li].verdict = RowVerdict::PointWise(why);
+    }
+
+    /// Whether the nest `h..=li` may run in any loop order keeping each
+    /// loop's direction: yes when every store meets each access of its
+    /// array only at iterations differing in at most one loop, which every
+    /// order then compares by that loop alone — bit-exact.
+    fn permutable(&self, h: usize, li: usize) -> bool {
+        let vars: Vec<Reg> = self.loops[h..=li].iter().map(|l| l.var).collect();
+        let of = |r: Reg| vars.iter().position(|&v| v == r);
+        let body = self.loops[li].start..self.loops[li].end;
+        let mut stores = self.accesses(body.clone()).filter(|a| a.1);
+        stores.all(|(store, _)| {
+            let ss = self.subs_of(store);
+            let same = self.accesses(body.clone()).filter(|a| a.0.arr == store.arr);
+            same.map(|(a, _)| self.subs_of(a)).all(|os| {
+                // per loop: the distance, `None` while unconstrained
+                let mut dist = vec![None; vars.len()];
+                for (x, y) in ss.iter().zip(os) {
+                    let gap = x.add.wrapping_sub(y.add);
+                    match (of(x.reg), of(y.reg)) {
+                        (None, None) if x.reg == y.reg && gap != 0 => return true, // apart
+                        (None, None) => {}
+                        (Some(c), Some(d)) if c == d && dist[c].replace(gap).is_none() => {}
+                        _ => return false,
+                    }
+                }
+                ss.len() == os.len() && dist.iter().filter(|d| **d != Some(0)).count() <= 1
+            })
+        })
+    }
+
+    /// The row analysis of innermost loop `li`'s body along `var`: its
+    /// per-trip cost and whether it reads `var`, having marked the operands
+    /// that vary, or why no row forms. A row runs each op over all trips
+    /// before the next, so only when that reordering is invisible:
     ///
     /// * nothing in the body can fail or carry state — element stores
     ///   whose right sides are loads, constants, invariant scalars and
@@ -1054,11 +1136,11 @@ impl Kernel {
     ///   by a constant in a dimension that does not move with the row.
     ///   Names are told apart here; two names bound to one array are
     ///   caught per invocation by [`rw_disjoint`].
-    fn analyse_rows(&mut self, li: usize) {
+    fn analyse_rows(&mut self, li: usize, var: Reg) -> Result<(OpCounts, bool), PointWise> {
         use Code::*;
         let (ns, t0) = (self.slots.len() as Reg, self.t0() as Reg);
-        let lp = self.loops[li].clone();
-        let mut varies = vec![false; self.ntemps];
+        let (lp, mut varies) = (self.loops[li].clone(), vec![false; self.ntemps]);
+        let shift = marks_shift(&lp, var);
         let (mut cost, mut iota) = (OpCounts::default(), false);
         // (site, is a store) of every access, in body order
         let mut accesses: Vec<(&Site, bool)> = Vec::new();
@@ -1087,13 +1169,12 @@ impl Kernel {
                 if op.dst < ns {
                     return Some(PointWise::ScalarState);
                 }
-                let along =
-                    |r: Reg| r == lp.var || r != NONE && r >= t0 && varies[(r - t0) as usize];
-                op.row = along(op.a) as u8 | (along(op.b) as u8) << 1;
-                iota |= op.a == lp.var || op.b == lp.var;
+                let along = |r: Reg| r == var || r != NONE && r >= t0 && varies[(r - t0) as usize];
+                let marks = along(op.a) as u8 | (along(op.b) as u8) << 1;
+                op.row = op.row & !(3 << shift) | marks << shift;
+                iota |= op.a == var || op.b == var;
                 if op.dst != NONE {
-                    varies[(op.dst - t0) as usize] =
-                        op.row != 0 || matches!(op.code, LoadR | LoadI);
+                    varies[(op.dst - t0) as usize] = marks != 0 || matches!(op.code, LoadR | LoadI);
                 }
             }
             None
@@ -1103,24 +1184,20 @@ impl Kernel {
                 let ss = self.subs_of(store);
                 // a store the row does not move hits one element on
                 // every trip
-                !ss.iter().any(|x| x.reg == lp.var)
+                !ss.iter().any(|x| x.reg == var)
                     || accesses.iter().any(|&(other, _)| {
                         let os = self.subs_of(other);
                         let apart = ss.len() == os.len()
                             && ss
                                 .iter()
                                 .zip(os)
-                                .any(|(x, y)| x.reg == y.reg && x.reg != lp.var && x.add != y.add);
+                                .any(|(x, y)| x.reg == y.reg && x.reg != var && x.add != y.add);
                         other.arr == store.arr && os != ss && !apart
                     })
             });
             carried.then_some(PointWise::CarriedDependence)
         });
-        let lp = &mut self.loops[li];
-        match why {
-            Some(why) => lp.verdict = RowVerdict::PointWise(why),
-            None => (lp.verdict, lp.cost, lp.iota) = (RowVerdict::Row, cost, iota),
-        }
+        why.map_or(Ok((cost, iota)), Err)
     }
 }
 
@@ -1241,12 +1318,16 @@ impl Kernel {
         // a failing run aborts, but the machine should still account
         // for the work done.
         add_counts(&mut m.ops, &ctx.ops, 1);
-        for &i in &self.assigned {
-            let s = &self.slots[i as usize];
+        for (i, s) in self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| ctx.written[i])
+        {
             let v = if s.is_int {
-                Value::Int(ctx.int(i))
+                Value::Int(ctx.int(i as Reg))
             } else {
-                Value::Real(ctx.real(i))
+                Value::Real(ctx.real(i as Reg))
             };
             frame.set_scalar(&s.name, v)?;
         }
@@ -1276,7 +1357,7 @@ impl Kernel {
         if threaded {
             self.run_threaded(set, ctx, f, step, trips)?;
         } else {
-            ctx.run_trips(self, root, f, step, trips)?;
+            ctx.run_trips(self, 0, f, step, trips)?;
         }
         // Loop variable rests one past the last value.
         ctx.set(root.var, f + trips * step);
@@ -1299,7 +1380,7 @@ impl Kernel {
     ) -> Result<(), RunError> {
         let pool = set.pool.as_ref().expect("threaded gate checked pool");
         let nchunks = pool.threads().min(trips as usize).max(1);
-        type ChunkOut = (Result<(), RunError>, OpCounts, Vec<u64>);
+        type ChunkOut = (Result<(), RunError>, OpCounts, Vec<u64>, Vec<bool>);
         let results: Vec<Mutex<Option<ChunkOut>>> =
             (0..nchunks).map(|_| Mutex::new(None)).collect();
         let share = ShareArrs(ctx.arrs);
@@ -1309,25 +1390,24 @@ impl Kernel {
             let lo = trips as usize * k / nchunks;
             let hi = trips as usize * (k + 1) / nchunks;
             let mut vm = Vm::new(self, regs0.clone(), share.0, clamp);
-            let res = vm.run_trips(
-                self,
-                &self.loops[0],
-                f + lo as i64 * step,
-                step,
-                (hi - lo) as i64,
-            );
+            let res = vm.run_trips(self, 0, f + lo as i64 * step, step, (hi - lo) as i64);
             *results[k]
                 .lock()
-                .expect("chunk slots are written once, panic-free") = Some((res, vm.ops, vm.regs));
+                .expect("chunk slots are written once, panic-free") =
+                Some((res, vm.ops, vm.regs, vm.written));
         });
         let mut first_err = None;
         for slot in &results {
-            let (res, ops, regs) = slot
+            let (res, ops, regs, written) = slot
                 .lock()
                 .expect("chunk slots are written once, panic-free")
                 .take()
                 .expect("broadcast filled every chunk slot");
             add_counts(&mut ctx.ops, &ops, 1);
+            ctx.written
+                .iter_mut()
+                .zip(written)
+                .for_each(|(w, c)| *w |= c);
             if first_err.is_none() {
                 first_err = res.err();
             }
@@ -1337,6 +1417,12 @@ impl Kernel {
         }
         first_err.map_or(Ok(()), Err)
     }
+}
+
+/// Where an op's row marks along `var` sit in `Op::row`: an interchanged
+/// nest keeps those of its innermost loop's own row in bits 2 and 3.
+fn marks_shift(lp: &Loop, var: Reg) -> u8 {
+    2 * (var == lp.var && matches!(lp.verdict, RowVerdict::Interchanged { .. })) as u8
 }
 
 fn add_counts(into: &mut OpCounts, c: &OpCounts, times: u64) {
@@ -1395,6 +1481,10 @@ struct Vm<'k> {
     rows: Vec<u64>,
     /// `(base, stride)` of each site of the row being run.
     resolved: Vec<(isize, isize)>,
+    /// Slots this invocation assigned, the tree walk's only way to create one.
+    written: Vec<bool>,
+    /// Scratch of [`Vm::run_nest`]: `(first, step, trips)` of each loop.
+    nest: Vec<(i64, i64, i64)>,
     /// Scratch of [`Vm::gather`]: the loads of one statement.
     gathered: Vec<Gathered>,
 }
@@ -1412,6 +1502,8 @@ impl<'k> Vm<'k> {
             disjoint: true,
             rows: Vec::new(),
             resolved: vec![(0, 0); k.sites.len()],
+            written: vec![false; k.slots.len()],
+            nest: Vec::new(),
             gathered: Vec::new(),
         }
     }
@@ -1426,6 +1518,9 @@ impl<'k> Vm<'k> {
 
     fn set(&mut self, r: Reg, v: impl Lane) {
         self.regs[r as usize] = v.bits();
+        if let Some(w) = self.written.get_mut(r as usize) {
+            *w = true;
+        }
     }
 
     /// `Machine::tick` with the statement's line attached, against the
@@ -1624,7 +1719,7 @@ impl<'k> Vm<'k> {
         // Below the clamped loop the body runs unmodified; the clamp
         // stays active for sibling statements after this loop.
         let saved = if clamped { self.clamp.take() } else { None };
-        let res = self.run_trips(k, lp, f, step, trips);
+        let res = self.run_trips(k, op.imm as usize, f, step, trips);
         if clamped {
             self.clamp = saved;
         }
@@ -1633,21 +1728,19 @@ impl<'k> Vm<'k> {
         Ok(())
     }
 
-    /// `trips` trips of `lp` from `f`: as rows when the loop's verdict
-    /// and this invocation allow it, else one trip at a time.
+    /// `trips` trips of loop `li` from `f`: as the rows of the nest it
+    /// heads when its verdict and this invocation allow, else one trip
+    /// at a time.
     fn run_trips(
         &mut self,
         k: &Kernel,
-        lp: &Loop,
+        li: usize,
         f: i64,
         step: i64,
         trips: i64,
     ) -> Result<(), RunError> {
-        if lp.verdict == RowVerdict::Row
-            && trips > 0
-            && self.disjoint
-            && self.run_row(k, lp, f, step, trips as usize).is_some()
-        {
+        let lp = &k.loops[li];
+        if trips > 0 && self.disjoint && self.run_nest(k, li, f, step, trips).is_some() {
             return Ok(());
         }
         let mut iv = f;
@@ -1659,31 +1752,80 @@ impl<'k> Vm<'k> {
         Ok(())
     }
 
-    /// Prove the whole row safe, then run it: `None`, having changed
-    /// nothing observable, when the statement budget could run out
-    /// inside the row, end-point arithmetic overflows, or any access is
-    /// out of bounds or of the wrong rank at either end point — the
-    /// caller then goes point-wise and the failing element reports
-    /// itself exactly as in the tree walk.
-    fn run_row(&mut self, k: &Kernel, lp: &Loop, f: i64, step: i64, n: usize) -> Option<()> {
-        let stmts = (n as u64).saturating_mul(lp.cost.stmts);
+    /// Prove the nest loop `h` heads safe and run it as rows; or `None`,
+    /// having changed nothing observable (no nest, a failing or empty inner
+    /// loop, a budget that could run out, a corner row out of bounds).
+    fn run_nest(&mut self, k: &Kernel, h: usize, f: i64, step: i64, trips: i64) -> Option<()> {
+        let (r, inner) = k.loops[h].rows?;
+        let (nest, body) = (&k.loops[h..=inner], &k.loops[inner]);
+        // Inner bounds read nothing the nest changes: they hold on every trip
+        // around them, where each header (tick and bound ops) runs once.
+        self.nest.clear();
+        self.nest.push((f, step, trips));
+        let (mut heads, mut points) = (OpCounts::default(), trips as u64);
+        for c in h + 1..=inner {
+            let lc = &k.loops[c];
+            let bound_ops = &k.ops[k.loops[c - 1].start + 1..lc.start - 1];
+            bound_ops.iter().for_each(|op| pure(self, op));
+            let (fc, sc, tc, _) = self.bounds(&k.ops[lc.start - 1], lc).ok()?;
+            heads.stmts += points;
+            heads.flops += points * bound_ops.iter().map(|op| op.code.flops()).sum::<u64>();
+            points = points.checked_mul(tc as u64).filter(|_| tc > 0)?; // no trips: point-wise
+            self.nest.push((fc, sc, tc));
+        }
+        let stmts = (heads.stmts).checked_add(points.checked_mul(body.cost.stmts)?)?;
         if self.limit != 0 && self.base_stmts + self.ops.stmts + stmts > self.limit {
             return None;
         }
-        let last = f.checked_add(step.checked_mul(n as i64 - 1)?)?;
+        // Rows along `r`, or the innermost loop if it can row and is longer;
+        // the other loops run outermost-fastest (`do i/do j/do k` rowed along
+        // `i` in `do k/do j` order). Subscripts move monotonically with one
+        // loop each: the last and first rows, resolved first, prove them all.
+        // Setting loop variables is unobservable: source order sets each first.
+        let alt = body.rows.is_some() && self.nest[inner - h].2 > self.nest[r - h].2;
+        let r = if alt { inner } else { r };
+        let (row, var) = (r - h, k.loops[r].var);
+        let (trips, rows) = (self.nest[row], points / self.nest[row].2 as u64);
+        let order = [rows - 1].into_iter().chain(0..rows).enumerate();
+        for (i, at) in order.skip((rows == 1) as usize) {
+            let mut rest = at as i64;
+            for (c, l) in nest.iter().enumerate().filter(|&(c, _)| c != row) {
+                let (fc, sc, tc) = self.nest[c];
+                self.set(l.var, fc + rest % tc * sc);
+                rest /= tc;
+            }
+            match (i, self.resolve(k, body, var, trips)) {
+                (0 | 1, None) => return None, // nothing has run yet
+                (0, Some(())) => {}
+                (_, Some(())) => self.run_row(k, body, var, trips),
+                (_, None) => unreachable!("every row is in bounds at the corners"),
+            }
+        }
+        add_counts(&mut self.ops, &heads, 1);
+        add_counts(&mut self.ops, &body.cost, points);
+        // Inner loop variables rest one past their last values.
+        for (c, l) in nest.iter().enumerate().skip(1) {
+            let (fc, sc, tc) = self.nest[c];
+            self.set(l.var, fc + tc * sc);
+        }
+        Some(())
+    }
+
+    /// Resolve each site of `lp`'s body to `(base, stride)` for a `row`
+    /// along `var`, or `None` (rank, overflow, an end point out of bounds):
+    /// indices move monotonically along it, so both ends in ⇒ all in.
+    fn resolve(&mut self, k: &Kernel, lp: &Loop, var: Reg, row: (i64, i64, i64)) -> Option<()> {
+        let (f, step, n) = row;
+        let last = f.checked_add(step.checked_mul(n - 1)?)?;
         for s in lp.sites.0..lp.sites.1 {
             let site = &k.sites[s];
             let (a, subs) = (&self.arrs[site.arr as usize], k.subs_of(site));
             if subs.len() != a.bounds.len() {
                 return None;
             }
-            // Every subscript is affine in the row variable with
-            // coefficient 0 or 1, so each dimension's index moves
-            // monotonically from its value at the first trip to its
-            // value at the last: both in bounds ⇒ all in bounds.
             let (mut base, mut stride, mut dim) = (0isize, 0isize, 1isize);
             for (sub, &(lo, hi)) in subs.iter().zip(&a.bounds) {
-                let (i0, i1) = if sub.reg == lp.var {
+                let (i0, i1) = if sub.reg == var {
                     stride += (step as isize).wrapping_mul(dim);
                     (f.checked_add(sub.add)?, last.checked_add(sub.add)?)
                 } else {
@@ -1701,18 +1843,28 @@ impl<'k> Vm<'k> {
             }
             self.resolved[s] = (base, stride);
         }
-        let t0 = k.t0();
+        Some(())
+    }
+
+    /// Run the body of innermost loop `lp` once as a resolved `row` along
+    /// `var`: `(first, step, trips)`.
+    fn run_row(&mut self, k: &Kernel, lp: &Loop, var: Reg, (f, step, n): (i64, i64, i64)) {
+        let (t0, n, shift) = (k.t0(), n as usize, marks_shift(lp, var));
         self.rows.resize((k.ntemps + 1) * STRIP, 0);
         let ops = &k.ops[lp.start..lp.end];
         for s0 in (0..n).step_by(STRIP) {
             let len = STRIP.min(n - s0);
-            if lp.iota {
+            if lp.iota[shift as usize / 2] {
                 let iota = &mut self.rows[k.ntemps * STRIP..][..len];
                 for (t, v) in iota.iter_mut().enumerate() {
                     *v = (f + (s0 + t) as i64 * step).bits();
                 }
             }
             for (i, op) in ops.iter().enumerate() {
+                let op = &Op {
+                    row: op.row >> shift & 3,
+                    ..*op
+                };
                 match op.code {
                     Code::Tick => self.gather(k, &ops[i + 1..], s0, len),
                     Code::LoadR | Code::LoadI => {} // its statement's gather took it
@@ -1745,7 +1897,7 @@ impl<'k> Vm<'k> {
                         let mut strip = Rows {
                             regs: &self.regs,
                             rows,
-                            iota: (lp.var, &iota[..len]),
+                            iota: (var, &iota[..len]),
                             t0,
                         };
                         pure(&mut strip, op)
@@ -1753,16 +1905,14 @@ impl<'k> Vm<'k> {
                 }
             }
         }
-        add_counts(&mut self.ops, &lp.cost, n as u64);
-        Some(())
     }
 
     /// The array of a row op's site, the address of its element at trip
     /// `s0` and its stride. Trip `s0 + t` of the strip is `t` strides on.
     ///
-    /// Dereferencing that is sound for every trip of the row: `run_row`'s
-    /// proof put the site's element of each trip `0..n` inside the array,
-    /// at `base + trip * stride` by linearity; the pointer is live for the
+    /// Dereferencing that is sound for every trip of the row: `resolve`
+    /// put the site's element of each trip `0..n` inside the array, at
+    /// `base + trip * stride` by linearity; the pointer is live for the
     /// whole invocation, no reference to the data exists while the kernel
     /// runs, and threads touch disjoint elements by the disjointness
     /// proof.
@@ -2000,7 +2150,7 @@ mod tests {
         let ids = kernel_nests(&file);
         assert_eq!(ids.len(), 2, "both outermost nests compile");
         let set = KernelSet::build(&file, None, 4);
-        assert_eq!(set.len(), 2);
+        assert_eq!(set.nests().len(), 2);
         for id in &ids {
             let k = set.get(*id).expect("kernel compiled");
             assert!(k.threadable, "pure stencil nest must be threadable");
@@ -2070,12 +2220,12 @@ mod tests {
         let file = parse(STENCIL);
         let ids = kernel_nests(&file);
         let set = KernelSet::build(&file, Some(&ids[..1]), 1);
-        assert_eq!(set.len(), 1);
+        assert_eq!(set.nests().len(), 1);
         assert!(set.get(ids[0]).is_some());
         assert!(set.get(ids[1]).is_none());
         // A bogus hint id is silently skipped.
         let set = KernelSet::build(&file, Some(&[StmtId(9999)]), 1);
-        assert!(set.is_empty());
+        assert!(set.nests().is_empty());
     }
 
     #[test]
@@ -2239,7 +2389,7 @@ mod tests {
         let (mt, ft) =
             crate::exec::run_program(&file, vec![], &mut h1, 0, None).expect("tree runs");
         let set = KernelSet::build(&file, None, threads);
-        assert!(!set.is_empty(), "at least one nest must compile");
+        assert!(!set.nests().is_empty(), "at least one nest must compile");
         let mut h2 = crate::exec::NoHooks;
         let (mk, fk) =
             crate::exec::run_program(&file, vec![], &mut h2, 0, Some(&set)).expect("kernel runs");
@@ -2351,7 +2501,7 @@ mod tests {
         let te = crate::exec::run_program(&file, vec![], &mut h1, 0, None)
             .expect_err("tree walk must report out-of-bounds");
         let set = KernelSet::build(&file, None, 1);
-        assert!(!set.is_empty());
+        assert!(!set.nests().is_empty());
         let mut h2 = crate::exec::NoHooks;
         let ke = crate::exec::run_program(&file, vec![], &mut h2, 0, Some(&set))
             .expect_err("kernel must report out-of-bounds");

@@ -1,25 +1,30 @@
 //! Differential test of the compiled-kernel engine against the tree walk
 //! on generated loop nests the case studies never exercise: random 2-D and
-//! 3-D nests in random loop order with steps 1, 2 and -1, stencil offsets
-//! up to ±3 in random dimensions, bodies mixing row-eligible stores with
-//! inner-carried sweeps, integer arrays, scalar temporaries and logical-`if`
-//! reductions, `sqrt`/`log`/integer-divide terms, branches, computed
-//! subscripts, a final trip that steps out of bounds mid-body, statement
-//! budgets that run out mid-row, and a subroutine called with one array
-//! under two dummy names.
+//! 3-D nests in random (permuted) loop order with steps 1, 2 and -1, so
+//! rows form along the innermost loop and along enclosing ones; stencil
+//! offsets up to ±3 in one or two random dimensions, bodies mixing
+//! row-eligible stores with inner-carried sweeps, integer arrays, scalar
+//! temporaries and logical-`if` reductions, `sqrt`/`log`/integer-divide
+//! terms, branches, computed subscripts, a first or final trip that steps
+//! out of bounds mid-body (so the nest's in-bounds proof fails at exactly
+//! one corner), a loop with no trips (the loop variables' final values), a
+//! bound that reads an enclosing loop's variable (a nest that is not a
+//! box), statement budgets that run out mid-row, and a subroutine called
+//! with one array under two dummy names.
 //!
-//! Per case, the tree walk, the kernel engine on one thread and the kernel
-//! engine on four must agree on everything a run exposes: every array bit
-//! for bit, the op counters, the output, the final scalars including their
-//! `Int`-vs-`Real` representation — or, when the program fails, the error
-//! message and its line. (The store of a failed run is dropped with it;
-//! `exec`'s own tests compare partial stores and counters at the error.)
+//! Per case, the tree walk and the kernel engine on one, two and four
+//! threads must agree on everything a run exposes: every array bit for
+//! bit, the op counters, the output (which prints the loop variables), the
+//! final scalars including their `Int`-vs-`Real` representation — or, when
+//! the program fails, the error message and its line. (The store of a
+//! failed run is dropped with it; `exec`'s own tests compare partial
+//! stores and counters at the error.)
 //!
 //! A failing case prints its program; once shrunk by hand it belongs in
 //! `tests/regressions/`, which this test replays first.
 
 use autocfd::interp::kernel::{PointWise, RowVerdict};
-use autocfd::interp::{Frame, KernelSet, Machine, RunConfig, RunError};
+use autocfd::interp::{Frame, KernelSet, Machine, RunConfig, RunError, Value};
 use autocfd_fortran::{parse, SourceFile};
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -76,12 +81,16 @@ impl Gen {
         subs.join(",")
     }
 
-    /// An offset of up to `REACH` in one random dimension (often none).
+    /// An offset of up to `REACH` in one random dimension (often none),
+    /// sometimes in a second one too: a diagonal, whose dependence some
+    /// loop orders would reverse.
     fn offset(&mut self) -> Vec<i64> {
         let mut off = vec![0; self.n.len()];
-        if self.rng.chance(70) {
-            let d = self.rng.below(off.len());
-            off[d] = self.rng.below(2 * REACH as usize + 1) as i64 - REACH;
+        for percent in [70, 15] {
+            if self.rng.chance(percent) {
+                let d = self.rng.below(off.len());
+                off[d] = self.rng.below(2 * REACH as usize + 1) as i64 - REACH;
+            }
         }
         off
     }
@@ -170,36 +179,51 @@ impl Gen {
     }
 
     /// One nest over all dimensions in random order. `spill` widens one
-    /// loop to the array's edge, so that a stencil offset in the body's
-    /// last statement leaves the array on the final trips; `fail` ends
-    /// the body with a `sqrt` of a negative value.
-    fn nest(&mut self, spill: bool, fail: bool) {
+    /// loop to the array's low or high edge, so that a stencil offset in
+    /// the body's last statement leaves the array on its first or final
+    /// trips; `fail` ends the body with a `sqrt` of a negative value;
+    /// `empty` gives one loop no trips; `bent` bounds one inner loop by
+    /// the variable of the loop around it.
+    fn nest(&mut self, spill: bool, fail: bool, empty: bool, bent: bool) {
         let rank = self.n.len();
         let mut order: Vec<usize> = (0..rank).collect();
         for i in (1..rank).rev() {
             order.swap(i, self.rng.below(i + 1));
         }
-        let wide = spill.then(|| self.rng.below(rank));
-        for &d in &order {
-            let (lo, mut hi) = (1 + REACH, self.n[d] - REACH);
-            if wide == Some(d) {
-                hi = self.n[d];
+        let wide = spill.then(|| (self.rng.below(rank), self.rng.chance(50)));
+        let empty = empty.then(|| self.rng.below(rank));
+        let bent = bent.then(|| 1 + self.rng.below(rank - 1));
+        for (at, &d) in order.iter().enumerate() {
+            let (mut lo, mut hi) = (1 + REACH, self.n[d] - REACH);
+            match wide {
+                Some((w, true)) if w == d => lo = 1,
+                Some((w, false)) if w == d => hi = self.n[d],
+                _ => {}
             }
-            let v = VARS[d];
+            if empty == Some(at) {
+                (lo, hi) = (hi, lo);
+            }
+            let (v, to) = (VARS[d], hi.to_string());
+            let to = match bent {
+                Some(b) if b == at => format!("min({hi}, {} + 2)", VARS[order[at - 1]]),
+                _ => to,
+            };
             match self.rng.pick(&[1, 1, 1, 2, -1]) {
                 -1 => self.line(&format!("do {v} = {hi}, {lo}, -1")),
-                1 => self.line(&format!("do {v} = {lo}, {hi}")),
-                s => self.line(&format!("do {v} = {lo}, {hi}, {s}")),
+                1 => self.line(&format!("do {v} = {lo}, {to}")),
+                s => self.line(&format!("do {v} = {lo}, {to}, {s}")),
             }
         }
         for _ in 0..1 + self.rng.below(3) {
             self.statement();
         }
-        if spill {
+        if let Some((d, low)) = wide {
             // in bounds over the loops' usual range, out on the widened one
-            let d = wide.expect("a spilling nest widens one loop");
             let mut off = vec![0; rank];
             off[d] = 1 + self.rng.below(REACH as usize) as i64;
+            if low {
+                off[d] = -off[d];
+            }
             let (t, here, far) = (self.real(), self.here(), self.at(&off));
             let x = self.real();
             self.line(&format!("{t}({here}) = 0.5*{x}({far})"));
@@ -259,8 +283,11 @@ fn program(seed: u64) -> String {
     let spill = g.rng.chance(20).then(|| g.rng.below(nests));
     let fail = g.rng.chance(10).then(|| g.rng.below(nests));
     let call = g.rng.chance(60).then(|| g.rng.below(nests));
+    let empty = g.rng.chance(20).then(|| g.rng.below(nests));
+    let bent = g.rng.chance(25).then(|| g.rng.below(nests));
     for nest in 0..nests {
-        g.nest(spill == Some(nest), fail == Some(nest));
+        let at = Some(nest);
+        g.nest(spill == at, fail == at, empty == at, bent == at);
         if call == Some(nest) {
             // one array under two dummy names, more often than not
             let x = g.real();
@@ -272,7 +299,7 @@ fn program(seed: u64) -> String {
         g.line("end do");
     }
     g.line(&format!(
-        "write(*,*) err, s, d, a({}), m({})",
+        "write(*,*) err, s, d, i, j, k, a({}), m({})",
         vec!["5"; rank].join(","),
         vec!["6"; rank].join(",")
     ));
@@ -343,27 +370,29 @@ fn same(what: &str, tree: &Outcome, kernel: &Outcome) -> Result<(), String> {
                 v.sort_by(|a, b| a.0.cmp(&b.0));
                 v
             };
-            if sorted(ft) != sorted(fk) {
-                return Err(format!(
-                    "{what}: scalars {:?} vs {:?}",
-                    sorted(ft),
-                    sorted(fk)
-                ));
+            // bit for bit, like the arrays: a NaN matches itself
+            let bits = |(name, v): &(String, Value)| match *v {
+                Value::Real(x) => (name.clone(), None, x.to_bits()),
+                other => (name.clone(), Some(other), 0),
+            };
+            let (st, sk) = (sorted(ft), sorted(fk));
+            if st.iter().map(bits).ne(sk.iter().map(bits)) {
+                return Err(format!("{what}: scalars {st:?} vs {sk:?}"));
             }
             Ok(())
         }
     }
 }
 
-/// Tree walk == kernel × 1 thread == kernel × 4 threads, without a
-/// statement budget and with budgets that run out part-way.
+/// Tree walk == kernel × 1, 2 and 4 threads, without a statement budget
+/// and with budgets that run out part-way.
 fn check(src: &str) -> Result<(), String> {
     let file = parse(src).map_err(|e| format!("generated program does not parse: {e}"))?;
     let tree = run(&file, None, 0);
     let total = tree.as_ref().map_or(4000, |(m, _)| m.ops.stmts);
     for limit in [0, total / 3, total / 2 + 1, total.saturating_sub(1).max(1)] {
         let tree = run(&file, None, limit);
-        for threads in [1, 4] {
+        for threads in [1, 2, 4] {
             let kernel = run(&file, Some(threads), limit);
             same(
                 &format!("budget {limit}, {threads} thread(s)"),
@@ -405,6 +434,8 @@ fn generated_nests_cover_every_verdict() {
     }
     for verdict in [
         RowVerdict::Row,
+        RowVerdict::Interchanged { axis: 0 },
+        RowVerdict::Interchanged { axis: 1 },
         RowVerdict::PointWise(PointWise::InnerLoop),
         RowVerdict::PointWise(PointWise::ScalarState),
         RowVerdict::PointWise(PointWise::Branch),

@@ -1,8 +1,9 @@
-//! Which driver every case-study loop takes in the kernel engine, and why
-//! not. A row-eligible loop that silently fell back to the point-wise
-//! driver would keep every equivalence test green and run several times
-//! slower; this pins the row analysis's verdict on the innermost loops of
-//! both case studies — the original programs, and the restructured SPMD
+//! Which driver every case-study loop takes in the kernel engine, along
+//! which axis, and why not. A row-eligible loop that silently fell back to
+//! the point-wise driver, or to rows along its strided innermost loop,
+//! would keep every equivalence test green and run several times slower;
+//! this pins the row analysis's verdict on the innermost loops of both
+//! case studies — the original programs, and the restructured SPMD
 //! programs the pre-compiler actually emits at `2x1` / `2x1x1`, under the
 //! plan's own kernel-nest marking.
 
@@ -14,8 +15,11 @@ use autocfd_fortran::{parse, SourceFile, StmtId, StmtKind};
 use std::collections::BTreeMap;
 
 use RowVerdict::Row;
+/// Rows along the nest's outermost loop.
+const ALONG_OUTER: RowVerdict = RowVerdict::Interchanged { axis: 0 };
+/// Rows along the middle loop of a 3-D nest.
+const ALONG_MIDDLE: RowVerdict = RowVerdict::Interchanged { axis: 1 };
 const SCALAR_STATE: RowVerdict = RowVerdict::PointWise(PointWise::ScalarState);
-const CARRIED: RowVerdict = RowVerdict::PointWise(PointWise::CarriedDependence);
 
 /// Per unit, the verdict on each innermost `do` loop in source order
 /// (`None`: the loop is in no compiled kernel at all).
@@ -49,33 +53,38 @@ fn expect(rows: &[(&str, Vec<RowVerdict>)]) -> BTreeMap<String, Vec<Option<RowVe
         .collect()
 }
 
-/// Sprayer: every `advect`/`diffuse`/`stream` loop forms rows, and so do
-/// the initialisation and the inflow boundary; the residual nest carries
-/// `d`/`err` from trip to trip.
+/// Sprayer: the nests loop `do i/do j`, so every `advect`/`diffuse`/
+/// `stream` nest and the initialisation form rows along `i`, their
+/// outermost loop; the 1-D inflow boundary forms rows along its only
+/// loop; the residual nest carries `d`/`err` from trip to trip.
 fn sprayer_table(width: usize) -> BTreeMap<String, Vec<Option<RowVerdict>>> {
     expect(&[
-        ("sprayer", vec![Row, Row, SCALAR_STATE]),
-        ("advect", vec![Row; width]),
-        ("diffuse", vec![Row; width]),
-        ("stream", vec![Row]),
+        ("sprayer", vec![ALONG_OUTER, Row, SCALAR_STATE]),
+        ("advect", vec![ALONG_OUTER; width]),
+        ("diffuse", vec![ALONG_OUTER; width]),
+        ("stream", vec![ALONG_OUTER]),
     ])
 }
 
-/// Aerofoil: `flux*`, `relax`, `press`, `sweepi` and `sweepj` form rows
-/// along `k` (their sweeps are carried by `i` and `j`, outside the row);
-/// `sweepk` is carried along the row itself, and the residual nest keeps
-/// scalar state.
+/// Aerofoil: the nests loop `do i/do j/do k`. `flux*`, `relax`, `press`,
+/// the initialisation, `sweepj` and `sweepk` form rows along `i`; the two
+/// boundary nests `do j/do k` along `j`, their first subscripted
+/// dimension. `sweepi` is carried along `i`, so it takes its next axis,
+/// `j`. The residual nest keeps scalar state.
 fn aerofoil_table(width: usize) -> BTreeMap<String, Vec<Option<RowVerdict>>> {
     expect(&[
-        ("aerofoil", vec![Row, Row, Row, SCALAR_STATE]),
-        ("fluxx", vec![Row; width]),
-        ("fluxy", vec![Row; width]),
-        ("fluxz", vec![Row; width]),
-        ("relax", vec![Row; width]),
-        ("press", vec![Row]),
-        ("sweepi", vec![Row]),
-        ("sweepj", vec![Row]),
-        ("sweepk", vec![CARRIED]),
+        (
+            "aerofoil",
+            vec![ALONG_OUTER, ALONG_OUTER, ALONG_OUTER, SCALAR_STATE],
+        ),
+        ("fluxx", vec![ALONG_OUTER; width]),
+        ("fluxy", vec![ALONG_OUTER; width]),
+        ("fluxz", vec![ALONG_OUTER; width]),
+        ("relax", vec![ALONG_OUTER; width]),
+        ("press", vec![ALONG_OUTER]),
+        ("sweepi", vec![ALONG_MIDDLE]),
+        ("sweepj", vec![ALONG_OUTER]),
+        ("sweepk", vec![ALONG_OUTER]),
     ])
 }
 
